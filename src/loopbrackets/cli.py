@@ -112,27 +112,31 @@ def _report_out(rep: verify.SuiteReport, args) -> int:
     return 0 if rep.passed else 1
 
 
+def _tol(args, name: str = "tol") -> dict:
+    """The --tol flag as a keyword argument, only when it is given, so the
+    suites keep their own defaults."""
+    return {} if args.tol is None else {name: args.tol}
+
+
+_SUITES = {
+    "identities": lambda a, seed: verify.run_identity_suite(
+        seed=seed, trials=a.trials, **_tol(a)),
+    "oracle": lambda a, seed: verify.run_oracle_suite(seed=seed, **_tol(a)),
+    "poisson": lambda a, seed: verify.run_poisson_suite(
+        n=a.n, seed=seed, **_tol(a)),
+    "prop2": lambda a, seed: verify.run_prop2_suite(seed=seed, **_tol(a)),
+    "thm2": lambda a, seed: verify.run_thm2_suite(
+        n=a.n, trials=a.trials, seed=seed, **_tol(a)),
+    "nogo": lambda a, seed: verify.run_nogo_suite(
+        s=a.s, restarts=a.restarts, seed=seed, **_tol(a, "threshold")),
+    "cp2": lambda a, seed: verify.run_cp2_suite(),
+}
+
+
 def _cmd_verify(args) -> int:
     seed = effective_seed(args)
     print(f"effective seed: {seed}", file=sys.stderr)
-    if args.suite == "identities":
-        rep = verify.run_identity_suite(seed=seed, trials=args.trials,
-                                        tol=args.tol or 1e-9)
-    elif args.suite == "poisson":
-        rep = verify.run_poisson_suite(n=args.n, seed=seed,
-                                       tol=args.tol or 1e-8)
-    elif args.suite == "thm2":
-        rep = verify.run_thm2_suite(n=args.n, trials=args.trials,
-                                    seed=seed, tol=args.tol or 1e-8)
-    elif args.suite == "nogo":
-        rep = verify.run_nogo_suite(s=args.s, restarts=args.restarts,
-                                    seed=seed,
-                                    threshold=args.tol or 1e-3)
-    elif args.suite == "cp2":
-        rep = verify.run_cp2_suite()
-    else:  # pragma: no cover - argparse restricts choices
-        return 2
-    return _report_out(rep, args)
+    return _report_out(_SUITES[args.suite](args, seed), args)
 
 
 def _cmd_table(args) -> int:
@@ -193,8 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     ev.set_defaults(func=_cmd_elliptic)
 
     pv = sub.add_parser("verify", help="run a verification suite")
-    pv.add_argument("suite",
-                    choices=["identities", "poisson", "thm2", "nogo", "cp2"])
+    pv.add_argument("suite", choices=list(_SUITES))
     pv.add_argument("--n", type=int, default=2)
     pv.add_argument("--trials", type=int, default=100)
     pv.add_argument("--tol", type=float, default=None)

@@ -64,132 +64,88 @@ class DistPoly:
 @dataclass(frozen=True)
 class _RawTerm:
     """Pre-canonical term: coefficient factors attached to points, times
-    deltas (a, b, k) meaning delta^(k)(a-b)."""
+    deltas (a, b, k) meaning delta^(k)(a-b).  A factor (p, e, i) stands
+    for the i-th total x-derivative of e, taken after conversion."""
 
-    factors: tuple[tuple[str, sp.Expr], ...]
+    factors: tuple[tuple, ...]
     deltas: tuple[tuple[str, str, int], ...]
 
 
-def _frozen_x_derivative(e: sp.Expr) -> sp.Expr:
-    """Total x-derivative with the modular parameter held constant: jets
-    of the modular field and the tau-dependent leaves all drop out."""
-    def rule(s: sp.Symbol):
+_DEPTH = 14
+
+
+def _ring_symbols(seed_exprs) -> list:
+    """Generators for the coefficient ring of the seeds: their leaves,
+    closed under the tau-chain rewrites, and every field jet prolonged
+    _DEPTH orders past the highest one seen (the modular field from T)."""
+    leaves: set = set()
+    jets_max: dict[str, int] = {sx.MODULAR_FIELD: 1}
+
+    def note(s):
         info = sx.jet_info(s)
         if info is not None:
             f, k = info
-            if f == sx.MODULAR_FIELD:
-                return sp.Integer(0)
-            return sx.jet(f, k + 1)
-        if s in sx.DTAU_RULES or s.name in sx._CONSTANTS:
-            return sp.Integer(0)
-        raise ClosureError(f"no x-derivative rewrite for leaf {s}")
-    return sx._apply_derivation(e, rule)
+            jets_max[f] = max(jets_max.get(f, 0), k)
+        else:
+            leaves.add(s)
 
+    for e in seed_exprs:
+        for s in sp.sympify(e).free_symbols:
+            note(s)
+    frontier = set(leaves)
+    while frontier:
+        new = set()
+        for s in frontier:
+            if s.name in sx._CONSTANTS:
+                continue
+            rule = sx.DTAU_RULES.get(s)
+            if rule is None:
+                raise ClosureError(f"no derivative rewrite for leaf {s}")
+            for t in rule.free_symbols:
+                if sx.jet_info(t) is not None:
+                    note(t)
+                elif t not in leaves and t.name not in sx._CONSTANTS:
+                    new.add(t)
+        leaves |= new
+        frontier = new
 
-def _dx_pow(e: sp.Expr, j: int, frozen: bool = False) -> sp.Expr:
-    d = _frozen_x_derivative if frozen else sx.total_x_derivative
-    for _ in range(j):
-        e = d(e)
-    return e
-
-
-class _ExprAlgebra:
-    """Coefficient arithmetic directly on sympy expressions (fallback)."""
-
-    def __init__(self, frozen: bool = False):
-        self.frozen = frozen
-
-    def conv(self, e):
-        return sp.sympify(e)
-
-    def dx(self, e):
-        if self.frozen:
-            return _frozen_x_derivative(e)
-        return sx.total_x_derivative(e)
-
-    def is_zero(self, e):
-        return e == 0
-
-    def to_expr(self, e):
-        return sp.expand(e)
-
-    one = sp.Integer(1)
+    gens: set = set(leaves)
+    for f, kmax in jets_max.items():
+        for k in range(kmax + _DEPTH + 1):
+            if f == sx.MODULAR_FIELD and k == 0:
+                continue
+            gens.add(sx.jet(f, k))
+    return sorted(gens, key=str)
 
 
 class _RingAlgebra:
-    """Coefficient arithmetic in a sparse polynomial ring over QQ (or its
-    fraction field, for descended tables with rational coefficients) with
-    a built-in total x-derivative; far faster than Expr trees on the
-    large sums produced by triple brackets."""
+    """Coefficient arithmetic in a sparse polynomial ring over QQ or CC
+    (or its fraction field, for descended tables with rational
+    coefficients) with a built-in total x-derivative.  With `frozen` the
+    modular parameter is a constant: g1, g2, g3, the other tau-dependent
+    leaves and the modular jets T, T_x, ... all have zero derivative."""
 
-    _DEPTH = 14
-
-    def __init__(self, seed_exprs, fraction: bool = False,
-                 frozen: bool = False):
-        self.frozen = frozen
-        leaves: set = set()
-        jets_max: dict[str, int] = {sx.MODULAR_FIELD: 1}
-
-        def note(s):
-            info = sx.jet_info(s)
-            if info is not None:
-                f, k = info
-                jets_max[f] = max(jets_max.get(f, 0), k)
-            else:
-                leaves.add(s)
-
-        for e in seed_exprs:
-            for s in sp.sympify(e).free_symbols:
-                note(s)
-        # closure of the non-jet leaves under the tau-chain rewrites
-        frontier = set(leaves)
-        while frontier:
-            new = set()
-            for s in frontier:
-                if s.name in sx._CONSTANTS:
-                    continue
-                rule = sx.DTAU_RULES.get(s)
-                if rule is None:
-                    raise ClosureError(
-                        f"no derivative rewrite for leaf {s}")
-                for t in rule.free_symbols:
-                    if sx.jet_info(t) is not None:
-                        note(t)
-                    elif t not in leaves and t.name not in sx._CONSTANTS:
-                        new.add(t)
-            leaves |= new
-            frontier = new
-
-        gens: set = set(leaves)
-        for f, kmax in jets_max.items():
-            for k in range(kmax + self._DEPTH + 1):
-                if f == sx.MODULAR_FIELD and k == 0:
-                    continue
-                gens.add(sx.jet(f, k))
-        self.syms = sorted(gens, key=str)
+    def __init__(self, syms, domain, fraction: bool, frozen: bool):
         self.fraction = fraction
         if fraction:
-            self.F, *_ = sp.field(self.syms, sp.QQ)
+            self.F, *_ = sp.field(syms, domain)
             self.R = self.F.ring
             self.one = self.F.one
         else:
-            self.F = None
-            self.R, *_ = sp.ring(self.syms, sp.QQ)
+            self.R, *_ = sp.ring(syms, domain)
             self.one = self.R.one
+        index = {s: i for i, s in enumerate(syms)}
         self._img = []
-        ring_gens = self.R.gens
-        for i, s in enumerate(self.syms):
+        for s in syms:
             info = sx.jet_info(s)
             if info is not None:
                 f, k = info
                 if frozen and f == sx.MODULAR_FIELD:
                     self._img.append(self.R.zero)
                     continue
-                nxt = sx.jet(f, k + 1)
-                self._img.append(
-                    ring_gens[self.syms.index(nxt)]
-                    if nxt in gens else None)
-            elif s.name in sx._CONSTANTS or (frozen and s in sx.DTAU_RULES):
+                i = index.get(sx.jet(f, k + 1))
+                self._img.append(None if i is None else self.R.gens[i])
+            elif s.name in sx._CONSTANTS or frozen:
                 self._img.append(self.R.zero)
             else:
                 self._img.append(
@@ -230,6 +186,14 @@ class _RingAlgebra:
         return p.as_expr()
 
 
+def _convert(alg, factor):
+    p, e, *order = factor
+    c = alg.conv(e)
+    for _ in range(order[0] if order else 0):
+        c = alg.dx(c)
+    return p, c
+
+
 def _merge_factors(alg, factors) -> dict:
     out: dict = {}
     for p, e in factors:
@@ -240,21 +204,24 @@ def _merge_factors(alg, factors) -> dict:
 def canonicalize(raw_terms, frozen: bool = False) -> DistPoly:
     """Push raw terms to the canonical x-anchored basis and merge.
 
-    Coefficients are moved to a sparse ring when every leaf admits a
-    polynomial derivative rewrite, with the Expr path as fallback."""
+    Coefficients live in a sparse polynomial ring over QQ, else its
+    fraction field; floating-point complex coefficients use CC instead.
+    ClosureError for a leaf without a derivative rewrite."""
     raw_terms = list(raw_terms)
-    seeds = [e for t in raw_terms for _, e in t.factors]
-    for fraction in (False, True):
-        try:
-            alg = _RingAlgebra(seeds, fraction=fraction, frozen=frozen)
-            converted = [
-                _RawTerm(tuple((p, alg.conv(e)) for p, e in t.factors),
-                         t.deltas)
-                for t in raw_terms]
+    syms = _ring_symbols(e for t in raw_terms for _, e, *_ in t.factors)
+    for domain in (sp.QQ, sp.CC):
+        for fraction in (False, True):
+            alg = _RingAlgebra(syms, domain, fraction, frozen)
+            try:
+                converted = [
+                    _RawTerm(tuple(_convert(alg, f) for f in t.factors),
+                             t.deltas)
+                    for t in raw_terms]
+            except (sp.polys.polyerrors.CoercionFailed, ValueError):
+                continue
             return _canonicalize(alg, converted)
-        except (ClosureError, sp.polys.polyerrors.CoercionFailed, ValueError):
-            continue
-    return _canonicalize(_ExprAlgebra(frozen=frozen), raw_terms)
+    raise ClosureError("coefficients are not rational functions of the "
+                       "leaves over QQ or CC")
 
 
 def _canonicalize(alg, raw_terms) -> DistPoly:
@@ -423,27 +390,6 @@ def _partials(E: sp.Expr, fields):
     return out
 
 
-def _freeze_modular(dp: DistPoly, table: BracketTable) -> DistPoly:
-    """For descended tables the modular parameter is a constant: kill
-    every modular jet produced by total x-derivatives of g1, g2, g3."""
-    if not table.frozen_modular:
-        return dp
-    kill = {}
-    for t in dp.terms:
-        for s in t.coeff.free_symbols:
-            info = sx.jet_info(s)
-            if info is not None and info[0] == sx.MODULAR_FIELD and info[1] >= 1:
-                kill[s] = 0
-    if not kill:
-        return dp
-    terms = []
-    for t in dp.terms:
-        c = sp.expand(t.coeff.subs(kill))
-        if c != 0:
-            terms.append(DeltaTerm(c, t.orders))
-    return DistPoly(terms=tuple(terms))
-
-
 def _table_cache(table: BracketTable) -> dict:
     cache = table.__dict__.get("_op_cache")
     if cache is None:
@@ -471,8 +417,7 @@ def leibniz_bracket(table: BracketTable, a: str, E: sp.Expr) -> DistPoly:
             raw.append(_RawTerm(
                 (("x", t.coeff), ("y", (-1) ** k * dE)),
                 (("x", "y", m + k),)))
-    out = _freeze_modular(canonicalize(raw, frozen=table.frozen_modular),
-                          table)
+    out = canonicalize(raw, frozen=table.frozen_modular)
     cache[key] = out
     return out
 
@@ -487,12 +432,10 @@ def bracket_of_functions(table: BracketTable, F: sp.Expr, G: sp.Expr) -> DistPol
                 # d^k/dx^k d^l/dy^l [C(x) delta^(m)(x-y)]
                 for i in range(k + 1):
                     raws.append(_RawTerm(
-                        (("x", sp.binomial(k, i) * dF
-                          * _dx_pow(t.coeff, i, frozen=table.frozen_modular)),
+                        (("x", sp.binomial(k, i) * dF), ("x", t.coeff, i),
                          ("y", (-1) ** l * dG)),
                         (("x", "y", m + l + k - i),)))
-    return _freeze_modular(canonicalize(raws, frozen=table.frozen_modular),
-                           table)
+    return canonicalize(raws, frozen=table.frozen_modular)
 
 
 def antisymmetry_defect(table: BracketTable, a: str, b: str) -> DistPoly:
@@ -501,8 +444,7 @@ def antisymmetry_defect(table: BracketTable, a: str, b: str) -> DistPoly:
            for t in table.entry(a, b)]
     raw += [_RawTerm((("y", t.coeff),), (("y", "x", t.orders[0]),))
             for t in table.entry(b, a)]
-    return _freeze_modular(canonicalize(raw, frozen=table.frozen_modular),
-                           table)
+    return canonicalize(raw, frozen=table.frozen_modular)
 
 
 def _cyclic_term(table: BracketTable, outer: str, inner: tuple[str, str],
@@ -526,8 +468,7 @@ def jacobi_defect(table: BracketTable, a: str, b: str, c: str) -> DistPoly:
     raws += _cyclic_term(table, a, (b, c), ("x", "y", "w"))
     raws += _cyclic_term(table, b, (c, a), ("y", "w", "x"))
     raws += _cyclic_term(table, c, (a, b), ("w", "x", "y"))
-    return _freeze_modular(canonicalize(raws, frozen=table.frozen_modular),
-                           table)
+    return canonicalize(raws, frozen=table.frozen_modular)
 
 
 def jacobi_triples(fields) -> list[tuple[str, str, str]]:
@@ -559,13 +500,20 @@ def change_coordinates(table: BracketTable, forward: dict, inverse: dict,
     inverse maps each old field name to its expression in the new jets
     (auxiliary fields allowed).  Fields listed in `eliminate` must cancel
     from every coefficient after substitution, else StructureError.
+    A frozen_modular result (default: as the source table) holds the
+    modular parameter constant, so its jets T, T_x, ... are set to zero.
     """
     new_fields = tuple(forward)
+    if frozen_modular is None:
+        frozen_modular = table.frozen_modular
     max_ord = table.order() + 2 + max(
         (k for F in forward.values() for s in sp.sympify(F).free_symbols
          if (info := sx.jet_info(s)) is not None for k in (info[1],)),
         default=0)
     subs = _prolonged_subs(inverse, max_ord + 2)
+    if frozen_modular:
+        subs.update({sx.jet(sx.MODULAR_FIELD, k): 0
+                     for k in range(1, max_ord + 3)})
     bad = {sx.jet(f, k) for f in eliminate for k in range(max_ord + 3)}
     entries = {}
     for a, b in itertools.product(new_fields, repeat=2):
@@ -581,7 +529,5 @@ def change_coordinates(table: BracketTable, forward: dict, inverse: dict,
             if c != 0:
                 terms.append(DeltaTerm(c, t.orders))
         entries[(a, b)] = tuple(terms)
-    if frozen_modular is None:
-        frozen_modular = table.frozen_modular
     return BracketTable(fields=new_fields, entries=entries,
                         frozen_modular=frozen_modular)

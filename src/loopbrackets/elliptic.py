@@ -268,25 +268,6 @@ def q_weight(ctx: EllipticContext, u: complex, v: complex,
     raise DomainError(f"unknown q_weight method {method!r}")
 
 
-def q_weight_u(ctx: EllipticContext, u: complex, v: complex) -> complex:
-    """Derivative of q(u, v) with respect to its first argument:
-    wp(v-u) - wp(u), from zeta' = -wp."""
-    return wp(ctx, v - u) - wp(ctx, u)
-
-
-def basis_p(ctx: EllipticContext, alpha: int, z: complex) -> complex:
-    """Basis of elliptic functions with a single pole of order alpha at 0:
-    even orders wp^a, odd orders >= 3 are -wp^a wp_z / 2."""
-    if alpha == 1 or alpha < 0:
-        raise DomainError(f"no basis element of pole order {alpha}")
-    if alpha == 0:
-        return 1.0 + 0.0j
-    if alpha % 2 == 0:
-        return wp(ctx, z) ** (alpha // 2)
-    a = (alpha - 3) // 2
-    return -0.5 * wp(ctx, z) ** a * wp_z(ctx, z)
-
-
 @dataclass(frozen=True)
 class OracleValues:
     wp: complex

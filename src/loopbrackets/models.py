@@ -669,19 +669,9 @@ def lemma1_descend(table: dcx.BracketTable,
                     f"modular field is not central against p{f[1:]}: "
                     f"{[(sx.render(t.coeff), t.orders) for t in dp.terms]}")
 
-    new = dcx.change_coordinates(table, forward, inverse,
-                                 eliminate=(denominator_field,))
-    frozen = {}
-    kill = {jet(sx.MODULAR_FIELD, k): 0 for k in range(1, table.order() + 6)}
-    for key, terms in new.entries.items():
-        out = []
-        for t in terms:
-            c = sp.expand(sp.sympify(t.coeff).subs(kill))
-            if c != 0:
-                out.append(dcx.DeltaTerm(c, t.orders))
-        frozen[key] = tuple(out)
-    return dcx.BracketTable(fields=new.fields, entries=frozen,
-                            frozen_modular=True)
+    return dcx.change_coordinates(table, forward, inverse,
+                                  eliminate=(denominator_field,),
+                                  frozen_modular=True)
 
 
 def linear_identifications(sc: StructConsts,
@@ -1007,6 +997,24 @@ def _nogo_tables(qsym, rsym):
     return dcx.build_table(("z1", "z2"), given)
 
 
+def _nogo_unknowns():
+    """The 12 symmetric delta'-unknowns q_ab_cd (q[a,b,c,d] = q[a,b,d,c])
+    and 16 delta-unknowns r_ab_cd, declared x-constants."""
+    qsym = {}
+    rsym = {}
+    for a, b, c, d in itertools.product((1, 2), repeat=4):
+        if c <= d:
+            qsym[(a, b, c, d)] = qsym[(a, b, d, c)] = sp.Symbol(
+                f"q_{a}{b}_{c}{d}")
+        rsym[(a, b, c, d)] = sp.Symbol(f"r_{a}{b}_{c}{d}")
+    unknowns = sx.declare_constants(*sorted(set(qsym.values()), key=str),
+                                    *sorted(rsym.values(), key=str))
+    return qsym, rsym, unknowns
+
+
+_NOGO_Q, _NOGO_R, _NOGO_UNKNOWNS = _nogo_unknowns()
+
+
 def _normalize_eq(e, unknowns):
     """Scale an equation by its largest coefficient magnitude so that the
     residual is invariant under trivial rescalings of the system."""
@@ -1030,19 +1038,7 @@ def prop1_system(s, include_jacobi: bool = True,
     canonical (delta', delta) coefficient expressions in p, p', zr
     (zr = z2'/z2) -- used by the feasible self-test.
     """
-    qsym = {}
-    rsym = {}
-    for a in (1, 2):
-        for b in (1, 2):
-            for c in (1, 2):
-                for d in (1, 2):
-                    if c <= d:
-                        qsym[(a, b, c, d)] = sp.Symbol(f"q_{a}{b}_{c}{d}")
-                        qsym[(a, b, d, c)] = qsym[(a, b, c, d)]
-                    rsym[(a, b, c, d)] = sp.Symbol(f"r_{a}{b}_{c}{d}")
-    unknowns = sorted({*qsym.values()}, key=str) + \
-        sorted(rsym.values(), key=str)
-    sx.declare_constants(*unknowns)
+    qsym, rsym, unknowns = _NOGO_Q, _NOGO_R, list(_NOGO_UNKNOWNS)
     table = _nogo_tables(qsym, rsym)
 
     eqs = []
@@ -1104,7 +1100,8 @@ def prop1_system(s, include_jacobi: bool = True,
 def prop1_certificate(sys: NoGoSystem, restarts: int = 100,
                       seed: int = 0) -> dict:
     """Multi-start least-squares minimization of the squared residual;
-    the smallest value found is the no-go evidence."""
+    the smallest value found is the no-go evidence.  "values" lists the
+    squared residual of every restart, in order."""
     from scipy.optimize import least_squares
 
     m = len(sys.unknowns)
@@ -1134,6 +1131,7 @@ def prop1_certificate(sys: NoGoSystem, restarts: int = 100,
         "best_point_norm": float(np.linalg.norm(best_x)) if best_x is not None
         else None,
         "n_equations": len(sys.equations),
+        "values": values,
     }
 
 

@@ -25,7 +25,7 @@ import numpy as np
 import sympy as sp
 
 from . import elliptic
-from .errors import ClosureError, DivisibilityError, UnboundSymbolError
+from .errors import ClosureError, UnboundSymbolError
 
 # ---------------------------------------------------------------------------
 # symbol registry
@@ -109,33 +109,12 @@ _DU_RULES = {
 }
 
 
-_RING_THRESHOLD = 150
-
-
 def _apply_derivation(e: sp.Expr, rules) -> sp.Expr:
-    active = {}
+    out = sp.Integer(0)
     for s in e.free_symbols:
         r = rules(s)
         if r is not None and r != 0:
-            active[s] = sp.sympify(r)
-    if not active:
-        return sp.Integer(0)
-    if sp.count_ops(e) > _RING_THRESHOLD:
-        # sparse-ring chain rule: orders of magnitude faster than Expr
-        # diff on large expanded sums
-        syms = sorted(e.free_symbols
-                      | {t for r in active.values() for t in r.free_symbols},
-                      key=str)
-        R, *gens = sp.ring(syms, sp.QQ)
-        gmap = dict(zip(syms, gens))
-        p = R.from_expr(e)
-        out = R.zero
-        for s, r in active.items():
-            out = out + p.diff(gmap[s]) * R.from_expr(r)
-        return out.as_expr()
-    out = sp.Integer(0)
-    for s, r in active.items():
-        out += e.diff(s) * r
+            out += e.diff(s) * sp.sympify(r)
     return out
 
 
@@ -152,18 +131,9 @@ def d_dz_spectral(e: sp.Expr, var: str) -> sp.Expr:
     return _apply_derivation(e, lambda s: rules.get(s))
 
 
-_DX_CACHE: dict = {}
-
-
 def total_x_derivative(e: sp.Expr) -> sp.Expr:
     """Total x-derivative: jets prolong, tau-dependent leaves rewrite
-    through T, registered constants drop out.  Results are memoized:
-    bracket compositions differentiate the same coefficients many
-    times."""
-    cached = _DX_CACHE.get(e)
-    if cached is not None:
-        return cached
-
+    through T, registered constants drop out."""
     def rule(s: sp.Symbol):
         info = _JETS.get(s.name)
         if info is not None:
@@ -175,52 +145,7 @@ def total_x_derivative(e: sp.Expr) -> sp.Expr:
             return sp.Integer(0)
         raise ClosureError(f"no x-derivative rewrite for leaf {s}")
 
-    out = _apply_derivation(e, rule)
-    if len(_DX_CACHE) > 20000:
-        _DX_CACHE.clear()
-    _DX_CACHE[e] = out
-    return out
-
-
-# ---------------------------------------------------------------------------
-# polynomial plumbing
-
-def _reduce_power(e: sp.Expr, s: sp.Symbol, repl: sp.Expr) -> sp.Expr:
-    if not e.has(s):
-        return e
-    p = sp.Poly(e, s)
-    out = sp.Integer(0)
-    for (k,), c in p.terms():
-        out += c * s ** (k % 2) * repl ** (k // 2)
-    return out
-
-
-def polynomial_reduce(e: sp.Expr) -> sp.Expr:
-    """Canonical form with dwpu, dwpv of degree <= 1 (higher powers
-    eliminated through the cubic), monomials sorted, exact coefficients."""
-    e = sp.expand(e)
-    e = _reduce_power(e, dwpu, 4 * wpu**3 - g2 * wpu - g3)
-    e = _reduce_power(e, dwpv, 4 * wpv**3 - g2 * wpv - g3)
-    return sp.expand(e)
-
-
-def exact_divide(num: sp.Expr, den: sp.Expr, *gens) -> sp.Expr:
-    """Quotient of an exact polynomial division; DivisibilityError if a
-    remainder is left."""
-    num = sp.expand(num)
-    den = sp.expand(den)
-    if not gens:
-        gens = tuple(sorted(num.free_symbols | den.free_symbols, key=str))
-    q, r = sp.div(num, den, *gens)
-    if sp.expand(r) != 0:
-        raise DivisibilityError(f"division by {den} left remainder {r}")
-    return sp.expand(q)
-
-
-def assert_exact(e: sp.Expr):
-    """Reject floating-point coefficients inside the symbolic subring."""
-    if any(isinstance(a, sp.Float) for a in sp.preorder_traversal(e)):
-        raise ValueError(f"float coefficient in symbolic expression: {e}")
+    return _apply_derivation(e, rule)
 
 
 def render(e: sp.Expr) -> str:

@@ -90,6 +90,17 @@ class TestVerifyCommand:
         assert run_cli(["verify", "identities", "--trials", "5",
                         "--tol", "1e-300"]) == 1
 
+    def test_zero_tolerance_honoured(self, capsys):
+        assert run_cli(["verify", "identities", "--trials", "5",
+                        "--tol", "0"]) == 1
+        assert json.loads(capsys.readouterr().out)["params"]["tol"] == 0
+
+    @pytest.mark.parametrize("suite", ["oracle", "prop2"])
+    def test_all_suites_reachable(self, suite, capsys):
+        assert run_cli(["verify", suite]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["suite"] == suite and doc["passed"]
+
     def test_json_artifact(self, tmp_path, capsys):
         path = tmp_path / "rep.json"
         assert run_cli(["verify", "cp2", "--json", str(path)]) == 0

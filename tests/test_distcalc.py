@@ -16,7 +16,8 @@ from hypothesis import given, settings, strategies as st
 
 from loopbrackets import distcalc as dc
 from loopbrackets import symexpr as sx
-from loopbrackets.errors import StructureError, UnknownFieldError
+from loopbrackets.errors import (ClosureError, StructureError,
+                                 UnknownFieldError)
 
 x, y, w = sp.symbols("x y w")
 PT = {"x": x, "y": y, "w": w}
@@ -120,16 +121,64 @@ class TestCanonicalizeAgainstPairing:
                            (("y", "x", m), ("y", "w", n)))]
         self.check(raw, 3)
 
-    def test_algebra_paths_agree(self):
-        # ring-based and Expr-based canonicalization give identical output
-        raw = [dc._RawTerm((("y", z1 * z2x + sx.g2 * z2 ** 2),),
+    @staticmethod
+    def expand_by_hand(raw, dx):
+        """R1 and R2 applied by hand to single-factor two-point terms, with
+        the factor's x-derivatives taken by `dx` on sympy expressions."""
+        out = {}
+        for t in raw:
+            (p, c), = t.factors
+            (a, b, m), = t.deltas
+            c = c * (-1) ** m if (a, b) == ("y", "x") else c
+            if p == "x":
+                out[(m,)] = out.get((m,), 0) + c
+                continue
+            for j in range(m + 1):
+                out[(m - j,)] = out.get((m - j,), 0) + sp.binomial(m, j) * c
+                c = dx(c)
+        return out
+
+    def algebra_paths_agree(self, scale, frozen, dx, tol):
+        # the ring canonicalization against the Expr derivative, with the
+        # tau chain g1, g2 -> T in the transported factor
+        raw = [dc._RawTerm((("y", scale[0] * z1 * z2x
+                                  + scale[1] * sx.g2 * z2 ** 2
+                                  + sx.g1 * z1),),
                            (("y", "x", 2),)),
-               dc._RawTerm((("x", sx.g1 * z1x),), (("x", "y", 1),))]
-        fast = dc.canonicalize(raw)
-        slow = dc._canonicalize(dc._ExprAlgebra(), raw)
-        assert len(fast.terms) == len(slow.terms)
-        for t in fast.terms:
-            assert sp.expand(t.coeff - slow.coeff(t.orders)) == 0
+               dc._RawTerm((("x", scale[1] * sx.g1 * z1x),),
+                           (("x", "y", 1),))]
+        got = dc.canonicalize(raw, frozen=frozen)
+        want = self.expand_by_hand(raw, dx)
+        assert {t.orders for t in got.terms} == set(want)
+        for orders, c in want.items():
+            diff = sp.expand(got.coeff(orders) - c)
+            assert all(abs(complex(v)) <= tol
+                       for v in diff.as_coefficients_dict().values()), diff
+        return got
+
+    def test_algebra_paths_agree(self):
+        got = self.algebra_paths_agree((1, sp.Rational(2, 3)), False,
+                                       sx.total_x_derivative, 0)
+        assert any(sx.T in t.coeff.free_symbols for t in got.terms)
+
+    def test_algebra_paths_agree_frozen(self):
+        got = self.algebra_paths_agree(
+            (1, sp.Rational(2, 3)), True,
+            lambda e: sx.total_x_derivative(e).subs(sx.T, 0), 0)
+        assert all(sx.T not in t.coeff.free_symbols for t in got.terms)
+
+    def test_algebra_paths_agree_complex_float(self):
+        scale = (sp.sympify(0.5 + 0.25j), sp.sympify(1.5 - 2j))
+        got = self.algebra_paths_agree(scale, False, sx.total_x_derivative,
+                                       1e-12)
+        assert any(sx.T in t.coeff.free_symbols for t in got.terms)
+
+    def test_leaf_without_rewrite(self):
+        # refused even where no derivative of the leaf is taken
+        raw = [dc._RawTerm((("x", sp.Symbol("leaf_without_rule") * z1),),
+                           (("x", "y", 1),))]
+        with pytest.raises(ClosureError):
+            dc.canonicalize(raw)
 
 
 @pytest.fixture(scope="module")

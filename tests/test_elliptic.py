@@ -155,38 +155,9 @@ class TestTwoPointWeight:
                 continue
             assert abs(a - b) < 1e-7 * max(1.0, abs(a))
 
-    def test_u_derivative(self, ctx, rng):
-        h = 4e-5
-        for _ in range(4):
-            up = random_cell_point(rng, ctx.tau)
-            vp = random_cell_point(rng, ctx.tau)
-            if abs(vp - 2 * up) < 0.05:  # keep v-u away from +/-u poles
-                continue
-            fd = (elliptic.q_weight(ctx, up + h, vp)
-                  - elliptic.q_weight(ctx, up - h, vp)) / (2 * h)
-            qu = elliptic.q_weight_u(ctx, up, vp)
-            assert abs(fd - qu) < 1e-5 * max(1.0, abs(qu))
-
     def test_unknown_method(self, ctx):
         with pytest.raises(DomainError):
             elliptic.q_weight(ctx, 0.2, 0.3, method="nope")
-
-
-class TestBasis:
-    def test_low_orders(self, ctx, rng):
-        z = random_cell_point(rng, ctx.tau)
-        p = elliptic.wp(ctx, z)
-        dp = elliptic.wp_z(ctx, z)
-        assert elliptic.basis_p(ctx, 0, z) == 1.0
-        assert abs(elliptic.basis_p(ctx, 2, z) - p) < 1e-12
-        assert abs(elliptic.basis_p(ctx, 4, z) - p ** 2) < 1e-9
-        assert abs(elliptic.basis_p(ctx, 3, z) + 0.5 * dp) < 1e-9
-        assert abs(elliptic.basis_p(ctx, 5, z) + 0.5 * p * dp) < 1e-9
-
-    def test_rejected_orders(self, ctx):
-        for alpha in (1, -2):
-            with pytest.raises(DomainError):
-                elliptic.basis_p(ctx, alpha, 0.3)
 
 
 class TestModularDerivatives:

@@ -2,6 +2,10 @@
 their JSON round trip, the projective descent, the generating-field
 realization, the obstruction certificate, and the three-field warm-up."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 import sympy as sp
@@ -27,6 +31,9 @@ class TestBasics:
         assert sp.expand(models.spectral_basis(3, "v")
                          + sx.dwpv / 2) == 0
         assert sp.expand(models.spectral_basis(4, "u") - sx.wpu ** 2) == 0
+        for a in (1, -2):
+            with pytest.raises(DomainError):
+                models.spectral_basis(a, "u")
 
     def test_two_point_weight_symbolic(self, ctx, rng):
         expr = models.q_weight_sym("u", "v")
@@ -193,6 +200,33 @@ class TestNoGoCertificate:
         cert = models.prop1_certificate(sys_, restarts=12, seed=0)
         assert cert["min_residual"] > 1e-2
         assert cert["median_residual"] >= cert["min_residual"]
+        assert len(cert["values"]) == 12
+        assert min(cert["values"]) == cert["min_residual"]
+
+    def test_unknowns_declared_once(self):
+        """Building the system adds nothing to the x-constants: the
+        unknowns are declared when the module is imported.  Runs in a
+        fresh interpreter, so no earlier test has built the system."""
+        code = (
+            "import sympy as sp\n"
+            "from loopbrackets import models, symexpr as sx\n"
+            "def dx():\n"
+            "    try:\n"
+            "        return repr(sx.total_x_derivative(sp.Symbol('q_11_11')))\n"
+            "    except Exception as e:\n"
+            "        return type(e).__name__\n"
+            "print(dx(), len(sx._CONSTANTS))\n"
+            "models.prop1_system(2.0)\n"
+            "print(dx(), len(sx._CONSTANTS))\n")
+        src = os.path.dirname(os.path.dirname(models.__file__))
+        path = filter(None, [src, os.environ.get("PYTHONPATH")])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+        out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                             text=True, timeout=300, env=env)
+        assert out.returncode == 0, out.stderr
+        before, after = out.stdout.splitlines()
+        assert before == after
+        assert before.split()[0] == "0"
 
     def test_feasible_selftest(self):
         out = models.prop1_feasible_selftest(seed=0)

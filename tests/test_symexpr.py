@@ -1,6 +1,6 @@
 """Symbolic layer: jet bookkeeping, derivation rules (validated
-numerically against the special-function layer), polynomial plumbing,
-and the render/parse round trip."""
+numerically against the special-function layer), and the
+render/parse round trip."""
 
 import numpy as np
 import pytest
@@ -9,8 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from loopbrackets import elliptic
 from loopbrackets import symexpr as sx
-from loopbrackets.errors import (ClosureError, DivisibilityError,
-                                 UnboundSymbolError)
+from loopbrackets.errors import ClosureError, UnboundSymbolError
 
 from conftest import random_cell_point
 
@@ -61,7 +60,8 @@ class TestTotalDerivative:
             sx.total_x_derivative(sp.Symbol("mystery"))
 
     def test_large_expression_matches_small_path(self):
-        # the sparse-ring fast path and the direct path must agree
+        # large expanded sums and small products follow the chain rule
+        # written out leaf by leaf
         z, zx = sx.jet("z1"), sx.jet("z1", 1)
         small = (z + sx.g2) ** 2
         big = sp.expand((z + zx + sx.g1 + sx.g2 + sx.g3) ** 5)
@@ -133,25 +133,6 @@ class TestSpectralDerivative:
             elliptic.wp(ctx, z), elliptic.wp_z(ctx, z),
             elliptic.zeta(ctx, z), ctx.g2))
         assert abs(fd - val) < 1e-5 * max(1.0, abs(val))
-
-
-class TestPolynomialPlumbing:
-    def test_reduce_odd_powers(self):
-        cubic = 4 * sx.wpu ** 3 - sx.g2 * sx.wpu - sx.g3
-        assert sp.expand(sx.polynomial_reduce(sx.dwpu ** 2) - cubic) == 0
-        assert sp.expand(sx.polynomial_reduce(sx.dwpu ** 3)
-                         - sx.dwpu * cubic) == 0
-
-    def test_exact_divide(self):
-        a, b = sp.symbols("a b")
-        assert sx.exact_divide(a ** 2 - b ** 2, a - b) == a + b
-        with pytest.raises(DivisibilityError):
-            sx.exact_divide(a ** 2 + 1, a - b)
-
-    def test_assert_exact(self):
-        sx.assert_exact(sp.Rational(1, 3) * sx.g2)
-        with pytest.raises(ValueError):
-            sx.assert_exact(0.5 * sx.g2)
 
 
 @st.composite
