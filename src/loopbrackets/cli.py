@@ -118,22 +118,38 @@ def _tol(args, name: str = "tol") -> dict:
     return {} if args.tol is None else {name: args.tol}
 
 
+def _trials(args, name: str, default: int | None = None) -> dict:
+    """The --trials flag as the suite's own sample-count keyword `name`.
+    Without the flag the suite keeps its default, or gets `default`."""
+    count = default if args.trials is None else args.trials
+    return {} if count is None else {name: count}
+
+
+# without --trials the CLI runs 100 identity and thm2 trials
 _SUITES = {
     "identities": lambda a, seed: verify.run_identity_suite(
-        seed=seed, trials=a.trials, **_tol(a)),
-    "oracle": lambda a, seed: verify.run_oracle_suite(seed=seed, **_tol(a)),
+        seed=seed, **_trials(a, "trials", 100), **_tol(a)),
+    "oracle": lambda a, seed: verify.run_oracle_suite(
+        seed=seed, **_trials(a, "points"), **_tol(a)),
     "poisson": lambda a, seed: verify.run_poisson_suite(
-        n=a.n, seed=seed, **_tol(a)),
+        n=a.n, seed=seed, **_trials(a, "jets"), **_tol(a)),
     "prop2": lambda a, seed: verify.run_prop2_suite(seed=seed, **_tol(a)),
     "thm2": lambda a, seed: verify.run_thm2_suite(
-        n=a.n, trials=a.trials, seed=seed, **_tol(a)),
+        n=a.n, seed=seed, **_trials(a, "trials", 100), **_tol(a)),
     "nogo": lambda a, seed: verify.run_nogo_suite(
         s=a.s, restarts=a.restarts, seed=seed, **_tol(a, "threshold")),
     "cp2": lambda a, seed: verify.run_cp2_suite(),
 }
 
+# suites without a sample count, where --trials is a usage error
+_NO_TRIALS = ("prop2", "nogo", "cp2")
+
 
 def _cmd_verify(args) -> int:
+    if args.trials is not None and args.suite in _NO_TRIALS:
+        print(f"error: --trials does not apply to suite {args.suite}",
+              file=sys.stderr)
+        return 2
     seed = effective_seed(args)
     print(f"effective seed: {seed}", file=sys.stderr)
     return _report_out(_SUITES[args.suite](args, seed), args)
@@ -199,7 +215,7 @@ def build_parser() -> argparse.ArgumentParser:
     pv = sub.add_parser("verify", help="run a verification suite")
     pv.add_argument("suite", choices=list(_SUITES))
     pv.add_argument("--n", type=int, default=2)
-    pv.add_argument("--trials", type=int, default=100)
+    pv.add_argument("--trials", type=int, default=None)
     pv.add_argument("--tol", type=float, default=None)
     pv.add_argument("--seed", type=int, default=0)
     pv.add_argument("--s", type=parse_complex, default=2.0)

@@ -118,10 +118,27 @@ def _qz(z: complex) -> complex:
     return cmath.exp(TWO_PI_I * z)
 
 
-def wp(ctx: EllipticContext, z: complex) -> complex:
-    """Weierstrass elliptic function for the lattice Z + Z*tau."""
-    zr, _, _ = reduce_argument(ctx.tau, z)
-    _check_pole(ctx.tau, zr, ctx.pole_guard)
+def _in_double_range(series, leading, ctx: EllipticContext, zr: complex,
+                     parity: int) -> complex:
+    """series(ctx, zr) where exp(2 pi i zr) and the powers the series takes
+    of it stay in the double range.  Past that, for Im zr < 0 the function's
+    parity gives the value from -zr; for Im zr > 0 the exponential has
+    underflowed, and with it every q-term (|q^n / x| <= |x| in the cell), so
+    the series has collapsed to its leading term leading(ctx, zr)."""
+    try:
+        val = series(ctx, zr)
+        if cmath.isfinite(val):
+            return val
+    except (ZeroDivisionError, OverflowError):
+        pass
+    if zr.imag < 0:
+        return parity * _in_double_range(series, leading, ctx, -zr, parity)
+    if _qz(zr) == 0:
+        return leading(ctx, zr)
+    raise ConvergenceError(f"q-series overflowed at reduced argument {zr}")
+
+
+def _wp_series(ctx: EllipticContext, zr: complex) -> complex:
     q, x = ctx.nome_q, _qz(zr)
     acc = 1.0 / 12.0 + x / (1.0 - x) ** 2
     qn = 1.0 + 0.0j
@@ -133,10 +150,15 @@ def wp(ctx: EllipticContext, z: complex) -> complex:
     return TWO_PI_I ** 2 * acc
 
 
-def wp_z(ctx: EllipticContext, z: complex) -> complex:
-    """z-derivative of wp."""
+def wp(ctx: EllipticContext, z: complex) -> complex:
+    """Weierstrass elliptic function for the lattice Z + Z*tau."""
     zr, _, _ = reduce_argument(ctx.tau, z)
     _check_pole(ctx.tau, zr, ctx.pole_guard)
+    return _in_double_range(_wp_series, lambda ctx, zr: TWO_PI_I ** 2 / 12.0,
+                            ctx, zr, 1)
+
+
+def _wp_z_series(ctx: EllipticContext, zr: complex) -> complex:
     q, x = ctx.nome_q, _qz(zr)
 
     def dterm(t):
@@ -150,17 +172,20 @@ def wp_z(ctx: EllipticContext, z: complex) -> complex:
     return TWO_PI_I ** 3 * acc
 
 
+def wp_z(ctx: EllipticContext, z: complex) -> complex:
+    """z-derivative of wp."""
+    zr, _, _ = reduce_argument(ctx.tau, z)
+    _check_pole(ctx.tau, zr, ctx.pole_guard)
+    return _in_double_range(_wp_z_series, lambda ctx, zr: 0j, ctx, zr, -1)
+
+
 def wp_zz(ctx: EllipticContext, z: complex) -> complex:
     """Second z-derivative, through the algebraic rewrite 6 wp^2 - g2/2."""
     w = wp(ctx, z)
     return 6.0 * w * w - ctx.g2 / 2.0
 
 
-def zeta(ctx: EllipticContext, z: complex) -> complex:
-    """Weierstrass zeta function (quasi-periodic; reduction adds the
-    quasi-periods m*g1 + k*eta_tau)."""
-    zr, m, k = reduce_argument(ctx.tau, z)
-    _check_pole(ctx.tau, zr, ctx.pole_guard)
+def _zeta_series(ctx: EllipticContext, zr: complex) -> complex:
     q, x = ctx.nome_q, _qz(zr)
 
     def s(t):
@@ -171,31 +196,50 @@ def zeta(ctx: EllipticContext, z: complex) -> complex:
     for _ in range(ctx.series_truncation):
         qn *= q
         acc += s(qn * x) - s(qn / x)
-    val = ctx.g1 * zr - TWO_PI_I * acc
+    return ctx.g1 * zr - TWO_PI_I * acc
+
+
+def zeta(ctx: EllipticContext, z: complex) -> complex:
+    """Weierstrass zeta function (quasi-periodic; reduction adds the
+    quasi-periods m*g1 + k*eta_tau)."""
+    zr, m, k = reduce_argument(ctx.tau, z)
+    _check_pole(ctx.tau, zr, ctx.pole_guard)
+    val = _in_double_range(_zeta_series,
+                           lambda ctx, zr: ctx.g1 * zr - TWO_PI_I * 0.5,
+                           ctx, zr, -1)
     return val + m * ctx.g1 + k * ctx.eta_tau
 
 
 def sigma(ctx: EllipticContext, z: complex) -> complex:
-    """Weierstrass sigma function on the origin-centered cell.
-
-    No quasi-periodic continuation is attempted: arguments that reduce
-    with a nonzero lattice shift raise DomainError.
+    """Weierstrass sigma function.  On the origin-centered cell it is the
+    product formula; elsewhere, with z = z_r + m + k*tau and w = m + k*tau,
+    the quasi-periodicity
+    sigma(z) = (-1)^(m+k+mk) exp(eta(w) (z_r + w/2)) sigma(z_r),
+    eta(w) = m*g1 + k*eta_tau.  DomainError where a factor leaves the
+    double range.
     """
     z = complex(z)
-    _, m, k = reduce_argument(ctx.tau, z)
-    if m != 0 or k != 0:
-        raise DomainError(
-            f"sigma argument {z} outside the supported origin-centered cell")
-    q = ctx.nome_q
-    x = _qz(z)
-    half = cmath.exp(1j * math.pi * z)  # x ** (1/2) without branch trouble
-    pref = cmath.exp(ctx.g1 * z * z / 2.0) * (half - 1.0 / half) / TWO_PI_I
-    prod = 1.0 + 0.0j
-    qn = 1.0 + 0.0j
-    for _ in range(ctx.series_truncation):
-        qn *= q
-        prod *= (1.0 - qn * x) * (1.0 - qn / x) / (1.0 - qn) ** 2
-    return pref * prod
+    zr, m, k = reduce_argument(ctx.tau, z)
+    try:
+        if m != 0 or k != 0:
+            w = m + k * ctx.tau
+            factor = cmath.exp((m * ctx.g1 + k * ctx.eta_tau) * (zr + w / 2))
+            if factor == 0:
+                raise DomainError(f"sigma({z}) leaves the double range")
+            sign = -1.0 if (m + k + m * k) % 2 else 1.0
+            return sign * factor * sigma(ctx, zr)
+        q = ctx.nome_q
+        x = _qz(z)
+        half = cmath.exp(1j * math.pi * z)  # x ** (1/2) without branch trouble
+        pref = cmath.exp(ctx.g1 * z * z / 2.0) * (half - 1.0 / half) / TWO_PI_I
+        prod = 1.0 + 0.0j
+        qn = 1.0 + 0.0j
+        for _ in range(ctx.series_truncation):
+            qn *= q
+            prod *= (1.0 - qn * x) * (1.0 - qn / x) / (1.0 - qn) ** 2
+        return pref * prod
+    except (ZeroDivisionError, OverflowError):
+        raise DomainError(f"sigma({z}) leaves the double range") from None
 
 
 def zeta_tau(ctx: EllipticContext, z: complex) -> complex:

@@ -18,8 +18,7 @@ Q[g1, g2, g3, T]; numerics enter only in verification suites.
 from __future__ import annotations
 
 import itertools
-import json
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 
 import numpy as np
 import sympy as sp
@@ -963,23 +962,34 @@ class NoGoSystem:
     homogeneous lift of the projective-line bracket with quartic leading
     coefficient G = p(p-1)(p-s) p... see prop1_system.  Unknowns: the 12
     symmetric delta'-coefficients q[ab][cd] and 16 delta-coefficients
-    r[ab][cd]; equations of degree <= 2 in the unknowns."""
+    r[ab][cd]; equations of degree <= 2 in the unknowns.
+
+    The normalised equations are held exactly as the tensors of
+    r(x) = c + A x + B[x, x]: `c` (one entry per equation), `A` (equations
+    x unknowns), and B in coordinates `quad` = (rows, i, j, vals) with
+    i <= j, one entry per quadratic monomial x_i x_j."""
 
     s: complex
     unknowns: list
-    equations: list
+    equations: list  # normalised sympy expressions, one per residual
     groups: dict  # name -> slice of equation indices
+    c: np.ndarray
+    A: np.ndarray
+    quad: tuple
 
     def residual_vector(self, vec):
-        return self._fn(vec)
+        rows, i, j, vals = self.quad
+        r = self.c + self.A @ vec
+        np.add.at(r, rows, vals * vec[i] * vec[j])
+        return r
 
-    def __post_init__(self):
-        lam = sp.lambdify(self.unknowns, sp.Matrix(self.equations),
-                          modules="numpy")
-        def _fn(vec):
-            vals = lam(*vec)
-            return np.asarray(vals, dtype=complex).ravel()
-        self._fn = _fn
+    def jacobian(self, vec):
+        """Exact Jacobian A + (B + B^T) x of residual_vector."""
+        rows, i, j, vals = self.quad
+        J = self.A.copy()
+        np.add.at(J, (rows, i), vals * vec[j])
+        np.add.at(J, (rows, j), vals * vec[i])
+        return J
 
 
 def _nogo_tables(qsym, rsym):
@@ -1015,17 +1025,35 @@ def _nogo_unknowns():
 _NOGO_Q, _NOGO_R, _NOGO_UNKNOWNS = _nogo_unknowns()
 
 
-def _normalize_eq(e, unknowns):
-    """Scale an equation by its largest coefficient magnitude so that the
-    residual is invariant under trivial rescalings of the system."""
-    e = sp.expand(e)
-    if e == 0:
-        return None
-    poly = sp.Poly(e, *unknowns)
-    scale = max(abs(complex(c)) for c in poly.coeffs())
-    if scale == 0:
-        return None
-    return e / scale
+def _quadratic_tensors(eqs, unknowns):
+    """One Poly per equation over the unknowns: drop the zero ones, scale
+    each by its largest coefficient magnitude (so that the residual is
+    invariant under trivial rescalings of the system), and fill the
+    scaled equations and the tensors (c, A, quad) of NoGoSystem."""
+    out, parts = [], ([], [], [])  # (row, *variables, value) by degree
+    for eq in eqs:
+        poly = sp.Poly(eq, *unknowns)
+        terms = [(m, complex(v)) for m, v in poly.terms() if v != 0]
+        if not terms:
+            continue
+        scale = max(abs(v) for _, v in terms)
+        for monom, v in terms:
+            at = [k for k, e in enumerate(monom) for _ in range(e)]
+            if len(at) > 2:
+                raise DomainError(
+                    f"no-go equation of degree {len(at)} > 2 in the unknowns")
+            parts[len(at)].append((len(out), *at, v / scale))
+        out.append(poly.as_expr() / scale)
+    c = np.zeros(len(out), dtype=complex)
+    A = np.zeros((len(out), len(unknowns)), dtype=complex)
+    for row, v in parts[0]:
+        c[row] = v
+    for row, k, v in parts[1]:
+        A[row, k] = v
+    cols = list(zip(*parts[2])) or [(), (), (), ()]
+    quad = (*(np.array(col, dtype=np.intp) for col in cols[:3]),
+            np.array(cols[3], dtype=complex))
+    return out, c, A, quad
 
 
 def prop1_system(s, include_jacobi: bool = True,
@@ -1089,35 +1117,44 @@ def prop1_system(s, include_jacobi: bool = True,
                 eqs.extend(poly.coeffs())
         groups["jacobi"] = (start, len(eqs))
 
-    out = []
-    for e in eqs:
-        ne = _normalize_eq(e, unknowns)
-        if ne is not None:
-            out.append(ne)
-    return NoGoSystem(s=s, unknowns=unknowns, equations=out, groups=groups)
+    out, c, A, quad = _quadratic_tensors(eqs, unknowns)
+    return NoGoSystem(s=s, unknowns=unknowns, equations=out, groups=groups,
+                      c=c, A=A, quad=quad)
+
+
+def _real_split(sys: NoGoSystem):
+    """The residual and its exact Jacobian as functions of the real
+    vector (Re x, Im x).  The residual is holomorphic in x, so the real
+    Jacobian is the block form [[Re J, -Im J], [Im J, Re J]]."""
+    m = len(sys.unknowns)
+
+    def resid(xreal):
+        r = sys.residual_vector(xreal[:m] + 1j * xreal[m:])
+        return np.concatenate([r.real, r.imag])
+
+    def jac(xreal):
+        J = sys.jacobian(xreal[:m] + 1j * xreal[m:])
+        return np.block([[J.real, -J.imag], [J.imag, J.real]])
+    return resid, jac
 
 
 def prop1_certificate(sys: NoGoSystem, restarts: int = 100,
                       seed: int = 0) -> dict:
     """Multi-start least-squares minimization of the squared residual;
     the smallest value found is the no-go evidence.  "values" lists the
-    squared residual of every restart, in order."""
+    squared residual of every restart, in order.  The solver gets the
+    exact Jacobian, in the real block form of _real_split."""
     from scipy.optimize import least_squares
 
-    m = len(sys.unknowns)
     rng = np.random.default_rng(seed)
-
-    def resid(xreal):
-        vec = xreal[:m] + 1j * xreal[m:]
-        r = sys.residual_vector(vec)
-        return np.concatenate([r.real, r.imag])
+    resid, jac = _real_split(sys)
 
     best = np.inf
     best_x = None
     values = []
     for _ in range(restarts):
-        x0 = rng.normal(scale=1.0, size=2 * m)
-        res = least_squares(resid, x0, method="lm", max_nfev=400)
+        x0 = rng.normal(scale=1.0, size=2 * len(sys.unknowns))
+        res = least_squares(resid, x0, jac=jac, method="lm", max_nfev=400)
         val = float(2 * res.cost)  # sum of squares
         values.append(val)
         if val < best:

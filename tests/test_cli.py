@@ -2,6 +2,7 @@
 handling, and atomic JSON artifacts."""
 
 import json
+import math
 import os
 import shutil
 import subprocess
@@ -10,7 +11,7 @@ import sys
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from loopbrackets import cli, elliptic
+from loopbrackets import cli, elliptic, verify
 
 
 def run_cli(argv):
@@ -71,6 +72,14 @@ class TestEllipticCommand:
         assert run_cli(["elliptic", "eval", "--fn", "wp",
                         "--z", "0.3", "--tau", "-1.1i"]) == 2
 
+    def test_underflowed_series(self, capsys):
+        """exp(2 pi i z) underflows at Im z = 200: the value is the leading
+        term -pi^2/3, not a traceback."""
+        assert run_cli(["elliptic", "eval", "--fn", "wp",
+                        "--z", "0.3+200i", "--tau", "1000i"]) == 0
+        out = cli.parse_complex(capsys.readouterr().out.strip())
+        assert abs(out + math.pi ** 2 / 3) < 1e-9
+
 
 class TestUsageErrors:
     def test_no_command(self):
@@ -100,6 +109,41 @@ class TestVerifyCommand:
         assert run_cli(["verify", suite]) == 0
         doc = json.loads(capsys.readouterr().out)
         assert doc["suite"] == suite and doc["passed"]
+
+    # suite -> (its sample-count keyword, the count the CLI passes
+    # without --trials; None: the suite's own default)
+    SAMPLE_COUNTS = {"identities": ("trials", 100), "thm2": ("trials", 100),
+                     "oracle": ("points", None), "poisson": ("jets", None)}
+
+    def _record(self, monkeypatch, suite):
+        seen = {}
+        fn = f"run_{'identity' if suite == 'identities' else suite}_suite"
+
+        def fake(**kwargs):
+            seen.update(kwargs)
+            return verify.SuiteReport(suite=suite, seed=0, params={})
+        monkeypatch.setattr(verify, fn, fake)
+        return seen
+
+    @pytest.mark.parametrize("suite", sorted(SAMPLE_COUNTS))
+    def test_trials_reaches_sample_count(self, suite, monkeypatch, capsys):
+        key, default = self.SAMPLE_COUNTS[suite]
+        seen = self._record(monkeypatch, suite)
+        assert run_cli(["verify", suite, "--trials", "7"]) == 0
+        assert seen[key] == 7
+        seen.clear()
+        assert run_cli(["verify", suite]) == 0
+        assert seen.get(key) == default
+
+    @pytest.mark.parametrize("suite", ["prop2", "nogo", "cp2"])
+    def test_trials_usage_error(self, suite, monkeypatch, capsys):
+        seen = self._record(monkeypatch, suite)
+        assert run_cli(["verify", suite, "--trials", "3"]) == 2
+        assert not seen and "--trials" in capsys.readouterr().err
+
+    def test_oracle_points_from_trials(self, capsys):
+        assert run_cli(["verify", "oracle", "--trials", "1"]) == 0
+        assert json.loads(capsys.readouterr().out)["params"]["points"] == 1
 
     def test_json_artifact(self, tmp_path, capsys):
         path = tmp_path / "rep.json"

@@ -8,8 +8,6 @@ functions, the fields are realized as explicit polynomials of x, and the
 remaining expression is integrated over [0, 1].  Raw input and canonical
 output must integrate to the same rational number."""
 
-import itertools
-
 import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st

@@ -127,6 +127,57 @@ class TestPeriodicity:
                        - ctx.eta_tau) < 1e-8 * max(1.0, abs(zt))
 
 
+class TestSigmaContinuation:
+    @pytest.mark.parametrize("shift", [(1, 0), (0, 1), (-1, -1), (1, -1)])
+    def test_shifted_point_against_oracle(self, ctx, shift):
+        """sigma at z_r + m + k*tau by quasi-periodicity, against the
+        lattice product (its truncation error at radius 200 is ~1e-5
+        relative here)."""
+        m, k = shift
+        z = 0.3 + 0.2j + m + k * ctx.tau
+        got = elliptic.sigma(ctx, z)
+        want = elliptic.lattice_oracle(ctx.tau, z, radius=200).sigma
+        assert abs(got - want) < 2e-5 * abs(want)
+
+    def test_overflow_is_typed(self, ctx):
+        with pytest.raises(DomainError):
+            elliptic.sigma(ctx, 0.3 + 400 * ctx.tau)
+
+
+class TestDoubleRange:
+    """exp(2 pi i z_r) outside the double range (|Im z_r| > ~113 needs
+    Im tau > 226): the series collapses to its leading term."""
+
+    TAU = 1000j
+
+    def test_collapsed_values(self):
+        ctx = elliptic.make_context(self.TAU)
+        for im, sign in ((200.0, 1), (-200.0, -1), (499.0, 1)):
+            z = 0.3 + 1j * im
+            assert elliptic.wp(ctx, z) == pytest.approx(-math.pi ** 2 / 3)
+            assert elliptic.wp_z(ctx, z) == 0
+            assert elliptic.zeta(ctx, z) == pytest.approx(
+                ctx.g1 * z - sign * math.pi * 1j)
+
+    def test_finite_across_the_cell(self):
+        ctx = elliptic.make_context(self.TAU)
+        for im in np.linspace(-499.0, 499.0, 41):
+            z = 0.3 + 1j * im
+            for fn in (elliptic.wp, elliptic.wp_z, elliptic.zeta):
+                assert np.isfinite(fn(ctx, z)), (fn.__name__, z)
+
+    @pytest.mark.parametrize("im", [40.0, 60.0, 112.0])
+    def test_parity_below_the_real_axis(self, im):
+        """Im z_r < 0, where x = exp(2 pi i z_r) or its powers overflow:
+        the parity image agrees with the series at -z_r."""
+        ctx = elliptic.make_context(self.TAU)
+        z = 0.3 - 1j * im
+        assert elliptic.wp(ctx, z) == elliptic.wp(ctx, -z)
+        assert elliptic.wp_z(ctx, z) == -elliptic.wp_z(ctx, -z)
+        assert abs(elliptic.zeta(ctx, z) + elliptic.zeta(ctx, -z)) < 1e-12 * abs(
+            elliptic.zeta(ctx, z))
+
+
 class TestOracles:
     def test_lattice_oracle_agreement(self, ctx, rng):
         for _ in range(3):

@@ -2,6 +2,7 @@
 their JSON round trip, the projective descent, the generating-field
 realization, the obstruction certificate, and the three-field warm-up."""
 
+import dataclasses
 import os
 import subprocess
 import sys
@@ -194,10 +195,78 @@ class TestGeneratingFieldRealization:
         assert models.thm2_modular_row_residual(ctx, real, up) < 1e-8
 
 
+@pytest.fixture(scope="module")
+def nogo_system():
+    return models.prop1_system(2.0)
+
+
+def _points(m, seed, count=3):
+    rng = np.random.default_rng(seed)
+    return [rng.normal(size=m) + 1j * rng.normal(size=m)
+            for _ in range(count)]
+
+
+def _difference_error(f, jac, x, h=1e-6):
+    """Largest deviation of jac(x) from central differences of f along the
+    real coordinate directions, relative to max(1, |J|)."""
+    J = jac(x)
+    fd = np.empty_like(J)
+    for k in range(len(x)):
+        e = np.zeros(len(x))
+        e[k] = h
+        fd[:, k] = (f(x + e) - f(x - e)) / (2 * h)
+    return np.max(np.abs(J - fd)) / max(1.0, np.max(np.abs(J)))
+
+
+class TestNoGoTensors:
+    def test_residual_matches_equations(self, nogo_system):
+        """The tensor form against the normalised equations, evaluated by
+        sympy."""
+        S = nogo_system
+        for x in _points(len(S.unknowns), seed=3):
+            subs = dict(zip(S.unknowns, (sp.Float(v.real, 30)
+                                         + sp.I * sp.Float(v.imag, 30)
+                                         for v in x)))
+            want = np.array([complex(e.xreplace(subs))
+                             for e in S.equations])
+            got = S.residual_vector(x)
+            assert np.max(np.abs(got - want)) < 1e-12 * max(
+                1.0, np.max(np.abs(want)))
+
+    def test_quadratic_part_is_sparse(self, nogo_system):
+        rows, i, j, vals = nogo_system.quad
+        assert len(rows) == len(i) == len(j) == len(vals) > 0
+        assert np.all(i <= j) and np.all(vals != 0)
+        assert len(vals) < 0.05 * len(nogo_system.equations) * 28 ** 2
+
+    def test_jacobian_matches_differences(self, nogo_system):
+        S = nogo_system
+        for x in _points(len(S.unknowns), seed=4):
+            assert _difference_error(S.residual_vector, S.jacobian, x) < 1e-6
+
+    def test_real_block_jacobian(self, nogo_system):
+        resid, jac = models._real_split(nogo_system)
+        rng = np.random.default_rng(5)
+        for _ in range(3):
+            xreal = rng.normal(size=2 * len(nogo_system.unknowns))
+            assert _difference_error(resid, jac, xreal) < 1e-6
+
+    def test_wrong_quadratic_entry_detected(self, nogo_system):
+        """Negative control: a Jacobian built from one wrong B entry fails
+        the difference check against the true residual."""
+        rows, i, j, vals = nogo_system.quad
+        bad_vals = vals.copy()
+        bad_vals[len(vals) // 2] += 0.5
+        bad = dataclasses.replace(nogo_system,
+                                  quad=(rows, i, j, bad_vals))
+        x = _points(len(nogo_system.unknowns), seed=6, count=1)[0]
+        assert _difference_error(nogo_system.residual_vector, bad.jacobian,
+                                 x) > 1e-3
+
+
 class TestNoGoCertificate:
-    def test_infeasible(self):
-        sys_ = models.prop1_system(2.0)
-        cert = models.prop1_certificate(sys_, restarts=12, seed=0)
+    def test_infeasible(self, nogo_system):
+        cert = models.prop1_certificate(nogo_system, restarts=12, seed=0)
         assert cert["min_residual"] > 1e-2
         assert cert["median_residual"] >= cert["min_residual"]
         assert len(cert["values"]) == 12

@@ -2,7 +2,6 @@
 numerically against the special-function layer), and the
 render/parse round trip."""
 
-import numpy as np
 import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st

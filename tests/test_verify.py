@@ -96,6 +96,12 @@ class TestThm2Suite:
         rep = verify.run_thm2_suite(n=2, trials=4, seed=0)
         assert rep.passed, [c.name for c in rep.checks if not c.passed]
 
+    @pytest.mark.parametrize("n,trials,seed", [(3, 10, 1), (2, 60, 1001)])
+    def test_sigma_outside_the_cell(self, n, trials, seed):
+        """Seeds whose sigma arguments leave the origin-centered cell."""
+        rep = verify.run_thm2_suite(n=n, trials=trials, seed=seed)
+        assert rep.passed, [c.to_dict() for c in rep.checks if not c.passed]
+
 
 class TestNoGoSuite:
     def test_passes_fast(self):
