@@ -19,14 +19,25 @@ by rewrite rules applied to a fixpoint:
 
 R3' follows from R1 and R3; all four are validated against direct
 pairings with polynomial test functions in the test suite.
+
+Every table owns one coefficient algebra (:class:`_RingAlgebra`), built
+when the table is: a sparse polynomial ring and its fraction field.  All
+arithmetic on the table stays in it; sympy ``Expr`` appears only where
+coefficients come in (`build_table`, expression arguments) and through
+the ``DeltaTerm.coeff`` view.
 """
 
 from __future__ import annotations
 
+import dataclasses
+import functools
 import itertools
 from dataclasses import dataclass
+from math import comb
 
 import sympy as sp
+from sympy.polys.fields import FracElement
+from sympy.polys.rings import PolyElement
 
 from . import symexpr as sx
 from .errors import ClosureError, StructureError, UnknownFieldError
@@ -34,14 +45,28 @@ from .errors import ClosureError, StructureError, UnknownFieldError
 _POINT_INDEX = {"x": 0, "y": 1, "w": 2}
 
 
+def _as_expr(c) -> sp.Expr:
+    """sympy view of a coefficient held as a ring or field element."""
+    if isinstance(c, sp.Basic):
+        return c
+    if isinstance(c, FracElement):
+        return sp.expand(c.as_expr())
+    return c.as_expr()
+
+
 @dataclass(frozen=True)
 class DeltaTerm:
     """One canonical term: coefficient (jets at x) times a product of
     delta derivatives; orders=(m,) two-point, orders=(p,q) three-point
-    for delta^(p)(x-y) delta^(q)(x-w)."""
+    for delta^(p)(x-y) delta^(q)(x-w).  `value` is the coefficient in
+    its table's algebra, `coeff` the same coefficient as a sympy Expr."""
 
-    coeff: sp.Expr
+    value: object
     orders: tuple[int, ...]
+
+    @functools.cached_property
+    def coeff(self) -> sp.Expr:
+        return _as_expr(self.value)
 
 
 @dataclass(frozen=True)
@@ -63,23 +88,32 @@ class DistPoly:
 
 @dataclass(frozen=True)
 class _RawTerm:
-    """Pre-canonical term: coefficient factors attached to points, times
-    deltas (a, b, k) meaning delta^(k)(a-b).  A factor (p, e, i) stands
-    for the i-th total x-derivative of e, taken after conversion."""
+    """Pre-canonical term: coefficient factors (p, c) attached to points,
+    times deltas (a, b, k) meaning delta^(k)(a-b)."""
 
     factors: tuple[tuple, ...]
     deltas: tuple[tuple[str, str, int], ...]
 
 
-_DEPTH = 14
+def _table_depth(seed_exprs, orders) -> int:
+    """Prolongation depth of a table's algebra.  With delta orders up to N
+    and coefficient jets up to J, a Leibniz bracket takes at most N + J
+    x-derivatives of a factor and a Jacobi defect 2N + J more, so no jet
+    past order 3 (N + J) can occur."""
+    J = max((info[1] for e in seed_exprs for s in sp.sympify(e).free_symbols
+             if (info := sx.jet_info(s)) is not None), default=0)
+    return 3 * (max(orders, default=0) + J)
 
 
-def _ring_symbols(seed_exprs) -> list:
-    """Generators for the coefficient ring of the seeds: their leaves,
-    closed under the tau-chain rewrites, and every field jet prolonged
-    _DEPTH orders past the highest one seen (the modular field from T)."""
+def _ring_symbols(seed_exprs, depth: int, fields=(),
+                  frozen: bool = False) -> list:
+    """Generators for a coefficient algebra: the leaves of the seeds,
+    closed under the tau-chain rewrites, and the jets of every field seen
+    or listed, prolonged `depth` orders past the highest one seen.  The
+    modular jets T, T_x, ... come in with the modular field, or with a
+    tau-dependent leaf unless the modular parameter is frozen."""
     leaves: set = set()
-    jets_max: dict[str, int] = {sx.MODULAR_FIELD: 1}
+    jets_max: dict[str, int] = {f: 0 for f in fields}
 
     def note(s):
         info = sx.jet_info(s)
@@ -110,184 +144,216 @@ def _ring_symbols(seed_exprs) -> list:
         frontier = new
 
     gens: set = set(leaves)
+    mod = sx.MODULAR_FIELD
+    if mod in jets_max or (not frozen and leaves & sx.DTAU_RULES.keys()):
+        jets_max[mod] = max(jets_max.get(mod, 1), 1)
     for f, kmax in jets_max.items():
-        for k in range(kmax + _DEPTH + 1):
-            if f == sx.MODULAR_FIELD and k == 0:
-                continue
+        for k in range(kmax + depth + 1):
             gens.add(sx.jet(f, k))
     return sorted(gens, key=str)
 
 
+def _domain(exprs):
+    """QQ for exact coefficients, CC when any is a float or complex."""
+    for e in exprs:
+        e = sp.sympify(e)
+        if e.has(sp.I) or e.atoms(sp.Float):
+            return sp.CC
+    return sp.QQ
+
+
 class _RingAlgebra:
     """Coefficient arithmetic in a sparse polynomial ring over QQ or CC
-    (or its fraction field, for descended tables with rational
-    coefficients) with a built-in total x-derivative.  With `frozen` the
-    modular parameter is a constant: g1, g2, g3, the other tau-dependent
-    leaves and the modular jets T, T_x, ... all have zero derivative."""
+    and its fraction field (elements are ring elements while they are
+    polynomial), with the total x-derivative and d/dth built in.  With
+    `frozen` the modular parameter is a constant: g1, g2, g3, the other
+    tau-dependent leaves and the modular jets T, T_x, ... all have zero
+    x-derivative.  `memo` holds the Leibniz brackets of every table that
+    shares this algebra, keyed on the bracket row they read."""
 
-    def __init__(self, syms, domain, fraction: bool, frozen: bool):
-        self.fraction = fraction
-        if fraction:
-            self.F, *_ = sp.field(syms, domain)
-            self.R = self.F.ring
-            self.one = self.F.one
-        else:
-            self.R, *_ = sp.ring(syms, domain)
-            self.one = self.R.one
-        index = {s: i for i, s in enumerate(syms)}
-        self._img = []
-        for s in syms:
-            info = sx.jet_info(s)
+    def __init__(self, syms, domain, frozen: bool):
+        self.F, *_ = sp.field(syms, domain)
+        self.R = self.F.ring
+        self.syms = tuple(syms)
+        self.index = {s: i for i, s in enumerate(self.syms)}
+        self.jets = [sx.jet_info(s) for s in self.syms]
+        self.memo: dict = {}
+        # x-derivative of each generator: the index of the next jet, the
+        # terms of a polynomial image, or None past the prolongation depth
+        self._img: list = []
+        # d/dth of the tau-dependent leaves
+        self._dth: dict[int, object] = {}
+        T = self.index.get(sx.T)
+        for i, s in enumerate(self.syms):
+            info = self.jets[i]
             if info is not None:
                 f, k = info
                 if frozen and f == sx.MODULAR_FIELD:
-                    self._img.append(self.R.zero)
-                    continue
-                i = index.get(sx.jet(f, k + 1))
-                self._img.append(None if i is None else self.R.gens[i])
-            elif s.name in sx._CONSTANTS or frozen:
-                self._img.append(self.R.zero)
+                    self._img.append(())
+                else:
+                    self._img.append(self.index.get(sx.jet(f, k + 1)))
+            elif s.name in sx._CONSTANTS:
+                self._img.append(())
             else:
-                self._img.append(
-                    self.R.from_expr(sx.T * sx.DTAU_RULES[s]))
+                self._dth[i] = self.R.from_expr(sx.DTAU_RULES[s])
+                self._img.append(() if frozen else tuple(
+                    (self._dth[i] * self.R.gens[T]).items()))
 
     def conv(self, e):
-        if self.fraction:
+        """An Expr as an element: a ring element when it is polynomial."""
+        e = sp.sympify(e)
+        if not e.free_symbols <= self.index.keys():
+            missing = sorted(map(str, e.free_symbols - self.index.keys()))
+            raise ClosureError(f"{missing} are not generators of the "
+                               "coefficient ring")
+        try:
+            return self.R.from_expr(e)
+        except ValueError:
             return self.F.from_expr(e)
-        return self.R.from_expr(e)
 
     def _dx_poly(self, p):
         out = self.R.zero
-        for monom, coeff in p.iterterms():
+        get, zero = out.get, self.R.domain.zero
+        mul = self.R.monomial_mul
+        for monom, coeff in p.items():
             for i, k in enumerate(monom):
                 if not k:
                     continue
                 img = self._img[i]
                 if img is None:
-                    raise ClosureError("prolongation depth exceeded")
-                m2 = list(monom)
-                m2[i] = k - 1
-                out = out + self.R({tuple(m2): coeff * k}) * img
+                    raise ClosureError(f"prolongation depth exceeded at "
+                                       f"{self.syms[i]}")
+                c = coeff * k if k > 1 else coeff
+                m = list(monom)
+                m[i] = k - 1
+                if type(img) is int:
+                    m[img] += 1
+                    m = tuple(m)
+                    out[m] = get(m, zero) + c
+                    continue
+                m = tuple(m)
+                for im, ic in img:
+                    mm = mul(m, im)
+                    out[mm] = get(mm, zero) + c * ic
+        out.strip_zero()
         return out
 
     def dx(self, p):
-        if not self.fraction:
+        if not isinstance(p, FracElement):
             return self._dx_poly(p)
         num, den = p.numer, p.denom
         return self.F.new(self._dx_poly(num) * den - num * self._dx_poly(den),
                           den * den)
 
-    def is_zero(self, p):
-        return not p
+    def diff(self, p, i: int):
+        """Partial derivative in generator i."""
+        x = self.R.gens[i]
+        if not isinstance(p, FracElement):
+            return p.diff(x)
+        num, den = p.numer, p.denom
+        return self.F.new(num.diff(x) * den - num * den.diff(x), den * den)
 
-    def to_expr(self, p):
-        if self.fraction:
-            return sp.expand(p.as_expr())
-        return p.as_expr()
+    def support(self, p) -> set[int]:
+        """Indices of the generators that p depends on."""
+        polys = (p.numer, p.denom) if isinstance(p, FracElement) else (p,)
+        return {i for q in polys for i, col in enumerate(zip(*q.keys()))
+                if any(col)}
+
+    def dth(self, p):
+        """d/dth through the tau-dependent leaves (DTAU_RULES)."""
+        out = self.R.zero
+        for i in self.support(p):
+            rule = self._dth.get(i)
+            if rule is not None:
+                out = out + self.diff(p, i) * rule
+        return out
 
 
-def _convert(alg, factor):
-    p, e, *order = factor
-    c = alg.conv(e)
-    for _ in range(order[0] if order else 0):
-        c = alg.dx(c)
-    return p, c
+def _merge(fac: dict, p: str, c) -> dict:
+    fac = dict(fac)
+    fac[p] = fac[p] * c if p in fac else c
+    return fac
 
 
-def _merge_factors(alg, factors) -> dict:
-    out: dict = {}
-    for p, e in factors:
-        out[p] = out.get(p, alg.one) * e
-    return out
-
-
-def canonicalize(raw_terms, frozen: bool = False) -> DistPoly:
+def canonicalize(raw_terms, frozen: bool = False, alg=None) -> DistPoly:
     """Push raw terms to the canonical x-anchored basis and merge.
 
-    Coefficients live in a sparse polynomial ring over QQ, else its
-    fraction field; floating-point complex coefficients use CC instead.
+    With `alg` the factors are elements of that algebra (a table's).
+    Without, they are sympy expressions and one algebra is built for this
+    call: over QQ, or CC for floating-point complex coefficients.
     ClosureError for a leaf without a derivative rewrite."""
     raw_terms = list(raw_terms)
-    syms = _ring_symbols(e for t in raw_terms for _, e, *_ in t.factors)
-    for domain in (sp.QQ, sp.CC):
-        for fraction in (False, True):
-            alg = _RingAlgebra(syms, domain, fraction, frozen)
-            try:
-                converted = [
-                    _RawTerm(tuple(_convert(alg, f) for f in t.factors),
-                             t.deltas)
-                    for t in raw_terms]
-            except (sp.polys.polyerrors.CoercionFailed, ValueError):
-                continue
-            return _canonicalize(alg, converted)
-    raise ClosureError("coefficients are not rational functions of the "
-                       "leaves over QQ or CC")
+    if alg is None:
+        # a factor is differentiated at most once per unit of delta order
+        depth = max((sum(d[2] for d in t.deltas) for t in raw_terms),
+                    default=0)
+        seeds = [e for t in raw_terms for _, e in t.factors]
+        alg = _RingAlgebra(_ring_symbols(seeds, depth, frozen=frozen),
+                           _domain(seeds), frozen)
+        raw_terms = [_RawTerm(tuple((p, alg.conv(e)) for p, e in t.factors),
+                              t.deltas) for t in raw_terms]
+    return _canonicalize(alg, raw_terms)
 
 
 def _canonicalize(alg, raw_terms) -> DistPoly:
     out: dict[tuple[int, ...], object] = {}
-    queue = list(raw_terms)
+    # queue items: (integer scale, factor at each point, deltas)
+    queue = []
+    for t in raw_terms:
+        fac: dict = {}
+        for p, c in t.factors:
+            fac = _merge(fac, p, c)
+        queue.append((1, fac, t.deltas))
+    # x-derivatives of each transported factor, [c, dx c, ...] by id(c):
+    # R3 hands one factor object to several queue items
+    chains: dict[int, list] = {}
     while queue:
-        t = queue.pop()
-        fac = _merge_factors(alg, t.factors)
-        if any(alg.is_zero(e) for e in fac.values()):
+        scale, fac, t_deltas = queue.pop()
+        if not all(fac.values()):
             continue
 
         # R1: orient every delta along the fixed point order x < y < w.
-        sign = 1
         deltas = []
-        for a, b, k in t.deltas:
+        for a, b, k in t_deltas:
             if _POINT_INDEX[a] > _POINT_INDEX[b]:
                 a, b = b, a
-                sign *= (-1) ** k
+                if k % 2:
+                    scale = -scale
             deltas.append((a, b, k))
-        if sign != 1:
-            fac["x"] = fac.get("x", alg.one) * sign
-        factors = tuple(fac.items())
 
         pairs = tuple(sorted((a, b) for a, b, _ in deltas))
         if len(deltas) == 2 and pairs == (("x", "y"), ("y", "w")):
-            xy = next(d for d in deltas if d[:2] == ("x", "y"))
-            yw = next(d for d in deltas if d[:2] == ("y", "w"))
-            m, n = xy[2], yw[2]
+            m = next(d[2] for d in deltas if d[:2] == ("x", "y"))
+            n = next(d[2] for d in deltas if d[:2] == ("y", "w"))
             for j in range(m + 1):
-                queue.append(_RawTerm(
-                    factors + (("x", alg.one * int(sp.binomial(m, j))),),
-                    (("x", "y", m - j), ("x", "w", n + j))))
+                queue.append((scale * comb(m, j), fac,
+                              (("x", "y", m - j), ("x", "w", n + j))))
             continue
         if len(deltas) == 2 and pairs == (("x", "w"), ("y", "w")):
-            xw = next(d for d in deltas if d[:2] == ("x", "w"))
-            yw = next(d for d in deltas if d[:2] == ("y", "w"))
-            m, n = xw[2], yw[2]
+            m = next(d[2] for d in deltas if d[:2] == ("x", "w"))
+            n = next(d[2] for d in deltas if d[:2] == ("y", "w"))
+            sign = -scale if n % 2 else scale
             for j in range(m + 1):
-                queue.append(_RawTerm(
-                    factors + (("x",
-                                alg.one * ((-1) ** n * int(sp.binomial(m, j))))
-                               ,),
-                    (("x", "y", n + j), ("x", "w", m - j))))
+                queue.append((sign * comb(m, j), fac,
+                              (("x", "y", n + j), ("x", "w", m - j))))
             continue
 
-        moved = False
-        for p in ("y", "w"):
-            if p in fac:
-                # R2: move the factor at p to x across the linking delta.
-                link = next((d for d in deltas if d[:2] == ("x", p)), None)
-                if link is None:
-                    raise StructureError(
-                        f"cannot anchor factor at {p}: deltas {deltas}")
-                rest = tuple(d for d in deltas if d != link)
-                m = link[2]
-                others = tuple((q, e) for q, e in fac.items() if q != p)
-                fp = fac[p]
-                for j in range(m + 1):
-                    queue.append(_RawTerm(
-                        others + (("x", fp * int(sp.binomial(m, j))),),
-                        (("x", p, m - j),) + rest))
-                    if j < m:
-                        fp = alg.dx(fp)
-                moved = True
-                break
-        if moved:
+        p = "y" if "y" in fac else "w" if "w" in fac else None
+        if p is not None:
+            # R2: move the factor at p to x across the linking delta.
+            link = next((d for d in deltas if d[:2] == ("x", p)), None)
+            if link is None:
+                raise StructureError(
+                    f"cannot anchor factor at {p}: deltas {deltas}")
+            rest = tuple(d for d in deltas if d != link)
+            m = link[2]
+            others = {q: c for q, c in fac.items() if q != p}
+            chain = chains.setdefault(id(fac[p]), [fac[p]])
+            while len(chain) <= m:
+                chain.append(alg.dx(chain[-1]))
+            for j, fp in enumerate(chain[:m + 1]):
+                queue.append((scale * comb(m, j), _merge(others, "x", fp),
+                              (("x", p, m - j),) + rest))
             continue
 
         if len(deltas) == 1:
@@ -296,16 +362,23 @@ def _canonicalize(alg, raw_terms) -> DistPoly:
             d_xy = next(d for d in deltas if d[:2] == ("x", "y"))
             d_xw = next(d for d in deltas if d[:2] == ("x", "w"))
             key = (d_xy[2], d_xw[2])
-        prev = out.get(key)
-        cx = fac.get("x", alg.one)
-        out[key] = cx if prev is None else prev + cx
+        out.setdefault(key, []).append((scale, fac.get("x", alg.R.one)))
 
-    terms = []
-    for key in sorted(out):
-        c = alg.to_expr(out[key])
-        if c != 0:
-            terms.append(DeltaTerm(coeff=c, orders=key))
-    return DistPoly(terms=tuple(terms))
+    terms = ((key, _sum(alg, out[key])) for key in sorted(out))
+    return DistPoly(terms=tuple(DeltaTerm(c, key) for key, c in terms if c))
+
+
+def _sum(alg, parts):
+    """sum of scale * c over parts, accumulated in place for polynomials."""
+    if any(isinstance(c, FracElement) for _, c in parts):
+        return sum((c * s for s, c in parts), alg.R.zero)
+    acc = alg.R.zero
+    get, zero = acc.get, alg.R.domain.zero
+    for s, c in parts:
+        for m, v in c.items():
+            acc[m] = get(m, zero) + (v if s == 1 else v * s)
+    acc.strip_zero()
+    return acc
 
 
 def evaluate_distpoly(dp: DistPoly, jets: sx.JetAssignment) -> list[complex]:
@@ -319,13 +392,17 @@ def evaluate_distpoly(dp: DistPoly, jets: sx.JetAssignment) -> list[complex]:
 @dataclass(frozen=True)
 class BracketTable:
     """Local bracket: canonical (x,y) DeltaTerm lists for every ordered
-    pair of generators.  frozen_modular marks descended tables whose
-    modular parameter is constant: their residuals are evaluated with all
-    th jets set to zero."""
+    pair of generators, with coefficients in `alg`.  frozen_modular marks
+    descended tables whose modular parameter is constant: their residuals
+    are evaluated with all th jets set to zero.  Tables come from
+    build_table and change_coordinates; dataclasses.replace with new
+    entries from the same algebra keeps its Leibniz memo."""
 
     fields: tuple[str, ...]
     entries: dict
     frozen_modular: bool = False
+    alg: _RingAlgebra = dataclasses.field(kw_only=True, compare=False,
+                                          repr=False)
 
     def entry(self, a: str, b: str) -> tuple[DeltaTerm, ...]:
         try:
@@ -338,11 +415,12 @@ class BracketTable:
                    default=0)
 
 
-def transpose_entry(entry, frozen: bool = False) -> tuple[DeltaTerm, ...]:
-    """Canonical (x,y) form of {b(x), a(y)} swapped to {b(y), a(x)}."""
-    raw = [_RawTerm((("y", t.coeff),), (("y", "x", t.orders[0]),))
-           for t in entry]
-    return canonicalize(raw, frozen=frozen).terms
+def transpose_entry(entry, alg=None) -> tuple[DeltaTerm, ...]:
+    """Canonical (x,y) form of {b(x), a(y)} swapped to {b(y), a(x)}; with
+    `alg` the entry's values are elements of it."""
+    raw = [_RawTerm((("y", t.value if alg else t.coeff),),
+                    (("y", "x", t.orders[0]),)) for t in entry]
+    return canonicalize(raw, alg=alg).terms
 
 
 def build_table(fields, given, frozen_modular: bool = False) -> BracketTable:
@@ -350,101 +428,125 @@ def build_table(fields, given, frozen_modular: bool = False) -> BracketTable:
 
     `given` maps ordered pairs (a, b) to lists of (coeff, order); every
     missing transpose (b, a) is filled in as -{a(x), b(y)} with the
-    points exchanged and recanonicalized.
+    points exchanged and recanonicalized.  The table's algebra is built
+    here, from the given coefficients and the fields.
     """
+    seeds = [c for terms in given.values() for c, _ in terms]
+    depth = _table_depth(seeds, [m for terms in given.values()
+                                 for _, m in terms])
+    alg = _RingAlgebra(_ring_symbols(seeds, depth, fields, frozen_modular),
+                       _domain(seeds), frozen_modular)
     entries = {}
     for (a, b), terms in given.items():
-        canon = tuple(DeltaTerm(sp.expand(c), (m,)) for c, m in terms
-                      if sp.expand(c) != 0)
-        entries[(a, b)] = canon
+        vals = ((alg.conv(c), m) for c, m in terms)
+        entries[(a, b)] = tuple(DeltaTerm(c, (m,)) for c, m in vals if c)
     for (a, b) in list(entries):
         if (b, a) not in entries:
-            neg = tuple(DeltaTerm(-t.coeff, t.orders) for t in entries[(a, b)])
-            entries[(b, a)] = transpose_entry(neg, frozen=frozen_modular)
+            neg = tuple(DeltaTerm(-t.value, t.orders) for t in entries[(a, b)])
+            entries[(b, a)] = transpose_entry(neg, alg=alg)
     for a, b in itertools.product(fields, repeat=2):
         entries.setdefault((a, b), ())
     return BracketTable(fields=tuple(fields), entries=entries,
-                        frozen_modular=frozen_modular)
+                        frozen_modular=frozen_modular, alg=alg)
 
 
-def _partials(E: sp.Expr, fields):
-    """Nonzero partials of E with respect to the field jets.  The order-0
-    partial of the modular field picks up the chain through g1, g2, g3
-    (and the other tau-dependent leaves) on top of any literal th symbol."""
+def _element(table: BracketTable, E):
+    """E in the table's algebra; UnknownFieldError for a jet of a field
+    outside the table."""
+    if isinstance(E, (PolyElement, FracElement)):
+        return E
     E = sp.sympify(E)
-    out = []
     for s in E.free_symbols:
         info = sx.jet_info(s)
+        if info is not None and info[0] not in table.fields:
+            raise UnknownFieldError(
+                f"expression references unknown field {info[0]}")
+    return table.alg.conv(E)
+
+
+def _partials(alg, E, fields):
+    """Nonzero partials of the element E with respect to the field jets.
+    The order-0 partial of the modular field picks up the chain through
+    g1, g2, g3 (and the other tau-dependent leaves) on top of any literal
+    th generator."""
+    out = []
+    mod = alg.R.zero
+    for i in sorted(alg.support(E)):
+        info = alg.jets[i]
         if info is None:
             continue
         f, k = info
         if f not in fields:
             raise UnknownFieldError(f"expression references unknown field {f}")
-        d = E.diff(s)
-        if d != 0:
+        d = alg.diff(E, i)
+        if (f, k) == (sx.MODULAR_FIELD, 0):
+            mod = d
+        elif d:
             out.append((f, k, d))
     if sx.MODULAR_FIELD in fields:
-        d = sx.d_dtau_scaled(E)
-        if d != 0:
+        d = mod + alg.dth(E)
+        if d:
             out.append((sx.MODULAR_FIELD, 0, d))
     return out
 
 
-def _table_cache(table: BracketTable) -> dict:
-    cache = table.__dict__.get("_op_cache")
-    if cache is None:
-        object.__setattr__(table, "_op_cache", {})
-        cache = table.__dict__["_op_cache"]
-    return cache
-
-
-def leibniz_bracket(table: BracketTable, a: str, E: sp.Expr) -> DistPoly:
-    """{a(x), E(y)} for a differential expression E in the table fields,
-    canonicalized on (x, y) with coefficients at x.  Memoized per table:
-    triple-bracket assembly re-derives the same pairs constantly."""
-    cache = _table_cache(table)
-    key = ("leibniz", a, E)
-    hit = cache.get(key)
-    if hit is not None:
-        return hit
+def leibniz_bracket(table: BracketTable, a: str, E) -> DistPoly:
+    """{a(x), E(y)} for a differential expression E in the table fields
+    (a sympy Expr or an element of the table's algebra), canonicalized on
+    (x, y) with coefficients at x.  Memoized in the table's algebra on
+    (a, E, row a): triple-bracket assembly re-derives the same pairs
+    constantly, and a table that differs in other rows shares them."""
     if a not in table.fields:
         raise UnknownFieldError(f"unknown generator {a}")
+    alg = table.alg
+    key = (a, E, table.fields,
+           tuple(table.entries.get((a, f), ()) for f in table.fields))
+    hit = alg.memo.get(key)
+    if hit is not None:
+        return hit
     raw = []
-    for f, k, dE in _partials(E, table.fields):
+    for f, k, dE in _partials(alg, _element(table, E), table.fields):
+        if k % 2:
+            dE = -dE
         for t in table.entry(a, f):
-            m = t.orders[0]
             # d^k/dy^k delta^(m)(x-y) = (-1)^k delta^(m+k)(x-y)
-            raw.append(_RawTerm(
-                (("x", t.coeff), ("y", (-1) ** k * dE)),
-                (("x", "y", m + k),)))
-    out = canonicalize(raw, frozen=table.frozen_modular)
-    cache[key] = out
+            raw.append(_RawTerm((("x", t.value), ("y", dE)),
+                                (("x", "y", t.orders[0] + k),)))
+    out = canonicalize(raw, alg=alg)
+    alg.memo[key] = out
     return out
 
 
-def bracket_of_functions(table: BracketTable, F: sp.Expr, G: sp.Expr) -> DistPoly:
+def bracket_of_functions(table: BracketTable, F, G) -> DistPoly:
     """{F(x), G(y)} for differential expressions F, G in the table fields."""
+    alg = table.alg
+    pF = _partials(alg, _element(table, F), table.fields)
+    pG = _partials(alg, _element(table, G), table.fields)
     raws = []
-    for f, k, dF in _partials(F, table.fields):
-        for g, l, dG in _partials(G, table.fields):
+    for f, k, dF in pF:
+        for g, l, dG in pG:
+            if l % 2:
+                dG = -dG
             for t in table.entry(f, g):
                 m = t.orders[0]
+                c = t.value
                 # d^k/dx^k d^l/dy^l [C(x) delta^(m)(x-y)]
                 for i in range(k + 1):
                     raws.append(_RawTerm(
-                        (("x", sp.binomial(k, i) * dF), ("x", t.coeff, i),
-                         ("y", (-1) ** l * dG)),
+                        (("x", dF * comb(k, i)), ("x", c), ("y", dG)),
                         (("x", "y", m + l + k - i),)))
-    return canonicalize(raws, frozen=table.frozen_modular)
+                    if i < k:
+                        c = alg.dx(c)
+    return canonicalize(raws, alg=alg)
 
 
 def antisymmetry_defect(table: BracketTable, a: str, b: str) -> DistPoly:
     """{a(x), b(y)} + {b(y), a(x)}; identically zero for a bracket."""
-    raw = [_RawTerm((("x", t.coeff),), (("x", "y", t.orders[0]),))
+    raw = [_RawTerm((("x", t.value),), (("x", "y", t.orders[0]),))
            for t in table.entry(a, b)]
-    raw += [_RawTerm((("y", t.coeff),), (("y", "x", t.orders[0]),))
+    raw += [_RawTerm((("y", t.value),), (("y", "x", t.orders[0]),))
             for t in table.entry(b, a)]
-    return canonicalize(raw, frozen=table.frozen_modular)
+    return canonicalize(raw, alg=table.alg)
 
 
 def _cyclic_term(table: BracketTable, outer: str, inner: tuple[str, str],
@@ -454,9 +556,9 @@ def _cyclic_term(table: BracketTable, outer: str, inner: tuple[str, str],
     raws = []
     for t in table.entry(*inner):
         m = t.orders[0]
-        for s_term in leibniz_bracket(table, outer, t.coeff).terms:
+        for s_term in leibniz_bracket(table, outer, t.value).terms:
             raws.append(_RawTerm(
-                ((p0, s_term.coeff),),
+                ((p0, s_term.value),),
                 ((p0, p1, s_term.orders[0]), (p1, p2, m))))
     return raws
 
@@ -468,7 +570,7 @@ def jacobi_defect(table: BracketTable, a: str, b: str, c: str) -> DistPoly:
     raws += _cyclic_term(table, a, (b, c), ("x", "y", "w"))
     raws += _cyclic_term(table, b, (c, a), ("y", "w", "x"))
     raws += _cyclic_term(table, c, (a, b), ("w", "x", "y"))
-    return canonicalize(raws, frozen=table.frozen_modular)
+    return canonicalize(raws, alg=table.alg)
 
 
 def jacobi_triples(fields) -> list[tuple[str, str, str]]:
@@ -480,15 +582,27 @@ def jacobi_triples(fields) -> list[tuple[str, str, str]]:
 # ---------------------------------------------------------------------------
 # coordinate changes
 
-def _prolonged_subs(inverse: dict, max_order: int) -> dict:
-    subs = {}
-    for old, expr in inverse.items():
-        cur = sp.sympify(expr)
-        subs[sx.jet(old, 0)] = cur
-        for k in range(1, max_order + 1):
-            cur = sx.total_x_derivative(cur)
-            subs[sx.jet(old, k)] = cur
-    return subs
+def _compose(p, images: dict, K, powers: dict):
+    """The polynomial p (of some algebra) with generator i replaced by
+    images[i], an element of K; powers caches images[i]**e."""
+    out = K.R.zero
+    get, zero = out.get, K.R.domain.zero
+    fractions = []
+    for monom, coeff in p.items():
+        term = K.R(coeff)
+        for i, e in enumerate(monom):
+            if e:
+                pw = powers.get((i, e))
+                if pw is None:
+                    pw = powers[(i, e)] = images[i] ** e
+                term = term * pw
+        if isinstance(term, FracElement):
+            fractions.append(term)
+            continue
+        for m, c in term.items():
+            out[m] = get(m, zero) + c
+    out.strip_zero()
+    return sum(fractions, out)
 
 
 def change_coordinates(table: BracketTable, forward: dict, inverse: dict,
@@ -502,32 +616,82 @@ def change_coordinates(table: BracketTable, forward: dict, inverse: dict,
     from every coefficient after substitution, else StructureError.
     A frozen_modular result (default: as the source table) holds the
     modular parameter constant, so its jets T, T_x, ... are set to zero.
+
+    The substitution is a homomorphism from the table's algebra into a
+    fraction field K over the new and auxiliary jets: each old jet goes
+    to the prolonged inverse, each modular jet to zero when freezing, and
+    every other generator to itself.
     """
     new_fields = tuple(forward)
     if frozen_modular is None:
         frozen_modular = table.frozen_modular
-    max_ord = table.order() + 2 + max(
-        (k for F in forward.values() for s in sp.sympify(F).free_symbols
-         if (info := sx.jet_info(s)) is not None for k in (info[1],)),
-        default=0)
-    subs = _prolonged_subs(inverse, max_ord + 2)
-    if frozen_modular:
-        subs.update({sx.jet(sx.MODULAR_FIELD, k): 0
-                     for k in range(1, max_ord + 3)})
-    bad = {sx.jet(f, k) for f in eliminate for k in range(max_ord + 3)}
-    entries = {}
-    for a, b in itertools.product(new_fields, repeat=2):
-        dp = bracket_of_functions(table, forward[a], forward[b])
+    dps = {(a, b): bracket_of_functions(table, forward[a], forward[b])
+           for a, b in itertools.product(new_fields, repeat=2)}
+
+    old = table.alg
+    inverse = {f: sp.sympify(e) for f, e in inverse.items()}
+    used = set().union(*(old.support(t.value) for dp in dps.values()
+                         for t in dp.terms))
+    depth = max((old.jets[i][1] for i in used
+                 if old.jets[i] and old.jets[i][0] in inverse), default=0)
+    zeroed = {i for i in used if frozen_modular and old.jets[i]
+              and old.jets[i][0] == sx.MODULAR_FIELD}
+    kept = [old.syms[i] for i in used - zeroed
+            if not (old.jets[i] and old.jets[i][0] in inverse)]
+    K = _RingAlgebra(_ring_symbols(list(inverse.values()) + kept, depth,
+                                   frozen=frozen_modular),
+                     old.R.domain, frozen_modular)
+    images = {i: K.R.zero for i in zeroed}
+    images.update({i: K.R.gens[K.index[old.syms[i]]]
+                   for i in used if old.syms[i] in kept})
+    for f, e in inverse.items():
+        cur = K.conv(e)
+        for k in range(depth + 1):
+            i = old.index.get(sx.jet(f, k))
+            if i is not None:
+                images[i] = cur
+            if k < depth:
+                cur = K.dx(cur)
+
+    bad = {K.index[s] for s in K.syms
+           if (info := sx.jet_info(s)) is not None and info[0] in eliminate}
+    powers: dict = {}
+    composed = {}
+    for (a, b), dp in dps.items():
         terms = []
         for t in dp.terms:
-            c = sp.cancel(sp.sympify(t.coeff).subs(subs, simultaneous=True))
-            if c.free_symbols & bad:
+            v = t.value
+            if isinstance(v, FracElement):
+                c = (K.F(_compose(v.numer, images, K, powers))
+                     / K.F(_compose(v.denom, images, K, powers)))
+            else:
+                c = _compose(v, images, K, powers)
+            if isinstance(c, FracElement) and c.denom.is_ground:
+                c = c.numer.quo_ground(c.denom.LC)
+            if K.support(c) & bad:
                 raise StructureError(
                     f"coefficient of ({a},{b}) at order {t.orders} does not "
-                    f"close on the new fields: {c}")
-            c = sp.expand(c)
-            if c != 0:
-                terms.append(DeltaTerm(c, t.orders))
-        entries[(a, b)] = tuple(terms)
+                    f"close on the new fields: {_as_expr(c)}")
+            if c:
+                terms.append((c, t.orders))
+        composed[(a, b)] = terms
+
+    seeds = {K.syms[i] for terms in composed.values() for c, _ in terms
+             for i in K.support(c)}
+    depth = _table_depth(seeds, [orders[0] for terms in composed.values()
+                                 for _, orders in terms])
+    alg = _RingAlgebra(_ring_symbols(seeds, depth, new_fields,
+                                     frozen_modular),
+                       K.R.domain, frozen_modular)
+
+    def transfer(c):
+        if isinstance(c, FracElement):
+            return alg.F.raw_new(c.numer.set_ring(alg.R),
+                                 c.denom.set_ring(alg.R))
+        return c.set_ring(alg.R)
+
+    entries = {key: tuple(DeltaTerm(transfer(c), orders)
+                          for c, orders in terms)
+               for key, terms in composed.items()}
     return BracketTable(fields=new_fields, entries=entries,
-                        frozen_modular=frozen_modular)
+                        frozen_modular=frozen_modular, alg=alg)

@@ -8,6 +8,7 @@ median residuals recorded per check and at least one negative control
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import statistics
 import time
@@ -287,11 +288,12 @@ def _table_residuals(table: dc.BracketTable, jets_list) -> list[float]:
 
 
 def _flip_one_entry(table: dc.BracketTable, a: str, b: str) -> dc.BracketTable:
+    """The table with entry (a, b) negated; it shares the table's algebra,
+    so Leibniz brackets on the other rows come from the memo."""
     entries = dict(table.entries)
-    entries[(a, b)] = tuple(dc.DeltaTerm(-t.coeff, t.orders)
+    entries[(a, b)] = tuple(dc.DeltaTerm(-t.value, t.orders)
                             for t in entries[(a, b)])
-    return dc.BracketTable(fields=table.fields, entries=entries,
-                           frozen_modular=table.frozen_modular)
+    return dataclasses.replace(table, entries=entries)
 
 
 def run_poisson_suite(n: int = 2, seed: int = 0, jets: int = 20,

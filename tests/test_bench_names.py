@@ -4,7 +4,10 @@ traced round breaks while the rest of the suite still passes."""
 
 import importlib
 import importlib.util
+import json
 import os
+import subprocess
+import sys
 
 from loopbrackets import models
 
@@ -33,3 +36,36 @@ def test_traced_layer_functions_exist():
 
 def test_traced_residual_method_exists():
     assert callable(getattr(models.NoGoSystem, "residual_vector", None))
+
+
+_TRACED_ROUND = """
+import json, sys
+sys.path[:0] = [sys.argv[1], sys.argv[2]]
+import tracing
+from loopbrackets import verify
+tracer = tracing.Tracer()
+tracing.install(tracer)
+rep = verify.run_poisson_suite(n=2)
+print(json.dumps({"passed": rep.passed,
+                  "metrics": {k: v[0] for k, v in tracer.metrics().items()}}))
+"""
+
+
+def test_traced_poisson_round():
+    """The wrappers still fit the call shapes: a traced n = 2 Poisson
+    round passes and every delta-calculus layer records calls."""
+    src = os.path.dirname(os.path.dirname(models.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-c", _TRACED_ROUND, src,
+         os.path.join(ROOT, "bench")],
+        capture_output=True, text=True, timeout=300,
+        env=dict(os.environ, PYTHONHASHSEED="0"))
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    out = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert out["passed"]
+    layers = [layer for layer, _, _ in _tracing().LAYERS
+              if layer.startswith("distcalc.")]
+    assert len(layers) == 5
+    for layer in layers:
+        assert out["metrics"][f"{layer}.calls"] > 0, layer
+    assert out["metrics"]["distcalc.leibniz.distinct"] > 0

@@ -13,6 +13,7 @@ import sympy as sp
 from hypothesis import given, settings, strategies as st
 
 from loopbrackets import distcalc as dc
+from loopbrackets import models, verify
 from loopbrackets import symexpr as sx
 from loopbrackets.errors import (ClosureError, StructureError,
                                  UnknownFieldError)
@@ -36,8 +37,9 @@ z1x, z2x = sx.jet("z1", 1), sx.jet("z2", 1)
 
 
 def realize(expr, pt):
-    """Field jets as derivatives of the fixed polynomial realizations."""
-    expr = sp.sympify(expr)
+    """Field jets as derivatives of the fixed polynomial realizations;
+    `expr` is a sympy expression or an element of a table's algebra."""
+    expr = dc._as_expr(expr)
     subs = {}
     for s in expr.free_symbols:
         info = sx.jet_info(s)
@@ -216,7 +218,8 @@ class TestLeibniz:
     def test_against_pairing(self, table):
         E = z1 ** 2 * z2x + z2 * z1x
         direct = []
-        for fld, k, dE in dc._partials(E, table.fields):
+        for fld, k, dE in dc._partials(table.alg, table.alg.conv(E),
+                                       table.fields):
             for t in table.entry("z1", fld):
                 direct.append(dc._RawTerm(
                     (("x", t.coeff), ("y", (-1) ** k * dE)),
@@ -231,6 +234,10 @@ class TestLeibniz:
         assert len(bf.terms) == len(lb.terms)
         for t in lb.terms:
             assert sp.expand(bf.coeff(t.orders) - t.coeff) == 0
+
+    def test_constant_expression(self, table):
+        assert dc.leibniz_bracket(table, "z1", 1).is_zero()
+        assert dc.bracket_of_functions(table, 2, z1).is_zero()
 
     def test_memoized(self, table):
         E = z1 * z2
@@ -330,3 +337,100 @@ class TestNumericEvaluation:
         expect0 = ja.values[z1] * ctx.g2
         assert abs(vals[0] - complex(expect0)) < 1e-12 * max(1.0, abs(expect0))
         assert abs(vals[1] - complex(ja.values[z1x])) < 1e-12
+
+
+class TestTableAlgebra:
+    """One coefficient algebra per table, the Leibniz memo keyed on row
+    content, and coordinate changes as a ring homomorphism."""
+
+    @pytest.fixture(scope="class")
+    def n2(self):
+        return models.thm3_extract(2)
+
+    def test_one_construction_per_table(self, n2, ctx, monkeypatch):
+        built = []
+        for name in ("ring", "field"):
+            orig = getattr(sp, name)
+
+            def counted(*args, _orig=orig, _name=name, **kwargs):
+                built.append(_name)
+                return _orig(*args, **kwargs)
+            monkeypatch.setattr(sp, name, counted)
+        table = n2.to_bracket_table()
+        assert len(built) == 1
+        jets = [sx.sample_jets(ctx, table.fields, max_order=table.order() + 4,
+                               seed=s) for s in (1, 2)]
+        verify._table_residuals(table, jets)
+        verify._table_residuals(table, jets[:1])
+        verify._table_residuals(verify._flip_one_entry(table, "z0", "z2"),
+                                jets[:1])
+        assert len(built) == 1
+
+    def test_flip_misses_memo_only_on_flipped_entry(self, n2):
+        # misses read the flipped row, or bracket with a flipped coefficient
+        table = n2.to_bracket_table()
+        triples = dc.jacobi_triples(table.fields)
+        for tr in triples:
+            dc.jacobi_defect(table, *tr)
+        before = set(table.alg.memo)
+        bad = verify._flip_one_entry(table, "z0", "z2")
+        assert bad.alg is table.alg
+        for tr in triples:
+            dc.jacobi_defect(bad, *tr)
+        missed = set(bad.alg.memo) - before
+        flipped = {t.value for t in bad.entry("z0", "z2")}
+        assert 0 < len(missed) < len(before)
+        assert all(key[0] == "z0" or key[1] in flipped for key in missed)
+
+    @staticmethod
+    def reference_change(table, forward, inverse, frozen):
+        """change_coordinates by Expr.subs of the prolonged inverse and
+        cancel, coefficient by coefficient."""
+        max_ord = table.order() + 4
+        subs = {}
+        for old, expr in inverse.items():
+            cur = sp.sympify(expr)
+            for k in range(max_ord + 1):
+                subs[sx.jet(old, k)] = cur
+                cur = sx.total_x_derivative(cur)
+        if frozen:
+            subs.update({sx.jet(sx.MODULAR_FIELD, k): 0
+                         for k in range(1, max_ord + 1)})
+        out = {}
+        for a in forward:
+            for b in forward:
+                dp = dc.bracket_of_functions(table, forward[a], forward[b])
+                coeffs = {t.orders: sp.expand(sp.cancel(
+                    t.coeff.subs(subs, simultaneous=True))) for t in dp.terms}
+                out[(a, b)] = {k: c for k, c in coeffs.items() if c != 0}
+        return out
+
+    @pytest.mark.parametrize("frozen", [True, False])
+    def test_change_coordinates_matches_subs(self, frozen):
+        table = models.prop2_table()
+        forward = {"p1": z1 / z2, "w2": z2}
+        inverse = {"z1": sx.jet("p1") * sx.jet("w2"), "z2": sx.jet("w2")}
+        new = self.check_change(table, forward, inverse, frozen)
+        assert frozen or any(sx.T in t.coeff.free_symbols
+                             for terms in new.entries.values()
+                             for t in terms)
+
+    def test_change_coordinates_rational_inverse(self, table):
+        # w1 = z1 z2: the new coefficients are rational in w2
+        w1, w2 = sx.jet("w1"), sx.jet("w2")
+        new = self.check_change(table, {"w1": z1 * z2, "w2": z2},
+                                {"z1": w1 / w2, "z2": w2}, False)
+        assert any(sp.denom(sp.together(t.coeff)) != 1
+                   for terms in new.entries.values() for t in terms)
+
+    def check_change(self, table, forward, inverse, frozen):
+        new = dc.change_coordinates(table, forward, inverse,
+                                    frozen_modular=frozen)
+        want = self.reference_change(table, forward, inverse, frozen)
+        assert set(new.entries) == set(want)
+        for key, terms in new.entries.items():
+            got = {t.orders: t.coeff for t in terms}
+            assert set(got) == set(want[key]), key
+            for orders, c in got.items():
+                assert sp.expand(c - want[key][orders]) == 0, (key, orders)
+        return new

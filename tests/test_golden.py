@@ -1,0 +1,54 @@
+"""Byte identity of exported documents.
+
+The files under tests/data were written by the package before its delta
+calculus moved from sympy expressions to one coefficient ring per table:
+`loopb descend --n 3` in both affine charts, the Proposition 2 table
+descended onto p1 = z1/z2 (rendered as the descend command renders), and
+`loopb verify poisson --n 2 --json`.  Every document must still come out
+byte for byte the same."""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from loopbrackets import cli, models
+from loopbrackets import symexpr as sx
+
+DATA = Path(__file__).parent / "data"
+
+
+@pytest.fixture(autouse=True)
+def _no_seed_override(monkeypatch):
+    monkeypatch.delenv("LOOPB_SEED", raising=False)
+
+
+@pytest.mark.parametrize("denominator", ["z0", "z3"])
+def test_descend_n3(denominator, capsys):
+    assert cli.main(["descend", "--n", "3",
+                     "--denominator", denominator]) == 0
+    got = capsys.readouterr().out.encode()
+    assert got == (DATA / f"descend_n3_{denominator}.json").read_bytes()
+
+
+def test_prop2_descent():
+    red = models.lemma1_descend(models.prop2_table(), "z2")
+    doc = {
+        "denominator": "z2",
+        "fields": list(red.fields),
+        "entries": [
+            {"a": a, "b": b,
+             "terms": [{"order": t.orders[0], "coeff": sx.render(t.coeff)}
+                       for t in terms]}
+            for (a, b), terms in sorted(red.entries.items())
+        ],
+    }
+    got = (json.dumps(doc, indent=2, sort_keys=True) + "\n").encode()
+    assert got == (DATA / "descend_prop2_z2.json").read_bytes()
+
+
+def test_verify_poisson_n2(tmp_path):
+    out = tmp_path / "report.json"
+    assert cli.main(["verify", "poisson", "--n", "2",
+                     "--json", str(out)]) == 0
+    assert out.read_bytes() == (DATA / "verify_poisson_n2.json").read_bytes()
