@@ -1,6 +1,8 @@
 #!/usr/bin/env python3
 """Export the structure-constant tables for a range of field counts,
 from both derivation routes, and confirm they agree entry for entry.
+Prints the seconds spent per n in each stage: extract, appendix, match
+and document (both documents).
 
 Usage:  python scripts/export_tables.py [--nmin 2] [--nmax 6] [--out DIR]
 """
@@ -15,6 +17,14 @@ from loopbrackets import models
 from loopbrackets.cli import atomic_write
 
 
+def _timed(seconds: dict, stage: str, fn, *args):
+    """fn(*args), adding its wall-clock seconds to seconds[stage]."""
+    t0 = time.perf_counter()
+    out = fn(*args)
+    seconds[stage] = seconds.get(stage, 0.0) + time.perf_counter() - t0
+    return out
+
+
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--nmin", type=int, default=2)
@@ -27,18 +37,20 @@ def main() -> int:
 
     ok = True
     for n in range(args.nmin, args.nmax + 1):
-        t0 = time.time()
-        a = models.thm3_extract(n)
-        b = models.appendix_table(n)
-        mismatches = models.match_structconsts(a, b)
+        seconds = {}
+        a = _timed(seconds, "extract", models.thm3_extract, n)
+        b = _timed(seconds, "appendix", models.appendix_table, n)
+        mismatches = _timed(seconds, "match", models.match_structconsts, a, b)
         for sc, tag in ((a, "extract"), (b, "closed_form")):
-            doc = models.structconsts_to_document(sc)
+            doc = _timed(seconds, "document",
+                         models.structconsts_to_document, sc)
             path = outdir / f"structconsts_n{n}_{tag}.json"
             atomic_write(str(path),
                          json.dumps(doc, indent=2, sort_keys=True) + "\n")
         status = "exact match" if not mismatches else \
             f"{len(mismatches)} MISMATCHES"
-        print(f"n={n}: {status}  ({time.time() - t0:.1f}s)")
+        stages = ", ".join(f"{k} {v:.2f}s" for k, v in seconds.items())
+        print(f"n={n}: {status}  ({stages})")
         for m in mismatches[:5]:
             print("   ", m)
         ok &= not mismatches

@@ -17,11 +17,13 @@ Q[g1, g2, g3, T]; numerics enter only in verification suites.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass
 
 import numpy as np
 import sympy as sp
+from sympy.polys.rings import PolyElement
 
 from . import distcalc as dcx
 from . import elliptic
@@ -99,17 +101,82 @@ def rmatrix_delta_coeff(qvu, quv, qvu_tau_xderiv, qvu_u, e_of_u, e_of_v,
 # ---------------------------------------------------------------------------
 # structure constants
 
-@dataclass
+# generator positions in the structure-constant ring, see _structconsts_algebra
+_T_AT, _Z_AT = 3, 4
+
+
+def _structconsts_algebra(n: int) -> dcx._RingAlgebra:
+    """The ring of the n-field structure constants,
+    Q[g1, g2, g3, T, z.., z.._x] in that order, with the total
+    x-derivative of the delta calculus."""
+    zs = [field_name(a) for a in field_indices(n)]
+    syms = [g1, g2, g3, T] + [jet(f) for f in zs] + [jet(f, 1) for f in zs]
+    return dcx._RingAlgebra(syms, sp.QQ, frozen=False)
+
+
+def _group_terms(p, at, R=None) -> dict:
+    """The terms of p grouped by their exponents at generator positions
+    `at`: {exponents: coefficient}, the coefficient an element of R
+    (default p's ring) in the other generators.  ExtractionError when a
+    generator that is neither at `at` nor in R survives in p."""
+    src = p.ring.symbols
+    R = p.ring if R is None else R
+    dst = {s: j for j, s in enumerate(R.symbols)}
+    keep = [(i, dst[s]) for i, s in enumerate(src) if s in dst and i not in at]
+    stray = [i for i, s in enumerate(src) if s not in dst and i not in at]
+    zero = [0] * R.ngens
+    groups: dict = {}
+    for monom, coeff in p.iterterms():
+        for i in stray:
+            if monom[i]:
+                raise ExtractionError(
+                    f"{src[i]} survives in a structure constant")
+        m = list(zero)
+        for i, j in keep:
+            m[j] = monom[i]
+        key = tuple(monom[i] for i in at)
+        groups.setdefault(key, {})[tuple(m)] = coeff
+    return {key: R.dtype(terms) for key, terms in groups.items()}
+
+
 class StructConsts:
     """Structure constants of the homogeneous bracket on n fields:
     P maps (a, b) to the delta'-coefficient (quadratic in z), Q to the
     delta-coefficient (quadratic in z and z' with at most one first jet,
-    or T times a z-quadratic)."""
+    or T times a z-quadratic).
 
-    n: int
-    P: dict
-    Q: dict
-    generator: str = "thm3_extract"
+    The entries live in one ring per n, Q[g1, g2, g3, T, z.., z.._x]
+    (`P_poly`, `Q_poly`); `P` and `Q` are the same entries as sympy
+    expressions.  The constructor takes entries of either kind."""
+
+    def __init__(self, n: int, P: dict, Q: dict,
+                 generator: str = "thm3_extract"):
+        self.n = n
+        self.generator = generator
+        entries = list(P.values()) + list(Q.values())
+        R = (None if all(isinstance(e, PolyElement) for e in entries)
+             else _structconsts_algebra(n).R)
+
+        def poly(key, e):
+            if isinstance(e, PolyElement):
+                return e
+            try:
+                return R.from_expr(sp.sympify(e))
+            except ValueError:
+                raise ExtractionError(
+                    f"entry {key} is not a polynomial in {R.symbols}: "
+                    f"{e}") from None
+
+        self.P_poly = {k: poly(k, e) for k, e in P.items()}
+        self.Q_poly = {k: poly(k, e) for k, e in Q.items()}
+
+    @functools.cached_property
+    def P(self) -> dict:
+        return {k: p.as_expr() for k, p in self.P_poly.items()}
+
+    @functools.cached_property
+    def Q(self) -> dict:
+        return {k: p.as_expr() for k, p in self.Q_poly.items()}
 
     @property
     def indices(self) -> list[int]:
@@ -135,123 +202,117 @@ class StructConsts:
 
 
 def _check_homogeneity(sc: StructConsts):
-    zs0 = [jet(field_name(a)) for a in sc.indices]
-    zs1 = [jet(field_name(a), 1) for a in sc.indices]
-    for (a, b), e in sc.P.items():
-        p = sp.Poly(e, *zs0) if e != 0 else None
-        if p is not None and any(sum(m) != 2 for m in p.monoms()):
+    k = len(sc.indices)
+    zs0 = slice(_Z_AT, _Z_AT + k)
+    zs1 = slice(_Z_AT + k, _Z_AT + 2 * k)
+    for (a, b), p in sc.P_poly.items():
+        if any(sum(m[zs0]) != 2 for m in p.itermonoms()):
             raise ExtractionError(f"P[{a},{b}] not homogeneous quadratic")
-        if e != 0 and (e.has(*zs1) or e.has(T)):
+        if any(m[_T_AT] or any(m[zs1]) for m in p.itermonoms()):
             raise ExtractionError(f"P[{a},{b}] contains jets or T")
-    for (a, b), e in sc.Q.items():
-        if e == 0:
-            continue
-        p = sp.Poly(e, *(zs0 + zs1 + [T]))
-        for m in p.monoms():
-            d0, d1, dT = sum(m[:len(zs0)]), sum(m[len(zs0):-1]), m[-1]
+    for (a, b), p in sc.Q_poly.items():
+        for m in p.itermonoms():
+            d0, d1, dT = sum(m[zs0]), sum(m[zs1]), m[_T_AT]
             ok = (d0 == 1 and d1 == 1 and dT == 0) or \
                  (d0 == 2 and d1 == 0 and dT == 1)
             if not ok:
-                raise ExtractionError(f"Q[{a},{b}] has a monomial outside "
-                                      f"the z z' / T z z shape: {m}")
+                raise ExtractionError(
+                    f"Q[{a},{b}] has a monomial outside the z z' / T z z "
+                    f"shape: {m[zs0] + m[zs1] + (dT,)}")
 
 
-def _ring_square_reduce(R, pe, i_sym, cubic):
-    """Replace even powers of the odd leaf at generator index i_sym by
-    powers of the cubic, keeping degree <= 1."""
-    buckets: dict[int, dict] = {}
-    for monom, coeff in pe.iterterms():
-        k = monom[i_sym]
-        m2 = list(monom)
-        m2[i_sym] = k % 2
-        bucket = buckets.setdefault(k // 2, {})
-        key = tuple(m2)
-        bucket[key] = bucket.get(key, R.domain.zero) + coeff
-    out = R.zero
-    for half, terms in buckets.items():
-        part = R({k: c for k, c in terms.items() if c})
-        out = out + part * cubic ** half
-    return out
+def _ring_square_reduce(p, i: int, square):
+    """Replace x^2 by `square` for the generator x at position i, keeping
+    x-degree <= 1: the odd leaves (dwp^2 = 4 wp^3 - g2 wp - g3), or i
+    (i^2 = -1)."""
+    x = p.ring.gens[i]
+    return sum((c * x ** (k % 2) * square ** (k // 2)
+                for (k,), c in _group_terms(p, [i]).items()), p.ring.zero)
 
 
-def _spectral_clear(expr: sp.Expr, power: int) -> sp.Expr:
-    """Multiply by (wpv - wpu)^power, reduce odd-leaf powers, assert the
-    spectral-transcendental leaves cancel, divide the clearing factor
-    back out exactly.
-
-    The heavy algebra runs in a sparse polynomial ring: the only
-    denominators are powers of the shared wpv - wpu, which become a
-    polynomial generator Dinv before conversion."""
-    D = wpv - wpu
-    Dinv = sp.Symbol("_Dinv")
-    def _is_inv_of_D(e):
-        return (e.is_Pow and e.exp.is_Integer and e.exp < 0 and e.base.is_Add
-                and sp.cancel(e.base / D).is_Rational)
-
-    expr2 = expr.replace(
-        _is_inv_of_D,
-        lambda e: (Dinv / sp.cancel(e.base / D)) ** int(-e.exp))
-    syms = sorted(expr2.free_symbols
-                  | {wpu, wpv, dwpu, dwpv, u, v, zwu, zwv, g1, g2, g3, Dinv},
-                  key=str)
-    R, *gens = sp.ring(syms, sp.QQ)
-    gmap = dict(zip(syms, gens))
-    i_dinv = syms.index(Dinv)
-    p = R.from_expr(expr2)
-
-    D_ring = gmap[wpv] - gmap[wpu]
-    by_k: dict[int, dict] = {}
-    for monom, coeff in p.iterterms():
-        k = monom[i_dinv]
-        if k > power:
-            raise ExtractionError(
-                f"spectral denominator power {k} exceeds the clearing "
-                f"power {power}")
-        m2 = list(monom)
-        m2[i_dinv] = 0
-        bucket = by_k.setdefault(k, {})
-        key = tuple(m2)
-        bucket[key] = bucket.get(key, R.domain.zero) + coeff
-    num = R.zero
-    for k, terms in by_k.items():
-        part = R({m: c for m, c in terms.items() if c})
-        num = num + part * D_ring ** (power - k)
-
-    cubic_u = 4 * gmap[wpu] ** 3 - gmap[g2] * gmap[wpu] - gmap[g3]
-    cubic_v = 4 * gmap[wpv] ** 3 - gmap[g2] * gmap[wpv] - gmap[g3]
-    num = _ring_square_reduce(R, num, syms.index(dwpu), cubic_u)
-    num = _ring_square_reduce(R, num, syms.index(dwpv), cubic_v)
-
-    for bad in (u, v, zwu, zwv):
-        if num.degree(gmap[bad]) > 0:
-            raise ExtractionError(
-                f"spectral leaf {bad} survives the cancellation step")
-    quo, rem = divmod(num, D_ring ** power)
+def _clear_pole(p, i_inv: int, D, power: int, reduce):
+    """Exact division by D of a polynomial in a generator Dinv = 1/D (at
+    position i_inv): multiply by D^power so that Dinv goes, apply
+    `reduce` (the caller's rewrites and checks), and divide D^power back
+    out.  ExtractionError for a Dinv power above `power`,
+    DivisibilityError when D^power does not divide the reduced
+    numerator."""
+    parts = _group_terms(p, [i_inv])
+    top = max(parts, default=(0,))[0]
+    if top > power:
+        raise ExtractionError(f"denominator power {top} exceeds the "
+                              f"clearing power {power}")
+    num = sum((c * D ** (power - k) for (k,), c in parts.items()),
+              p.ring.zero)
+    quo, rem = divmod(reduce(num), D ** power)
     if rem:
         raise DivisibilityError(
-            f"clearing factor does not divide the reduced numerator")
-    return quo.as_expr()
+            f"clearing factor ({D})^{power} does not divide the reduced "
+            f"numerator")
+    return quo
 
 
-def _coeff_split(expr: sp.Expr, n: int) -> dict:
-    """Read off entries from a cleared bilinear generating polynomial:
-    the {1, dwpu} x {1, dwpv} split times monomials wpu^a wpv^b."""
-    out = {(a, b): sp.Integer(0)
-           for a in field_indices(n) for b in field_indices(n)}
-    if expr == 0:
-        return out
-    poly = sp.Poly(expr, dwpu, dwpv, wpu, wpv)
-    for (i, j, a, b), c in poly.terms():
+_DINV = sp.Symbol("_Dinv")
+
+
+def _spectral_clear(expr: sp.Expr, power: int):
+    """Multiply by (wpv - wpu)^power, reduce odd-leaf powers, assert the
+    spectral-transcendental leaves cancel, divide the clearing factor
+    back out exactly.  The result is an element of a sparse polynomial
+    ring over QQ in the leaves of expr.
+
+    The only denominators allowed are powers of rational multiples of
+    wpv - wpu; they become powers of a generator Dinv before conversion.
+    Any other denominator is an ExtractionError."""
+    D = wpv - wpu
+    inv = {}
+    for e in expr.atoms(sp.Pow):
+        if e.exp.is_Integer and e.exp < 0 and e.base.is_Add:
+            c = e.base.coeff(wpv)
+            if c.is_Rational and c and sp.expand(c * D) == e.base:
+                inv[e] = (_DINV / c) ** int(-e.exp)
+    expr = expr.xreplace(inv)
+    syms = sorted(expr.free_symbols
+                  | {wpu, wpv, dwpu, dwpv, u, v, zwu, zwv, g1, g2, g3, _DINV},
+                  key=str)
+    R, *gens = sp.ring(syms, sp.QQ)
+    x = dict(zip(syms, gens))
+    try:
+        p = R.from_expr(expr)
+    except ValueError:
+        raise ExtractionError(
+            f"a denominator other than a power of wpv - wpu in {expr}"
+        ) from None
+
+    def reduce(num):
+        for w, dw in ((wpu, dwpu), (wpv, dwpv)):
+            num = _ring_square_reduce(
+                num, syms.index(dw), 4 * x[w] ** 3 - x[g2] * x[w] - x[g3])
+        for bad in (u, v, zwu, zwv):
+            if num.degree(x[bad]) > 0:
+                raise ExtractionError(
+                    f"spectral leaf {bad} survives the cancellation step")
+        return num
+
+    return _clear_pole(p, syms.index(_DINV), x[wpv] - x[wpu], power, reduce)
+
+
+def _coeff_split(p, n: int, R) -> dict:
+    """Read off entries, as elements of R, from a cleared bilinear
+    generating polynomial: the {1, dwpu} x {1, dwpv} split times
+    monomials wpu^a wpv^b."""
+    out = {(a, b): R.zero for a in field_indices(n) for b in field_indices(n)}
+    at = [p.ring.symbols.index(s) for s in (dwpu, dwpv, wpu, wpv)]
+    for (i, j, a, b), c in _group_terms(p, at, R).items():
         if i > 1 or j > 1:
             raise ExtractionError("unreduced odd-leaf power")
-        ia = 2 * a if i == 0 else 2 * a + 3
-        ib = 2 * b if j == 0 else 2 * b + 3
+        ia, ib = 2 * a + 3 * i, 2 * b + 3 * j
         if (ia, ib) not in out:
             raise ExtractionError(
                 f"stray generating monomial maps outside the field set: "
                 f"pole orders ({ia}, {ib}) for n={n}")
         out[(ia, ib)] += (-2) ** (i + j) * c
-    return {k: sp.expand(val) for k, val in out.items()}
+    return out
 
 
 def thm3_extract(n: int) -> StructConsts:
@@ -271,6 +332,7 @@ def thm3_extract(n: int) -> StructConsts:
     denominator must cancel every bare u, v, zeta leaf exactly.
     """
     lam = sp.Rational(1, n)
+    idx = field_indices(n)
     Dx = sx.total_x_derivative
     eu = generating_field(n, "u")
     ev = generating_field(n, "v")
@@ -287,13 +349,15 @@ def thm3_extract(n: int) -> StructConsts:
     eth_u = sx.d_dtau_scaled(eu)
     eth_v = sx.d_dtau_scaled(ev)
 
-    P = _coeff_split(_spectral_clear(A - eu * eth_v - eth_u * ev, 3), n)
+    R = _structconsts_algebra(n).R
+    P = _coeff_split(_spectral_clear(A - eu * eth_v - eth_u * ev, 3), n, R)
 
+    dx_basis_v = {b: Dx(spectral_basis(b, "v")) for b in idx}
     sum_p_dxp = sum(
-        spectral_basis(a, "u") * Dx(spectral_basis(b, "v")) * P[(a, b)]
-        for a in field_indices(n) for b in field_indices(n))
+        spectral_basis(a, "u") * dx_basis_v[b] * P[(a, b)].as_expr()
+        for a in idx for b in idx)
     Q = _coeff_split(_spectral_clear(
-        B - sum_p_dxp - eu * Dx(eth_v) - eth_u * Dx(ev), 3), n)
+        B - sum_p_dxp - eu * Dx(eth_v) - eth_u * Dx(ev), 3), n, R)
 
     sc = StructConsts(n=n, P=P, Q=Q, generator="thm3_extract")
     _check_homogeneity(sc)
@@ -303,44 +367,55 @@ def thm3_extract(n: int) -> StructConsts:
 # ---------------------------------------------------------------------------
 # closed-form generating functions
 
-def _poly_e(n: int, sector: int, var: sp.Symbol, order: int = 0) -> sp.Expr:
-    """Even-sector (0) or odd-sector (1) generating polynomial in `var`
-    with jet-order `order` field coefficients."""
+# ring generators for i, pi and 1/pi in the closed forms
+_I, _PI, _PI_INV = sp.symbols("_i _pi _piinv")
+
+
+def _poly_e(n: int, sector: int, var, z: dict, order: int = 0):
+    """Even-sector (0) or odd-sector (1) generating polynomial in the
+    ring generator `var`, with jet-order `order` field coefficients (z
+    maps jet symbols to ring generators)."""
     if sector == 0:
-        return sum(var ** a * jet(field_name(2 * a), order)
-                   for a in range(n // 2 + 1))
-    return sum(var ** a * jet(field_name(2 * a + 3), order)
-               for a in range((n - 3) // 2 + 1))
+        terms = (var ** a * z[jet(field_name(2 * a), order)]
+                 for a in range(n // 2 + 1))
+    else:
+        terms = (var ** a * z[jet(field_name(2 * a + 3), order)]
+                 for a in range((n - 3) // 2 + 1))
+    return sum(terms, var.ring.zero)
 
 
-def appendix_table(n: int) -> StructConsts:
-    """Structure constants transcribed from the closed-form generating
-    functions, with the explicit tau'(x) replaced by 2*pi*i*T and every
-    (u-v)-denominator divided out exactly."""
-    e0u_, e1u_ = _poly_e(n, 0, u), _poly_e(n, 1, u)
-    e0v_, e1v_ = _poly_e(n, 0, v), _poly_e(n, 1, v)
-    d_e0u = sp.diff(e0u_, u)
-    d_e1u = sp.diff(e1u_, u)
-    d_e0v = sp.diff(e0v_, v)
-    d_e1v = sp.diff(e1v_, v)
-    e0x_u, e1x_u = _poly_e(n, 0, u, 1), _poly_e(n, 1, u, 1)
-    e0x_v, e1x_v = _poly_e(n, 0, v, 1), _poly_e(n, 1, v, 1)
-    d_e0x_v = sp.diff(e0x_v, v)
-    d_e1x_v = sp.diff(e1x_v, v)
-    tp = sp.Symbol("tau_prime")
+def _closed_forms(n: int, R) -> dict:
+    """The closed-form generating functions for the even-even, even-odd
+    and odd-odd sectors of P and Q, evaluated in R: 1/(u - v) is the
+    generator Dinv, and tau'(x) = 2 pi i T with i, pi and 1/pi as
+    generators."""
+    z = dict(zip(R.symbols, R.gens))
+    u, v, g1, g2, g3 = (z[s] for s in (sx.u, sx.v, sx.g1, sx.g2, sx.g3))
+    Dinv, I, pi, pinv = (z[s] for s in (_DINV, _I, _PI, _PI_INV))
+    e0u_, e1u_ = _poly_e(n, 0, u, z), _poly_e(n, 1, u, z)
+    e0v_, e1v_ = _poly_e(n, 0, v, z), _poly_e(n, 1, v, z)
+    d_e0u = e0u_.diff(u)
+    d_e1u = e1u_.diff(u)
+    d_e0v = e0v_.diff(v)
+    d_e1v = e1v_.diff(v)
+    e0x_u, e1x_u = _poly_e(n, 0, u, z, 1), _poly_e(n, 1, u, z, 1)
+    e0x_v, e1x_v = _poly_e(n, 0, v, z, 1), _poly_e(n, 1, v, z, 1)
+    d_e0x_v = e0x_v.diff(v)
+    d_e1x_v = e1x_v.diff(v)
+    tp = 2 * pi * I * z[T]
     lamn = sp.Rational(1, n)
 
     gf_P_ee = (
         2 * u * d_e0u * e0v_ * g1
         - sp.Rational(1, 6) * (-12 * u**2 * v + g2 * u + 2 * g2 * v + 3 * g3)
-            * d_e0u * e0v_ / (u - v)
+            * d_e0u * e0v_ * Dinv
         + 2 * v * d_e0v * e0u_ * g1
         + sp.Rational(1, 6) * (-12 * u * v**2 + 2 * g2 * u + g2 * v + 3 * g3)
-            * d_e0v * e0u_ / (u - v)
+            * d_e0v * e0u_ * Dinv
         + sp.Rational(1, 8) * (4 * v**3 - g2 * v - g3) * (4 * u**3 - g2 * u - g3)
-            * d_e1u * e1v_ / (u - v)
+            * d_e1u * e1v_ * Dinv
         - sp.Rational(1, 8) * (4 * v**3 - g2 * v - g3) * (4 * u**3 - g2 * u - g3)
-            * d_e1v * e1u_ / (u - v)
+            * d_e1v * e1u_ * Dinv
         + sp.Rational(1, 4) * lamn * (4 * v**3 - g2 * v - g3)
             * (4 * u**3 - g2 * u - g3) * d_e1u * d_e1v
         - (3 * u**2 * v**2 - sp.Rational(1, 4) * g2 * (u - v)**2
@@ -356,14 +431,14 @@ def appendix_table(n: int) -> StructConsts:
     gf_P_eo = (
         2 * u * d_e0u * e1v_ * g1
         + sp.Rational(1, 6) * (12 * u**2 * v - g2 * u - 2 * g2 * v - 3 * g3)
-            * d_e0u * e1v_ / (u - v)
+            * d_e0u * e1v_ * Dinv
         + sp.Rational(1, 2) * (4 * u**3 - g2 * u - g3)
-            * (d_e1u * e0v_ - d_e0v * e1u_) / (u - v)
+            * (d_e1u * e0v_ - d_e0v * e1u_) * Dinv
         + 2 * v * d_e1v * e0u_ * g1 + 3 * e0u_ * e1v_ * g1
         - sp.Rational(1, 6) * (12 * u * v**2 - 2 * g2 * u - g2 * v - 3 * g3)
-            * d_e1v * e0u_ / (u - v)
-        - sp.Rational(1, 4) * (12 * u * v - g2) * e0u_ * e1v_ / (u - v)
-        + sp.Rational(1, 4) * (12 * u**2 - g2) * e0v_ * e1u_ / (u - v)
+            * d_e1v * e0u_ * Dinv
+        - sp.Rational(1, 4) * (12 * u * v - g2) * e0u_ * e1v_ * Dinv
+        + sp.Rational(1, 4) * (12 * u**2 - g2) * e0v_ * e1u_ * Dinv
         + lamn * (4 * u**3 - g2 * u - g3) * d_e0v * d_e1u
         + lamn * (6 * u**2 - sp.Rational(1, 2) * g2) * d_e0v * e1u_)
 
@@ -371,44 +446,44 @@ def appendix_table(n: int) -> StructConsts:
         2 * u * d_e1u * e1v_ * g1 + 6 * e1u_ * e1v_ * g1
         + 4 * lamn * d_e0u * d_e0v
         + sp.Rational(1, 6) * (12 * u**2 * v - g2 * u - 2 * g2 * v - 3 * g3)
-            * d_e1u * e1v_ / (u - v)
+            * d_e1u * e1v_ * Dinv
         - sp.Rational(1, 6) * (12 * u * v**2 - 2 * g2 * u - g2 * v - 3 * g3)
-            * d_e1v * e1u_ / (u - v)
-        + 2 * (e0v_ * d_e0u - e0u_ * d_e0v) / (u - v)
+            * d_e1v * e1u_ * Dinv
+        + 2 * (e0v_ * d_e0u - e0u_ * d_e0v) * Dinv
         + 2 * v * d_e1v * e1u_ * g1)
 
     gf_Q_ee = (
         sp.Rational(1, 6) * (12 * g1 * u * v - 12 * g1 * v**2 - 12 * u * v**2
                              + 2 * g2 * u + g2 * v + 3 * g3)
-            * e0u_ * d_e0x_v / (u - v)
+            * e0u_ * d_e0x_v * Dinv
         - (4 * v**3 - g2 * v - g3) * (4 * u**3 - g2 * u - g3)
-            * e1u_ * d_e1x_v / (8 * (u - v))
+            * e1u_ * d_e1x_v * Dinv / 8
         + (12 * g2 * g1 * u - g2**2 + 18 * g1 * g3 - 18 * g3 * u)
-            * sp.I * e0u_ * d_e0v * tp / (24 * sp.pi * (u - v))
+            * I * e0u_ * d_e0v * tp * pinv * Dinv / 24
         + (12 * g1 * u**2 - 12 * g1 * u * v + 12 * u**2 * v - g2 * u
-           - 2 * g2 * v - 3 * g3) * d_e0u * e0x_v / (6 * (u - v))
-        + (e0v_ * e0x_u - e0u_ * e0x_v) / (4 * (u - v)**2)
+           - 2 * g2 * v - 3 * g3) * d_e0u * e0x_v * Dinv / 6
+        + (e0v_ * e0x_u - e0u_ * e0x_v) * Dinv**2 / 4
             * (4 * g1 * (u - v)**2 + 4 * u**2 * v + 4 * u * v**2
                - g2 * u - g2 * v - 2 * g3)
-        - sp.I * e1v_ * d_e1u * tp / (8 * sp.pi) * lamn
+        - I * e1v_ * d_e1u * tp * pinv / 8 * lamn
             * (2 * g2 * g1 - 3 * g3) * (4 * u**3 - g2 * u - g3)
         + sp.Rational(1, 8) * (4 * v**3 - g2 * v - g3)
-            * (4 * u**3 - g2 * u - g3) * d_e1u * e1x_v / (u - v)
-        - sp.I * e1v_ * d_e1u * tp / (48 * sp.pi * (u - v))
+            * (4 * u**3 - g2 * u - g3) * d_e1u * e1x_v * Dinv
+        - I * e1v_ * d_e1u * tp * pinv * Dinv / 48
             * (4 * u**3 - g2 * u - g3)
             * (12 * g2 * g1 * v - g2**2 + 18 * g1 * g3 - 18 * g3 * v)
         + sp.Rational(1, 8) * (4 * v**3 - g2 * v - g3)
-            * (4 * u**3 - g2 * u - g3) * e1v_ * e1x_u / (u - v)**2
-        - sp.I * e1u_ * e1v_ * tp / (16 * sp.pi) * lamn
+            * (4 * u**3 - g2 * u - g3) * e1v_ * e1x_u * Dinv**2
+        - I * e1u_ * e1v_ * tp * pinv / 16 * lamn
             * (2 * g2 * g1 - 3 * g3) * (12 * u**2 - g2)
-        - e1u_ * e1x_v / (16 * (u - v)**2)
+        - e1u_ * e1x_v * Dinv**2 / 16
             * (48 * u**4 * v**2 - 64 * u**3 * v**3 + 48 * u**2 * v**4
                - 4 * g2 * u**4 + 8 * g2 * u**3 * v - 24 * g2 * u**2 * v**2
                + 8 * g2 * u * v**3 - 4 * g2 * v**4 + g2**2 * u**2
                + g2**2 * v**2 + 4 * g3 * u**3 - 12 * g3 * u**2 * v
                - 12 * g3 * u * v**2 + 4 * g3 * v**3 + 2 * g2 * g3 * u
                + 2 * g2 * g3 * v + 2 * g3**2)
-        + sp.I * e0v_ * d_e0u * tp / (24 * sp.pi * (u - v))
+        + I * e0v_ * d_e0u * tp * pinv * Dinv / 24
             * (24 * g1**2 * u**2 - 24 * g1**2 * u * v - 8 * g2 * g1 * u
                - 4 * g2 * g1 * v - 2 * g2 * u**2 + 2 * g2 * u * v + g2**2
                - 18 * g1 * g3 + 12 * g3 * u + 6 * g3 * v)
@@ -416,18 +491,18 @@ def appendix_table(n: int) -> StructConsts:
             * (4 * v**3 - g2 * v - g3) * (4 * u**3 - g2 * u - g3)
         + e1u_ * d_e1x_v / 8 * lamn * (12 * u**2 - g2)
             * (4 * v**3 - g2 * v - g3)
-        - sp.I * d_e1u * d_e1v * tp / (24 * sp.pi) * lamn
+        - I * d_e1u * d_e1v * tp * pinv / 24 * lamn
             * (4 * u**3 - g2 * u - g3)
             * (12 * g2 * g1 * v - g2**2 + 18 * g1 * g3 - 18 * g3 * v)
-        + sp.I * e1u_ * d_e1v * tp / (48 * sp.pi * (u - v))
+        + I * e1u_ * d_e1v * tp * pinv * Dinv / 48
             * (4 * u**3 - g2 * u - g3)
             * (12 * g2 * g1 * v - g2**2 + 18 * g1 * g3 - 18 * g3 * v)
-        - sp.I * e1u_ * d_e1v * tp / (48 * sp.pi) * lamn * (12 * u**2 - g2)
+        - I * e1u_ * d_e1v * tp * pinv / 48 * lamn * (12 * u**2 - g2)
             * (12 * g2 * g1 * v - g2**2 + 18 * g1 * g3 - 18 * g3 * v)
         + e1u_ * e1x_v / 16 * lamn * (12 * v**2 - g2) * (12 * u**2 - g2)
         + d_e1u * e1x_v / 8 * lamn * (12 * v**2 - g2)
             * (4 * u**3 - g2 * u - g3)
-        + sp.I * e1u_ * e1v_ * tp / (48 * sp.pi)
+        + I * e1u_ * e1v_ * tp * pinv / 48
             * (24 * g2 * g1 * u**2 - 24 * g2 * g1 * u * v - 6 * g1 * g2**2
                + 4 * g2**2 * u + 2 * g2**2 * v - 72 * g1 * g3 * u
                - 36 * g1 * g3 * v - 36 * g3 * u**2 + 36 * g3 * u * v
@@ -435,32 +510,32 @@ def appendix_table(n: int) -> StructConsts:
 
     gf_Q_eo = (
         -sp.Rational(1, 2) * (4 * u**3 - g2 * u - g3)
-            * e1u_ * d_e0x_v / (u - v)
+            * e1u_ * d_e0x_v * Dinv
         + sp.Rational(1, 6) * (12 * g1 * u * v - 12 * g1 * v**2
                                - 12 * u * v**2 + 2 * g2 * u + g2 * v + 3 * g3)
-            * e0u_ * d_e1x_v / (u - v)
+            * e0u_ * d_e1x_v * Dinv
         + sp.Rational(1, 6) * (12 * g1 * u**2 - 12 * g1 * u * v
                                + 12 * u**2 * v - g2 * u - 2 * g2 * v - 3 * g3)
-            * d_e0u * e1x_v / (u - v)
-        + sp.I * e1v_ * d_e0u * tp / (24 * sp.pi * (u - v))
+            * d_e0u * e1x_v * Dinv
+        + I * e1v_ * d_e0u * tp * pinv * Dinv / 24
             * (24 * g1**2 * u**2 - 24 * g1**2 * u * v - 8 * g2 * g1 * u
                - 4 * g2 * g1 * v - 2 * g2 * u**2 + 2 * g2 * u * v + g2**2
                - 18 * g1 * g3 + 12 * g3 * u + 6 * g3 * v)
-        + e1v_ * e0x_u / (4 * (u - v)**2)
+        + e1v_ * e0x_u * Dinv**2 / 4
             * (4 * g1 * u**2 - 8 * g1 * u * v + 4 * g1 * v**2 + 4 * u**2 * v
                + 4 * u * v**2 - g2 * u - g2 * v - 2 * g3)
         + sp.Rational(1, 2) * (4 * u**3 - g2 * u - g3)
-            * e0x_v * d_e1u / (u - v)
+            * e0x_v * d_e1u * Dinv
         + sp.Rational(1, 4) * (4 * u**3 - 12 * u**2 * v + g2 * u + g2 * v
-                               + 2 * g3) * e0x_v * e1u_ / (u - v)**2
+                               + 2 * g3) * e0x_v * e1u_ * Dinv**2
         + sp.Rational(1, 2) * (4 * u**3 - g2 * u - g3)
-            * e0v_ * e1x_u / (u - v)**2
-        + sp.I * e0u_ * d_e1v * tp / (24 * sp.pi * (u - v))
+            * e0v_ * e1x_u * Dinv**2
+        + I * e0u_ * d_e1v * tp * pinv * Dinv / 24
             * (12 * g2 * g1 * u - g2**2 + 18 * g1 * g3 - 18 * g3 * u)
         + sp.Rational(1, 2) * (4 * g1 * u**2 - 8 * g1 * u * v + 4 * g1 * v**2
                                - 8 * u**2 * v + 4 * u * v**2 + g2 * u + g3)
-            * e1x_v * e0u_ / (u - v)**2
-        + sp.I * (e0u_ * e1v_ - e1u_ * e0v_) * tp / (24 * sp.pi * (u - v)**2)
+            * e1x_v * e0u_ * Dinv**2
+        + I * (e0u_ * e1v_ - e1u_ * e0v_) * tp * pinv * Dinv**2 / 24
             * (12 * g1 * g2 * u - g2**2 + 18 * g1 * g3 - 18 * g3 * u)
         + lamn * (4 * u**3 - g2 * u - g3) * d_e0x_v * d_e1u
         + sp.Rational(1, 2) * lamn * (12 * u**2 - g2) * d_e0x_v * e1u_)
@@ -468,66 +543,81 @@ def appendix_table(n: int) -> StructConsts:
     gf_Q_oo = (
         sp.Rational(1, 6) * (12 * g1 * u * v - 12 * g1 * v**2 - 12 * u * v**2
                              + 2 * g2 * u + g2 * v + 3 * g3)
-            * e1u_ * d_e1x_v / (u - v)
-        + 2 * (e0v_ * e0x_u - e0u_ * e0x_v) / (u - v)**2
+            * e1u_ * d_e1x_v * Dinv
+        + 2 * (e0v_ * e0x_u - e0u_ * e0x_v) * Dinv**2
         + sp.Rational(1, 6) * (12 * g1 * u**2 - 12 * g1 * u * v
                                + 12 * u**2 * v - g2 * u - 2 * g2 * v - 3 * g3)
-            * d_e1u * e1x_v / (u - v)
-        + sp.I * e1v_ * d_e1u * tp / (24 * sp.pi * (u - v))
+            * d_e1u * e1x_v * Dinv
+        + I * e1v_ * d_e1u * tp * pinv * Dinv / 24
             * (24 * g1**2 * u**2 - 24 * g1**2 * u * v - 8 * g2 * g1 * u
                - 4 * g2 * g1 * v - 2 * g2 * u**2 + 2 * g2 * u * v + g2**2
                - 18 * g1 * g3 + 12 * g3 * u + 6 * g3 * v)
         + sp.Rational(1, 4) * (4 * g1 * (u - v)**2 + 4 * u**2 * v
                                + 4 * u * v**2 - g2 * u - g2 * v - 2 * g3)
-            * e1v_ * e1x_u / (u - v)**2
-        + 2 * (d_e0u * e0x_v - e0u_ * d_e0x_v) / (u - v)
-        + sp.I * e1u_ * d_e1v * tp / (24 * sp.pi * (u - v))
+            * e1v_ * e1x_u * Dinv**2
+        + 2 * (d_e0u * e0x_v - e0u_ * d_e0x_v) * Dinv
+        + I * e1u_ * d_e1v * tp * pinv * Dinv / 24
             * (12 * g2 * g1 * u - g2**2 + 18 * g1 * g3 - 18 * g3 * u)
-        + sp.I * e1u_ * e1v_ * tp / (8 * sp.pi) * (12 * g1**2 - g2)
+        + I * e1u_ * e1v_ * tp * pinv / 8 * (12 * g1**2 - g2)
         + sp.Rational(1, 4) * (20 * g1 * (u - v)**2 - 4 * u**2 * v
                                - 4 * u * v**2 + g2 * u + g2 * v + 2 * g3)
-            * e1x_v * e1u_ / (u - v)**2
+            * e1x_v * e1u_ * Dinv**2
         + 4 * lamn * d_e0x_v * d_e0u)
 
-    def finalize(gf):
-        e = gf.subs(tp, 2 * sp.pi * sp.I * T)
-        e = sp.cancel(e)
-        if e.has(sp.pi) or e.has(sp.I):
+    return {("P", (0, 0)): gf_P_ee, ("P", (0, 1)): gf_P_eo,
+            ("P", (1, 1)): gf_P_oo, ("Q", (0, 0)): gf_Q_ee,
+            ("Q", (0, 1)): gf_Q_eo, ("Q", (1, 1)): gf_Q_oo}
+
+
+def _finalize_closed_form(gf):
+    """Check that pi and i cancel from a closed form (i^2 = -1,
+    pi * (1/pi) = 1, and neither may remain) and divide its
+    (u - v)-denominator out exactly."""
+    R = gf.ring
+    at = {s: i for i, s in enumerate(R.symbols)}
+    i_i, i_pi, i_pinv = at[_I], at[_PI], at[_PI_INV]
+    pi, pinv = R.gens[i_pi], R.gens[i_pinv]
+
+    def reduce(num):
+        num = _ring_square_reduce(num, i_i, -R.one)
+        num = sum((c * pi ** max(a - b, 0) * pinv ** max(b - a, 0)
+                   for (a, b), c in _group_terms(num, [i_pi, i_pinv]).items()),
+                  R.zero)
+        if any(m[i_i] or m[i_pi] or m[i_pinv] for m in num.itermonoms()):
             raise ExtractionError("pi or i survive the tau' substitution")
-        num, den = sp.fraction(e)
-        if den.free_symbols:
-            raise DivisibilityError(
-                f"(u - v)-denominator does not divide exactly: {den}")
-        return sp.expand(e)
+        return num
 
-    sectors = {
-        (0, 0): finalize(gf_P_ee), (0, 1): finalize(gf_P_eo),
-        (1, 1): finalize(gf_P_oo),
-    }
-    sectors_q = {
-        (0, 0): finalize(gf_Q_ee), (0, 1): finalize(gf_Q_eo),
-        (1, 1): finalize(gf_Q_oo),
-    }
+    D = R.gens[at[sx.u]] - R.gens[at[sx.v]]
+    power = max(gf.degree(R.gens[at[_DINV]]), 0)
+    return _clear_pole(gf, at[_DINV], D, power, reduce)
 
+
+def _harvest(target: dict, sector: tuple, p, n: int, R):
+    """Add the terms c u^a v^b of a finalized closed form of `sector`
+    (0 even, 1 odd, per spectral variable) to the entries of target, as
+    elements of R."""
+    su, sv = sector
+    at = [p.ring.symbols.index(s) for s in (u, v)]
+    for (a, b), c in _group_terms(p, at, R).items():
+        ia, ib = 2 * a + 3 * su, 2 * b + 3 * sv
+        if ia > n or ib > n:
+            raise ExtractionError(
+                f"generating monomial u^{a} v^{b} out of range")
+        target[(ia, ib)] += c
+
+
+def appendix_table(n: int) -> StructConsts:
+    """Structure constants transcribed from the closed-form generating
+    functions, with the explicit tau'(x) replaced by 2*pi*i*T and every
+    (u-v)-denominator divided out exactly."""
     idx = field_indices(n)
-    P = {(a, b): sp.Integer(0) for a in idx for b in idx}
-    Q = {(a, b): sp.Integer(0) for a in idx for b in idx}
-
-    def harvest(target, table):
-        for (su, sv), e in table.items():
-            if e == 0:
-                continue
-            poly = sp.Poly(e, u, v)
-            for (a, b), c in poly.terms():
-                ia = 2 * a if su == 0 else 2 * a + 3
-                ib = 2 * b if sv == 0 else 2 * b + 3
-                if ia > n or ib > n:
-                    raise ExtractionError(
-                        f"generating monomial u^{a} v^{b} out of range")
-                target[(ia, ib)] += c
-
-    harvest(P, sectors)
-    harvest(Q, sectors_q)
+    alg = _structconsts_algebra(n)
+    R, *_ = sp.ring([u, v, _DINV, _I, _PI, _PI_INV] + list(alg.syms), sp.QQ)
+    P = {(a, b): alg.R.zero for a in idx for b in idx}
+    Q = dict(P)
+    for (name, sector), gf in _closed_forms(n, R).items():
+        _harvest(P if name == "P" else Q, sector, _finalize_closed_form(gf),
+                 n, alg.R)
 
     # The closed-form generating functions cover the even-even, even-odd and
     # odd-odd sectors; the odd-even sector follows from antisymmetry:
@@ -536,11 +626,8 @@ def appendix_table(n: int) -> StructConsts:
         for b in idx:
             if a % 2 == 1 and b % 2 == 0:
                 P[(a, b)] = P[(b, a)]
-                Q[(a, b)] = sp.expand(
-                    sx.total_x_derivative(P[(b, a)]) - Q[(b, a)])
-    sc = StructConsts(n=n, P={k: sp.expand(e) for k, e in P.items()},
-                      Q={k: sp.expand(e) for k, e in Q.items()},
-                      generator="appendix")
+                Q[(a, b)] = alg.dx(P[(b, a)]) - Q[(b, a)]
+    sc = StructConsts(n=n, P=P, Q=Q, generator="appendix")
     _check_homogeneity(sc)
     return sc
 
@@ -551,13 +638,11 @@ def match_structconsts(a: StructConsts, b: StructConsts) -> list[str]:
     if a.n != b.n:
         return [f"different n: {a.n} vs {b.n}"]
     out = []
-    for key in sorted(a.P):
-        d = sp.expand(a.P[key] - b.P[key])
-        if d != 0:
+    for key in sorted(a.P_poly):
+        if a.P_poly[key] != b.P_poly[key]:
             out.append(f"P{key}: {sx.render(a.P[key])} != {sx.render(b.P[key])}")
-    for key in sorted(a.Q):
-        d = sp.expand(a.Q[key] - b.Q[key])
-        if d != 0:
+    for key in sorted(a.Q_poly):
+        if a.Q_poly[key] != b.Q_poly[key]:
             out.append(f"Q{key}: {sx.render(a.Q[key])} != {sx.render(b.Q[key])}")
     return out
 
@@ -566,35 +651,41 @@ def match_structconsts(a: StructConsts, b: StructConsts) -> list[str]:
 # JSON documents
 
 def structconsts_to_document(sc: StructConsts) -> dict:
-    zs0 = [jet(f) for f in sc.fields]
-    zs1 = [jet(f, 1) for f in sc.fields]
+    k = len(sc.indices)
+    zs0 = list(range(_Z_AT, _Z_AT + k))
+    q_at = list(range(_Z_AT, _Z_AT + 2 * k)) + [_T_AT]
 
-    def p_terms(e):
+    def grouped(p, at):
+        groups = _group_terms(p, at)
+        return [(key, groups[key].as_expr()) for key in sorted(groups)]
+
+    def p_terms(p):
         terms = []
-        if e != 0:
-            poly = sp.Poly(e, *zs0)
-            for mono, c in sorted(poly.terms()):
-                pos = [i for i, m in enumerate(mono) for _ in range(m)]
-                terms.append({"c": sc.indices[pos[0]], "d": sc.indices[pos[1]],
-                              "coeff": sx.render(c)})
+        for mono, c in grouped(p, zs0):
+            pos = [i for i, m in enumerate(mono) for _ in range(m)]
+            terms.append({"c": sc.indices[pos[0]], "d": sc.indices[pos[1]],
+                          "coeff": sx.render(c)})
         return terms
 
-    def q_terms(e):
+    monomials: dict = {}  # rendered Q monomials by exponents
+
+    def q_terms(p):
         terms = []
-        if e != 0:
-            poly = sp.Poly(e, *(zs0 + zs1 + [T]))
-            for mono, c in sorted(poly.terms()):
-                m = sp.prod(x ** k for x, k in zip(zs0 + zs1 + [T], mono))
-                terms.append({"monomial": sx.render(m), "coeff": sx.render(c)})
+        for mono, c in grouped(p, q_at):
+            if mono not in monomials:
+                gens = (p.ring.symbols[i] for i in q_at)
+                monomials[mono] = sx.render(
+                    sp.prod(x ** e for x, e in zip(gens, mono)))
+            terms.append({"monomial": monomials[mono], "coeff": sx.render(c)})
         return terms
 
     return {
         "n": sc.n,
         "lambda": "1/n",
         "fields": ["tau"] + list(sc.fields),
-        "P": [{"a": a, "b": b, "terms": p_terms(sc.P[(a, b)])}
+        "P": [{"a": a, "b": b, "terms": p_terms(sc.P_poly[(a, b)])}
               for a in sc.indices for b in sc.indices],
-        "Q": [{"a": a, "b": b, "terms": q_terms(sc.Q[(a, b)])}
+        "Q": [{"a": a, "b": b, "terms": q_terms(sc.Q_poly[(a, b)])}
               for a in sc.indices for b in sc.indices],
         "coeff_ring": "Q[g1,g2,g3,T]",
         "generator": sc.generator,
@@ -603,12 +694,12 @@ def structconsts_to_document(sc: StructConsts) -> dict:
 
 def structconsts_from_document(doc: dict) -> StructConsts:
     n = doc["n"]
-    P = {(e["a"], e["b"]): sp.expand(sum(
+    P = {(e["a"], e["b"]): sum(
             sx.parse(t["coeff"]) * jet(field_name(t["c"])) * jet(field_name(t["d"]))
-            for t in e["terms"]))
+            for t in e["terms"])
          for e in doc["P"]}
-    Q = {(e["a"], e["b"]): sp.expand(sum(
-            sx.parse(t["coeff"]) * sx.parse(t["monomial"]) for t in e["terms"]))
+    Q = {(e["a"], e["b"]): sum(
+            sx.parse(t["coeff"]) * sx.parse(t["monomial"]) for t in e["terms"])
          for e in doc["Q"]}
     return StructConsts(n=n, P=P, Q=Q, generator=doc.get("generator", ""))
 

@@ -4,9 +4,12 @@ The files under tests/data were written by the package before its delta
 calculus moved from sympy expressions to one coefficient ring per table:
 `loopb descend --n 3` in both affine charts, the Proposition 2 table
 descended onto p1 = z1/z2 (rendered as the descend command renders), and
-`loopb verify poisson --n 2 --json`.  Every document must still come out
-byte for byte the same."""
+`loopb verify poisson --n 2 --json`.  The `loopb table` documents (in
+full for n = 2, 3, as SHA-256 digests for n = 2..6) were written before
+the two structure-constant derivations moved to polynomial rings.  Every
+document must still come out byte for byte the same."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -52,3 +55,22 @@ def test_verify_poisson_n2(tmp_path):
     assert cli.main(["verify", "poisson", "--n", "2",
                      "--json", str(out)]) == 0
     assert out.read_bytes() == (DATA / "verify_poisson_n2.json").read_bytes()
+
+
+@pytest.mark.parametrize("source", ["extract", "appendix"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_table(n, source, capsys):
+    assert cli.main(["table", "--n", str(n), "--source", source]) == 0
+    got = capsys.readouterr().out.encode()
+    assert got == (DATA / f"table_n{n}_{source}.json").read_bytes()
+
+
+def test_table_digests(capsys):
+    want = json.loads((DATA / "tables_sha256.json").read_text())
+    got = {}
+    for key in want:
+        n, source = key.split("/")
+        assert cli.main(["table", "--n", n, "--source", source]) == 0
+        got[key] = hashlib.sha256(
+            capsys.readouterr().out.encode()).hexdigest()
+    assert got == want

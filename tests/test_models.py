@@ -15,7 +15,8 @@ from loopbrackets import distcalc as dc
 from loopbrackets import elliptic
 from loopbrackets import models
 from loopbrackets import symexpr as sx
-from loopbrackets.errors import DomainError
+from loopbrackets.errors import (DivisibilityError, DomainError,
+                                 ExtractionError)
 from loopbrackets.symexpr import jet
 
 
@@ -89,6 +90,126 @@ class TestDocumentRoundTrip:
         d2 = models.structconsts_to_document(models.appendix_table(2))
         d1.pop("generator"), d2.pop("generator")
         assert d1 == d2
+
+
+class TestDerivationErrors:
+    """Negative controls for the checks of both derivations: each input
+    breaks exactly one of them."""
+
+    D = sx.wpv - sx.wpu
+
+    def test_denominator_power_above_clearing_power(self):
+        with pytest.raises(ExtractionError, match="clearing power"):
+            models._spectral_clear(1 / self.D ** 4, 3)
+
+    def test_clearing_factor_does_not_divide(self):
+        with pytest.raises(DivisibilityError):
+            models._spectral_clear(1 / self.D, 3)
+
+    def test_stray_denominator(self):
+        with pytest.raises(ExtractionError, match="denominator"):
+            models._spectral_clear(1 / (sx.wpu + sx.wpv), 3)
+
+    def test_rational_multiple_of_clearing_factor(self):
+        p = models._spectral_clear(self.D / (2 * sx.wpv - 2 * sx.wpu), 3)
+        assert p.as_expr() == sp.Rational(1, 2)
+
+    @pytest.mark.parametrize("leaf", [sx.u, sx.zwu], ids=str)
+    def test_spectral_leaf_survives(self, leaf):
+        with pytest.raises(ExtractionError, match=f"leaf {leaf} survives"):
+            models._spectral_clear(leaf * sx.wpu, 3)
+
+    @staticmethod
+    def split(expr, n):
+        R, *_ = sp.ring([sx.dwpu, sx.dwpv, sx.wpu, sx.wpv, sx.u, jet("z0")],
+                        sp.QQ)
+        return models._coeff_split(R.from_expr(expr), n,
+                                   models._structconsts_algebra(n).R)
+
+    def test_coeff_split_reads_pole_orders(self):
+        got = self.split(sx.dwpu * sx.wpv * jet("z0") ** 2, 3)
+        assert got[(3, 2)].as_expr() == -2 * jet("z0") ** 2
+        assert sum(1 for p in got.values() if p) == 1
+
+    def test_stray_pole_order_in_coeff_split(self):
+        with pytest.raises(ExtractionError, match="pole orders"):
+            self.split(sx.wpu ** 2 * jet("z0") ** 2, 2)
+
+    def test_unreduced_odd_leaf(self):
+        with pytest.raises(ExtractionError, match="odd-leaf"):
+            self.split(sx.dwpu ** 2 * jet("z0") ** 2, 3)
+
+    def test_stray_generator_in_entry(self):
+        with pytest.raises(ExtractionError, match="u survives"):
+            self.split(sx.u * jet("z0") ** 2, 2)
+
+    def test_stray_pole_order_in_harvest(self):
+        _, u, v, z0 = sp.ring([sx.u, sx.v, jet("z0")], sp.QQ)
+        R = models._structconsts_algebra(2).R
+        target = {(a, b): R.zero for a in (0, 2) for b in (0, 2)}
+        models._harvest(target, (0, 0), u * z0 ** 2, 2, R)
+        assert target[(2, 0)].as_expr() == jet("z0") ** 2
+        with pytest.raises(ExtractionError, match="out of range"):
+            models._harvest(target, (0, 0), u ** 2 * z0 ** 2, 2, R)
+
+    @staticmethod
+    def closed_form_ring():
+        return sp.ring([sx.u, sx.v, models._DINV, models._I, models._PI,
+                        models._PI_INV, sx.T], sp.QQ)
+
+    def test_closed_form_tau_prime_substitution(self):
+        R, u, v, Dinv, i, pi, pinv, T = self.closed_form_ring()
+        tp = 2 * pi * i * T
+        got = models._finalize_closed_form(
+            i * tp * pinv / 24 + (u ** 2 - v ** 2) * Dinv)
+        assert got.as_expr() == -sx.T / 12 + sx.u + sx.v
+
+    @pytest.mark.parametrize("survivor", ["i", "pi"])
+    def test_pi_or_i_survive(self, survivor):
+        R, u, v, Dinv, i, pi, pinv, T = self.closed_form_ring()
+        term = {"i": i * T, "pi": pi * T}[survivor]
+        with pytest.raises(ExtractionError, match="pi or i survive"):
+            models._finalize_closed_form(term + u * v)
+
+    def test_closed_form_not_divisible(self):
+        R, u, v, Dinv, i, pi, pinv, T = self.closed_form_ring()
+        with pytest.raises(DivisibilityError):
+            models._finalize_closed_form(u * Dinv)
+
+    def test_entry_outside_the_ring(self):
+        with pytest.raises(ExtractionError, match="not a polynomial"):
+            models.StructConsts(n=2, P={(0, 0): 1 / jet("z0")}, Q={})
+
+
+class TestDerivationRings:
+    """Both derivations compute in sparse polynomial rings: no sympy
+    cancel, no Poly built from an Expr, and a fixed number of ring
+    constructions per route (documents and matching build none)."""
+
+    @pytest.mark.parametrize("route, rings", [("thm3_extract", (2, 1)),
+                                              ("appendix_table", (1, 1))])
+    def test_calls(self, route, rings, monkeypatch):
+        calls = []
+        for name in ("ring", "field", "cancel"):
+            orig = getattr(sp, name)
+
+            def counted(*args, _orig=orig, _name=name, **kwargs):
+                calls.append(_name)
+                return _orig(*args, **kwargs)
+            monkeypatch.setattr(sp, name, counted)
+        from_expr = sp.Poly._from_expr.__func__
+
+        def poly_from_expr(cls, rep, opt):
+            calls.append("Poly")
+            return from_expr(cls, rep, opt)
+        monkeypatch.setattr(sp.Poly, "_from_expr",
+                            classmethod(poly_from_expr))
+        sc = getattr(models, route)(3)
+        models.structconsts_to_document(sc)
+        models.match_structconsts(sc, sc)
+        assert calls.count("cancel") == 0
+        assert calls.count("Poly") == 0
+        assert (calls.count("ring"), calls.count("field")) == rings
 
 
 class TestBracketTables:
