@@ -31,7 +31,7 @@ def main() -> int:
     args = ap.parse_args()
 
     sys_ = models.prop1_system(args.s)
-    print(f"s = {args.s}: {len(sys_.equations)} equations, "
+    print(f"s = {args.s}: {len(sys_.c)} equations, "
           f"{len(sys_.unknowns)} unknowns")
 
     cert = models.prop1_certificate(sys_, restarts=args.restarts,

@@ -75,13 +75,6 @@ class DistPoly:
 
     terms: tuple[DeltaTerm, ...]
 
-    def coeff(self, orders) -> sp.Expr:
-        orders = tuple(orders)
-        for t in self.terms:
-            if t.orders == orders:
-                return t.coeff
-        return sp.Integer(0)
-
     def is_zero(self) -> bool:
         return not self.terms
 
@@ -95,17 +88,24 @@ class _RawTerm:
     deltas: tuple[tuple[str, str, int], ...]
 
 
-def _table_depth(seed_exprs, orders) -> int:
+def _free_symbols(e) -> set:
+    """The symbols of an Expr, or the generators a polynomial depends on."""
+    if isinstance(e, PolyElement):
+        return {s for s, col in zip(e.ring.symbols, zip(*e)) if any(col)}
+    return sp.sympify(e).free_symbols
+
+
+def _table_depth(seeds, orders) -> int:
     """Prolongation depth of a table's algebra.  With delta orders up to N
     and coefficient jets up to J, a Leibniz bracket takes at most N + J
     x-derivatives of a factor and a Jacobi defect 2N + J more, so no jet
     past order 3 (N + J) can occur."""
-    J = max((info[1] for e in seed_exprs for s in sp.sympify(e).free_symbols
+    J = max((info[1] for e in seeds for s in _free_symbols(e)
              if (info := sx.jet_info(s)) is not None), default=0)
     return 3 * (max(orders, default=0) + J)
 
 
-def _ring_symbols(seed_exprs, depth: int, fields=(),
+def _ring_symbols(seeds, depth: int, fields=(),
                   frozen: bool = False) -> list:
     """Generators for a coefficient algebra: the leaves of the seeds,
     closed under the tau-chain rewrites, and the jets of every field seen
@@ -123,8 +123,8 @@ def _ring_symbols(seed_exprs, depth: int, fields=(),
         else:
             leaves.add(s)
 
-    for e in seed_exprs:
-        for s in sp.sympify(e).free_symbols:
+    for e in seeds:
+        for s in _free_symbols(e):
             note(s)
     frontier = set(leaves)
     while frontier:
@@ -153,26 +153,17 @@ def _ring_symbols(seed_exprs, depth: int, fields=(),
     return sorted(gens, key=str)
 
 
-def _domain(exprs):
-    """QQ for exact coefficients, CC when any is a float or complex."""
-    for e in exprs:
-        e = sp.sympify(e)
-        if e.has(sp.I) or e.atoms(sp.Float):
-            return sp.CC
-    return sp.QQ
-
-
 class _RingAlgebra:
-    """Coefficient arithmetic in a sparse polynomial ring over QQ or CC
-    and its fraction field (elements are ring elements while they are
+    """Coefficient arithmetic in a sparse polynomial ring over QQ and its
+    fraction field (elements are ring elements while they are
     polynomial), with the total x-derivative and d/dth built in.  With
     `frozen` the modular parameter is a constant: g1, g2, g3, the other
     tau-dependent leaves and the modular jets T, T_x, ... all have zero
     x-derivative.  `memo` holds the Leibniz brackets of every table that
     shares this algebra, keyed on the bracket row they read."""
 
-    def __init__(self, syms, domain, frozen: bool):
-        self.F, *_ = sp.field(syms, domain)
+    def __init__(self, syms, frozen: bool):
+        self.F, *_ = sp.field(syms, sp.QQ)
         self.R = self.F.ring
         self.syms = tuple(syms)
         self.index = {s: i for i, s in enumerate(self.syms)}
@@ -200,16 +191,26 @@ class _RingAlgebra:
                     (self._dth[i] * self.R.gens[T]).items()))
 
     def conv(self, e):
-        """An Expr as an element: a ring element when it is polynomial."""
-        e = sp.sympify(e)
-        if not e.free_symbols <= self.index.keys():
-            missing = sorted(map(str, e.free_symbols - self.index.keys()))
+        """An Expr, or a polynomial over QQ, as an element: a ring element
+        when it is polynomial.  ClosureError for anything that is not a
+        rational function over QQ in the generators, floats included."""
+        if not isinstance(e, PolyElement):
+            e = sp.sympify(e)
+        syms = _free_symbols(e)
+        if not syms <= self.index.keys():
+            missing = sorted(map(str, syms - self.index.keys()))
             raise ClosureError(f"{missing} are not generators of the "
                                "coefficient ring")
-        try:
-            return self.R.from_expr(e)
-        except ValueError:
-            return self.F.from_expr(e)
+        if isinstance(e, PolyElement):
+            if e.ring.domain == sp.QQ:
+                return e.set_ring(self.R)
+        elif not e.has(sp.Float):
+            for dom in (self.R, self.F):
+                try:
+                    return dom.from_expr(e)
+                except ValueError:
+                    pass
+        raise ClosureError(f"{e} is not a rational function over QQ")
 
     def _dx_poly(self, p):
         out = self.R.zero
@@ -280,8 +281,7 @@ def canonicalize(raw_terms, frozen: bool = False, alg=None) -> DistPoly:
 
     With `alg` the factors are elements of that algebra (a table's).
     Without, they are sympy expressions and one algebra is built for this
-    call: over QQ, or CC for floating-point complex coefficients.
-    ClosureError for a leaf without a derivative rewrite."""
+    call.  ClosureError for a leaf without a derivative rewrite."""
     raw_terms = list(raw_terms)
     if alg is None:
         # a factor is differentiated at most once per unit of delta order
@@ -289,7 +289,7 @@ def canonicalize(raw_terms, frozen: bool = False, alg=None) -> DistPoly:
                     default=0)
         seeds = [e for t in raw_terms for _, e in t.factors]
         alg = _RingAlgebra(_ring_symbols(seeds, depth, frozen=frozen),
-                           _domain(seeds), frozen)
+                           frozen)
         raw_terms = [_RawTerm(tuple((p, alg.conv(e)) for p, e in t.factors),
                               t.deltas) for t in raw_terms]
     return _canonicalize(alg, raw_terms)
@@ -426,16 +426,17 @@ def transpose_entry(entry, alg=None) -> tuple[DeltaTerm, ...]:
 def build_table(fields, given, frozen_modular: bool = False) -> BracketTable:
     """Complete a partially given table by antisymmetry.
 
-    `given` maps ordered pairs (a, b) to lists of (coeff, order); every
-    missing transpose (b, a) is filled in as -{a(x), b(y)} with the
-    points exchanged and recanonicalized.  The table's algebra is built
-    here, from the given coefficients and the fields.
+    `given` maps ordered pairs (a, b) to lists of (coeff, order), each
+    coefficient an Expr or a polynomial over QQ; every missing transpose
+    (b, a) is filled in as -{a(x), b(y)} with the points exchanged and
+    recanonicalized.  The table's algebra is built here, from the given
+    coefficients and the fields.
     """
     seeds = [c for terms in given.values() for c, _ in terms]
     depth = _table_depth(seeds, [m for terms in given.values()
                                  for _, m in terms])
     alg = _RingAlgebra(_ring_symbols(seeds, depth, fields, frozen_modular),
-                       _domain(seeds), frozen_modular)
+                       frozen_modular)
     entries = {}
     for (a, b), terms in given.items():
         vals = ((alg.conv(c), m) for c, m in terms)
@@ -640,7 +641,7 @@ def change_coordinates(table: BracketTable, forward: dict, inverse: dict,
             if not (old.jets[i] and old.jets[i][0] in inverse)]
     K = _RingAlgebra(_ring_symbols(list(inverse.values()) + kept, depth,
                                    frozen=frozen_modular),
-                     old.R.domain, frozen_modular)
+                     frozen_modular)
     images = {i: K.R.zero for i in zeroed}
     images.update({i: K.R.gens[K.index[old.syms[i]]]
                    for i in used if old.syms[i] in kept})
@@ -682,7 +683,7 @@ def change_coordinates(table: BracketTable, forward: dict, inverse: dict,
                                  for _, orders in terms])
     alg = _RingAlgebra(_ring_symbols(seeds, depth, new_fields,
                                      frozen_modular),
-                       K.R.domain, frozen_modular)
+                       frozen_modular)
 
     def transfer(c):
         if isinstance(c, FracElement):

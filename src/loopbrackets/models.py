@@ -111,7 +111,7 @@ def _structconsts_algebra(n: int) -> dcx._RingAlgebra:
     x-derivative of the delta calculus."""
     zs = [field_name(a) for a in field_indices(n)]
     syms = [g1, g2, g3, T] + [jet(f) for f in zs] + [jet(f, 1) for f in zs]
-    return dcx._RingAlgebra(syms, sp.QQ, frozen=False)
+    return dcx._RingAlgebra(syms, frozen=False)
 
 
 def _group_terms(p, at, R=None) -> dict:
@@ -197,7 +197,7 @@ class StructConsts:
         for a in self.indices:
             for b in self.indices:
                 given[(field_name(a), field_name(b))] = [
-                    (self.P[(a, b)], 1), (self.Q[(a, b)], 0)]
+                    (self.P_poly[(a, b)], 1), (self.Q_poly[(a, b)], 0)]
         return dcx.build_table(names, given)
 
 
@@ -1058,15 +1058,15 @@ class NoGoSystem:
     The normalised equations are held exactly as the tensors of
     r(x) = c + A x + B[x, x]: `c` (one entry per equation), `A` (equations
     x unknowns), and B in coordinates `quad` = (rows, i, j, vals) with
-    i <= j, one entry per quadratic monomial x_i x_j."""
+    i <= j, one entry per quadratic monomial x_i x_j.  Row k is the
+    equation divided by `scales[k]`, its largest coefficient magnitude."""
 
     s: complex
     unknowns: list
-    equations: list  # normalised sympy expressions, one per residual
-    groups: dict  # name -> slice of equation indices
     c: np.ndarray
     A: np.ndarray
     quad: tuple
+    scales: np.ndarray
 
     def residual_vector(self, vec):
         rows, i, j, vals = self.quad
@@ -1083,18 +1083,20 @@ class NoGoSystem:
         return J
 
 
+# index pairs (a, b) with a <= b, and all four ordered pairs
+_PAIRS = ((1, 1), (1, 2), (2, 2))
+_ORDERED_PAIRS = tuple(itertools.product((1, 2), repeat=2))
+
+
 def _nogo_tables(qsym, rsym):
     """BracketTable on (z1, z2) from symbolic unknown coefficients."""
     z = {1: jet("z1"), 2: jet("z2")}
     zx = {1: jet("z1", 1), 2: jet("z2", 1)}
     given = {}
-    for a in (1, 2):
-        for b in (1, 2):
-            P = sum(qsym[(a, b, c, d)] * z[c] * z[d]
-                    for c in (1, 2) for d in (1, 2) if c <= d)
-            Q = sum(rsym[(a, b, c, d)] * z[c] * zx[d]
-                    for c in (1, 2) for d in (1, 2))
-            given[(f"z{a}", f"z{b}")] = [(P, 1), (Q, 0)]
+    for a, b in _ORDERED_PAIRS:
+        P = sum(qsym[(a, b, c, d)] * z[c] * z[d] for c, d in _PAIRS)
+        Q = sum(rsym[(a, b, c, d)] * z[c] * zx[d] for c, d in _ORDERED_PAIRS)
+        given[(f"z{a}", f"z{b}")] = [(P, 1), (Q, 0)]
     return dcx.build_table(("z1", "z2"), given)
 
 
@@ -1116,15 +1118,35 @@ def _nogo_unknowns():
 _NOGO_Q, _NOGO_R, _NOGO_UNKNOWNS = _nogo_unknowns()
 
 
-def _quadratic_tensors(eqs, unknowns):
-    """One Poly per equation over the unknowns: drop the zero ones, scale
-    each by its largest coefficient magnitude (so that the residual is
-    invariant under trivial rescalings of the system), and fill the
-    scaled equations and the tensors (c, A, quad) of NoGoSystem."""
-    out, parts = [], ([], [], [])  # (row, *variables, value) by degree
-    for eq in eqs:
-        poly = sp.Poly(eq, *unknowns)
-        terms = [(m, complex(v)) for m, v in poly.terms() if v != 0]
+def _chart_coefficients(table, R=None) -> dict:
+    """{p(x), p(y)} for p = z1/z2 in the chart z2 = 1, where z1 = p and
+    z1' = p' + p zr with zr = z2'/z2: {order: {(i, j, k): coefficient of
+    p^i p'^j zr^k, an element of R}}.  In the table's ring z1, z1_x and
+    z2_x stand for p, p' and zr once z2 is set to 1."""
+    alg = table.alg
+    at = [alg.index[jet(f, k)] for f, k in (("z1", 0), ("z1", 1),
+                                            ("z2", 1), ("z2", 0))]
+    z1, z1x, z2x, z2 = (alg.R.gens[i] for i in at)
+    chart = [(z2, alg.R.one), (z1x, z1x + z1 * z2x)]
+    p = alg.F(z1) / alg.F(z2)
+    out = {}
+    for t in dcx.bracket_of_functions(table, p, p).terms:
+        v = alg.F(t.value)
+        num = v.numer.compose(chart).exquo(v.denom.compose(chart))
+        out[t.orders] = _group_terms(num, at[:3], R)
+    return out
+
+
+def _quadratic_tensors(rows, m: int):
+    """c, A, quad and scales of NoGoSystem from the equations poly = t
+    (poly without constant term in the m unknowns, t a number): drop the
+    zero ones, scale each by its largest coefficient magnitude (so that
+    the residual is invariant under trivial rescalings of the system)."""
+    scales, parts = [], ([], [], [])  # (row, *variables, value) by degree
+    for poly, t in rows:
+        terms = [(monom, complex(v)) for monom, v in poly.terms()]
+        if t:
+            terms.append((poly.ring.zero_monom, -t))
         if not terms:
             continue
         scale = max(abs(v) for _, v in terms)
@@ -1133,10 +1155,10 @@ def _quadratic_tensors(eqs, unknowns):
             if len(at) > 2:
                 raise DomainError(
                     f"no-go equation of degree {len(at)} > 2 in the unknowns")
-            parts[len(at)].append((len(out), *at, v / scale))
-        out.append(poly.as_expr() / scale)
-    c = np.zeros(len(out), dtype=complex)
-    A = np.zeros((len(out), len(unknowns)), dtype=complex)
+            parts[len(at)].append((len(scales), *at, v / scale))
+        scales.append(scale)
+    c = np.zeros(len(scales), dtype=complex)
+    A = np.zeros((len(scales), m), dtype=complex)
     for row, v in parts[0]:
         c[row] = v
     for row, k, v in parts[1]:
@@ -1144,73 +1166,60 @@ def _quadratic_tensors(eqs, unknowns):
     cols = list(zip(*parts[2])) or [(), (), (), ()]
     quad = (*(np.array(col, dtype=np.intp) for col in cols[:3]),
             np.array(cols[3], dtype=complex))
-    return out, c, A, quad
+    return c, A, quad, np.array(scales)
 
 
 def prop1_system(s, include_jacobi: bool = True,
                  matching_target=None) -> NoGoSystem:
     """Constraint system for lifting the projective-line hydrodynamic
     bracket with G = p(p-1)(p-s) to a constant homogeneous bracket on
-    two fields.
+    two fields, read from the ring elements of the table's algebra.
 
     matching_target overrides the (G, G'/2) pair with arbitrary
-    canonical (delta', delta) coefficient expressions in p, p', zr
-    (zr = z2'/z2) -- used by the feasible self-test.
+    canonical (delta', delta) coefficients, {order: {(i, j, k): value}}
+    for the monomials p^i p'^j zr^k (zr = z2'/z2) -- used by the
+    feasible self-test.
     """
     qsym, rsym, unknowns = _NOGO_Q, _NOGO_R, list(_NOGO_UNKNOWNS)
     table = _nogo_tables(qsym, rsym)
+    R = sp.ring(unknowns, sp.QQ)[0]
+    q = {k: R(sym) for k, sym in qsym.items()}
+    r = {k: R(sym) for k, sym in rsym.items()}
 
-    eqs = []
-    groups = {}
+    rows = []  # (polynomial in the unknowns, numeric target)
 
     # antisymmetry: P symmetric in (a,b); Q_ab + Q_ba = Dx P_ab, which in
     # coefficients reads r_ab^{cd} + r_ba^{cd} = 2 q_ab^{cd}
-    start = len(eqs)
-    for c in (1, 2):
-        for d in (1, 2):
-            if c <= d:
-                eqs.append(qsym[(1, 2, c, d)] - qsym[(2, 1, c, d)])
-    for a, b in ((1, 1), (1, 2), (2, 2)):
-        for c in (1, 2):
-            for d in (1, 2):
-                eqs.append(rsym[(a, b, c, d)] + rsym[(b, a, c, d)]
-                           - 2 * qsym[(a, b, c, d)])
-    groups["antisymmetry"] = (start, len(eqs))
+    rows += [(q[(1, 2, c, d)] - q[(2, 1, c, d)], 0) for c, d in _PAIRS]
+    rows += [(r[(a, b, c, d)] + r[(b, a, c, d)] - 2 * q[(a, b, c, d)], 0)
+             for (a, b), (c, d) in itertools.product(_PAIRS, _ORDERED_PAIRS)]
 
-    # matching the projective-line bracket through p = z1/z2
-    start = len(eqs)
-    p, pp, zr = sp.symbols("p_aff p_aff_x zrel")
-    dp = dcx.bracket_of_functions(table, jet("z1") / jet("z2"),
-                                  jet("z1") / jet("z2"))
-    subs = {jet("z1"): p, jet("z1", 1): pp + p * zr,
-            jet("z2"): 1, jet("z2", 1): zr}
+    # matching the projective-line bracket through p = z1/z2: G and G'/2
+    # times p', G = p^3 - (1 + s) p^2 + s p
     if matching_target is None:
-        G = p * (p - 1) * (p - sp.sympify(s))
-        target = {(1,): G, (0,): sp.diff(G, p) * pp / 2}
-    else:
-        target = matching_target
+        sc = complex(s)
+        matching_target = {
+            (1,): {(3, 0, 0): 1, (2, 0, 0): -(1 + sc), (1, 0, 0): sc},
+            (0,): {(2, 1, 0): 1.5, (1, 1, 0): -(1 + sc), (0, 1, 0): sc / 2}}
+    got = _chart_coefficients(table, R)
     for order in ((1,), (0,)):
-        got = sp.expand(sp.sympify(dp.coeff(order)).subs(subs))
-        diff = sp.expand(got - target.get(order, 0))
-        poly = sp.Poly(diff, p, pp, zr)
-        eqs.extend(poly.coeffs())
-    groups["matching"] = (start, len(eqs))
+        have, want = got.get(order, {}), matching_target.get(order, {})
+        for key in sorted(have.keys() | want.keys(), reverse=True):
+            rows.append((have.get(key, R.zero), want.get(key, 0)))
 
     if include_jacobi:
-        start = len(eqs)
+        # the z jets in the order z1, z2, z1_x, z2_x, ...
+        jets = table.alg.jets
+        at = sorted((i for i, info in enumerate(jets) if info),
+                    key=lambda i: jets[i][::-1])
         for tri in dcx.jacobi_triples(("z1", "z2")):
-            jd = dcx.jacobi_defect(table, *tri)
-            for term in jd.terms:
-                zjets = [jet("z1"), jet("z2"), jet("z1", 1), jet("z2", 1),
-                         jet("z1", 2), jet("z2", 2), jet("z1", 3),
-                         jet("z2", 3)]
-                poly = sp.Poly(term.coeff, *zjets)
-                eqs.extend(poly.coeffs())
-        groups["jacobi"] = (start, len(eqs))
+            for term in dcx.jacobi_defect(table, *tri).terms:
+                g = _group_terms(term.value, at, R)
+                rows.extend((g[key], 0) for key in sorted(g, reverse=True))
 
-    out, c, A, quad = _quadratic_tensors(eqs, unknowns)
-    return NoGoSystem(s=s, unknowns=unknowns, equations=out, groups=groups,
-                      c=c, A=A, quad=quad)
+    c, A, quad, scales = _quadratic_tensors(rows, len(unknowns))
+    return NoGoSystem(s=s, unknowns=unknowns, c=c, A=A, quad=quad,
+                      scales=scales)
 
 
 def _real_split(sys: NoGoSystem):
@@ -1258,7 +1267,7 @@ def prop1_certificate(sys: NoGoSystem, restarts: int = 100,
         "median_residual": float(np.median(values)),
         "best_point_norm": float(np.linalg.norm(best_x)) if best_x is not None
         else None,
-        "n_equations": len(sys.equations),
+        "n_equations": len(sys.c),
         "values": values,
     }
 
@@ -1267,37 +1276,26 @@ def prop1_feasible_selftest(seed: int = 0) -> dict:
     """Feasible control: match the descent of a random antisymmetric
     coefficient choice against its own image (no Jacobi constraints);
     the optimum must reach ~0 because the chosen coefficients solve the
-    system by construction."""
+    system by construction.  The coefficients are seeded normal draws
+    rounded to multiples of 1/16, so the table is exact over QQ."""
     rng = np.random.default_rng(seed)
-    qv = {}
-    rv = {}
-    for a, b in ((1, 1), (1, 2), (2, 2)):
-        for c in (1, 2):
-            for d in (1, 2):
-                if c <= d:
-                    val = complex(rng.normal(), rng.normal())
-                    for key in {(a, b, c, d), (a, b, d, c),
-                                (b, a, c, d), (b, a, d, c)}:
-                        qv[key] = val
-    for a, b in ((1, 1), (1, 2), (2, 2)):
-        for c in (1, 2):
-            for d in (1, 2):
-                r1 = complex(rng.normal(), rng.normal())
-                rv[(a, b, c, d)] = r1
-                if (b, a) != (a, b):
-                    rv[(b, a, c, d)] = 2 * qv[(a, b, c, d)] - r1
-                else:
-                    rv[(a, b, c, d)] = qv[(a, b, c, d)]  # r + r = 2q
 
-    table = _nogo_tables({k: sp.sympify(val) for k, val in qv.items()},
-                         {k: sp.sympify(val) for k, val in rv.items()})
-    p, pp, zr = sp.symbols("p_aff p_aff_x zrel")
-    dp = dcx.bracket_of_functions(table, jet("z1") / jet("z2"),
-                                  jet("z1") / jet("z2"))
-    ssubs = {jet("z1"): p, jet("z1", 1): pp + p * zr,
-             jet("z2"): 1, jet("z2", 1): zr}
-    target = {(1,): sp.expand(sp.sympify(dp.coeff((1,))).subs(ssubs)),
-              (0,): sp.expand(sp.sympify(dp.coeff((0,))).subs(ssubs))}
+    def draw():
+        return sp.Rational(round(16 * rng.normal()), 16)
+    qv, rv = {}, {}
+    for (a, b), (c, d) in itertools.product(_PAIRS, _PAIRS):
+        val = draw()
+        for key in ((a, b, c, d), (a, b, d, c), (b, a, c, d), (b, a, d, c)):
+            qv[key] = val
+    for (a, b), (c, d) in itertools.product(_PAIRS, _ORDERED_PAIRS):
+        r1 = draw()
+        # r_ab + r_ba = 2 q_ab, so r_aa = q_aa
+        rv[(a, b, c, d)] = r1 if a != b else qv[(a, b, c, d)]
+        rv[(b, a, c, d)] = 2 * qv[(a, b, c, d)] - rv[(a, b, c, d)]
+
+    target = {order: {key: complex(p.LC) for key, p in coeffs.items()}
+              for order, coeffs in
+              _chart_coefficients(_nogo_tables(qv, rv)).items()}
     sys2 = prop1_system(s=2, include_jacobi=False, matching_target=target)
     return prop1_certificate(sys2, restarts=8, seed=seed)
 

@@ -7,12 +7,18 @@ descended onto p1 = z1/z2 (rendered as the descend command renders), and
 `loopb verify poisson --n 2 --json`.  The `loopb table` documents (in
 full for n = 2, 3, as SHA-256 digests for n = 2..6) were written before
 the two structure-constant derivations moved to polynomial rings.  Every
-document must still come out byte for byte the same."""
+document must still come out byte for byte the same.
+
+`nogo_tensors_sha256.json` holds the SHA-256 of the no-go system's
+arrays (c, A and the four coordinate arrays of B) at s = 2.0 and
+s = 0.5+0.3i, written while the system was still read from sympy
+expressions; reading it from ring elements must give the same bits."""
 
 import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from loopbrackets import cli, models
@@ -73,4 +79,19 @@ def test_table_digests(capsys):
         assert cli.main(["table", "--n", n, "--source", source]) == 0
         got[key] = hashlib.sha256(
             capsys.readouterr().out.encode()).hexdigest()
+    assert got == want
+
+
+@pytest.mark.parametrize("s", ["2.0", "0.5+0.3j"])
+def test_nogo_tensors(s):
+    want = json.loads((DATA / "nogo_tensors_sha256.json").read_text())[s]
+    sysm = models.prop1_system(complex(s) if "j" in s else float(s))
+    arrays = dict(zip(("c", "A", "rows", "i", "j", "vals"),
+                      (sysm.c, sysm.A, *sysm.quad)))
+    got = {name: hashlib.sha256(np.ascontiguousarray(a).tobytes()).hexdigest()
+           for name, a in arrays.items()}
+    everything = hashlib.sha256()
+    for a in arrays.values():
+        everything.update(np.ascontiguousarray(a).tobytes())
+    got["all"] = everything.hexdigest()
     assert got == want

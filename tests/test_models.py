@@ -339,26 +339,79 @@ def _difference_error(f, jac, x, h=1e-6):
     return np.max(np.abs(J - fd)) / max(1.0, np.max(np.abs(J)))
 
 
+def _specialised_equations(point, s):
+    """The unnormalised no-go equations with the unknowns set to `point`
+    (exact rationals), derived on the table of those values by the Expr
+    route: the antisymmetry relations, the matching of the descent
+    through p = z1/z2 against G = p(p-1)(p-s) and G'/2 p', and the
+    Jacobi coefficients at each monomial in the z jets."""
+    val = dict(zip(models._NOGO_UNKNOWNS, point))
+    q = {k: val[v] for k, v in models._NOGO_Q.items()}
+    r = {k: val[v] for k, v in models._NOGO_R.items()}
+    out = [q[(1, 2, c, d)] - q[(2, 1, c, d)] for c, d in ((1, 1), (1, 2),
+                                                          (2, 2))]
+    out += [r[(a, b, c, d)] + r[(b, a, c, d)] - 2 * q[(a, b, c, d)]
+            for a, b in ((1, 1), (1, 2), (2, 2)) for c in (1, 2)
+            for d in (1, 2)]
+    table = models._nogo_tables(q, r)
+    p, pp, zr = sp.symbols("p pp zr")
+    G = p * (p - 1) * (p - s)
+    dp = dc.bracket_of_functions(table, jet("z1") / jet("z2"),
+                                 jet("z1") / jet("z2"))
+    chart = {jet("z1"): p, jet("z1", 1): pp + p * zr, jet("z2"): 1,
+             jet("z2", 1): zr}
+    got = {t.orders: t.coeff for t in dp.terms}
+    for order, target in (((1,), G), ((0,), sp.diff(G, p) * pp / 2)):
+        diff = sp.expand(got[order].subs(chart) - target)
+        out += sp.Poly(diff, p, pp, zr).coeffs()
+    zjets = [jet(f, k) for k in range(4) for f in ("z1", "z2")]
+    for tri in dc.jacobi_triples(table.fields):
+        for term in dc.jacobi_defect(table, *tri).terms:
+            out += sp.Poly(term.coeff, *zjets).coeffs()
+    return np.array([complex(v) for v in out])
+
+
 class TestNoGoTensors:
     def test_residual_matches_equations(self, nogo_system):
-        """The tensor form against the normalised equations, evaluated by
-        sympy."""
+        """The tensor form at a rational point, times each row's scale,
+        against the equations derived exactly on the table of that point's
+        values."""
         S = nogo_system
-        for x in _points(len(S.unknowns), seed=3):
-            subs = dict(zip(S.unknowns, (sp.Float(v.real, 30)
-                                         + sp.I * sp.Float(v.imag, 30)
-                                         for v in x)))
-            want = np.array([complex(e.xreplace(subs))
-                             for e in S.equations])
-            got = S.residual_vector(x)
-            assert np.max(np.abs(got - want)) < 1e-12 * max(
-                1.0, np.max(np.abs(want)))
+        rng = np.random.default_rng(3)
+        point = [sp.Rational(int(a), int(b)) for a, b in
+                 zip(rng.integers(-9, 10, 28), rng.integers(1, 6, 28))]
+        want = _specialised_equations(point, 2)
+        assert len(want) == len(S.c)
+        got = S.residual_vector(np.array(point, dtype=float) + 0j) * S.scales
+        assert np.max(np.abs(got - want)) < 1e-12 * max(
+            1.0, np.max(np.abs(want)))
+
+    def test_no_expr_round_trip(self, monkeypatch):
+        """The system and the self-test are read from ring elements: no
+        Poly built from an Expr, no DeltaTerm.coeff view."""
+        calls = []
+        from_expr = sp.Poly._from_expr.__func__
+
+        def poly_from_expr(cls, rep, opt):
+            calls.append("Poly")
+            return from_expr(cls, rep, opt)
+        monkeypatch.setattr(sp.Poly, "_from_expr",
+                            classmethod(poly_from_expr))
+        view = dc.DeltaTerm.coeff.func
+
+        def coeff(term):
+            calls.append("coeff")
+            return view(term)
+        monkeypatch.setattr(dc.DeltaTerm, "coeff", property(coeff))
+        models.prop1_system(2.0)
+        models.prop1_feasible_selftest(seed=0)
+        assert calls == []
 
     def test_quadratic_part_is_sparse(self, nogo_system):
         rows, i, j, vals = nogo_system.quad
         assert len(rows) == len(i) == len(j) == len(vals) > 0
         assert np.all(i <= j) and np.all(vals != 0)
-        assert len(vals) < 0.05 * len(nogo_system.equations) * 28 ** 2
+        assert len(vals) < 0.05 * len(nogo_system.c) * 28 ** 2
 
     def test_jacobian_matches_differences(self, nogo_system):
         S = nogo_system
@@ -418,8 +471,9 @@ class TestNoGoCertificate:
         assert before == after
         assert before.split()[0] == "0"
 
-    def test_feasible_selftest(self):
-        out = models.prop1_feasible_selftest(seed=0)
+    @pytest.mark.parametrize("seed", [*range(12), 7919])
+    def test_feasible_selftest(self, seed):
+        out = models.prop1_feasible_selftest(seed=seed)
         assert out["min_residual"] < 1e-10
 
 
