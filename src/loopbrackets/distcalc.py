@@ -239,6 +239,10 @@ class _RingAlgebra:
         out.strip_zero()
         return out
 
+    def gen(self, s):
+        """The generator for the symbol s."""
+        return self.R.gens[self.index[s]]
+
     def dx(self, p):
         if not isinstance(p, FracElement):
             return self._dx_poly(p)
@@ -276,26 +280,9 @@ def _merge(fac: dict, p: str, c) -> dict:
     return fac
 
 
-def canonicalize(raw_terms, frozen: bool = False, alg=None) -> DistPoly:
-    """Push raw terms to the canonical x-anchored basis and merge.
-
-    With `alg` the factors are elements of that algebra (a table's).
-    Without, they are sympy expressions and one algebra is built for this
-    call.  ClosureError for a leaf without a derivative rewrite."""
-    raw_terms = list(raw_terms)
-    if alg is None:
-        # a factor is differentiated at most once per unit of delta order
-        depth = max((sum(d[2] for d in t.deltas) for t in raw_terms),
-                    default=0)
-        seeds = [e for t in raw_terms for _, e in t.factors]
-        alg = _RingAlgebra(_ring_symbols(seeds, depth, frozen=frozen),
-                           frozen)
-        raw_terms = [_RawTerm(tuple((p, alg.conv(e)) for p, e in t.factors),
-                              t.deltas) for t in raw_terms]
-    return _canonicalize(alg, raw_terms)
-
-
-def _canonicalize(alg, raw_terms) -> DistPoly:
+def canonicalize(raw_terms, alg) -> DistPoly:
+    """Push raw terms, whose factors are elements of the algebra `alg`
+    (a table's), to the canonical x-anchored basis and merge."""
     out: dict[tuple[int, ...], object] = {}
     # queue items: (integer scale, factor at each point, deltas)
     queue = []
@@ -415,11 +402,11 @@ class BracketTable:
                    default=0)
 
 
-def transpose_entry(entry, alg=None) -> tuple[DeltaTerm, ...]:
-    """Canonical (x,y) form of {b(x), a(y)} swapped to {b(y), a(x)}; with
-    `alg` the entry's values are elements of it."""
-    raw = [_RawTerm((("y", t.value if alg else t.coeff),),
-                    (("y", "x", t.orders[0]),)) for t in entry]
+def transpose_entry(entry, alg) -> tuple[DeltaTerm, ...]:
+    """Canonical (x,y) form of {b(x), a(y)} swapped to {b(y), a(x)}; the
+    entry's values are elements of `alg`."""
+    raw = [_RawTerm((("y", t.value),), (("y", "x", t.orders[0]),))
+           for t in entry]
     return canonicalize(raw, alg=alg).terms
 
 

@@ -50,42 +50,45 @@ def field_name(a: int) -> str:
     return f"z{a}"
 
 
-def spectral_basis(a: int, which: str) -> sp.Expr:
-    """Basis function with a pole of order a at the origin, expressed in
-    the Weierstrass leaves of the chosen spectral variable."""
-    w, dw = (wpu, dwpu) if which == "u" else (wpv, dwpv)
+def spectral_basis(alg: dcx._RingAlgebra, a: int, which: str):
+    """Basis function with a pole of order a at the origin, as an element
+    of `alg` in the Weierstrass leaves of the chosen spectral variable."""
+    w, dw = (alg.gen(s) for s in ((wpu, dwpu) if which == "u"
+                                  else (wpv, dwpv)))
     if a == 0:
-        return sp.Integer(1)
+        return alg.R.one
     if a == 1 or a < 0:
         raise DomainError(f"no basis element of pole order {a}")
     if a % 2 == 0:
         return w ** (a // 2)
-    return -sp.Rational(1, 2) * dw * w ** ((a - 3) // 2)
+    return -dw * w ** ((a - 3) // 2) * sp.Rational(1, 2)
 
 
-def generating_field(n: int, which: str) -> sp.Expr:
-    """e = sum_a p_a(spectral) z_a over the n generators."""
-    return sum(spectral_basis(a, which) * jet(field_name(a))
-               for a in field_indices(n))
+def generating_field(alg: dcx._RingAlgebra, n: int, which: str):
+    """e = sum_a p_a(spectral) z_a over the n generators, in `alg`."""
+    return sum((spectral_basis(alg, a, which) * alg.gen(jet(field_name(a)))
+                for a in field_indices(n)), alg.R.zero)
 
 
 # ---------------------------------------------------------------------------
 # the r-matrix template
 
-def q_weight_sym(first: str, second: str) -> sp.Expr:
-    """Two-point weight q(first, second) in the rational spectral form,
-    with the shared denominator wpv - wpu so that sums combine exactly."""
-    D = wpv - wpu
-    half = (dwpu + dwpv) / (2 * D)
+def q_weight_sym(alg: dcx._RingAlgebra, first: str, second: str):
+    """Two-point weight q(first, second) in the rational spectral form, as
+    an element of `alg`: the denominator wpv - wpu is its generator
+    dinv, shared by every weight so that sums combine exactly."""
+    x = alg.gen
+    half = (x(dwpu) + x(dwpv)) * x(sx.dinv) * sp.Rational(1, 2)
     if (first, second) == ("u", "v"):
-        return half + zwv - g1 * v
+        return half + x(zwv) - x(g1) * x(v)
     if (first, second) == ("v", "u"):
-        return -half + zwu - g1 * u
+        return -half + x(zwu) - x(g1) * x(u)
     raise DomainError(f"unsupported spectral pair ({first}, {second})")
 
 
 def rmatrix_delta_prime_coeff(qvu, quv, e_u, e_of_v, e_of_u, e_v, lam):
-    """delta'-coefficient of {e(u,x), e(v,y)}; works on Exprs or numbers."""
+    """delta'-coefficient of {e(u,x), e(v,y)}; works on ring elements or
+    numbers."""
     return qvu * e_u * e_of_v + quv * e_of_u * e_v + lam * e_u * e_v
 
 
@@ -112,6 +115,11 @@ def _structconsts_algebra(n: int) -> dcx._RingAlgebra:
     zs = [field_name(a) for a in field_indices(n)]
     syms = [g1, g2, g3, T] + [jet(f) for f in zs] + [jet(f, 1) for f in zs]
     return dcx._RingAlgebra(syms, frozen=False)
+
+
+# generators of the r-matrix template before those of the structure
+# constants: the spectral leaves and dinv = 1/(wpv - wpu)
+_SPECTRAL = (u, v, wpu, wpv, dwpu, dwpv, zwu, zwv, sx.dinv)
 
 
 def _group_terms(p, at, R=None) -> dict:
@@ -252,37 +260,13 @@ def _clear_pole(p, i_inv: int, D, power: int, reduce):
     return quo
 
 
-_DINV = sp.Symbol("_Dinv")
-
-
-def _spectral_clear(expr: sp.Expr, power: int):
-    """Multiply by (wpv - wpu)^power, reduce odd-leaf powers, assert the
-    spectral-transcendental leaves cancel, divide the clearing factor
-    back out exactly.  The result is an element of a sparse polynomial
-    ring over QQ in the leaves of expr.
-
-    The only denominators allowed are powers of rational multiples of
-    wpv - wpu; they become powers of a generator Dinv before conversion.
-    Any other denominator is an ExtractionError."""
-    D = wpv - wpu
-    inv = {}
-    for e in expr.atoms(sp.Pow):
-        if e.exp.is_Integer and e.exp < 0 and e.base.is_Add:
-            c = e.base.coeff(wpv)
-            if c.is_Rational and c and sp.expand(c * D) == e.base:
-                inv[e] = (_DINV / c) ** int(-e.exp)
-    expr = expr.xreplace(inv)
-    syms = sorted(expr.free_symbols
-                  | {wpu, wpv, dwpu, dwpv, u, v, zwu, zwv, g1, g2, g3, _DINV},
-                  key=str)
-    R, *gens = sp.ring(syms, sp.QQ)
-    x = dict(zip(syms, gens))
-    try:
-        p = R.from_expr(expr)
-    except ValueError:
-        raise ExtractionError(
-            f"a denominator other than a power of wpv - wpu in {expr}"
-        ) from None
+def _spectral_clear(p, power: int):
+    """Multiply a template element by (wpv - wpu)^power, reduce odd-leaf
+    powers, assert the spectral-transcendental leaves cancel, and divide
+    the clearing factor back out exactly.  The template's only
+    denominators are the powers of its generator dinv = 1/(wpv - wpu)."""
+    syms = p.ring.symbols
+    x = dict(zip(syms, p.ring.gens))
 
     def reduce(num):
         for w, dw in ((wpu, dwpu), (wpv, dwpv)):
@@ -294,7 +278,8 @@ def _spectral_clear(expr: sp.Expr, power: int):
                     f"spectral leaf {bad} survives the cancellation step")
         return num
 
-    return _clear_pole(p, syms.index(_DINV), x[wpv] - x[wpu], power, reduce)
+    return _clear_pole(p, syms.index(sx.dinv), x[wpv] - x[wpu], power,
+                       reduce)
 
 
 def _coeff_split(p, n: int, R) -> dict:
@@ -328,34 +313,44 @@ def thm3_extract(n: int) -> StructConsts:
 
     with A, B the template delta' and delta coefficients and
     eth = d/d(th) applied to the spectral basis inside e.  Both right
-    sides are rational in the Weierstrass leaves; clearing the shared
+    sides are elements of the template algebra, polynomial in the
+    Weierstrass leaves and dinv = 1/(wpv - wpu); clearing the shared
     denominator must cancel every bare u, v, zeta leaf exactly.
     """
     lam = sp.Rational(1, n)
     idx = field_indices(n)
-    Dx = sx.total_x_derivative
-    eu = generating_field(n, "u")
-    ev = generating_field(n, "v")
-    du_eu = sx.d_dz_spectral(eu, "u")
-    dv_ev = sx.d_dz_spectral(ev, "v")
-    qvu = q_weight_sym("v", "u")
-    quv = q_weight_sym("u", "v")
+    R = _structconsts_algebra(n).R
+    alg = dcx._RingAlgebra(_SPECTRAL + R.symbols, frozen=False)
+    Dx, Dth = alg.dx, alg.dth
+    images = {var: [(alg.index[s], alg.conv(r))
+                    for s, r in sx._DU_RULES[var].items()]
+              for var in ("u", "v")}
+
+    def d_spectral(p, var):
+        return sum((alg.diff(p, i) * img for i, img in images[var]),
+                   alg.R.zero)
+
+    eu = generating_field(alg, n, "u")
+    ev = generating_field(alg, n, "v")
+    du_eu = d_spectral(eu, "u")
+    dv_ev = d_spectral(ev, "v")
+    qvu = q_weight_sym(alg, "v", "u")
+    quv = q_weight_sym(alg, "u", "v")
 
     A = rmatrix_delta_prime_coeff(qvu, quv, du_eu, ev, eu, dv_ev, lam)
     B = rmatrix_delta_coeff(
-        qvu, quv, T * sx.d_dtau_scaled(qvu), sx.d_dz_spectral(qvu, "u"),
+        qvu, quv, alg.gen(T) * Dth(qvu), d_spectral(qvu, "u"),
         eu, ev, du_eu, Dx(eu), Dx(ev), Dx(dv_ev), lam)
 
-    eth_u = sx.d_dtau_scaled(eu)
-    eth_v = sx.d_dtau_scaled(ev)
+    eth_u = Dth(eu)
+    eth_v = Dth(ev)
 
-    R = _structconsts_algebra(n).R
     P = _coeff_split(_spectral_clear(A - eu * eth_v - eth_u * ev, 3), n, R)
 
-    dx_basis_v = {b: Dx(spectral_basis(b, "v")) for b in idx}
+    dx_basis_v = {b: Dx(spectral_basis(alg, b, "v")) for b in idx}
     sum_p_dxp = sum(
-        spectral_basis(a, "u") * dx_basis_v[b] * P[(a, b)].as_expr()
-        for a in idx for b in idx)
+        (spectral_basis(alg, a, "u") * dx_basis_v[b]
+         * P[(a, b)].set_ring(alg.R) for a in idx for b in idx), alg.R.zero)
     Q = _coeff_split(_spectral_clear(
         B - sum_p_dxp - eu * Dx(eth_v) - eth_u * Dx(ev), 3), n, R)
 
@@ -367,7 +362,8 @@ def thm3_extract(n: int) -> StructConsts:
 # ---------------------------------------------------------------------------
 # closed-form generating functions
 
-# ring generators for i, pi and 1/pi in the closed forms
+# ring generators for 1/(u - v), i, pi and 1/pi in the closed forms
+_DINV = sp.Symbol("_Dinv")
 _I, _PI, _PI_INV = sp.symbols("_i _pi _piinv")
 
 
@@ -840,18 +836,9 @@ class SigmaRealization:
         self.fields = [f"t{c + 1}" for c in range(self.n - 1)] + ["tau", "f"]
 
     # -- scalar building blocks -------------------------------------------
-    def _zt(self, z):
-        """(zeta, zeta_tau / (2 pi i)) at z."""
-        return (elliptic.zeta(self.ctx, z),
-                elliptic.zeta_tau(self.ctx, z))
-
     def _lst(self, z):
         """sigma_tau / sigma at z (scaled by 1/(2 pi i) internally)."""
         return elliptic.log_sigma_tau(self.ctx, z)
-
-    def _args(self, spectral):
-        return [spectral + self.S] + [spectral - ta for ta in self.t] + \
-               [spectral]
 
     def value(self, spectral) -> complex:
         ctx = self.ctx

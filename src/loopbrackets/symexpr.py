@@ -10,7 +10,8 @@ The leaf alphabet:
   ``T_x``, ``T_x2``, ...;
 * quasi-modular leaves ``g1, g2, g3`` (functions of th);
 * spectral variables ``u, v`` and the elliptic leaves
-  ``wpu = wp(u)``, ``dwpu = wp_u(u)``, ``zwu = zeta(u)`` (same with v).
+  ``wpu = wp(u)``, ``dwpu = wp_u(u)``, ``zwu = zeta(u)`` (same with v);
+* ``dinv = 1/(wpv - wpu)``, the shared spectral denominator.
 
 Working with th instead of tau keeps every derivative rewrite exactly
 rational: d g2/dx = (6 g3 - 4 g1 g2) * T and so on, with no pi or i in
@@ -34,6 +35,7 @@ u, v = sp.symbols("u v")
 wpu, wpv = sp.symbols("wpu wpv")
 dwpu, dwpv = sp.symbols("dwpu dwpv")
 zwu, zwv = sp.symbols("zwu zwv")
+dinv = sp.Symbol("dinv")
 g1, g2, g3 = sp.symbols("g1 g2 g3")
 
 MODULAR_FIELD = "th"
@@ -101,11 +103,14 @@ DTAU_RULES: dict[sp.Symbol, sp.Expr] = {
     zwv: g1 * v * wpv + g2 * v / 12 - g1 * zwv - zwv * wpv - dwpv / 2,
     dwpu: 3 * (wpu - g1) * dwpu + (zwu - u * g1) * (6 * wpu**2 - g2 / 2),
     dwpv: 3 * (wpv - g1) * dwpv + (zwv - v * g1) * (6 * wpv**2 - g2 / 2),
+    dinv: -dinv**2 * (_WPV_TAU - _WPU_TAU),
 }
 
 _DU_RULES = {
-    "u": {wpu: dwpu, dwpu: 6 * wpu**2 - g2 / 2, zwu: -wpu, u: sp.Integer(1)},
-    "v": {wpv: dwpv, dwpv: 6 * wpv**2 - g2 / 2, zwv: -wpv, v: sp.Integer(1)},
+    "u": {wpu: dwpu, dwpu: 6 * wpu**2 - g2 / 2, zwu: -wpu, u: sp.Integer(1),
+          dinv: dinv**2 * dwpu},
+    "v": {wpv: dwpv, dwpv: 6 * wpv**2 - g2 / 2, zwv: -wpv, v: sp.Integer(1),
+          dinv: -dinv**2 * dwpv},
 }
 
 

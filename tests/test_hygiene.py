@@ -1,6 +1,7 @@
 """Source hygiene: no module of the package imports a name at module level
-that it never uses.  No linter is part of the toolchain, so this parses
-the modules with `ast` instead."""
+that it never uses, and no private function or method goes unreferenced.
+No linter is part of the toolchain, so this parses the modules with `ast`
+instead."""
 
 import ast
 import os
@@ -54,3 +55,57 @@ def test_unused_import_detected():
               "class A:\n"
               "    x: int = os.path.sep\n")
     assert unused_imports(source) == ["dc_field", "json"]
+
+
+def unreferenced_private_definitions(sources: dict[str, str]) -> list[str]:
+    """`module:name` for every private function or method (one leading
+    underscore, not a dunder) whose name no Name or attribute in
+    `sources` reads outside its own def.  References are matched by name
+    alone, so a name defined twice counts as referenced if either is."""
+    trees = {m: ast.parse(src) for m, src in sources.items()}
+
+    def refs(tree):
+        return [n.id if isinstance(n, ast.Name) else n.attr
+                for n in ast.walk(tree)
+                if isinstance(n, (ast.Name, ast.Attribute))]
+
+    total: dict[str, int] = {}
+    for tree in trees.values():
+        for name in refs(tree):
+            total[name] = total.get(name, 0) + 1
+    out = []
+    for m, tree in trees.items():
+        for node in ast.walk(tree):
+            if (isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    and node.name.startswith("_")
+                    and not node.name.endswith("__")
+                    and total.get(node.name, 0)
+                    <= refs(node).count(node.name)):
+                out.append(f"{m}:{node.name}")
+    return sorted(out)
+
+
+def test_private_definitions_referenced():
+    sources = {}
+    for module in MODULES:
+        with open(os.path.join(PKG, module), encoding="utf-8") as fh:
+            sources[module] = fh.read()
+    assert unreferenced_private_definitions(sources) == []
+
+
+def test_unreferenced_private_definition_detected():
+    source = ("def _used():\n"
+              "    return 1\n"
+              "def _unused():\n"
+              "    return _used()\n"
+              "def _recursive(k):\n"
+              "    return _recursive(k - 1)\n"
+              "class A:\n"
+              "    def __init__(self):\n"
+              "        self._m()\n"
+              "    def _m(self):\n"
+              "        pass\n"
+              "    def _dead(self):\n"
+              "        pass\n")
+    assert unreferenced_private_definitions({"m.py": source}) == [
+        "m.py:_dead", "m.py:_recursive", "m.py:_unused"]

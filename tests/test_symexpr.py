@@ -118,6 +118,15 @@ class TestSpectralDerivative:
         with pytest.raises(ClosureError):
             sx.d_dz_spectral(sx.wpu, "t")
 
+    def test_dinv_rules_are_the_quotient_rule(self):
+        # dinv = 1/(wpv - wpu): its rules follow from those of wpu and wpv
+        inv = 1 / (sx.wpv - sx.wpu)
+        pairs = [(sx.DTAU_RULES[sx.dinv], sx.d_dtau_scaled(inv))]
+        pairs += [(sx._DU_RULES[var][sx.dinv], sx.d_dz_spectral(inv, var))
+                  for var in ("u", "v")]
+        for rule, want in pairs:
+            assert sp.cancel(rule.subs(sx.dinv, inv) - want) == 0
+
     def test_numeric(self, ctx, rng):
         z = random_cell_point(rng, ctx.tau)
         h = 4e-5
