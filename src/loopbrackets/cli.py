@@ -114,7 +114,9 @@ def _report_out(rep: verify.SuiteReport, args) -> int:
 
 def _tol(args, name: str = "tol") -> dict:
     """The --tol flag as a keyword argument, only when it is given, so the
-    suites keep their own defaults."""
+    suites keep their own defaults.  ValueError unless it is >= 0."""
+    if args.tol is not None and not args.tol >= 0:
+        raise ValueError(f"--tol must be >= 0, not {args.tol}")
     return {} if args.tol is None else {name: args.tol}
 
 

@@ -95,79 +95,83 @@ def _free_symbols(e) -> set:
     return sp.sympify(e).free_symbols
 
 
-def _table_depth(seeds, orders) -> int:
-    """Prolongation depth of a table's algebra.  With delta orders up to N
-    and coefficient jets up to J, a Leibniz bracket takes at most N + J
+def _kind(s, fields, constants):
+    """How the alphabet of `fields` and the x-constants `constants` reads
+    the symbol s: "constant" for u, v and the listed constants, "tau" for
+    a leaf with a rule in DTAU_RULES, else (field, order) for a jet by
+    symexpr.jet_info (of any field when `fields` is None) or None."""
+    if s in constants or s in (sx.u, sx.v):
+        return "constant"
+    return "tau" if s in sx.DTAU_RULES else sx.jet_info(s, fields)
+
+
+def _table_algebra(seeds, orders, fields, constants, frozen: bool):
+    """The algebra of a table whose coefficients have the leaves of
+    `seeds` and delta orders `orders`.  With delta orders up to N and
+    coefficient jets up to J, a Leibniz bracket takes at most N + J
     x-derivatives of a factor and a Jacobi defect 2N + J more, so no jet
-    past order 3 (N + J) can occur."""
-    J = max((info[1] for e in seeds for s in _free_symbols(e)
-             if (info := sx.jet_info(s)) is not None), default=0)
-    return 3 * (max(orders, default=0) + J)
+    past order 3 (N + J) can occur: that is its prolongation depth."""
+    J = max((k[1] for e in seeds for s in _free_symbols(e) if isinstance(
+        k := _kind(s, fields, constants), tuple)), default=0)
+    depth = 3 * (max(orders, default=0) + J)
+    return _RingAlgebra(_ring_symbols(seeds, depth, fields, constants,
+                                      frozen), fields, frozen, constants)
 
 
-def _ring_symbols(seeds, depth: int, fields=(),
+def _ring_symbols(seeds, depth: int, fields, constants=(),
                   frozen: bool = False) -> list:
-    """Generators for a coefficient algebra: the leaves of the seeds,
-    closed under the tau-chain rewrites, and the jets of every field seen
-    or listed, prolonged `depth` orders past the highest one seen.  The
-    modular jets T, T_x, ... come in with the modular field, or with a
-    tau-dependent leaf unless the modular parameter is frozen."""
-    leaves: set = set()
-    jets_max: dict[str, int] = {f: 0 for f in fields}
+    """Generators for a coefficient algebra over the alphabet of `fields`
+    and `constants`: the leaves of the seeds, closed under the tau-chain
+    rewrites, and the jets of every field listed or seen, prolonged
+    `depth` orders past the highest one seen.  The modular jets T, T_x,
+    ... come in with the modular field, or with a tau-dependent leaf
+    unless the modular parameter is frozen.  ClosureError for a symbol
+    outside the alphabet."""
+    gens: set = set()
+    jets_max: dict[str, int] = dict.fromkeys(fields or (), 0)
 
     def note(s):
-        info = sx.jet_info(s)
-        if info is not None:
-            f, k = info
+        kind = _kind(s, fields, constants)
+        if kind is None:
+            raise ClosureError(f"no derivative rewrite for leaf {s}")
+        if isinstance(kind, tuple):
+            f, k = kind
             jets_max[f] = max(jets_max.get(f, 0), k)
-        else:
-            leaves.add(s)
+        elif s not in gens:
+            gens.add(s)
+            if kind == "tau":
+                for t in sx.DTAU_RULES[s].free_symbols:
+                    note(t)
 
     for e in seeds:
         for s in _free_symbols(e):
             note(s)
-    frontier = set(leaves)
-    while frontier:
-        new = set()
-        for s in frontier:
-            if s.name in sx._CONSTANTS:
-                continue
-            rule = sx.DTAU_RULES.get(s)
-            if rule is None:
-                raise ClosureError(f"no derivative rewrite for leaf {s}")
-            for t in rule.free_symbols:
-                if sx.jet_info(t) is not None:
-                    note(t)
-                elif t not in leaves and t.name not in sx._CONSTANTS:
-                    new.add(t)
-        leaves |= new
-        frontier = new
-
-    gens: set = set(leaves)
     mod = sx.MODULAR_FIELD
-    if mod in jets_max or (not frozen and leaves & sx.DTAU_RULES.keys()):
+    if mod in jets_max or (not frozen and gens & sx.DTAU_RULES.keys()):
         jets_max[mod] = max(jets_max.get(mod, 1), 1)
     for f, kmax in jets_max.items():
-        for k in range(kmax + depth + 1):
-            gens.add(sx.jet(f, k))
+        gens.update(sx.jet(f, k) for k in range(kmax + depth + 1))
     return sorted(gens, key=str)
 
 
 class _RingAlgebra:
     """Coefficient arithmetic in a sparse polynomial ring over QQ and its
     fraction field (elements are ring elements while they are
-    polynomial), with the total x-derivative and d/dth built in.  With
-    `frozen` the modular parameter is a constant: g1, g2, g3, the other
-    tau-dependent leaves and the modular jets T, T_x, ... all have zero
-    x-derivative.  `memo` holds the Leibniz brackets of every table that
-    shares this algebra, keyed on the bracket row they read."""
+    polynomial), with the total x-derivative and d/dth built in; each
+    generator is read once, by _kind.  With `frozen` the modular
+    parameter is a constant: g1, g2, g3, the other tau-dependent leaves
+    and the modular jets T, T_x, ... all have zero x-derivative.  `memo`
+    holds the Leibniz brackets of every table that shares this algebra,
+    keyed on the bracket row they read."""
 
-    def __init__(self, syms, frozen: bool):
+    def __init__(self, syms, fields, frozen: bool, constants=()):
         self.F, *_ = sp.field(syms, sp.QQ)
         self.R = self.F.ring
         self.syms = tuple(syms)
         self.index = {s: i for i, s in enumerate(self.syms)}
-        self.jets = [sx.jet_info(s) for s in self.syms]
+        self.constants = frozenset(constants)
+        kinds = [_kind(s, fields, self.constants) for s in self.syms]
+        self.jets = [k if isinstance(k, tuple) else None for k in kinds]
         self.memo: dict = {}
         # x-derivative of each generator: the index of the next jet, the
         # terms of a polynomial image, or None past the prolongation depth
@@ -183,7 +187,7 @@ class _RingAlgebra:
                     self._img.append(())
                 else:
                     self._img.append(self.index.get(sx.jet(f, k + 1)))
-            elif s.name in sx._CONSTANTS:
+            elif kinds[i] == "constant":
                 self._img.append(())
             else:
                 self._dth[i] = self.R.from_expr(sx.DTAU_RULES[s])
@@ -410,20 +414,20 @@ def transpose_entry(entry, alg) -> tuple[DeltaTerm, ...]:
     return canonicalize(raw, alg=alg).terms
 
 
-def build_table(fields, given, frozen_modular: bool = False) -> BracketTable:
+def build_table(fields, given, frozen_modular: bool = False,
+                constants=()) -> BracketTable:
     """Complete a partially given table by antisymmetry.
 
     `given` maps ordered pairs (a, b) to lists of (coeff, order), each
     coefficient an Expr or a polynomial over QQ; every missing transpose
     (b, a) is filled in as -{a(x), b(y)} with the points exchanged and
     recanonicalized.  The table's algebra is built here, from the given
-    coefficients and the fields.
+    coefficients, the fields and the x-constants `constants` (symbols
+    with zero x-derivative besides u and v).
     """
-    seeds = [c for terms in given.values() for c, _ in terms]
-    depth = _table_depth(seeds, [m for terms in given.values()
-                                 for _, m in terms])
-    alg = _RingAlgebra(_ring_symbols(seeds, depth, fields, frozen_modular),
-                       frozen_modular)
+    alg = _table_algebra([c for terms in given.values() for c, _ in terms],
+                         [m for terms in given.values() for _, m in terms],
+                         fields, constants, frozen_modular)
     entries = {}
     for (a, b), terms in given.items():
         vals = ((alg.conv(c), m) for c, m in terms)
@@ -439,16 +443,17 @@ def build_table(fields, given, frozen_modular: bool = False) -> BracketTable:
 
 
 def _element(table: BracketTable, E):
-    """E in the table's algebra; UnknownFieldError for a jet of a field
-    outside the table."""
+    """E in the table's algebra; UnknownFieldError for a symbol that is
+    neither a jet of the table's fields nor a leaf or x-constant."""
     if isinstance(E, (PolyElement, FracElement)):
         return E
     E = sp.sympify(E)
     for s in E.free_symbols:
-        info = sx.jet_info(s)
-        if info is not None and info[0] not in table.fields:
-            raise UnknownFieldError(
-                f"expression references unknown field {info[0]}")
+        kind = _kind(s, table.fields, table.alg.constants)
+        if kind is None or (isinstance(kind, tuple)
+                            and kind[0] not in table.fields):
+            raise UnknownFieldError(f"expression references {s}, which is "
+                                    "no jet of the table's fields")
     return table.alg.conv(E)
 
 
@@ -626,9 +631,11 @@ def change_coordinates(table: BracketTable, forward: dict, inverse: dict,
               and old.jets[i][0] == sx.MODULAR_FIELD}
     kept = [old.syms[i] for i in used - zeroed
             if not (old.jets[i] and old.jets[i][0] in inverse)]
-    K = _RingAlgebra(_ring_symbols(list(inverse.values()) + kept, depth,
-                                   frozen=frozen_modular),
-                     frozen_modular)
+    # K reads every symbol that is no constant or leaf as a jet, by the
+    # naming rule: the new and auxiliary fields are those of the inverse
+    K = _RingAlgebra(_ring_symbols(list(inverse.values()) + kept, depth, None,
+                                   old.constants, frozen_modular),
+                     None, frozen_modular, old.constants)
     images = {i: K.R.zero for i in zeroed}
     images.update({i: K.R.gens[K.index[old.syms[i]]]
                    for i in used if old.syms[i] in kept})
@@ -641,8 +648,7 @@ def change_coordinates(table: BracketTable, forward: dict, inverse: dict,
             if k < depth:
                 cur = K.dx(cur)
 
-    bad = {K.index[s] for s in K.syms
-           if (info := sx.jet_info(s)) is not None and info[0] in eliminate}
+    bad = {i for i, info in enumerate(K.jets) if info and info[0] in eliminate}
     powers: dict = {}
     composed = {}
     for (a, b), dp in dps.items():
@@ -666,11 +672,9 @@ def change_coordinates(table: BracketTable, forward: dict, inverse: dict,
 
     seeds = {K.syms[i] for terms in composed.values() for c, _ in terms
              for i in K.support(c)}
-    depth = _table_depth(seeds, [orders[0] for terms in composed.values()
-                                 for _, orders in terms])
-    alg = _RingAlgebra(_ring_symbols(seeds, depth, new_fields,
-                                     frozen_modular),
-                       frozen_modular)
+    alg = _table_algebra(seeds, [orders[0] for terms in composed.values()
+                                 for _, orders in terms],
+                         new_fields, old.constants, frozen_modular)
 
     def transfer(c):
         if isinstance(c, FracElement):

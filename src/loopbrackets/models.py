@@ -114,7 +114,7 @@ def _structconsts_algebra(n: int) -> dcx._RingAlgebra:
     x-derivative of the delta calculus."""
     zs = [field_name(a) for a in field_indices(n)]
     syms = [g1, g2, g3, T] + [jet(f) for f in zs] + [jet(f, 1) for f in zs]
-    return dcx._RingAlgebra(syms, frozen=False)
+    return dcx._RingAlgebra(syms, zs, frozen=False)
 
 
 # generators of the r-matrix template before those of the structure
@@ -232,10 +232,19 @@ def _check_homogeneity(sc: StructConsts):
 def _ring_square_reduce(p, i: int, square):
     """Replace x^2 by `square` for the generator x at position i, keeping
     x-degree <= 1: the odd leaves (dwp^2 = 4 wp^3 - g2 wp - g3), or i
-    (i^2 = -1)."""
-    x = p.ring.gens[i]
-    return sum((c * x ** (k % 2) * square ** (k // 2)
-                for (k,), c in _group_terms(p, [i]).items()), p.ring.zero)
+    (i^2 = -1).  One pass over the terms; `square` is free of x."""
+    out, powers = p.ring.zero, [p.ring.one]  # powers[j] = square**j
+    get, zero, mul = out.get, p.ring.domain.zero, p.ring.monomial_mul
+    for monom, c in p.items():
+        k = monom[i]
+        while len(powers) <= k // 2:
+            powers.append(powers[-1] * square)
+        m = monom[:i] + (k % 2,) + monom[i + 1:]
+        for sm, sc in powers[k // 2].items():
+            mm = mul(m, sm)
+            out[mm] = get(mm, zero) + c * sc
+    out.strip_zero()
+    return out
 
 
 def _clear_pole(p, i_inv: int, D, power: int, reduce):
@@ -320,7 +329,8 @@ def thm3_extract(n: int) -> StructConsts:
     lam = sp.Rational(1, n)
     idx = field_indices(n)
     R = _structconsts_algebra(n).R
-    alg = dcx._RingAlgebra(_SPECTRAL + R.symbols, frozen=False)
+    alg = dcx._RingAlgebra(_SPECTRAL + R.symbols,
+                           [field_name(a) for a in idx], frozen=False)
     Dx, Dth = alg.dx, alg.dth
     images = {var: [(alg.index[s], alg.conv(r))
                     for s, r in sx._DU_RULES[var].items()]
@@ -1075,8 +1085,9 @@ _PAIRS = ((1, 1), (1, 2), (2, 2))
 _ORDERED_PAIRS = tuple(itertools.product((1, 2), repeat=2))
 
 
-def _nogo_tables(qsym, rsym):
-    """BracketTable on (z1, z2) from symbolic unknown coefficients."""
+def _nogo_tables(qsym, rsym, constants=()):
+    """BracketTable on (z1, z2) from coefficients, the symbolic ones
+    listed in `constants`."""
     z = {1: jet("z1"), 2: jet("z2")}
     zx = {1: jet("z1", 1), 2: jet("z2", 1)}
     given = {}
@@ -1084,12 +1095,12 @@ def _nogo_tables(qsym, rsym):
         P = sum(qsym[(a, b, c, d)] * z[c] * z[d] for c, d in _PAIRS)
         Q = sum(rsym[(a, b, c, d)] * z[c] * zx[d] for c, d in _ORDERED_PAIRS)
         given[(f"z{a}", f"z{b}")] = [(P, 1), (Q, 0)]
-    return dcx.build_table(("z1", "z2"), given)
+    return dcx.build_table(("z1", "z2"), given, constants=constants)
 
 
 def _nogo_unknowns():
     """The 12 symmetric delta'-unknowns q_ab_cd (q[a,b,c,d] = q[a,b,d,c])
-    and 16 delta-unknowns r_ab_cd, declared x-constants."""
+    and 16 delta-unknowns r_ab_cd, and all 28 in order."""
     qsym = {}
     rsym = {}
     for a, b, c, d in itertools.product((1, 2), repeat=4):
@@ -1097,12 +1108,8 @@ def _nogo_unknowns():
             qsym[(a, b, c, d)] = qsym[(a, b, d, c)] = sp.Symbol(
                 f"q_{a}{b}_{c}{d}")
         rsym[(a, b, c, d)] = sp.Symbol(f"r_{a}{b}_{c}{d}")
-    unknowns = sx.declare_constants(*sorted(set(qsym.values()), key=str),
-                                    *sorted(rsym.values(), key=str))
-    return qsym, rsym, unknowns
-
-
-_NOGO_Q, _NOGO_R, _NOGO_UNKNOWNS = _nogo_unknowns()
+    return qsym, rsym, (sorted(set(qsym.values()), key=str)
+                        + sorted(rsym.values(), key=str))
 
 
 def _chart_coefficients(table, R=None) -> dict:
@@ -1167,8 +1174,8 @@ def prop1_system(s, include_jacobi: bool = True,
     for the monomials p^i p'^j zr^k (zr = z2'/z2) -- used by the
     feasible self-test.
     """
-    qsym, rsym, unknowns = _NOGO_Q, _NOGO_R, list(_NOGO_UNKNOWNS)
-    table = _nogo_tables(qsym, rsym)
+    qsym, rsym, unknowns = _nogo_unknowns()
+    table = _nogo_tables(qsym, rsym, unknowns)
     R = sp.ring(unknowns, sp.QQ)[0]
     q = {k: R(sym) for k, sym in qsym.items()}
     r = {k: R(sym) for k, sym in rsym.items()}

@@ -4,7 +4,7 @@ and elliptic builtin leaves.
 Expressions are sympy objects over an exact rational coefficient field.
 The leaf alphabet:
 
-* field jets ``z0, z0_x, z0_x2, ...`` created through :func:`jet`;
+* field jets ``z0, z0_x, z0_x2, ...``, named by :func:`jet`;
 * the scaled modular field ``th`` := tau/(2 pi i), whose first jet is the
   symbol ``T`` (so tau'(x) = 2 pi i T) and whose higher jets print as
   ``T_x``, ``T_x2``, ...;
@@ -16,10 +16,14 @@ The leaf alphabet:
 Working with th instead of tau keeps every derivative rewrite exactly
 rational: d g2/dx = (6 g3 - 4 g1 g2) * T and so on, with no pi or i in
 any coefficient.
+
+No alphabet is recorded here: :func:`jet_info` reads a jet off its name
+and the fields at hand, and each table lists its own x-constants.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field as dc_field
 
 import numpy as np
@@ -29,7 +33,7 @@ from . import elliptic
 from .errors import ClosureError, UnboundSymbolError
 
 # ---------------------------------------------------------------------------
-# symbol registry
+# the leaf alphabet and the jet naming rule
 
 u, v = sp.symbols("u v")
 wpu, wpv = sp.symbols("wpu wpv")
@@ -40,22 +44,13 @@ g1, g2, g3 = sp.symbols("g1 g2 g3")
 
 MODULAR_FIELD = "th"
 
-_JETS: dict[str, tuple[str, int]] = {}
-_CONSTANTS: set[str] = {"u", "v"}
-
 
 def _jet_name(field: str, order: int) -> str:
+    """The naming rule: z1, z1_x, z1_x2, ...; the modular field's jets of
+    order >= 1 are T, T_x, T_x2, ..."""
     if field == MODULAR_FIELD and order >= 1:
-        base = "T"
-        order -= 1
-        field = None
-    else:
-        base = field
-    if order == 0:
-        return base
-    if order == 1:
-        return base + "_x"
-    return f"{base}_x{order}"
+        field, order = "T", order - 1
+    return field + ("" if order == 0 else "_x" if order == 1 else f"_x{order}")
 
 
 def jet(field: str, order: int = 0) -> sp.Symbol:
@@ -63,27 +58,22 @@ def jet(field: str, order: int = 0) -> sp.Symbol:
     k-th total x-derivative."""
     if order < 0:
         raise ValueError("negative jet order")
-    name = _jet_name(field, order)
-    _JETS[name] = (field, order)
-    return sp.Symbol(name)
+    return sp.Symbol(_jet_name(field, order))
 
 
 T = jet(MODULAR_FIELD, 1)
 
 
-def declare_constants(*symbols) -> tuple[sp.Symbol, ...]:
-    """Register symbols that total_x_derivative treats as constants."""
-    out = []
-    for s in symbols:
-        s = sp.Symbol(s) if isinstance(s, str) else s
-        _CONSTANTS.add(s.name)
-        out.append(s)
-    return tuple(out)
-
-
-def jet_info(sym: sp.Symbol):
-    """(field, order) for a registered jet symbol, else None."""
-    return _JETS.get(sym.name)
+def jet_info(sym: sp.Symbol, fields=None):
+    """(field, order) when the name of sym is, by the naming rule of
+    jet, a jet of one of `fields` (any field when None) or of the modular
+    field, whose jets the tau-dependent leaves bring in; else None."""
+    base, k = re.fullmatch(r"(.*?)(?:_x(\d*))?", sym.name).groups()
+    field = MODULAR_FIELD if base == "T" else base
+    order = (base == "T") + (0 if k is None else int(k or 1))
+    if fields is not None and field not in fields and field != MODULAR_FIELD:
+        return None
+    return (field, order) if _jet_name(field, order) == sym.name else None
 
 
 # ---------------------------------------------------------------------------
@@ -136,17 +126,17 @@ def d_dz_spectral(e: sp.Expr, var: str) -> sp.Expr:
     return _apply_derivation(e, lambda s: rules.get(s))
 
 
-def total_x_derivative(e: sp.Expr) -> sp.Expr:
-    """Total x-derivative: jets prolong, tau-dependent leaves rewrite
-    through T, registered constants drop out."""
+def total_x_derivative(e: sp.Expr, fields) -> sp.Expr:
+    """Total x-derivative: jets of `fields` prolong, tau-dependent leaves
+    rewrite through T, the spectral variables u, v drop out."""
     def rule(s: sp.Symbol):
-        info = _JETS.get(s.name)
+        info = jet_info(s, fields)
         if info is not None:
             f, k = info
             return jet(f, k + 1)
         if s in DTAU_RULES:
             return T * DTAU_RULES[s]
-        if s.name in _CONSTANTS:
+        if s in (u, v):
             return sp.Integer(0)
         raise ClosureError(f"no x-derivative rewrite for leaf {s}")
 
@@ -159,12 +149,8 @@ def render(e: sp.Expr) -> str:
 
 
 def parse(s: str) -> sp.Expr:
-    """Inverse of render over the registered alphabet."""
-    names = {name: sp.Symbol(name) for name in _JETS}
-    for sym in (u, v, wpu, wpv, dwpu, dwpv, zwu, zwv, g1, g2, g3):
-        names[sym.name] = sym
-    for name in _CONSTANTS:
-        names.setdefault(name, sp.Symbol(name))
+    """Inverse of render: every name in the text is a plain symbol."""
+    names = {name: sp.Symbol(name) for name in re.findall(r"[A-Za-z_]\w*", s)}
     return sp.expand(sp.sympify(s, locals=names))
 
 

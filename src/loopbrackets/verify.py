@@ -99,9 +99,10 @@ class SuiteReport:
 def _residual_check(name: str, residuals, tol: float,
                     negative: bool = False, floor: float = 0.0) -> CheckRecord:
     residuals = [float(r) for r in residuals]
-    mx = max(residuals) if residuals else 0.0
+    mx = float(np.max(residuals)) if residuals else 0.0  # NaN propagates
     med = statistics.median(residuals) if residuals else 0.0
-    passed = (mx > floor) if negative else (mx < tol)
+    # residuals that are all exactly zero pass even at tol = 0
+    passed = (mx > floor) if negative else (mx < tol or not any(residuals))
     return CheckRecord(name=name, passed=passed, max_residual=mx,
                        median_residual=med, negative_control=negative)
 
@@ -379,7 +380,7 @@ def run_prop2_suite(seed: int = 0, tol: float = 1e-9) -> SuiteReport:
                                 seed=int(rng.integers(1 << 31)))
                  for _ in range(6)]
     checks = [_residual_check("antisymmetry_and_jacobi",
-                              _table_residuals(table, jets_list), 1e-8)]
+                              _table_residuals(table, jets_list), tol)]
 
     red = models.lemma1_descend(table, "z2")
     p, px = jet("p1"), jet("p1", 1)

@@ -104,6 +104,20 @@ class TestVerifyCommand:
                         "--tol", "0"]) == 1
         assert json.loads(capsys.readouterr().out)["params"]["tol"] == 0
 
+    def test_zero_tolerance_exact_checks_pass(self, capsys):
+        # defects that vanish identically have residual 0.0, which no
+        # tolerance can fail; the flipped-sign control still fires
+        assert run_cli(["verify", "poisson", "--n", "2", "--tol", "0"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["params"]["tol"] == 0
+        assert all(c["passed"] for c in doc["checks"])
+
+    @pytest.mark.parametrize("tol", ["-1", "-1e-12", "nan", "NaN", "x"])
+    def test_bad_tolerance_usage_error(self, tol, monkeypatch, capsys):
+        seen = self._record(monkeypatch, "prop2")
+        assert run_cli(["verify", "prop2", "--tol", tol]) == 2
+        assert not seen and "--tol" in capsys.readouterr().err
+
     @pytest.mark.parametrize("suite", ["oracle", "prop2"])
     def test_all_suites_reachable(self, suite, capsys):
         assert run_cli(["verify", suite]) == 0

@@ -8,6 +8,10 @@ functions, the fields are realized as explicit polynomials of x, and the
 remaining expression is integrated over [0, 1].  Raw input and canonical
 output must integrate to the same rational number."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st
@@ -42,7 +46,7 @@ def realize(expr, pt):
     expr = dc._as_expr(expr)
     subs = {}
     for s in expr.free_symbols:
-        info = sx.jet_info(s)
+        info = sx.jet_info(s, BASE)
         if info is None:
             raise AssertionError(f"unrealized leaf {s}")
         f, k = info
@@ -95,8 +99,8 @@ def canonical(raw, frozen=False):
     leaves, and their jets prolonged as far as the delta orders reach."""
     depth = max(sum(d[2] for d in t.deltas) for t in raw)
     seeds = [c for t in raw for _, c in t.factors]
-    alg = dc._RingAlgebra(dc._ring_symbols(seeds, depth, frozen=frozen),
-                          frozen)
+    alg = dc._RingAlgebra(dc._ring_symbols(seeds, depth, BASE, frozen=frozen),
+                          BASE, frozen)
     return dc.canonicalize([dc._RawTerm(tuple((p, alg.conv(c))
                                               for p, c in t.factors),
                                         t.deltas) for t in raw], alg)
@@ -167,12 +171,13 @@ class TestCanonicalizeAgainstPairing:
         return got
 
     def test_algebra_paths_agree(self):
-        got = self.algebra_paths_agree(False, sx.total_x_derivative)
+        got = self.algebra_paths_agree(
+            False, lambda e: sx.total_x_derivative(e, BASE))
         assert any(sx.T in t.coeff.free_symbols for t in got.terms)
 
     def test_algebra_paths_agree_frozen(self):
         got = self.algebra_paths_agree(
-            True, lambda e: sx.total_x_derivative(e).subs(sx.T, 0))
+            True, lambda e: sx.total_x_derivative(e, BASE).subs(sx.T, 0))
         assert all(sx.T not in t.coeff.free_symbols for t in got.terms)
 
     def test_leaf_without_rewrite(self):
@@ -210,6 +215,8 @@ class TestBracketTable:
             table.entry("z1", "z9")
         with pytest.raises(UnknownFieldError):
             dc.leibniz_bracket(table, "z9", z1)
+        with pytest.raises(UnknownFieldError):
+            dc.bracket_of_functions(table, sx.jet("z9"), z1)
 
     def test_order(self, table):
         assert table.order() == 1
@@ -222,6 +229,50 @@ class TestBracketTable:
         for t in e:
             got = next(b.coeff for b in back if b.orders == t.orders)
             assert sp.expand(got - t.coeff) == 0
+
+
+def fresh_interpreter(code: str) -> str:
+    """Standard output of `code` run in a new Python process."""
+    src = os.path.dirname(os.path.dirname(dc.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, timeout=300,
+                         env=dict(os.environ, PYTHONPATH=path))
+    assert out.returncode == 0, out.stderr
+    return out.stdout
+
+
+class TestAlphabet:
+    """A table reads its symbols from its own fields and x-constants, so
+    a call gives one table whatever ran before it in the process."""
+
+    Y7 = ("import sympy as sp\n"
+          "from loopbrackets import distcalc as dc\n"
+          "y7, y7x = sp.Symbol('y7'), sp.Symbol('y7_x')\n"
+          "t = dc.build_table(('y7',), {('y7', 'y7'): [(y7 * y7x, 0)]})\n"
+          "print(t.alg.syms, [(k, [(t.coeff, t.orders) for t in v])\n"
+          "                   for k, v in t.entries.items()])\n")
+
+    OTHER = ("from loopbrackets import symexpr as sx\n"
+             "sx.jet('y7'); sx.jet('y7', 1); sx.jet('z3', 2)\n"
+             "import loopbrackets.models\n")
+
+    def test_same_table_whatever_ran_before(self):
+        alone = fresh_interpreter(self.Y7)
+        assert "[(('y7', 'y7'), [(y7*y7_x, (0,))])]" in alone
+        assert fresh_interpreter(self.OTHER + self.Y7) == alone
+        assert fresh_interpreter(self.Y7 + self.OTHER + self.Y7) == 2 * alone
+
+    def test_constants_are_per_table(self):
+        c = sp.Symbol("c_per_table")
+        # c times the linear Poisson bracket is Poisson when c_x = 0
+        tbl = dc.build_table(("z1",), {("z1", "z1"): [(2 * c * z1, 1),
+                                                      (c * z1x, 0)]},
+                             constants=(c,))
+        assert tbl.alg.dx(tbl.alg.gen(c)) == 0
+        assert dc.jacobi_defect(tbl, "z1", "z1", "z1").is_zero()
+        with pytest.raises(ClosureError):
+            dc.build_table(("z1",), {("z1", "z1"): [(c * z1, 1)]})
 
 
 class TestLeibniz:
@@ -301,7 +352,7 @@ class TestFrozenModular:
         dp = dc.leibniz_bracket(tbl, "z1", z1 ** 2)
         for t in dp.terms:
             for s in t.coeff.free_symbols:
-                info = sx.jet_info(s)
+                info = sx.jet_info(s, tbl.fields)
                 assert not (info and info[0] == sx.MODULAR_FIELD)
 
     def test_unfrozen_keeps_modular_jets(self):
@@ -402,7 +453,7 @@ class TestTableAlgebra:
             cur = sp.sympify(expr)
             for k in range(max_ord + 1):
                 subs[sx.jet(old, k)] = cur
-                cur = sx.total_x_derivative(cur)
+                cur = sx.total_x_derivative(cur, forward)
         if frozen:
             subs.update({sx.jet(sx.MODULAR_FIELD, k): 0
                          for k in range(1, max_ord + 1)})

@@ -1,7 +1,7 @@
 """Source hygiene: no module of the package imports a name at module level
-that it never uses, and no private function or method goes unreferenced.
-No linter is part of the toolchain, so this parses the modules with `ast`
-instead."""
+that it never uses, no private function or method goes unreferenced, and
+no function mutates module-level state.  No linter is part of the
+toolchain, so this parses the modules with `ast` instead."""
 
 import ast
 import os
@@ -109,3 +109,93 @@ def test_unreferenced_private_definition_detected():
               "        pass\n")
     assert unreferenced_private_definitions({"m.py": source}) == [
         "m.py:_dead", "m.py:_recursive", "m.py:_unused"]
+
+
+MUTATORS = {"add", "update", "setdefault", "append", "extend", "pop", "clear",
+            "remove", "discard"}
+
+
+def module_state_mutations(source: str) -> list[str]:
+    """`function:name` for every function (or lambda) that mutates a
+    module-level name: a subscript store or delete on it, a call of one of
+    MUTATORS on it (or on an attribute or item of it, so another module's
+    state counts too), or a `global` statement.  Parameters and names the
+    function assigns are its own and do not count."""
+    tree = ast.parse(source)
+    shared = set()
+    for node in tree.body:
+        if isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+            targets = getattr(node, "targets", [getattr(node, "target", None)])
+            shared.update(n.id for t in targets for n in ast.walk(t)
+                          if isinstance(n, ast.Name))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            shared.update((a.asname or a.name).split(".")[0]
+                          for a in node.names)
+
+    def root(e):
+        while isinstance(e, (ast.Attribute, ast.Subscript)):
+            e = e.value
+        return e.id if isinstance(e, ast.Name) else None
+
+    out = set()
+    for fn in ast.walk(tree):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef,
+                               ast.Lambda)):
+            continue
+        a = fn.args
+        own = {x.arg for x in a.posonlyargs + a.args + a.kwonlyargs
+               + [a.vararg, a.kwarg] if x}
+        own |= {n.id for n in ast.walk(fn)
+                if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+        name = getattr(fn, "name", "<lambda>")
+        for n in ast.walk(fn):
+            if isinstance(n, ast.Global):
+                out.update(f"{name}:{g}" for g in n.names)
+                continue
+            if (isinstance(n, ast.Subscript)
+                    and isinstance(n.ctx, (ast.Store, ast.Del))):
+                target = root(n)
+            elif (isinstance(n, ast.Call) and isinstance(n.func, ast.Attribute)
+                  and n.func.attr in MUTATORS):
+                target = root(n.func.value)
+            else:
+                continue
+            if target in shared - own:
+                out.add(f"{name}:{target}")
+    return sorted(out)
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_module_state_mutation(module):
+    with open(os.path.join(PKG, module), encoding="utf-8") as fh:
+        assert module_state_mutations(fh.read()) == []
+
+
+def test_module_state_mutation_detected():
+    source = ("import os\n"
+              "_SEEN: dict = {}\n"
+              "_NAMES = set()\n"
+              "_COUNT = 0\n"
+              "TABLE = {'a': []}\n"
+              "def record(name):\n"
+              "    _SEEN[name] = True\n"
+              "def declare(*names):\n"
+              "    _NAMES.update(names)\n"
+              "def bump():\n"
+              "    global _COUNT\n"
+              "    _COUNT += 1\n"
+              "def nested(x):\n"
+              "    TABLE['a'].append(x)\n"
+              "def environ(k):\n"
+              "    os.environ.pop(k)\n"
+              "drop = lambda k: _SEEN.pop(k)\n"
+              "def shadowed(_SEEN):\n"
+              "    _SEEN['x'] = 1\n"
+              "def local():\n"
+              "    _NAMES = set()\n"
+              "    _NAMES.add(1)\n"
+              "def read():\n"
+              "    return _SEEN.get('x'), TABLE['a']\n")
+    assert module_state_mutations(source) == [
+        "<lambda>:_SEEN", "bump:_COUNT", "declare:_NAMES", "environ:os",
+        "nested:TABLE", "record:_SEEN"]

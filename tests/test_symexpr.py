@@ -26,37 +26,57 @@ class TestJets:
 
     def test_info_roundtrip(self):
         s = sx.jet("z4", 2)
-        assert sx.jet_info(s) == ("z4", 2)
-        assert sx.jet_info(sp.Symbol("unrelated")) is None
+        assert sx.jet_info(s, ("z4",)) == ("z4", 2)
+        assert sx.jet_info(sp.Symbol("unrelated"), ("z4",)) is None
+
+    def test_info_from_the_name(self):
+        # the naming rule alone, with no record of earlier jet() calls
+        fields = ("z1", "y7")
+        for name, info in [("y7_x", ("y7", 1)), ("z1_x3", ("z1", 3)),
+                           ("T", ("th", 1)), ("T_x2", ("th", 3)),
+                           ("th", ("th", 0))]:
+            assert sx.jet_info(sp.Symbol(name), fields) == info
+            assert sx.jet(*info).name == name
+        for name in ("z1_x1", "z1_x0", "th_x", "z9", "g2", "q_11_11"):
+            assert sx.jet_info(sp.Symbol(name), fields) is None
+        assert sx.jet_info(sp.Symbol("z9_x2")) == ("z9", 2)
 
     def test_negative_order(self):
         with pytest.raises(ValueError):
             sx.jet("z1", -1)
 
 
+FIELDS = ("z1", "z2")
+
+
 class TestTotalDerivative:
     def test_jet_prolongation(self):
         z = sx.jet("z1")
-        assert sx.total_x_derivative(z ** 2) == 2 * z * sx.jet("z1", 1)
+        assert (sx.total_x_derivative(z ** 2, ("z1",))
+                == 2 * z * sx.jet("z1", 1))
 
     def test_leibniz(self):
         a, b = sx.jet("z1"), sx.jet("z2")
-        lhs = sx.total_x_derivative(a * b)
-        rhs = (sx.total_x_derivative(a) * b + a * sx.total_x_derivative(b))
+        lhs = sx.total_x_derivative(a * b, FIELDS)
+        rhs = (sx.total_x_derivative(a, FIELDS) * b
+               + a * sx.total_x_derivative(b, FIELDS))
         assert sp.expand(lhs - rhs) == 0
 
     def test_modular_chain(self):
         # x-derivatives of the quasi-modular leaves go through T
-        assert sp.expand(sx.total_x_derivative(sx.g2)
+        assert sp.expand(sx.total_x_derivative(sx.g2, ())
                          - (6 * sx.g3 - 4 * sx.g1 * sx.g2) * sx.T) == 0
 
     def test_constants_drop(self):
-        assert sx.total_x_derivative(sx.u) == 0
-        assert sx.total_x_derivative(sx.v) == 0
+        assert sx.total_x_derivative(sx.u, FIELDS) == 0
+        assert sx.total_x_derivative(sx.v, FIELDS) == 0
 
     def test_unknown_leaf(self):
         with pytest.raises(ClosureError):
-            sx.total_x_derivative(sp.Symbol("mystery"))
+            sx.total_x_derivative(sp.Symbol("mystery"), FIELDS)
+        # a jet of a field outside the given ones is a leaf like any other
+        with pytest.raises(ClosureError):
+            sx.total_x_derivative(sx.jet("z3", 1), FIELDS)
 
     def test_large_expression_matches_small_path(self):
         # large expanded sums and small products follow the chain rule
@@ -70,8 +90,8 @@ class TestTotalDerivative:
                       (sx.g2, sx.T * sx.DTAU_RULES[sx.g2]),
                       (sx.g3, sx.T * sx.DTAU_RULES[sx.g3]),
                       (sx.T, sx.jet(sx.MODULAR_FIELD, 2))])
-        assert sp.expand(sx.total_x_derivative(big) - direct) == 0
-        assert sp.expand(sx.total_x_derivative(small)
+        assert sp.expand(sx.total_x_derivative(big, FIELDS) - direct) == 0
+        assert sp.expand(sx.total_x_derivative(small, FIELDS)
                          - 2 * (z + sx.g2)
                          * (zx + (6 * sx.g3 - 4 * sx.g1 * sx.g2) * sx.T)) == 0
 
@@ -162,6 +182,12 @@ class TestRenderParse:
     @given(alphabet_polys())
     def test_roundtrip(self, e):
         assert sp.expand(sx.parse(sx.render(e)) - e) == 0
+
+    def test_names_from_the_text(self):
+        # names never made by jet(), and names sympy would otherwise read
+        # as its constants E and S, come back as plain symbols
+        E, S, y7x = sp.symbols("E S y7_x")
+        assert sx.parse("E*y7_x + 2*S") == E * y7x + 2 * S
 
     def test_deterministic(self):
         e = sx.g2 * sx.jet("z1") + sx.jet("z2") * sx.T

@@ -19,6 +19,21 @@ class TestReportPlumbing:
                                    negative=True, floor=1e-3)
         assert c.passed and c.negative_control
 
+    def test_zero_tolerance(self):
+        # residuals that are all exactly zero pass even at tol = 0; any
+        # nonzero residual fails there
+        assert verify._residual_check("x", [0.0, 0.0], 0.0).passed
+        assert not verify._residual_check("x", [0.0, 1e-300], 0.0).passed
+        assert not verify._residual_check("x", [1e-9], 1e-9).passed
+
+    @pytest.mark.parametrize("negative", [False, True])
+    def test_nan_residual_fails(self, negative):
+        # wherever it sits in the list, a NaN residual fails the check
+        for residuals in ([0.0, float("nan")], [float("nan"), 0.0]):
+            c = verify._residual_check("x", residuals, 1.0,
+                                       negative=negative, floor=1e-3)
+            assert not c.passed
+
     def test_report_json_shape(self):
         rep = verify.run_cp2_suite()
         doc = json.loads(rep.to_json())
@@ -89,6 +104,18 @@ class TestProp2Suite:
     def test_passes(self):
         rep = verify.run_prop2_suite(seed=0)
         assert rep.passed, [c.name for c in rep.checks if not c.passed]
+
+    def test_tolerance_reaches_the_residual_checks(self, monkeypatch):
+        seen = {}
+        check = verify._residual_check
+
+        def spy(name, residuals, tol, **kwargs):
+            seen[name] = tol
+            return check(name, residuals, tol, **kwargs)
+        monkeypatch.setattr(verify, "_residual_check", spy)
+        verify.run_prop2_suite(seed=0, tol=0.25)
+        assert seen == {"antisymmetry_and_jacobi": 0.25,
+                        "control_flipped_sign": 0.25}
 
 
 class TestThm2Suite:
