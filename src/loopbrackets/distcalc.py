@@ -35,12 +35,14 @@ import itertools
 from dataclasses import dataclass
 from math import comb
 
+import numpy as np
 import sympy as sp
 from sympy.polys.fields import FracElement
 from sympy.polys.rings import PolyElement
 
 from . import symexpr as sx
-from .errors import ClosureError, StructureError, UnknownFieldError
+from .errors import (ClosureError, StructureError, UnboundSymbolError,
+                     UnknownFieldError)
 
 _POINT_INDEX = {"x": 0, "y": 1, "w": 2}
 
@@ -125,15 +127,13 @@ def _ring_symbols(seeds, depth: int, fields, constants=(),
     rewrites, and the jets of every field listed or seen, prolonged
     `depth` orders past the highest one seen.  The modular jets T, T_x,
     ... come in with the modular field, or with a tau-dependent leaf
-    unless the modular parameter is frozen.  ClosureError for a symbol
-    outside the alphabet."""
+    unless the modular parameter is frozen.  A symbol outside the
+    alphabet is kept, for _RingAlgebra to refuse."""
     gens: set = set()
     jets_max: dict[str, int] = dict.fromkeys(fields or (), 0)
 
     def note(s):
         kind = _kind(s, fields, constants)
-        if kind is None:
-            raise ClosureError(f"no derivative rewrite for leaf {s}")
         if isinstance(kind, tuple):
             f, k = kind
             jets_max[f] = max(jets_max.get(f, 0), k)
@@ -158,11 +158,11 @@ class _RingAlgebra:
     """Coefficient arithmetic in a sparse polynomial ring over QQ and its
     fraction field (elements are ring elements while they are
     polynomial), with the total x-derivative and d/dth built in; each
-    generator is read once, by _kind.  With `frozen` the modular
-    parameter is a constant: g1, g2, g3, the other tau-dependent leaves
-    and the modular jets T, T_x, ... all have zero x-derivative.  `memo`
-    holds the Leibniz brackets of every table that shares this algebra,
-    keyed on the bracket row they read."""
+    generator is read once, by _kind, and one outside the alphabet is a
+    ClosureError.  With `frozen` the modular parameter is a constant: g1,
+    g2, g3, the other tau-dependent leaves and the modular jets T, T_x,
+    ... all have zero x-derivative.  `memo` holds the Leibniz brackets of
+    every table that shares this algebra, keyed on the row they read."""
 
     def __init__(self, syms, fields, frozen: bool, constants=()):
         self.F, *_ = sp.field(syms, sp.QQ)
@@ -189,6 +189,8 @@ class _RingAlgebra:
                     self._img.append(self.index.get(sx.jet(f, k + 1)))
             elif kinds[i] == "constant":
                 self._img.append(())
+            elif kinds[i] is None:
+                raise ClosureError(f"no derivative rewrite for leaf {s}")
             else:
                 self._dth[i] = self.R.from_expr(sx.DTAU_RULES[s])
                 self._img.append(() if frozen else tuple(
@@ -372,9 +374,28 @@ def _sum(alg, parts):
     return acc
 
 
-def evaluate_distpoly(dp: DistPoly, jets: sx.JetAssignment) -> list[complex]:
-    """Numeric values of all canonical coefficients."""
-    return [jets.evaluate(t.coeff) for t in dp.terms]
+def _values(p, samples):
+    """The element p at each sample, from its exponents and QQ
+    coefficients; a fraction as numerator over denominator."""
+    if isinstance(p, FracElement):
+        return _values(p.numer, samples) / _values(p.denom, samples)
+    monoms, coeffs = zip(*p.terms())
+    E = np.array(monoms)
+    used = np.flatnonzero(E.any(axis=0))
+    syms = [p.ring.symbols[i] for i in used]
+    try:
+        V = np.array([[s[g] for g in syms] for s in samples], dtype=complex)
+    except KeyError as e:
+        raise UnboundSymbolError(f"no value for {e.args[0]}") from None
+    monos = np.prod(V[:, None, :] ** E[:, used], axis=2)
+    return np.sum(monos * np.array(coeffs, dtype=float), axis=1)
+
+
+def evaluate_distpoly(dp: DistPoly, samples) -> np.ndarray:
+    """Coefficients at jet samples ({symbol: complex}), terms x samples;
+    UnboundSymbolError when a sample misses a generator of the support."""
+    return np.array([_values(t.value, samples) for t in dp.terms],
+                    dtype=complex).reshape(len(dp.terms), len(samples))
 
 
 # ---------------------------------------------------------------------------

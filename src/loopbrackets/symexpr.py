@@ -19,12 +19,12 @@ any coefficient.
 
 No alphabet is recorded here: :func:`jet_info` reads a jet off its name
 and the fields at hand, and each table lists its own x-constants.
+:func:`sample_jets` draws {symbol: complex} values for the alphabet.
 """
 
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 import sympy as sp
@@ -157,32 +157,13 @@ def parse(s: str) -> sp.Expr:
 # ---------------------------------------------------------------------------
 # numeric evaluation
 
-@dataclass
-class JetAssignment:
-    """Complex values for jets and leaves, with the elliptic context that
-    produced the builtin leaf values."""
-
-    values: dict
-    ctx: elliptic.EllipticContext | None = None
-    _cache: dict = dc_field(default_factory=dict, repr=False)
-
-    def evaluate(self, e: sp.Expr) -> complex:
-        return evaluate(e, self)
-
-
-def evaluate(e: sp.Expr, jets: JetAssignment) -> complex:
-    """Evaluate an expression at a jet assignment; UnboundSymbolError for
-    leaves without values."""
-    free = tuple(sorted(e.free_symbols, key=str))
-    missing = [s for s in free if s not in jets.values]
+def evaluate(e: sp.Expr, values: dict) -> complex:
+    """e at `values` by substitution: the reference for the ring evaluator
+    of distcalc.  UnboundSymbolError for leaves without values."""
+    missing = sorted(e.free_symbols - values.keys(), key=str)
     if missing:
         raise UnboundSymbolError(f"no value for {missing}")
-    key = (e, free)
-    fn = jets._cache.get(key)
-    if fn is None:
-        fn = sp.lambdify(free, e, modules="numpy")
-        jets._cache[key] = fn
-    return complex(fn(*(complex(jets.values[s]) for s in free)))
+    return complex(e.xreplace({s: values[s] for s in e.free_symbols}))
 
 
 def _annulus(rng, lo=0.2, hi=2.0):
@@ -199,9 +180,9 @@ def spectral_point(rng, tau: complex) -> complex:
 
 
 def sample_jets(ctx: elliptic.EllipticContext, fields, max_order: int = 1,
-                seed: int = 0, th_jets: bool = True) -> JetAssignment:
+                seed: int = 0) -> dict:
     """Deterministic random jet values plus consistent builtin leaf values
-    at fresh off-lattice spectral points."""
+    at fresh off-lattice spectral points, as {symbol: complex}."""
     if max_order < 1:
         raise ValueError("max_order must be >= 1")
     rng = np.random.default_rng(seed)
@@ -211,9 +192,8 @@ def sample_jets(ctx: elliptic.EllipticContext, fields, max_order: int = 1,
             continue
         for k in range(max_order + 1):
             vals[jet(f, k)] = _annulus(rng)
-    if th_jets:
-        for k in range(1, max_order + 2):
-            vals[jet(MODULAR_FIELD, k)] = _annulus(rng, 0.1, 0.8)
+    for k in range(1, max_order + 2):
+        vals[jet(MODULAR_FIELD, k)] = _annulus(rng, 0.1, 0.8)
     for _ in range(100):
         up = spectral_point(rng, ctx.tau)
         vp = spectral_point(rng, ctx.tau)
@@ -227,4 +207,4 @@ def sample_jets(ctx: elliptic.EllipticContext, fields, max_order: int = 1,
         zwu: elliptic.zeta(ctx, up), zwv: elliptic.zeta(ctx, vp),
         g1: ctx.g1, g2: ctx.g2, g3: ctx.g3,
     })
-    return JetAssignment(values=vals, ctx=ctx)
+    return vals

@@ -282,9 +282,8 @@ def _table_residuals(table: dc.BracketTable, jets_list) -> list[float]:
         if d.is_zero():
             out.append(0.0)
             continue
-        for jets in jets_list:
-            vals = dc.evaluate_distpoly(d, jets)
-            out.append(max(abs(x) for x in vals))
+        vals = np.abs(dc.evaluate_distpoly(d, jets_list))
+        out.extend(np.max(vals, axis=0).tolist())
     return out
 
 

@@ -20,7 +20,7 @@ from loopbrackets import distcalc as dc
 from loopbrackets import models, verify
 from loopbrackets import symexpr as sx
 from loopbrackets.errors import (ClosureError, StructureError,
-                                 UnknownFieldError)
+                                 UnboundSymbolError, UnknownFieldError)
 
 x, y, w = sp.symbols("x y w")
 PT = {"x": x, "y": y, "w": w}
@@ -274,6 +274,12 @@ class TestAlphabet:
         with pytest.raises(ClosureError):
             dc.build_table(("z1",), {("z1", "z1"): [(c * z1, 1)]})
 
+    def test_algebra_outside_its_alphabet(self):
+        # built directly, as models does, not through _ring_symbols
+        with pytest.raises(ClosureError, match="no derivative rewrite for "
+                                               "leaf y"):
+            dc._RingAlgebra([sp.Symbol("y")], (), False)
+
 
 class TestLeibniz:
     def test_against_pairing(self, table):
@@ -390,14 +396,65 @@ class TestCoordinateChange:
 
 
 class TestNumericEvaluation:
+    """Coefficients are evaluated from their ring elements, checked
+    against substitution into the Expr view."""
+
+    @staticmethod
+    def samples(ctx, table, seeds=(1, 2)):
+        return [sx.sample_jets(ctx, table.fields, max_order=table.order() + 4,
+                               seed=s) for s in seeds]
+
+    def check_against_expr(self, table, samples):
+        checked = 0
+        for tr in dc.jacobi_triples(table.fields):
+            dp = dc.jacobi_defect(table, *tr)
+            got = dc.evaluate_distpoly(dp, samples)
+            assert got.shape == (len(dp.terms), len(samples))
+            for t, row in zip(dp.terms, got):
+                for s, g in zip(samples, row):
+                    want = sx.evaluate(t.coeff, s)
+                    assert abs(g - want) <= 1e-12 * max(1.0, abs(want))
+                    checked += 1
+        assert checked
+
     def test_evaluate_distpoly(self, ctx):
-        dp = dc.DistPoly(terms=(dc.DeltaTerm(z1 * sx.g2, (1,)),
-                                dc.DeltaTerm(z1x, (0,))))
-        ja = sx.sample_jets(ctx, ("z1",), seed=5)
-        vals = dc.evaluate_distpoly(dp, ja)
-        expect0 = ja.values[z1] * ctx.g2
-        assert abs(vals[0] - complex(expect0)) < 1e-12 * max(1.0, abs(expect0))
-        assert abs(vals[1] - complex(ja.values[z1x])) < 1e-12
+        R, a, b, c = sp.ring([z1, z1x, sx.g2], sp.QQ)
+        dp = dc.DistPoly(terms=(dc.DeltaTerm(a * c, (1,)),
+                                dc.DeltaTerm(b, (0,))))
+        vals = sx.sample_jets(ctx, ("z1",), seed=5)
+        got = dc.evaluate_distpoly(dp, [vals])[:, 0]
+        expect0 = vals[z1] * ctx.g2
+        assert abs(got[0] - complex(expect0)) < 1e-12 * max(1.0, abs(expect0))
+        assert abs(got[1] - complex(vals[z1x])) < 1e-12
+
+    def test_polynomial_defects_match_expr(self, ctx):
+        table = models.thm3_extract(2).to_bracket_table()
+        bad = verify._flip_one_entry(table, "z0", "z2")
+        self.check_against_expr(bad, self.samples(ctx, bad))
+
+    def test_fraction_defects_match_expr(self, ctx):
+        table = dc.build_table(("z1", "z2"), {
+            ("z1", "z2"): [(z1 / z2 * sx.g2, 1), (z1x / z2, 0)]},
+            frozen_modular=True)
+        assert any(isinstance(t.value, dc.FracElement)
+                   for t in table.entry("z1", "z2"))
+        self.check_against_expr(table, self.samples(ctx, table))
+
+    def test_unbound_support_generator(self, ctx):
+        R, a, b = sp.ring([z1, z1x], sp.QQ)
+        dp = dc.DistPoly(terms=(dc.DeltaTerm(a * b, (0,)),))
+        vals = sx.sample_jets(ctx, ("z1",), seed=5)
+        del vals[z1x]
+        with pytest.raises(UnboundSymbolError, match="z1_x"):
+            dc.evaluate_distpoly(dp, [vals])
+
+    def test_generators_outside_support_need_no_value(self):
+        R, a, b, c = sp.ring([z1, z1x, sx.g2], sp.QQ)
+        dp = dc.DistPoly(terms=(dc.DeltaTerm(3 * a ** 2 + c / 2, (0, 1)),
+                                dc.DeltaTerm(R(5), (1, 0))))
+        samples = [{z1: 2j, sx.g2: 4.0}, {z1: 1, sx.g2: 0}]
+        got = dc.evaluate_distpoly(dp, samples)
+        assert got.tolist() == [[-10, 3], [5, 5]]
 
 
 class TestTableAlgebra:

@@ -2,9 +2,13 @@
 
 The files under tests/data were written by the package before its delta
 calculus moved from sympy expressions to one coefficient ring per table:
-`loopb descend --n 3` in both affine charts, the Proposition 2 table
-descended onto p1 = z1/z2 (rendered as the descend command renders), and
-`loopb verify poisson --n 2 --json`.  The `loopb table` documents (in
+`loopb descend --n 3` in both affine charts and the Proposition 2 table
+descended onto p1 = z1/z2 (rendered as the descend command renders).
+`loopb verify poisson --n 2 --json` was rewritten, by that command, when
+residuals came to be evaluated from ring elements instead of lambdified
+expressions: the control's max_residual moved in its last digits
+(31583.73749007927 -> 31583.73749007926, numpy sums in another order),
+and every other byte stayed.  The `loopb table` documents (in
 full for n = 2, 3, as SHA-256 digests for n = 2..6) were written before
 the two structure-constant derivations moved to polynomial rings.  Every
 document must still come out byte for byte the same.

@@ -14,6 +14,7 @@ ROOT = Path(__file__).resolve().parent.parent
 @pytest.mark.parametrize("script, args", [
     ("nogo_restart_stats.py", ["--restarts", "2", "--csv", "{tmp}/r.csv"]),
     ("export_tables.py", ["--nmin", "2", "--nmax", "2", "--out", "{tmp}"]),
+    ("run_all_suites.py", ["--nmax", "2", "--out", "{tmp}"]),
 ])
 def test_script_runs(script, args, tmp_path):
     path = filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")])

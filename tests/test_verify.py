@@ -6,6 +6,7 @@ import json
 import pytest
 import sympy as sp
 
+from loopbrackets import distcalc as dc
 from loopbrackets import verify
 
 
@@ -98,6 +99,30 @@ class TestPoissonSuite:
         from loopbrackets.errors import DomainError
         with pytest.raises(DomainError):
             verify.run_poisson_suite(n=9)
+
+
+class TestRingEvaluation:
+    def test_no_lambdify_or_coeff_view(self, monkeypatch):
+        """Residuals are evaluated from ring elements: no lambdify, and
+        (on the Poisson suite) no DeltaTerm.coeff view."""
+        calls = []
+        lambdify = sp.lambdify
+
+        def counted(*args, **kwargs):
+            calls.append("lambdify")
+            return lambdify(*args, **kwargs)
+        monkeypatch.setattr(sp, "lambdify", counted)
+        view = dc.DeltaTerm.coeff.func
+
+        def coeff(term):
+            calls.append("coeff")
+            return view(term)
+        monkeypatch.setattr(dc.DeltaTerm, "coeff", property(coeff))
+        verify.run_poisson_suite(n=2)
+        assert calls == []
+        # prop2 reads coefficients in its descent checks
+        verify.run_prop2_suite()
+        assert "lambdify" not in calls
 
 
 class TestProp2Suite:
