@@ -10,7 +10,6 @@ import argparse
 import json
 import pathlib
 import sys
-import time
 
 from loopbrackets import verify
 from loopbrackets.cli import atomic_write
@@ -39,12 +38,11 @@ def main() -> int:
 
     all_pass = True
     for name, fn in runs:
-        t0 = time.time()
         rep = fn()
         path = outdir / f"{name}.json"
         atomic_write(str(path), rep.to_json(include_duration=True))
         status = "pass" if rep.passed else "FAIL"
-        print(f"{name:14s} {status}  ({time.time() - t0:6.1f}s)  -> {path}")
+        print(f"{name:14s} {status}  ({rep.duration_seconds:6.1f}s)  -> {path}")
         all_pass &= rep.passed
 
     summary = {"seed": args.seed,

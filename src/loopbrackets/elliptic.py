@@ -274,10 +274,9 @@ def log_sigma_tau(ctx: EllipticContext, z: complex) -> complex:
 def log_sigma_tau2(ctx: EllipticContext, z: complex) -> complex:
     """Closed form for d^2(log sigma)/d(tau)^2, obtained by applying the
     scaled derivation to the first-derivative closed form."""
-    g1, g2, g3 = ctx.g1, ctx.g2, ctx.g3
+    g1 = ctx.g1
     zt = zeta(ctx, z)
-    d_g1 = g2 / 12.0 - g1 * g1
-    d_g2 = 6.0 * g3 - 4.0 * g1 * g2
+    d_g1, d_g2, _ = g_derivations(ctx)
     zt_th = TWO_PI_I * zeta_tau(ctx, z)
     wp_th = TWO_PI_I * wp_tau(ctx, z)
     val = (d_g1 + d_g2 * z * z / 24.0 - z * d_g1 * zt - z * g1 * zt_th
@@ -285,12 +284,23 @@ def log_sigma_tau2(ctx: EllipticContext, z: complex) -> complex:
     return val / TWO_PI_I ** 2
 
 
-def g_tau_derivatives(ctx: EllipticContext) -> tuple[complex, complex, complex]:
-    """(dg1/dtau, dg2/dtau, dg3/dtau) from the closed quasi-modular system."""
+def g_derivations(ctx: EllipticContext) -> tuple[complex, complex, complex]:
+    """The closed quasi-modular system: 2 pi i (dg1, dg2, dg3)/dtau."""
     g1, g2, g3 = ctx.g1, ctx.g2, ctx.g3
-    return ((g2 / 12.0 - g1 * g1) / TWO_PI_I,
-            (6.0 * g3 - 4.0 * g1 * g2) / TWO_PI_I,
-            (g2 * g2 / 3.0 - 6.0 * g1 * g3) / TWO_PI_I)
+    return (g2 / 12.0 - g1 * g1,
+            6.0 * g3 - 4.0 * g1 * g2,
+            g2 * g2 / 3.0 - 6.0 * g1 * g3)
+
+
+def g_tau_derivatives(ctx: EllipticContext) -> tuple[complex, complex, complex]:
+    """(dg1/dtau, dg2/dtau, dg3/dtau)."""
+    return tuple(d / TWO_PI_I for d in g_derivations(ctx))
+
+
+def g1_second_derivation(ctx: EllipticContext) -> complex:
+    """(2 pi i)^2 d^2(g1)/dtau^2: the scaled derivation applied twice."""
+    d_g1, d_g2, _ = g_derivations(ctx)
+    return d_g2 / 12.0 - 2.0 * ctx.g1 * d_g1
 
 
 def q_weight(ctx: EllipticContext, u: complex, v: complex,

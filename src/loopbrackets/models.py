@@ -825,8 +825,8 @@ class SigmaRealization:
     """Numeric generating field built from sigma-function factors over
     flat fields t_1..t_{n-1}, the modular field, and a prefactor f.
 
-    All first and mixed field-derivatives are assembled from closed
-    forms for zeta, sigma_tau/sigma, wp_tau, zeta_tau -- no finite
+    All first and mixed field-derivatives are assembled (in `at`) from
+    closed forms for zeta, sigma_tau/sigma, wp_tau, zeta_tau -- no finite
     differences anywhere."""
 
     ctx: elliptic.EllipticContext
@@ -845,116 +845,73 @@ class SigmaRealization:
                        for a in range(self.n - 1) for b in range(a, self.n - 1))
         self.fields = [f"t{c + 1}" for c in range(self.n - 1)] + ["tau", "f"]
 
-    # -- scalar building blocks -------------------------------------------
-    def _lst(self, z):
-        """sigma_tau / sigma at z (scaled by 1/(2 pi i) internally)."""
-        return elliptic.log_sigma_tau(self.ctx, z)
+    def at(self, z) -> dict:
+        """The generating field at spectral point z and its derivatives,
+        from one evaluation of each elliptic function at z + S, z - t_c
+        and z: "value", "du" (spectral), "partial"[F], "second"[F][G],
+        "du_partial"[F], and the x-derivatives "dx", "du_dx" and
+        "partial_dx"[G] along the field jets."""
+        ctx, n, t, f, fields = self.ctx, self.n, self.t, self.f, self.fields
+        args = [z + self.S] + [z - ta for ta in t] + [z]
+        sig, zet, wpv, zt, lst, lst2 = (
+            [fn(ctx, a) for a in args]
+            for fn in (elliptic.sigma, elliptic.zeta, elliptic.wp,
+                       elliptic.zeta_tau, elliptic.log_sigma_tau,
+                       elliptic.log_sigma_tau2))
 
-    def value(self, spectral) -> complex:
-        ctx = self.ctx
-        num = elliptic.sigma(ctx, spectral + self.S)
-        for ta in self.t:
-            num *= elliptic.sigma(ctx, spectral - ta)
-        num /= elliptic.sigma(ctx, spectral) ** self.n
-        return num * np.exp(-ctx.g1 * self.Phi) * self.f
+        def quotient(v):  # log-derivative of the sigma quotient
+            return v[0] + sum(v[1:-1]) - n * v[-1]
 
-    # -- logarithmic derivatives ------------------------------------------
-    def _M_u(self, z):
-        ctx = self.ctx
-        return (elliptic.zeta(ctx, z + self.S)
-                + sum(elliptic.zeta(ctx, z - ta) for ta in self.t)
-                - self.n * elliptic.zeta(ctx, z))
+        num = sig[0]
+        for s in sig[1:-1]:
+            num *= s
+        num /= sig[-1] ** n
+        e = num * np.exp(-ctx.g1 * self.Phi) * f
+        g1p = elliptic.g_tau_derivatives(ctx)[0]
+        g1pp = elliptic.g1_second_derivation(ctx) / TWO_PI_I ** 2
+        flat = range(n - 1)
+        # log-derivatives M[F]; dM_u[F] = d/dF of the spectral M_u;
+        # mixed[F][G] = d^2/dF dG of the log, with "f" entries zero
+        M = {f"t{c + 1}": zet[0] - zet[c + 1] - ctx.g1 * (self.S + t[c])
+             for c in flat}
+        M["tau"] = quotient(lst) - g1p * self.Phi
+        M["f"] = 1.0 / f
+        M_u = quotient(zet)
+        dM_u = {f"t{c + 1}": -wpv[0] + wpv[c + 1] for c in flat}
+        dM_u["tau"] = quotient(zt)
+        mixed = {F: {G: 0.0 for G in fields} for F in fields}
+        mixed["tau"]["tau"] = quotient(lst2) - g1pp * self.Phi
+        for c in flat:
+            F = f"t{c + 1}"
+            mixed[F]["tau"] = mixed["tau"][F] = (
+                zt[0] - zt[c + 1] - g1p * (self.S + t[c]))
+            for d in flat:
+                mixed[F][f"t{d + 1}"] = (-wpv[0]
+                                         - (wpv[c + 1] if c == d else 0.0)
+                                         - ctx.g1 * (1 + (1 if c == d else 0)))
 
-    def _M_field(self, z, F):
-        ctx = self.ctx
-        if F == "f":
-            return 1.0 / self.f
-        if F == "tau":
-            g1p = (ctx.g2 / 12 - ctx.g1 ** 2) / TWO_PI_I
-            val = (self._lst(z + self.S)
-                   + sum(self._lst(z - ta) for ta in self.t)
-                   - self.n * self._lst(z))
-            return val - g1p * self.Phi
-        c = int(F[1:]) - 1
-        return (elliptic.zeta(ctx, z + self.S)
-                - elliptic.zeta(ctx, z - self.t[c])
-                - ctx.g1 * (self.S + self.t[c]))
+        def second(F, G):
+            if F == "f" and G == "f":
+                return 0.0
+            if F == "f":
+                return e * M[G] / f
+            if G == "f":
+                return e * M[F] / f
+            return e * (M[F] * M[G] + mixed[F][G])
 
-    def _M_uu_like(self, z, F):
-        """d/dF of M_u (the spectral log-derivative)."""
-        ctx = self.ctx
-        if F == "f":
-            return 0.0
-        if F == "tau":
-            return (elliptic.zeta_tau(ctx, z + self.S)
-                    + sum(elliptic.zeta_tau(ctx, z - ta) for ta in self.t)
-                    - self.n * elliptic.zeta_tau(ctx, z))
-        c = int(F[1:]) - 1
-        return (-elliptic.wp(ctx, z + self.S)
-                + elliptic.wp(ctx, z - self.t[c]))
-
-    def _M_mixed(self, z, F, G):
-        """d^2 M / dF dG of the log of the sigma quotient."""
-        ctx = self.ctx
-        if "f" in (F, G):
-            return 0.0
-        if F == "tau" and G == "tau":
-            g1pp = _g1pp_value(ctx) / TWO_PI_I ** 2
-            val = (elliptic.log_sigma_tau2(ctx, z + self.S)
-                   + sum(elliptic.log_sigma_tau2(ctx, z - ta) for ta in self.t)
-                   - self.n * elliptic.log_sigma_tau2(ctx, z))
-            return val - g1pp * self.Phi
-        if "tau" in (F, G):
-            c = int((G if F == "tau" else F)[1:]) - 1
-            g1p = (ctx.g2 / 12 - ctx.g1 ** 2) / TWO_PI_I
-            return (elliptic.zeta_tau(ctx, z + self.S)
-                    - elliptic.zeta_tau(ctx, z - self.t[c])
-                    - g1p * (self.S + self.t[c]))
-        c, d = int(F[1:]) - 1, int(G[1:]) - 1
-        return (-elliptic.wp(ctx, z + self.S)
-                - (elliptic.wp(ctx, z - self.t[c]) if c == d else 0.0)
-                - ctx.g1 * (1 + (1 if c == d else 0)))
-
-    # -- assembled quantities ---------------------------------------------
-    def partial(self, z, F) -> complex:
-        return self.value(z) * self._M_field(z, F)
-
-    def second(self, z, F, G) -> complex:
-        e = self.value(z)
-        if F == "f" and G == "f":
-            return 0.0
-        if F == "f":
-            return e * self._M_field(z, G) / self.f
-        if G == "f":
-            return e * self._M_field(z, F) / self.f
-        return e * (self._M_field(z, F) * self._M_field(z, G)
-                    + self._M_mixed(z, F, G))
-
-    def du(self, z) -> complex:
-        return self.value(z) * self._M_u(z)
-
-    def du_partial(self, z, F) -> complex:
-        e = self.value(z)
-        if F == "f":
-            return e * self._M_u(z) / self.f
-        return e * (self._M_field(z, F) * self._M_u(z)
-                    + self._M_uu_like(z, F))
-
-    def x_derivative(self, z) -> complex:
-        return sum(self.partial(z, F) * self.jets[F] for F in self.fields)
-
-    def du_x_derivative(self, z) -> complex:
-        return sum(self.du_partial(z, F) * self.jets[F] for F in self.fields)
-
-    def x_derivative_of_partial(self, z, G) -> complex:
-        return sum(self.second(z, F, G) * self.jets[F] for F in self.fields)
-
-
-def _g1pp_value(ctx):
-    """(2 pi i)^2 g1'': the scaled derivation applied twice to g1."""
-    d_g2 = 6 * ctx.g3 - 4 * ctx.g1 * ctx.g2
-    d_g1 = ctx.g2 / 12 - ctx.g1 ** 2
-    return d_g2 / 12 - 2 * ctx.g1 * d_g1
+        partial = {F: e * M[F] for F in fields}
+        sec = {F: {G: second(F, G) for G in fields} for F in fields}
+        du_partial = {F: e * M_u / f if F == "f"
+                      else e * (M[F] * M_u + dM_u[F]) for F in fields}
+        jets = self.jets
+        return {
+            "value": e, "du": e * M_u, "partial": partial, "second": sec,
+            "du_partial": du_partial,
+            "dx": sum(partial[F] * jets[F] for F in fields),
+            "du_dx": sum(du_partial[F] * jets[F] for F in fields),
+            "partial_dx": {G: sum(sec[F][G] * jets[F] for F in fields)
+                           for G in fields},
+        }
 
 
 def thm2_realization(ctx: elliptic.EllipticContext, n: int, t: list,
@@ -982,61 +939,64 @@ def flat_table_coeffs(n: int, real: SigmaRealization):
     return C1, C0
 
 
+def _check_realization(ctx, n, real: SigmaRealization):
+    """DomainError unless (ctx, n) are the ones `real` was built for."""
+    if n != real.n:
+        raise DomainError(f"realization built for n = {real.n}, "
+                          f"asked for n = {n}")
+    if ctx is not real.ctx:
+        raise DomainError("realization built on another elliptic context")
+
+
 def thm2_bracket_residual(ctx, n, real: SigmaRealization, up, vp,
                           lam: float | None = None) -> float:
     """Relative residual of the generating-field bracket identity for the
     sigma realization at spectral points (up, vp); lambda defaults to the
-    matching coupling 1/n (override for negative controls)."""
+    matching coupling 1/n (override for negative controls).  DomainError
+    unless (ctx, n) are the realization's own."""
+    _check_realization(ctx, n, real)
     if lam is None:
         lam = 1.0 / n
     C1, C0 = flat_table_coeffs(n, real)
     fields = real.fields
+    at_u, at_v = real.at(up), real.at(vp)
+    pu, pv = at_u["partial"], at_v["partial"]
 
-    lhs1 = sum(real.partial(up, F) * C1[F][G] * real.partial(vp, G)
-               for F in fields for G in fields)
-    lhs0 = sum(real.partial(up, F)
-               * (C1[F][G] * real.x_derivative_of_partial(vp, G)
-                  + C0[F][G] * real.partial(vp, G))
+    lhs1 = sum(pu[F] * C1[F][G] * pv[G] for F in fields for G in fields)
+    lhs0 = sum(pu[F] * (C1[F][G] * at_v["partial_dx"][G] + C0[F][G] * pv[G])
                for F in fields for G in fields)
 
-    tau_val = ctx.tau
     tpr = real.jets["tau"]
     qvu = (elliptic.zeta(ctx, up - vp) + elliptic.zeta(ctx, vp)
            - ctx.g1 * up)
     quv = (elliptic.zeta(ctx, vp - up) + elliptic.zeta(ctx, up)
            - ctx.g1 * vp)
     # tau'(x) * d/dtau q(v,u) = T_value * (2 pi i d/dtau q)
-    g1p = ctx.g2 / 12 - ctx.g1 ** 2
     qvu_tau = (elliptic.zeta_tau(ctx, up - vp) + elliptic.zeta_tau(ctx, vp)
-               - g1p / TWO_PI_I * up)
+               - elliptic.g_tau_derivatives(ctx)[0] * up)
     qvu_u = -elliptic.wp(ctx, up - vp) - ctx.g1
 
-    e_u_val = real.du(up)
-    e_v_val = real.du(vp)
-    eu_val = real.value(up)
-    ev_val = real.value(vp)
-    ex_u = real.x_derivative(up)
-    ex_v = real.x_derivative(vp)
-    evx = real.du_x_derivative(vp)
-
-    rhs1 = rmatrix_delta_prime_coeff(qvu, quv, e_u_val, ev_val, eu_val,
-                                     e_v_val, lam)
-    rhs0 = rmatrix_delta_coeff(qvu, quv, tpr * qvu_tau, qvu_u, eu_val,
-                               ev_val, e_u_val, ex_u, ex_v, evx, lam)
+    rhs1 = rmatrix_delta_prime_coeff(qvu, quv, at_u["du"], at_v["value"],
+                                     at_u["value"], at_v["du"], lam)
+    rhs0 = rmatrix_delta_coeff(qvu, quv, tpr * qvu_tau, qvu_u,
+                               at_u["value"], at_v["value"], at_u["du"],
+                               at_u["dx"], at_v["dx"], at_v["du_dx"], lam)
     scale = max(1.0, abs(rhs1), abs(rhs0))
     return max(abs(lhs1 - rhs1), abs(lhs0 - rhs0)) / scale
 
 
 def thm2_modular_row_residual(ctx, real: SigmaRealization, up) -> float:
     """Residual of {tau(x), e(u,y)} = 2 pi i e(u,y) delta'(x-y) computed
-    through the flat table."""
+    through the flat table.  DomainError unless ctx is the realization's."""
+    _check_realization(ctx, real.n, real)
     fields = real.fields
     C1, C0 = flat_table_coeffs(real.n, real)
-    lhs1 = sum(C1["tau"][G] * real.partial(up, G) for G in fields)
-    lhs0 = sum(C1["tau"][G] * real.x_derivative_of_partial(up, G)
-               + C0["tau"][G] * real.partial(up, G) for G in fields)
-    rhs1 = TWO_PI_I * real.value(up)
-    rhs0 = TWO_PI_I * real.x_derivative(up)
+    at_u = real.at(up)
+    lhs1 = sum(C1["tau"][G] * at_u["partial"][G] for G in fields)
+    lhs0 = sum(C1["tau"][G] * at_u["partial_dx"][G]
+               + C0["tau"][G] * at_u["partial"][G] for G in fields)
+    rhs1 = TWO_PI_I * at_u["value"]
+    rhs0 = TWO_PI_I * at_u["dx"]
     scale = max(1.0, abs(rhs1), abs(rhs0))
     return max(abs(lhs1 - rhs1), abs(lhs0 - rhs0)) / scale
 

@@ -110,16 +110,14 @@ def _residual_check(name: str, residuals, tol: float,
 # ---------------------------------------------------------------------------
 # identity suite
 
-_FD_H = 5e-5
+_FD_H = 5e-5  # tau step of the modular-derivative differences
+_FD_HZ = 1e-5  # z step of the spectral-derivative differences
 
 
-def _fd_tau(fn, tau: complex, h: float | None = None) -> complex:
-    """Fourth-order central difference in tau, independent of the closed
-    forms under test."""
-    if h is None:
-        h = _FD_H
-    return (8.0 * (fn(tau + h) - fn(tau - h))
-            - (fn(tau + 2 * h) - fn(tau - 2 * h))) / (12.0 * h)
+def _fd(g, h: float) -> complex:
+    """Fourth-order central difference from the samples g(k) at offsets
+    k*h, k in {-2, -1, 1, 2}; independent of the closed forms under test."""
+    return (8.0 * (g(1) - g(-1)) - (g(2) - g(-2))) / (12.0 * h)
 
 
 def run_identity_suite(seed: int = 0, trials: int = 100,
@@ -129,7 +127,7 @@ def run_identity_suite(seed: int = 0, trials: int = 100,
     addition, and modular-derivative identities."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    t0 = time.time()
+    t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     taus = [sample_tau(rng) for _ in range(3)]
     ctxs = [elliptic.make_context(t) for t in taus]
@@ -139,8 +137,10 @@ def run_identity_suite(seed: int = 0, trials: int = 100,
             "quasi_period_1", "quasi_period_tau", "sigma_wp_relation",
             "addition", "q_weight_forms", "g_tau", "wp_tau", "zeta_tau",
             "log_sigma_tau")}
-    hz = 1e-5
     for ctx in ctxs:
+        # the contexts at tau + k*h that every tau-difference reads
+        step = {k: elliptic.make_context(ctx.tau + k * _FD_H)
+                for k in (-2, -1, 1, 2)}
         for _ in range(trials // 3 + 1):
             z = sx.spectral_point(rng, ctx.tau)
             w = elliptic.wp(ctx, z)
@@ -153,16 +153,11 @@ def run_identity_suite(seed: int = 0, trials: int = 100,
                 abs(elliptic.wp_zz(ctx, z) - (6 * w ** 2 - ctx.g2 / 2))
                 / max(1.0, abs(w) ** 2))
             # zeta' = -wp via 4th-order finite differences in z
-            fd = (8.0 * (elliptic.zeta(ctx, z + hz)
-                         - elliptic.zeta(ctx, z - hz))
-                  - (elliptic.zeta(ctx, z + 2 * hz)
-                     - elliptic.zeta(ctx, z - 2 * hz))) / (12.0 * hz)
+            fd = _fd(lambda k: elliptic.zeta(ctx, z + k * _FD_HZ), _FD_HZ)
             res["zeta_derivative"].append(abs(fd + w) / max(1.0, abs(w)))
             # (log sigma)' = zeta
-            fd = (8.0 * (np.log(elliptic.sigma(ctx, z + hz))
-                         - np.log(elliptic.sigma(ctx, z - hz)))
-                  - (np.log(elliptic.sigma(ctx, z + 2 * hz))
-                     - np.log(elliptic.sigma(ctx, z - 2 * hz)))) / (12.0 * hz)
+            fd = _fd(lambda k: np.log(elliptic.sigma(ctx, z + k * _FD_HZ)),
+                     _FD_HZ)
             res["log_sigma"].append(abs(fd - zt) / max(1.0, abs(zt)))
             # quasi-periods of zeta: +g1 across 1, +g1*tau - 2 pi i across tau
             res["quasi_period_1"].append(
@@ -192,24 +187,17 @@ def run_identity_suite(seed: int = 0, trials: int = 100,
                 res["q_weight_forms"].append(
                     abs(qa - qb) / max(1.0, abs(qa)))
             # modular derivatives against finite differences in tau
-            dg1, dg2, dg3 = elliptic.g_tau_derivatives(ctx)
-            for i, d in enumerate((dg1, dg2, dg3)):
-                fn = lambda t, i=i: (elliptic.make_context(t).g1,
-                                     elliptic.make_context(t).g2,
-                                     elliptic.make_context(t).g3)[i]
-                fd = _fd_tau(fn, ctx.tau)
+            for g, d in zip(("g1", "g2", "g3"),
+                            elliptic.g_tau_derivatives(ctx)):
+                fd = _fd(lambda k: getattr(step[k], g), _FD_H)
                 res["g_tau"].append(abs(fd - d) / max(1.0, abs(d)))
-            fd = _fd_tau(lambda t: elliptic.wp(elliptic.make_context(t), z),
-                         ctx.tau)
+            fd = _fd(lambda k: elliptic.wp(step[k], z), _FD_H)
             val = elliptic.wp_tau(ctx, z)
             res["wp_tau"].append(abs(fd - val) / max(1.0, abs(val)))
-            fd = _fd_tau(lambda t: elliptic.zeta(elliptic.make_context(t), z),
-                         ctx.tau)
+            fd = _fd(lambda k: elliptic.zeta(step[k], z), _FD_H)
             val = elliptic.zeta_tau(ctx, z)
             res["zeta_tau"].append(abs(fd - val) / max(1.0, abs(val)))
-            fd = _fd_tau(
-                lambda t: np.log(elliptic.sigma(elliptic.make_context(t), z)),
-                ctx.tau)
+            fd = _fd(lambda k: np.log(elliptic.sigma(step[k], z)), _FD_H)
             val = elliptic.log_sigma_tau(ctx, z)
             res["log_sigma_tau"].append(abs(fd - val) / max(1.0, abs(val)))
 
@@ -227,14 +215,14 @@ def run_identity_suite(seed: int = 0, trials: int = 100,
                                   negative=True, floor=1e-3))
     rep = SuiteReport(suite="identities", seed=seed,
                       params={"trials": trials, "tol": tol}, checks=checks)
-    rep.duration_seconds = time.time() - t0
+    rep.duration_seconds = time.perf_counter() - t0
     return rep
 
 
 def run_oracle_suite(seed: int = 0, points: int = 20, radius: int = 200,
                      tol: float = 1e-5) -> SuiteReport:
     """Series fast path against the brute-force truncated lattice sums."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     tau = sample_tau(rng)
     ctx = elliptic.make_context(tau)
@@ -261,7 +249,7 @@ def run_oracle_suite(seed: int = 0, points: int = 20, radius: int = 200,
     rep = SuiteReport(suite="oracle", seed=seed,
                       params={"points": points, "radius": radius, "tol": tol},
                       checks=checks)
-    rep.duration_seconds = time.time() - t0
+    rep.duration_seconds = time.perf_counter() - t0
     return rep
 
 
@@ -302,7 +290,7 @@ def run_poisson_suite(n: int = 2, seed: int = 0, jets: int = 20,
     chart-independence checks for one field count n."""
     if not 2 <= n <= 6:
         raise models.DomainError(f"n = {n} outside the supported range 2..6")
-    t0 = time.time()
+    t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     checks = []
 
@@ -363,7 +351,7 @@ def run_poisson_suite(n: int = 2, seed: int = 0, jets: int = 20,
                       params={"n": n, "jets": jets, "tol": tol,
                               "corrupt": corrupt},
                       checks=checks)
-    rep.duration_seconds = time.time() - t0
+    rep.duration_seconds = time.perf_counter() - t0
     return rep
 
 
@@ -371,7 +359,7 @@ def run_prop2_suite(seed: int = 0, tol: float = 1e-9) -> SuiteReport:
     """The explicit two-field table: Poisson property, descent onto the
     affine line with the expected quartic-free cubic leading coefficient,
     and identification with the n = 2 extracted table."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     table = models.prop2_table()
     jets_list = [sx.sample_jets(elliptic.make_context(sample_tau(rng)),
@@ -406,7 +394,7 @@ def run_prop2_suite(seed: int = 0, tol: float = 1e-9) -> SuiteReport:
         tol, negative=True, floor=1e-3))
     rep = SuiteReport(suite="prop2", seed=seed, params={"tol": tol},
                       checks=checks)
-    rep.duration_seconds = time.time() - t0
+    rep.duration_seconds = time.perf_counter() - t0
     return rep
 
 
@@ -414,7 +402,7 @@ def run_thm2_suite(n: int = 2, trials: int = 10, seed: int = 0,
                    tol: float = 1e-8) -> SuiteReport:
     """Sigma-function realization of the generating-field bracket with
     lambda = 1/n over the flat-coordinate table."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     rng = np.random.default_rng(seed)
     res, rows, bad = [], [], []
 
@@ -445,7 +433,7 @@ def run_thm2_suite(n: int = 2, trials: int = 10, seed: int = 0,
     rep = SuiteReport(suite="thm2", seed=seed,
                       params={"n": n, "trials": trials, "tol": tol},
                       checks=checks)
-    rep.duration_seconds = time.time() - t0
+    rep.duration_seconds = time.perf_counter() - t0
     return rep
 
 
@@ -453,7 +441,7 @@ def run_nogo_suite(s: complex = 2.0, restarts: int = 100,
                    seed: int = 0, threshold: float = 1e-3) -> SuiteReport:
     """Infeasibility certificate for the constant-coefficient homogeneous
     lift on two fields, plus the feasible self-test of the optimizer."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     sysm = models.prop1_system(s)
     cert = models.prop1_certificate(sysm, restarts=restarts, seed=seed)
     selftest = models.prop1_feasible_selftest(seed=seed)
@@ -474,14 +462,14 @@ def run_nogo_suite(s: complex = 2.0, restarts: int = 100,
                       params={"s": str(s), "restarts": restarts,
                               "threshold": threshold},
                       checks=checks)
-    rep.duration_seconds = time.time() - t0
+    rep.duration_seconds = time.perf_counter() - t0
     return rep
 
 
 def run_cp2_suite(g2val=1, g3val=sp.Rational(1, 2)) -> SuiteReport:
     """Exact symbolic descent of the three-field quadratic bracket to the
     projective-plane bracket, plus its finite Jacobi check."""
-    t0 = time.time()
+    t0 = time.perf_counter()
     res = models.cp2_check(g2val, g3val)
     bad = models.cp2_check(g2val, g3val, corrupt=True)
     checks = [
@@ -496,5 +484,5 @@ def run_cp2_suite(g2val=1, g3val=sp.Rational(1, 2)) -> SuiteReport:
     rep = SuiteReport(suite="cp2", seed=0,
                       params={"g2": str(g2val), "g3": str(g3val)},
                       checks=checks)
-    rep.duration_seconds = time.time() - t0
+    rep.duration_seconds = time.perf_counter() - t0
     return rep

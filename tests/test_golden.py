@@ -8,10 +8,14 @@ descended onto p1 = z1/z2 (rendered as the descend command renders).
 residuals came to be evaluated from ring elements instead of lambdified
 expressions: the control's max_residual moved in its last digits
 (31583.73749007927 -> 31583.73749007926, numpy sums in another order),
-and every other byte stayed.  The `loopb table` documents (in
-full for n = 2, 3, as SHA-256 digests for n = 2..6) were written before
-the two structure-constant derivations moved to polynomial rings.  Every
-document must still come out byte for byte the same.
+and every other byte stayed.  `loopb verify identities --trials 30 --json`
+and `loopb verify thm2 --n 3 --trials 10 --json` were written before
+the sigma realization came to evaluate each elliptic function once per
+argument and the identity suite came to share its tau-step contexts.
+The `loopb table` documents (in full for n = 2, 3, as SHA-256 digests
+for n = 2..6) were written before the two structure-constant
+derivations moved to polynomial rings.  Every document must still come
+out byte for byte the same.
 
 `nogo_tensors_sha256.json` holds the SHA-256 of the no-go system's
 arrays (c, A and the four coordinate arrays of B) at s = 2.0 and
@@ -65,6 +69,16 @@ def test_verify_poisson_n2(tmp_path):
     assert cli.main(["verify", "poisson", "--n", "2",
                      "--json", str(out)]) == 0
     assert out.read_bytes() == (DATA / "verify_poisson_n2.json").read_bytes()
+
+
+@pytest.mark.parametrize("args,golden", [
+    (["identities", "--trials", "30"], "verify_identities.json"),
+    (["thm2", "--n", "3", "--trials", "10"], "verify_thm2_n3.json"),
+])
+def test_verify_elliptic_report(args, golden, tmp_path):
+    out = tmp_path / "report.json"
+    assert cli.main(["verify", *args, "--json", str(out)]) == 0
+    assert out.read_bytes() == (DATA / golden).read_bytes()
 
 
 @pytest.mark.parametrize("source", ["extract", "appendix"])

@@ -332,6 +332,39 @@ class TestGeneratingFieldRealization:
         up = random_cell_point(rng, ctx.tau)
         assert models.thm2_modular_row_residual(ctx, real, up) < 1e-8
 
+    def test_one_sigma_per_argument(self, ctx, monkeypatch):
+        """One bracket residual evaluates sigma once at each of the 2(n+1)
+        arguments z + S, z - t_c, z of its two spectral points."""
+        calls = []
+        sigma = elliptic.sigma
+
+        def counted(c, z):
+            calls.append(z)
+            return sigma(c, z)
+        monkeypatch.setattr(elliptic, "sigma", counted)
+        real = self._realization(ctx, 3, seed=21)
+        models.thm2_bracket_residual(ctx, 3, real, 0.21 + 0.17j,
+                                     -0.26 + 0.2j)
+        assert len(calls) == len(set(calls)) == 2 * (3 + 1)
+
+    def test_mismatched_arguments(self, ctx):
+        """The residuals refuse a field count or a context other than the
+        realization's own, instead of reading another table or mixing
+        two lattices."""
+        up, vp = 0.21 + 0.17j, -0.26 + 0.2j
+        real = self._realization(ctx, 2, seed=21)
+        for n in (3, 1):
+            with pytest.raises(DomainError, match="built for n = 2"):
+                models.thm2_bracket_residual(ctx, n, real, up, vp)
+        real3 = self._realization(ctx, 3, seed=21)
+        with pytest.raises(DomainError, match="built for n = 3"):
+            models.thm2_bracket_residual(ctx, 2, real3, up, vp)
+        other = elliptic.make_context(ctx.tau + 0.1)
+        with pytest.raises(DomainError, match="another elliptic context"):
+            models.thm2_bracket_residual(other, 2, real, up, vp)
+        with pytest.raises(DomainError, match="another elliptic context"):
+            models.thm2_modular_row_residual(other, real, up)
+
 
 @pytest.fixture(scope="module")
 def nogo_system():

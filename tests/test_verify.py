@@ -7,6 +7,7 @@ import pytest
 import sympy as sp
 
 from loopbrackets import distcalc as dc
+from loopbrackets import elliptic
 from loopbrackets import verify
 
 
@@ -73,6 +74,19 @@ class TestIdentitySuite:
     def test_tight_tolerance_fails_honestly(self):
         rep = verify.run_identity_suite(seed=0, trials=10, tol=1e-300)
         assert not rep.passed
+
+    def test_tau_step_contexts_built_once(self, monkeypatch):
+        """The tau-differences read four shifted contexts per modular
+        parameter, not four per difference."""
+        calls = []
+        make_context = elliptic.make_context
+
+        def counted(tau, *args, **kwargs):
+            calls.append(tau)
+            return make_context(tau, *args, **kwargs)
+        monkeypatch.setattr(elliptic, "make_context", counted)
+        verify.run_identity_suite(seed=0, trials=30)
+        assert len(calls) == len(set(calls)) <= 3 + 4 * 3
 
 
 class TestOracleSuite:
