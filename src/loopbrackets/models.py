@@ -782,39 +782,38 @@ def linear_identifications(sc: StructConsts,
     src = sc.to_bracket_table()
     src_fields = ("z0", "z2")
     tgt_fields = tuple(f for f in target.fields if f != sx.MODULAR_FIELD)
-    m11, m12, m21, m22 = sp.symbols("m11 m12 m21 m22")
-    M = sp.Matrix([[m11, m12], [m21, m22]])
-    det = M.det()
-    adj = M.adjugate()
-    # old fields in terms of the new ones (prolonged to first jets)
-    subs = {}
-    for i, zo in enumerate(src_fields):
-        for order in (0, 1):
-            subs[jet(zo, order)] = sum(
-                adj[i, j] * jet(tgt_fields[j], order) for j in range(2)) / det
+    ms = sp.symbols("m11 m12 m21 m22")
+    R, *gens = sp.ring([*ms, *sorted(set(src.alg.syms) | set(target.alg.syms),
+                                     key=str)], sp.QQ)
+    g = dict(zip(R.symbols, gens))
+    m11, m12, m21, m22 = gens[:4]
+    M, adj = ((m11, m12), (m21, m22)), ((m22, -m12), (-m21, m11))
+    det = m11 * m22 - m12 * m21
+    # det z_a = sum_j adj_aj w_j, prolonged to first jets; every entry is
+    # quadratic in the fields, so {z_a, z_b} picks up det**2
+    subs = [(g[jet(zo, k)], sum(adj[a][j] * g[jet(tgt_fields[j], k)]
+                                for j in range(2)))
+            for a, zo in enumerate(src_fields) for k in (0, 1)]
 
-    def entry_coeff(table, a, b, order):
-        return sum((t.coeff for t in table.entry(a, b)
-                    if t.orders == (order,)), sp.Integer(0))
+    def entry(table, a, b):
+        return {t.orders: t.value.set_ring(R) for t in table.entry(a, b)}
 
-    eqs = []
-    gens = ([jet(f) for f in tgt_fields] + [jet(f, 1) for f in tgt_fields]
-            + [T, g1, g2, g3])
+    old = {(a, b): entry(src, za, zb) for a, za in enumerate(src_fields)
+           for b, zb in enumerate(src_fields)}
+    eqs = set()
     for i, wa in enumerate(tgt_fields):
         for j, wb in enumerate(tgt_fields):
-            for order in (0, 1):
+            new = entry(target, wa, wb)
+            for order in ((0,), (1,)):
                 # {w_i(x), w_j(y)} = sum_ab M_ia M_jb {z_a(x), z_b(y)}
-                lhs = sum(M[i, a] * M[j, b]
-                          * entry_coeff(src, src_fields[a], src_fields[b],
-                                        order)
-                          for a in range(2) for b in range(2))
-                lhs = sp.together(sp.sympify(lhs).subs(subs,
-                                                       simultaneous=True))
-                rhs = entry_coeff(target, wa, wb, order)
-                diff = sp.expand(sp.numer(sp.together(lhs - rhs)))
-                eqs.extend(sp.Poly(diff, *gens).coeffs())
-    sols = sp.solve(eqs, [m11, m12, m21, m22], dict=True)
-    return [s for s in sols if sp.simplify(det.subs(s)) != 0]
+                lhs = sum((M[i][a] * M[j][b] * old[a, b].get(order, R.zero)
+                           for a in range(2) for b in range(2)), R.zero)
+                diff = lhs.compose(subs) - det**2 * new.get(order, R.zero)
+                eqs.update(c.monic() for c in
+                           _group_terms(diff, range(4, R.ngens)).values())
+    sols = sp.solve([e.as_expr() for e in sorted(eqs, key=str)], ms,
+                    dict=True)
+    return [s for s in sols if sp.expand(det.as_expr().xreplace(s)) != 0]
 
 
 # ---------------------------------------------------------------------------
@@ -1288,7 +1287,7 @@ def cp2_check(g2val=None, g3val=None, corrupt: bool = False) -> dict:
                              * bracket(i, j)
                              for i in (1, 2, 3) for j in (1, 2, 3)))
 
-    descended = sp.simplify(fbracket(z1 / z3, z2 / z3))
+    descended = sp.cancel(fbracket(z1 / z3, z2 / z3))
     descended = sp.expand(descended.subs({z1: p1 * z3, z2: p2 * z3}))
     target = p1**2 - 4 * p2**3 + G2 * p2 + G3
     descent_exact = sp.expand(descended - target) == 0

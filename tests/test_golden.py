@@ -12,6 +12,9 @@ and every other byte stayed.  `loopb verify identities --trials 30 --json`
 and `loopb verify thm2 --n 3 --trials 10 --json` were written before
 the sigma realization came to evaluate each elliptic function once per
 argument and the identity suite came to share its tau-step contexts.
+`loopb verify prop2 --json` was written while the Proposition 2
+identification still substituted, combined and solved on sympy
+expressions, before it moved to a polynomial ring over QQ.
 The `loopb table` documents (in full for n = 2, 3, as SHA-256 digests
 for n = 2..6) were written before the two structure-constant
 derivations moved to polynomial rings.  Every document must still come
@@ -79,6 +82,12 @@ def test_verify_elliptic_report(args, golden, tmp_path):
     out = tmp_path / "report.json"
     assert cli.main(["verify", *args, "--json", str(out)]) == 0
     assert out.read_bytes() == (DATA / golden).read_bytes()
+
+
+def test_verify_prop2(tmp_path):
+    out = tmp_path / "report.json"
+    assert cli.main(["verify", "prop2", "--json", str(out)]) == 0
+    assert out.read_bytes() == (DATA / "verify_prop2.json").read_bytes()
 
 
 @pytest.mark.parametrize("source", ["extract", "appendix"])

@@ -1,7 +1,8 @@
 """Source hygiene: no module of the package imports a name at module level
-that it never uses, no private function or method goes unreferenced, and
-no function mutates module-level state.  No linter is part of the
-toolchain, so this parses the modules with `ast` instead."""
+that it never uses, no private function or method goes unreferenced, no
+function mutates module-level state, and nothing calls sympy's heuristic
+`simplify` or `together`.  No linter is part of the toolchain, so this
+parses the modules with `ast` instead."""
 
 import ast
 import os
@@ -199,3 +200,39 @@ def test_module_state_mutation_detected():
     assert module_state_mutations(source) == [
         "<lambda>:_SEEN", "bump:_COUNT", "declare:_NAMES", "environ:os",
         "nested:TABLE", "record:_SEEN"]
+
+
+HEURISTICS = {"simplify", "together"}
+
+
+def heuristic_calls(source: str) -> list[str]:
+    """`line:name` for every call of a function or method named in
+    HEURISTICS, however it is reached (`sp.simplify(e)`, `simplify(e)`,
+    `e.simplify()`).  Exact questions get exact answers: `cancel`,
+    `expand` or ring arithmetic."""
+    out = []
+    for n in ast.walk(ast.parse(source)):
+        if isinstance(n, ast.Call):
+            f = n.func
+            name = f.id if isinstance(f, ast.Name) else getattr(f, "attr", "")
+            if name in HEURISTICS:
+                out.append(f"{n.lineno}:{name}")
+    return out
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_heuristic_simplification(module):
+    with open(os.path.join(PKG, module), encoding="utf-8") as fh:
+        assert heuristic_calls(fh.read()) == []
+
+
+def test_heuristic_simplification_detected():
+    source = ("import sympy as sp\n"
+              "from sympy import together\n"
+              "def f(e):\n"
+              "    a = sp.simplify(e)\n"
+              "    b = together(e)\n"
+              "    c = e.simplify()\n"
+              "    return sp.cancel(a + b + c), sp.simplify\n")
+    assert heuristic_calls(source) == ["4:simplify", "5:together",
+                                       "6:simplify"]

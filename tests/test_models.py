@@ -15,6 +15,7 @@ from loopbrackets import distcalc as dc
 from loopbrackets import elliptic
 from loopbrackets import models
 from loopbrackets import symexpr as sx
+from loopbrackets import verify
 from loopbrackets.errors import (DivisibilityError, DomainError,
                                  ExtractionError)
 from loopbrackets.symexpr import jet
@@ -291,6 +292,16 @@ class TestIdentification:
         m11, m12, m21, m22 = sp.symbols("m11 m12 m21 m22")
         assert any(s.get(m12) == 0 and s.get(m21) == 0
                    and s.get(m22) == -m11 for s in sols)
+
+    def test_flipped_target_has_no_identification(self):
+        bad = verify._flip_one_entry(models.prop2_table(), "z1", "z2")
+        assert models.linear_identifications(models.thm3_extract(2),
+                                             bad) == []
+
+    def test_only_for_two_fields(self):
+        with pytest.raises(DomainError):
+            models.linear_identifications(models.thm3_extract(3),
+                                          models.prop2_table())
 
 
 class TestGeneratingFieldRealization:

@@ -1,6 +1,7 @@
 """Verification campaigns: every suite passes at default strictness, the
 negative controls actually fire, and reports serialize deterministically."""
 
+import inspect
 import json
 
 import pytest
@@ -46,7 +47,14 @@ class TestReportPlumbing:
         rep = verify.run_cp2_suite()
         assert "duration_seconds" not in rep.to_dict()
         assert "duration_seconds" in rep.to_dict(include_duration=True)
-        assert rep.duration_seconds >= 0.0
+        assert rep.duration_seconds > 0.0
+
+    def test_timed_suites_keep_name_and_signature(self):
+        # the benchmark's tracer wraps the suites by name
+        suite = verify.run_poisson_suite
+        assert suite.__name__ == "run_poisson_suite"
+        assert list(inspect.signature(suite).parameters) == [
+            "n", "seed", "jets", "tol", "corrupt"]
 
     def test_byte_determinism(self):
         a = verify.run_identity_suite(seed=4, trials=10)
@@ -117,10 +125,11 @@ class TestPoissonSuite:
 
 class TestRingEvaluation:
     def test_no_lambdify_or_coeff_view(self, monkeypatch):
-        """Residuals are evaluated from ring elements: no lambdify, and
-        (on the Poisson suite) no DeltaTerm.coeff view."""
+        """Residuals are evaluated and prop2's descent and identification
+        are decided on ring elements: no lambdify, no DeltaTerm.coeff
+        view, and no sympy.together in the prop2 suite."""
         calls = []
-        lambdify = sp.lambdify
+        lambdify, together = sp.lambdify, sp.together
 
         def counted(*args, **kwargs):
             calls.append("lambdify")
@@ -134,9 +143,13 @@ class TestRingEvaluation:
         monkeypatch.setattr(dc.DeltaTerm, "coeff", property(coeff))
         verify.run_poisson_suite(n=2)
         assert calls == []
-        # prop2 reads coefficients in its descent checks
+
+        def counted_together(*args, **kwargs):
+            calls.append("together")
+            return together(*args, **kwargs)
+        monkeypatch.setattr(sp, "together", counted_together)
         verify.run_prop2_suite()
-        assert "lambdify" not in calls
+        assert calls == []
 
 
 class TestProp2Suite:
