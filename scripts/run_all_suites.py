@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Run every verification suite and write one JSON report per suite.
 
-Usage:  python scripts/run_all_suites.py [--seed N] [--out DIR] [--nmax 6]
+Usage:  python scripts/run_all_suites.py [--seed N] [--out DIR] [--nmax 2..6]
 
 Exit code 0 when every suite passes, 1 otherwise.
 """
@@ -19,7 +19,8 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--out", default="reports")
-    ap.add_argument("--nmax", type=int, default=6,
+    ap.add_argument("--nmax", type=int, default=6, choices=range(2, 7),
+                    metavar="{2..6}",
                     help="largest field count for the Poisson suites")
     args = ap.parse_args()
 

@@ -242,46 +242,50 @@ def sigma(ctx: EllipticContext, z: complex) -> complex:
         raise DomainError(f"sigma({z}) leaves the double range") from None
 
 
-def zeta_tau(ctx: EllipticContext, z: complex) -> complex:
-    """Closed form for 2*pi*i d(zeta)/d(tau), divided back by 2*pi*i."""
-    w = wp(ctx, z)
-    zt = zeta(ctx, z)
-    dz = wp_z(ctx, z)
+def tau_closed_forms(ctx: EllipticContext, z: complex, w: complex,
+                     dz: complex, zt: complex
+                     ) -> tuple[complex, complex, complex, complex]:
+    """(d wp/d tau, d zeta/d tau, d log sigma/d tau, d^2 log sigma/d tau^2)
+    at z, from w = wp(z), dz = wp_z(z) and zt = zeta(z).  The second
+    derivative applies the scaled derivation to the first-derivative
+    closed form."""
     g1, g2 = ctx.g1, ctx.g2
-    val = g1 * z * w + g2 * z / 12.0 - g1 * zt - zt * w - dz / 2.0
-    return val / TWO_PI_I
+    wp_t = ((zt - z * g1) * dz + 2.0 * w * w - 2.0 * g1 * w
+            - g2 / 3.0) / TWO_PI_I
+    zeta_t = (g1 * z * w + g2 * z / 12.0 - g1 * zt - zt * w
+              - dz / 2.0) / TWO_PI_I
+    ls_t = (g1 + g2 * z * z / 24.0 - z * g1 * zt + zt * zt / 2.0
+            - w / 2.0) / TWO_PI_I
+    d_g1, d_g2, _ = g_derivations(ctx)
+    zt_th = TWO_PI_I * zeta_t
+    wp_th = TWO_PI_I * wp_t
+    ls_t2 = (d_g1 + d_g2 * z * z / 24.0 - z * d_g1 * zt - z * g1 * zt_th
+             + zt * zt_th - wp_th / 2.0) / TWO_PI_I ** 2
+    return wp_t, zeta_t, ls_t, ls_t2
+
+
+def _closed_forms_at(ctx: EllipticContext, z: complex):
+    return tau_closed_forms(ctx, z, wp(ctx, z), wp_z(ctx, z), zeta(ctx, z))
 
 
 def wp_tau(ctx: EllipticContext, z: complex) -> complex:
     """Closed form for d(wp)/d(tau)."""
-    w = wp(ctx, z)
-    zt = zeta(ctx, z)
-    dz = wp_z(ctx, z)
-    g1, g2 = ctx.g1, ctx.g2
-    val = (zt - z * g1) * dz + 2.0 * w * w - 2.0 * g1 * w - g2 / 3.0
-    return val / TWO_PI_I
+    return _closed_forms_at(ctx, z)[0]
+
+
+def zeta_tau(ctx: EllipticContext, z: complex) -> complex:
+    """Closed form for 2*pi*i d(zeta)/d(tau), divided back by 2*pi*i."""
+    return _closed_forms_at(ctx, z)[1]
 
 
 def log_sigma_tau(ctx: EllipticContext, z: complex) -> complex:
     """Closed form for d(log sigma)/d(tau)."""
-    w = wp(ctx, z)
-    zt = zeta(ctx, z)
-    g1, g2 = ctx.g1, ctx.g2
-    val = g1 + g2 * z * z / 24.0 - z * g1 * zt + zt * zt / 2.0 - w / 2.0
-    return val / TWO_PI_I
+    return _closed_forms_at(ctx, z)[2]
 
 
 def log_sigma_tau2(ctx: EllipticContext, z: complex) -> complex:
-    """Closed form for d^2(log sigma)/d(tau)^2, obtained by applying the
-    scaled derivation to the first-derivative closed form."""
-    g1 = ctx.g1
-    zt = zeta(ctx, z)
-    d_g1, d_g2, _ = g_derivations(ctx)
-    zt_th = TWO_PI_I * zeta_tau(ctx, z)
-    wp_th = TWO_PI_I * wp_tau(ctx, z)
-    val = (d_g1 + d_g2 * z * z / 24.0 - z * d_g1 * zt - z * g1 * zt_th
-           + zt * zt_th - wp_th / 2.0)
-    return val / TWO_PI_I ** 2
+    """Closed form for d^2(log sigma)/d(tau)^2."""
+    return _closed_forms_at(ctx, z)[3]
 
 
 def g_derivations(ctx: EllipticContext) -> tuple[complex, complex, complex]:
@@ -329,35 +333,100 @@ class OracleValues:
     sigma: complex
 
 
-def lattice_oracle(tau: complex, z: complex, radius: int = 200) -> OracleValues:
-    """Brute-force truncated lattice sums over |a|,|b| <= radius.
+_ORACLE_BLOCK = 1 << 15  # lattice points per block of the oracle sums
 
-    Slowly convergent (tail ~ 1/radius^2 after the symmetric-box odd-term
-    cancellation); meant only as an independent cross-check of the series
-    path.
-    """
-    tau, z = complex(tau), complex(z)
+
+def _lattice(tau: complex, radius: int) -> tuple[np.ndarray, np.ndarray]:
+    """The nonzero lattice points a + b*tau, |a|, |b| <= radius, and their
+    reciprocals.  DomainError for Im(tau) <= 0 or radius < 10."""
+    tau = complex(tau)
+    if not tau.imag > 0:
+        raise DomainError(f"modular parameter needs Im(tau) > 0, got {tau}")
     if radius < 10:
         raise DomainError("oracle radius must be >= 10")
     r = np.arange(-radius, radius + 1)
     a, b = np.meshgrid(r, r)
-    om = (a + b * tau).ravel()
-    om = om[np.abs(om) > 0]
-    if abs(z) < 1e-12 or np.min(np.abs(z - om)) < 1e-9:
-        raise PoleError(f"oracle argument {z} too close to a lattice point")
-    wp_val = 1.0 / z ** 2 + np.sum(1.0 / (z - om) ** 2 - 1.0 / om ** 2)
-    zeta_val = 1.0 / z + np.sum(1.0 / (z - om) + 1.0 / om + z / om ** 2)
-    sigma_val = z * np.exp(np.sum(np.log(1.0 - z / om) + z / om
-                                  + z ** 2 / (2.0 * om ** 2)))
-    return OracleValues(wp=complex(wp_val), zeta=complex(zeta_val),
-                        sigma=complex(sigma_val))
+    om = np.delete((a + b * tau).ravel(), r.size ** 2 // 2)  # drop a = b = 0
+    return om, np.reciprocal(om)
+
+
+def _blocks(*arrays):
+    """The arrays' slices over successive blocks of _ORACLE_BLOCK points."""
+    for lo in range(0, arrays[0].size, _ORACLE_BLOCK):
+        yield tuple(x[lo:lo + _ORACLE_BLOCK] for x in arrays)
+
+
+def _oracle_sums(tau: complex, points: list[complex], radius: int):
+    """The truncated lattice sums at each point z, as three arrays over
+    the points: wp, zeta, and the log-sum sum' log(1 - w) + w + w^2/2
+    (w = z/om), whose exponential times z is sigma.
+
+    The logarithm is taken in real arithmetic: arctan2 for the argument,
+    and for the modulus log1p(|w|^2 - 2 Re w) where |w| < 1/2 (no
+    cancellation for small w) and log |1 - w|^2 elsewhere (no cancellation
+    near a lattice point).  Each point's sums depend on that point alone.
+    DomainError for a non-finite point, PoleError for a point within 1e-9
+    of a summed lattice point."""
+    om, inv = _lattice(tau, radius)
+    for z in points:
+        if not cmath.isfinite(z):
+            raise DomainError(f"oracle argument {z} is not finite")
+        zr, m, k = reduce_argument(tau, z)
+        if abs(zr) < 1e-9 and max(abs(m), abs(k)) <= radius:
+            raise PoleError(f"oracle argument {z} too close to a lattice point")
+    wp_s = np.array([1.0 / z ** 2 for z in points], dtype=complex)
+    zeta_s = np.array([1.0 / z for z in points], dtype=complex)
+    log_re = np.zeros(len(points))
+    log_im = np.zeros(len(points))
+    for o, r in _blocks(om, inv):
+        r2 = r * r
+        for i, z in enumerate(points):
+            d = np.reciprocal(z - o)
+            wp_s[i] += np.sum(d * d - r2)
+            zeta_s[i] += np.sum(d + r + z * r2)
+            w = z * r
+            wr, wi = w.real, w.imag
+            wr2, wi2 = wr * wr, wi * wi
+            near = wr2 + wi2 < 0.25
+            mod = np.log1p(wr2 + wi2 - 2.0 * wr, where=near,
+                           out=np.empty_like(wr))
+            far = ~near
+            if far.any():
+                mod[far] = np.log((1.0 - wr[far]) ** 2 + wi2[far])
+            log_re[i] += np.sum(0.5 * mod + wr + 0.5 * (wr2 - wi2))
+            log_im[i] += np.sum(np.arctan2(-wi, 1.0 - wr) + wi + wr * wi)
+    return wp_s, zeta_s, log_re + 1j * log_im
+
+
+def lattice_oracle(tau: complex, z: complex | list[complex],
+                   radius: int = 200) -> OracleValues | list[OracleValues]:
+    """Brute-force truncated lattice sums over |a|,|b| <= radius, at one
+    point z (an OracleValues) or at each point of a sequence z (a list of
+    them, in order).  The lattice is built once per call and each point's
+    sums depend on that point alone, so a batch gives the values of one
+    call per point.
+
+    Slowly convergent (tail ~ 1/radius^2 after the symmetric-box odd-term
+    cancellation); meant only as an independent cross-check of the series
+    path.  DomainError for Im(tau) <= 0, radius < 10 or a non-finite
+    point; PoleError for a point within 1e-9 of a summed lattice point.
+    """
+    points = [complex(p) for p in np.ravel(z)]
+    wp_s, zeta_s, log_s = _oracle_sums(tau, points, radius)
+    out = [OracleValues(wp=complex(w), zeta=complex(zt),
+                        sigma=complex(p * np.exp(ls)))
+           for p, w, zt, ls in zip(points, wp_s, zeta_s, log_s)]
+    return out if np.ndim(z) else out[0]
 
 
 def eisenstein_oracle(tau: complex, radius: int = 100) -> tuple[complex, complex]:
-    """(g2, g3) via the direct lattice sums 60 sum' 1/om^4, 140 sum' 1/om^6."""
-    r = np.arange(-radius, radius + 1)
-    a, b = np.meshgrid(r, r)
-    om = (a + b * complex(tau)).ravel()
-    om = om[np.abs(om) > 0]
-    return (complex(60.0 * np.sum(om ** -4.0)),
-            complex(140.0 * np.sum(om ** -6.0)))
+    """(g2, g3) via the direct lattice sums 60 sum' 1/om^4, 140 sum' 1/om^6.
+    DomainError for Im(tau) <= 0 or radius < 10."""
+    _, inv = _lattice(tau, radius)
+    s4 = s6 = 0j
+    for (r,) in _blocks(inv):
+        r2 = r * r
+        r4 = r2 * r2
+        s4 += np.sum(r4)
+        s6 += np.sum(r4 * r2)
+    return complex(60.0 * s4), complex(140.0 * s6)

@@ -846,17 +846,20 @@ class SigmaRealization:
 
     def at(self, z) -> dict:
         """The generating field at spectral point z and its derivatives,
-        from one evaluation of each elliptic function at z + S, z - t_c
-        and z: "value", "du" (spectral), "partial"[F], "second"[F][G],
-        "du_partial"[F], and the x-derivatives "dx", "du_dx" and
-        "partial_dx"[G] along the field jets."""
+        from one evaluation of sigma, zeta, wp and wp_z at each of z + S,
+        z - t_c and z, and the tau closed forms built from them: "value",
+        "du" (spectral), "partial"[F], "second"[F][G], "du_partial"[F],
+        and the x-derivatives "dx", "du_dx" and "partial_dx"[G] along the
+        field jets."""
         ctx, n, t, f, fields = self.ctx, self.n, self.t, self.f, self.fields
         args = [z + self.S] + [z - ta for ta in t] + [z]
-        sig, zet, wpv, zt, lst, lst2 = (
+        sig, zet, wpv, wpz = (
             [fn(ctx, a) for a in args]
             for fn in (elliptic.sigma, elliptic.zeta, elliptic.wp,
-                       elliptic.zeta_tau, elliptic.log_sigma_tau,
-                       elliptic.log_sigma_tau2))
+                       elliptic.wp_z))
+        _, zt, lst, lst2 = zip(*(
+            elliptic.tau_closed_forms(ctx, *v)
+            for v in zip(args, wpv, wpz, zet)))
 
         def quotient(v):  # log-derivative of the sigma quotient
             return v[0] + sum(v[1:-1]) - n * v[-1]

@@ -203,15 +203,15 @@ def run_identity_suite(seed: int = 0, trials: int = 100,
                             elliptic.g_tau_derivatives(ctx)):
                 fd = _fd(lambda k: getattr(step[k], g), _FD_H)
                 res["g_tau"].append(abs(fd - d) / max(1.0, abs(d)))
+            wp_t, zeta_t, log_sigma_t, _ = elliptic.tau_closed_forms(
+                ctx, z, w, wz, zt)
             fd = _fd(lambda k: elliptic.wp(step[k], z), _FD_H)
-            val = elliptic.wp_tau(ctx, z)
-            res["wp_tau"].append(abs(fd - val) / max(1.0, abs(val)))
+            res["wp_tau"].append(abs(fd - wp_t) / max(1.0, abs(wp_t)))
             fd = _fd(lambda k: elliptic.zeta(step[k], z), _FD_H)
-            val = elliptic.zeta_tau(ctx, z)
-            res["zeta_tau"].append(abs(fd - val) / max(1.0, abs(val)))
+            res["zeta_tau"].append(abs(fd - zeta_t) / max(1.0, abs(zeta_t)))
             fd = _fd(lambda k: np.log(elliptic.sigma(step[k], z)), _FD_H)
-            val = elliptic.log_sigma_tau(ctx, z)
-            res["log_sigma_tau"].append(abs(fd - val) / max(1.0, abs(val)))
+            res["log_sigma_tau"].append(
+                abs(fd - log_sigma_t) / max(1.0, abs(log_sigma_t)))
 
     checks = [_residual_check(k, v, tol) for k, v in res.items()]
     # negative control: the cubic with a wrong invariant must blow up
@@ -236,13 +236,14 @@ def run_oracle_suite(seed: int = 0, points: int = 20, radius: int = 200,
     rng = np.random.default_rng(seed)
     tau = sample_tau(rng)
     ctx = elliptic.make_context(tau)
-    rw, rz, rs = [], [], []
-    for _ in range(points):
-        z = sx.spectral_point(rng, tau)
-        o = elliptic.lattice_oracle(tau, z, radius=radius)
-        rw.append(abs(elliptic.wp(ctx, z) - o.wp))
-        rz.append(abs(elliptic.zeta(ctx, z) - o.zeta))
-        rs.append(abs(elliptic.sigma(ctx, z) - o.sigma))
+    zs = [sx.spectral_point(rng, tau) for _ in range(points)]
+    # one lattice for the points and the control's shifted point
+    *oracle, shifted = elliptic.lattice_oracle(tau, zs + [0.33 + 0.21j],
+                                               radius=radius)
+    pairs = list(zip(zs, oracle))
+    rw = [abs(elliptic.wp(ctx, z) - o.wp) for z, o in pairs]
+    rz = [abs(elliptic.zeta(ctx, z) - o.zeta) for z, o in pairs]
+    rs = [abs(elliptic.sigma(ctx, z) - o.sigma) for z, o in pairs]
     g2o, g3o = elliptic.eisenstein_oracle(tau, radius=200)
     checks = [
         _residual_check("wp_vs_lattice", rw, tol),
@@ -251,9 +252,7 @@ def run_oracle_suite(seed: int = 0, points: int = 20, radius: int = 200,
         _residual_check("eisenstein_vs_lattice",
                         [abs(ctx.g2 - g2o), abs(ctx.g3 - g3o)], 1e-3),
         _residual_check("control_shifted_point",
-                        [abs(elliptic.wp(ctx, 0.31 + 0.21j)
-                             - elliptic.lattice_oracle(
-                                 tau, 0.33 + 0.21j, radius=radius).wp)],
+                        [abs(elliptic.wp(ctx, 0.31 + 0.21j) - shifted.wp)],
                         tol, negative=True, floor=1e-3),
     ]
     return SuiteReport(suite="oracle", seed=seed,

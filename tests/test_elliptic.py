@@ -3,6 +3,7 @@ and independence cross-checks against slow lattice-sum oracles."""
 
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -192,6 +193,77 @@ class TestOracles:
             elliptic.lattice_oracle(ctx.tau, 0.0, radius=20)
         with pytest.raises(DomainError):
             elliptic.lattice_oracle(ctx.tau, 0.3, radius=5)
+
+    def test_sums_against_mpmath(self, ctx):
+        """wp, zeta and the sigma log-sum at radius 30 against the same
+        truncated sums at 40 digits: at a point of the cell, 1e-3 from the
+        lattice point 1, and shifted by 1 + tau."""
+        radius = 30
+        zs = [0.3 + 0.2j, 1 + 1e-3 * np.exp(0.7j), 1.3 + 0.2j + ctx.tau]
+        got = elliptic._oracle_sums(ctx.tau, zs, radius)
+        want = _mp_lattice_sums(ctx.tau, zs, radius)
+        for name, g, w in zip(("wp", "zeta", "log-sum"), got, want):
+            for z, gz, wz in zip(zs, g, w):
+                assert abs(gz - wz) <= 1e-15 * max(1.0, abs(wz)), (name, z)
+
+    def test_batch_matches_single_points(self, ctx):
+        zs = [0.3 + 0.2j, -0.17 + 0.4j, 1.3 + 0.2j + ctx.tau]
+        batch = elliptic.lattice_oracle(ctx.tau, zs, radius=40)
+        assert batch == [elliptic.lattice_oracle(ctx.tau, z, radius=40)
+                         for z in zs]
+
+    @pytest.mark.parametrize("pole", [0, 2, -3 + 5 * TAU, 40 * TAU])
+    def test_pole_anywhere_in_batch(self, ctx, pole):
+        for k in range(3):
+            zs = [0.3 + 0.2j, -0.17 + 0.4j]
+            zs.insert(k, pole + 1e-11)
+            with pytest.raises(PoleError):
+                elliptic.lattice_oracle(ctx.tau, zs, radius=40)
+
+    def test_lattice_point_outside_the_box_is_summable(self, ctx):
+        o = elliptic.lattice_oracle(ctx.tau, 11 + 0.0j, radius=10)
+        assert np.isfinite(o.wp) and np.isfinite(o.sigma)
+
+    @pytest.mark.parametrize("radius", [9, 0, -5])
+    def test_small_radius_rejected(self, ctx, radius):
+        with pytest.raises(DomainError):
+            elliptic.eisenstein_oracle(ctx.tau, radius=radius)
+        with pytest.raises(DomainError):
+            elliptic.lattice_oracle(ctx.tau, 0.3, radius=radius)
+
+    @pytest.mark.parametrize("tau", [0.5, 0.3 - 1.0j, complex(0.2, math.nan)])
+    def test_upper_half_plane_required(self, tau):
+        with pytest.raises(DomainError):
+            elliptic.eisenstein_oracle(tau, radius=20)
+        with pytest.raises(DomainError):
+            elliptic.lattice_oracle(tau, 0.3 + 0.2j, radius=20)
+
+    @pytest.mark.parametrize("z", [complex("nan"), complex("inf"),
+                                   complex(0.3, float("-inf"))])
+    def test_non_finite_point_rejected(self, ctx, z):
+        with pytest.raises(DomainError):
+            elliptic.lattice_oracle(ctx.tau, [0.3 + 0.2j, z], radius=20)
+
+
+def _mp_lattice_sums(tau, zs, radius, dps=40):
+    """wp, zeta and sum' log(1 - z/om) + z/om + z^2/(2 om^2) over the
+    nonzero om = a + b*tau, |a|, |b| <= radius, in mpmath at dps digits."""
+    with mpmath.workdps(dps):
+        t = mpmath.mpc(tau)
+        inv = [1 / (a + b * t) for a in range(-radius, radius + 1)
+               for b in range(-radius, radius + 1) if (a, b) != (0, 0)]
+        out = [[], [], []]
+        for z in map(mpmath.mpc, zs):
+            wp_s, zeta_s, log_s = 1 / z ** 2, 1 / z, mpmath.mpc(0)
+            for r in inv:
+                d = 1 / (z - 1 / r)
+                w = z * r
+                wp_s += d * d - r * r
+                zeta_s += d + r + w * r
+                log_s += mpmath.log(1 - w) + w + w * w / 2
+            for acc, v in zip(out, (wp_s, zeta_s, log_s)):
+                acc.append(complex(v))
+    return out
 
 
 class TestTwoPointWeight:

@@ -358,6 +358,21 @@ class TestGeneratingFieldRealization:
                                      -0.26 + 0.2j)
         assert len(calls) == len(set(calls)) == 2 * (3 + 1)
 
+    def test_one_series_call_per_argument(self, ctx, monkeypatch):
+        """One `at(z)` at n = 3 evaluates each of wp, wp_z, zeta and sigma
+        once at each of its 4 distinct arguments z + S, z - t_1, z - t_2
+        and z; the tau-derivatives come from those values."""
+        calls = {name: [] for name in ("wp", "wp_z", "zeta", "sigma")}
+        for name, log in calls.items():
+            def counted(c, z, fn=getattr(elliptic, name), log=log):
+                log.append(z)
+                return fn(c, z)
+            monkeypatch.setattr(elliptic, name, counted)
+        real = self._realization(ctx, 3, seed=21)
+        real.at(0.21 + 0.17j)
+        for name, log in calls.items():
+            assert len(log) == len(set(log)) == 4, name
+
     def test_mismatched_arguments(self, ctx):
         """The residuals refuse a field count or a context other than the
         realization's own, instead of reading another table or mixing

@@ -102,6 +102,19 @@ class TestOracleSuite:
         rep = verify.run_oracle_suite(seed=0, points=5)
         assert rep.passed, [c.name for c in rep.checks if not c.passed]
 
+    def test_one_lattice_per_oracle(self, monkeypatch):
+        """The points and the control share one lattice-sum call, and
+        the Eisenstein sums make the other."""
+        calls = []
+        for name in ("lattice_oracle", "eisenstein_oracle"):
+            def counted(*args, fn=getattr(elliptic, name), **kwargs):
+                calls.append(fn.__name__)
+                return fn(*args, **kwargs)
+            monkeypatch.setattr(elliptic, name, counted)
+        rep = verify.run_oracle_suite(seed=0, points=5, radius=20)
+        assert len(rep.checks) == 5
+        assert len(calls) <= 2
+
 
 class TestPoissonSuite:
     def test_small_n_passes(self):
