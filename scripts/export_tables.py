@@ -4,7 +4,9 @@ from both derivation routes, and confirm they agree entry for entry.
 Prints the seconds spent per n in each stage: extract, appendix, match
 and document (both documents).
 
-Usage:  python scripts/export_tables.py [--nmin 2] [--nmax 6] [--out DIR]
+Usage:  python scripts/export_tables.py [--nmin 2..6] [--nmax 2..6] [--out DIR]
+
+The range must not be empty: --nmin <= --nmax.
 """
 
 import argparse
@@ -27,10 +29,13 @@ def _timed(seconds: dict, stage: str, fn, *args):
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    ap.add_argument("--nmin", type=int, default=2)
-    ap.add_argument("--nmax", type=int, default=6)
+    for flag, default in (("--nmin", 2), ("--nmax", 6)):
+        ap.add_argument(flag, type=int, default=default, choices=range(2, 7),
+                        metavar="{2..6}")
     ap.add_argument("--out", default="tables")
     args = ap.parse_args()
+    if args.nmin > args.nmax:
+        ap.error(f"--nmin {args.nmin} exceeds --nmax {args.nmax}")
 
     outdir = pathlib.Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)

@@ -183,7 +183,7 @@ def _cmd_descend(args) -> int:
         "entries": [
             {"a": a, "b": b,
              "terms": [{"order": t.orders[0],
-                        "coeff": sx.render(t.coeff)}
+                        "coeff": sx.render(t.value)}
                        for t in terms]}
             for (a, b), terms in sorted(red.entries.items())
         ],

@@ -22,15 +22,14 @@ pairings with polynomial test functions in the test suite.
 
 Every table owns one coefficient algebra (:class:`_RingAlgebra`), built
 when the table is: a sparse polynomial ring and its fraction field.  All
-arithmetic on the table stays in it; sympy ``Expr`` appears only where
-coefficients come in (`build_table`, expression arguments) and through
-the ``DeltaTerm.coeff`` view.
+arithmetic on the table stays in it, and a term stores its coefficient
+only as an element of it; sympy ``Expr`` appears only where coefficients
+come in (`build_table`, expression arguments).
 """
 
 from __future__ import annotations
 
 import dataclasses
-import functools
 import itertools
 from dataclasses import dataclass
 from math import comb
@@ -47,28 +46,15 @@ from .errors import (ClosureError, StructureError, UnboundSymbolError,
 _POINT_INDEX = {"x": 0, "y": 1, "w": 2}
 
 
-def _as_expr(c) -> sp.Expr:
-    """sympy view of a coefficient held as a ring or field element."""
-    if isinstance(c, sp.Basic):
-        return c
-    if isinstance(c, FracElement):
-        return sp.expand(c.as_expr())
-    return c.as_expr()
-
-
 @dataclass(frozen=True)
 class DeltaTerm:
     """One canonical term: coefficient (jets at x) times a product of
     delta derivatives; orders=(m,) two-point, orders=(p,q) three-point
     for delta^(p)(x-y) delta^(q)(x-w).  `value` is the coefficient in
-    its table's algebra, `coeff` the same coefficient as a sympy Expr."""
+    its table's algebra."""
 
     value: object
     orders: tuple[int, ...]
-
-    @functools.cached_property
-    def coeff(self) -> sp.Expr:
-        return _as_expr(self.value)
 
 
 @dataclass(frozen=True)
@@ -686,7 +672,7 @@ def change_coordinates(table: BracketTable, forward: dict, inverse: dict,
             if K.support(c) & bad:
                 raise StructureError(
                     f"coefficient of ({a},{b}) at order {t.orders} does not "
-                    f"close on the new fields: {_as_expr(c)}")
+                    f"close on the new fields: {sx.render(c)}")
             if c:
                 terms.append((c, t.orders))
         composed[(a, b)] = terms

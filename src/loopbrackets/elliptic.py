@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -38,28 +38,28 @@ class EllipticContext:
     g2: complex
     g3: complex
     series_truncation: int
-    tolerance: float
+    tolerance: float = 1e-10
     pole_guard: float = 1e-6
-    tail_bound: float = field(default=0.0)
 
     @property
     def eta_tau(self) -> complex:
         return self.g1 * self.tau - TWO_PI_I
 
 
-def make_context(tau: complex, tolerance: float = 1e-10,
-                 pole_guard: float = 1e-6) -> EllipticContext:
+def make_context(tau: complex) -> EllipticContext:
     """Build an EllipticContext with the series truncation chosen from |q|.
 
-    Raises DomainError for Im(tau) <= 0 or tolerance outside (0, 1e-4],
-    ConvergenceError if the geometric tail cannot reach the tolerance
-    within the configured maximum truncation.
+    Raises DomainError for a tau whose nome exp(2 pi i tau) cannot be
+    formed (not finite, or a real part whose phase overflows) or with
+    Im(tau) <= 0, ConvergenceError if the geometric tail cannot reach the
+    tolerance within the configured maximum truncation.
     """
     tau = complex(tau)
+    if not (cmath.isfinite(tau) and math.isfinite(2 * math.pi * tau.real)):
+        raise DomainError(f"modular parameter {tau} is not finite")
     if tau.imag <= 0:
         raise DomainError(f"modular parameter needs Im(tau) > 0, got {tau}")
-    if not (0 < tolerance <= 1e-4):
-        raise DomainError(f"tolerance must lie in (0, 1e-4], got {tolerance}")
+    tolerance = EllipticContext.tolerance
     q = cmath.exp(TWO_PI_I * tau)
     absq = abs(q)
     # Dropped tail of the q-series is geometric; aim two orders below target.
@@ -72,11 +72,9 @@ def make_context(tau: complex, tolerance: float = 1e-10,
         raise ConvergenceError(
             f"need {n} series terms for tolerance {tolerance} at |q|={absq:.3g}, "
             f"max is {MAX_TRUNCATION}")
-    tail = absq ** n / (1.0 - absq)
     g1, g2, g3 = _modular_forms(q, n)
     return EllipticContext(tau=tau, nome_q=q, g1=g1, g2=g2, g3=g3,
-                           series_truncation=n, tolerance=tolerance,
-                           pole_guard=pole_guard, tail_bound=tail)
+                           series_truncation=n)
 
 
 def _modular_forms(q: complex, n: int) -> tuple[complex, complex, complex]:
@@ -98,9 +96,12 @@ def _modular_forms(q: complex, n: int) -> tuple[complex, complex, complex]:
 def reduce_argument(tau: complex, z: complex) -> tuple[complex, int, int]:
     """Reduce z modulo Z + Z*tau to the cell centered at the origin.
 
-    Returns (z_reduced, m, k) with z = z_reduced + m + k*tau.
+    Returns (z_reduced, m, k) with z = z_reduced + m + k*tau;
+    DomainError for a non-finite z.
     """
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise DomainError(f"argument {z} is not finite")
     k = round(z.imag / tau.imag)
     zr = z - k * tau
     m = round(zr.real)

@@ -28,6 +28,7 @@ import re
 
 import numpy as np
 import sympy as sp
+from sympy.polys.rings import PolyElement
 
 from . import elliptic
 from .errors import ClosureError, UnboundSymbolError
@@ -143,9 +144,14 @@ def total_x_derivative(e: sp.Expr, fields) -> sp.Expr:
     return _apply_derivation(e, rule)
 
 
-def render(e: sp.Expr) -> str:
-    """Deterministic canonical textual form (expanded, lex-ordered)."""
-    return sp.sstr(sp.expand(e), order="lex")
+def render(c) -> str:
+    """Deterministic canonical textual form (expanded, lex-ordered) of a
+    ring element, a field element or an Expr.  A ring element's Expr is
+    already expanded; the other two are expanded here."""
+    e = c.as_expr()
+    if not isinstance(c, PolyElement):
+        e = sp.expand(e)
+    return sp.sstr(e, order="lex")
 
 
 def parse(s: str) -> sp.Expr:

@@ -233,6 +233,8 @@ def run_identity_suite(seed: int = 0, trials: int = 100,
 def run_oracle_suite(seed: int = 0, points: int = 20, radius: int = 200,
                      tol: float = 1e-5) -> SuiteReport:
     """Series fast path against the brute-force truncated lattice sums."""
+    if points < 1:
+        raise ValueError("points must be >= 1")
     rng = np.random.default_rng(seed)
     tau = sample_tau(rng)
     ctx = elliptic.make_context(tau)
@@ -299,6 +301,8 @@ def run_poisson_suite(n: int = 2, seed: int = 0, jets: int = 20,
     chart-independence checks for one field count n."""
     if not 2 <= n <= 6:
         raise models.DomainError(f"n = {n} outside the supported range 2..6")
+    if jets < 1:
+        raise ValueError("jets must be >= 1")
     rng = np.random.default_rng(seed)
     checks = []
 
@@ -309,11 +313,10 @@ def run_poisson_suite(n: int = 2, seed: int = 0, jets: int = 20,
                               passed=not mismatches, exact=not mismatches,
                               detail="; ".join(map(str, mismatches[:3]))))
     if corrupt:
-        sc = models.StructConsts(
-            n=sc.n,
-            P={k: (v + jet(models.field_name(n)) ** 2 if k == (0, 0) else v)
-               for k, v in sc.P.items()},
-            Q=sc.Q, generator=sc.generator)
+        P = dict(sc.P_poly)
+        P[(0, 0)] += P[(0, 0)].ring(jet(models.field_name(n)) ** 2)
+        sc = models.StructConsts(n=sc.n, P=P, Q=sc.Q_poly,
+                                 generator=sc.generator)
     table = sc.to_bracket_table()
 
     jets_list = []
@@ -404,6 +407,8 @@ def run_thm2_suite(n: int = 2, trials: int = 10, seed: int = 0,
                    tol: float = 1e-8) -> SuiteReport:
     """Sigma-function realization of the generating-field bracket with
     lambda = 1/n over the flat-coordinate table."""
+    if trials < 1:
+        raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(seed)
     res, rows, bad = [], [], []
 

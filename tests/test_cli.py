@@ -72,6 +72,17 @@ class TestEllipticCommand:
         assert run_cli(["elliptic", "eval", "--fn", "wp",
                         "--z", "0.3", "--tau", "-1.1i"]) == 2
 
+    @pytest.mark.parametrize("fn, z, tau", [
+        ("wp", "inf", "1i"), ("zeta", "nan", "1i"), ("sigma", "1+infi", "1i"),
+        ("wp", "0.3", "inf+1i"), ("wp", "0.3", "1e308+1i")])
+    def test_non_finite_argument(self, fn, z, tau, capsys):
+        """A non-finite z, or a tau whose nome cannot be formed, is a
+        domain error: exit 2 with one error line, no traceback."""
+        assert run_cli(["elliptic", "eval", "--fn", fn,
+                        "--z", z, "--tau", tau]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "not finite" in err
+
     def test_underflowed_series(self, capsys):
         """exp(2 pi i z) underflows at Im z = 200: the value is the leading
         term -pi^2/3, not a traceback."""
@@ -154,6 +165,11 @@ class TestVerifyCommand:
         seen = self._record(monkeypatch, suite)
         assert run_cli(["verify", suite, "--trials", "3"]) == 2
         assert not seen and "--trials" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("suite", sorted(SAMPLE_COUNTS))
+    def test_zero_trials_usage_error(self, suite, capsys):
+        assert run_cli(["verify", suite, "--trials", "0"]) == 2
+        assert "must be >= 1" in capsys.readouterr().err
 
     def test_oracle_points_from_trials(self, capsys):
         assert run_cli(["verify", "oracle", "--trials", "1"]) == 0

@@ -44,6 +44,24 @@ class TestInvariants:
         with pytest.raises(DomainError):
             elliptic.make_context(0.5 + 0.0j)
 
+    @pytest.mark.parametrize("tau", [complex("inf+1j"), complex("nan+1j"),
+                                     complex(0, float("inf")),
+                                     complex(1, float("nan")), 1e308 + 1j])
+    def test_non_finite_tau_rejected(self, tau):
+        with pytest.raises(DomainError, match="not finite"):
+            elliptic.make_context(tau)
+
+    def test_huge_im_tau_accepted(self):
+        # 2 pi i tau overflows only in its real part: the nome is 0
+        assert elliptic.make_context(1e308j).nome_q == 0
+
+    @pytest.mark.parametrize("fn", ["wp", "wp_z", "wp_zz", "zeta", "sigma"])
+    @pytest.mark.parametrize("z", [complex("inf"), complex("nan"),
+                                   complex(0.3, float("inf"))])
+    def test_non_finite_argument_rejected(self, ctx, fn, z):
+        with pytest.raises(DomainError, match="not finite"):
+            getattr(elliptic, fn)(ctx, z)
+
     def test_g2_g3_against_lattice_sums(self, ctx):
         g2o, g3o = elliptic.eisenstein_oracle(ctx.tau, radius=200)
         assert abs(ctx.g2 - g2o) < 2e-3 * max(1.0, abs(ctx.g2))

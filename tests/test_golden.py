@@ -58,7 +58,7 @@ def test_prop2_descent():
         "fields": list(red.fields),
         "entries": [
             {"a": a, "b": b,
-             "terms": [{"order": t.orders[0], "coeff": sx.render(t.coeff)}
+             "terms": [{"order": t.orders[0], "coeff": sx.render(t.value)}
                        for t in terms]}
             for (a, b), terms in sorted(red.entries.items())
         ],

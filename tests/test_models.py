@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
+from loopbrackets import cli
 from loopbrackets import distcalc as dc
 from loopbrackets import elliptic
 from loopbrackets import models
@@ -26,6 +27,14 @@ def template_algebra(n):
     R = models._structconsts_algebra(n).R
     fields = [models.field_name(a) for a in models.field_indices(n)]
     return dc._RingAlgebra(models._SPECTRAL + R.symbols, fields, frozen=False)
+
+
+def _mutated(sc):
+    """sc with z0 z2 added to P(0, 0), in the ring."""
+    P = dict(sc.P_poly)
+    P[(0, 0)] += P[(0, 0)].ring(jet("z0") * jet("z2"))
+    return models.StructConsts(n=sc.n, P=P, Q=sc.Q_poly,
+                               generator=sc.generator)
 
 
 class TestBasics:
@@ -67,12 +76,7 @@ class TestExtractionMatchesClosedForm:
     def test_mismatch_detected(self):
         a = models.thm3_extract(2)
         b = models.appendix_table(2)
-        mutated = models.StructConsts(
-            n=b.n,
-            P={k: (v + jet("z0") * jet("z2") if k == (0, 0) else v)
-               for k, v in b.P.items()},
-            Q=b.Q, generator=b.generator)
-        out = models.match_structconsts(a, mutated)
+        out = models.match_structconsts(a, _mutated(b))
         assert out and out[0].startswith("P(0, 0)")
 
     def test_bad_n(self):
@@ -80,6 +84,28 @@ class TestExtractionMatchesClosedForm:
             models.thm3_extract(1)
         with pytest.raises(DomainError):
             models.appendix_table(1)
+
+
+class TestNoExprViews:
+    def test_p_q_views_unread(self, monkeypatch, capsys):
+        """The CLI, the suites and the matcher read the ring entries;
+        the P and Q views are left to the benchmark harness."""
+        reads = []
+        for name in ("P", "Q"):
+            view = getattr(models.StructConsts, name).func
+
+            def counted(sc, _view=view, _name=name):
+                reads.append(_name)
+                return _view(sc)
+            monkeypatch.setattr(models.StructConsts, name, property(counted))
+        for source in ("extract", "appendix"):
+            assert cli.main(["table", "--n", "3", "--source", source]) == 0
+        assert cli.main(["descend", "--n", "3", "--denominator", "z0"]) == 0
+        assert not verify.run_poisson_suite(n=2, corrupt=True).passed
+        verify.run_prop2_suite()
+        b = models.appendix_table(2)
+        assert models.match_structconsts(b, _mutated(b))
+        assert reads == []
 
 
 class TestDocumentRoundTrip:
@@ -190,8 +216,14 @@ class TestDerivationErrors:
             models._finalize_closed_form(u * Dinv)
 
     def test_entry_outside_the_ring(self):
+        doc = models.structconsts_to_document(models.appendix_table(2))
+        doc["P"][0]["terms"][0]["coeff"] = "1/z0**3"
         with pytest.raises(ExtractionError, match="not a polynomial"):
-            models.StructConsts(n=2, P={(0, 0): 1 / jet("z0")}, Q={})
+            models.structconsts_from_document(doc)
+
+    def test_constructor_takes_ring_elements_only(self):
+        with pytest.raises(TypeError, match="not a ring element"):
+            models.StructConsts(n=2, P={(0, 0): jet("z0") ** 2}, Q={})
 
 
 class TestDerivationRings:
@@ -235,7 +267,7 @@ class TestBracketTables:
         tb = models.thm3_extract(2).to_bracket_table()
         for f in ("z0", "z2"):
             row = tb.entry("th", f)
-            assert [(t.coeff, t.orders) for t in row] == [
+            assert [(t.value.as_expr(), t.orders) for t in row] == [
                 (jet(f), (1,)), (jet(f, 1), (0,))]
         assert tb.entry("th", "th") == ()
 
@@ -260,10 +292,10 @@ class TestDescent:
         assert red.frozen_modular
         p, px = jet("p1"), jet("p1", 1)
         G = -(4 * p ** 3 - sx.g2 * p - sx.g3) / 2
-        assert sp.expand(red.entry("p1", "p1")[1].coeff - G) == 0 or \
-            sp.expand(next(t.coeff for t in red.entry("p1", "p1")
+        assert sp.expand(red.entry("p1", "p1")[1].value.as_expr() - G) == 0 or \
+            sp.expand(next(t.value.as_expr() for t in red.entry("p1", "p1")
                            if t.orders == (1,)) - G) == 0
-        dcoeff = next(t.coeff for t in red.entry("p1", "p1")
+        dcoeff = next(t.value.as_expr() for t in red.entry("p1", "p1")
                       if t.orders == (0,))
         assert sp.expand(dcoeff - sp.diff(G, p) / 2 * px) == 0
 
@@ -437,14 +469,14 @@ def _specialised_equations(point, s):
                                  jet("z1") / jet("z2"))
     chart = {jet("z1"): p, jet("z1", 1): pp + p * zr, jet("z2"): 1,
              jet("z2", 1): zr}
-    got = {t.orders: t.coeff for t in dp.terms}
+    got = {t.orders: t.value.as_expr() for t in dp.terms}
     for order, target in (((1,), G), ((0,), sp.diff(G, p) * pp / 2)):
         diff = sp.expand(got[order].subs(chart) - target)
         out += sp.Poly(diff, p, pp, zr).coeffs()
     zjets = [jet(f, k) for k in range(4) for f in ("z1", "z2")]
     for tri in dc.jacobi_triples(table.fields):
         for term in dc.jacobi_defect(table, *tri).terms:
-            out += sp.Poly(term.coeff, *zjets).coeffs()
+            out += sp.Poly(term.value.as_expr(), *zjets).coeffs()
     return np.array([complex(v) for v in out])
 
 
@@ -474,12 +506,7 @@ class TestNoGoTensors:
             return from_expr(cls, rep, opt)
         monkeypatch.setattr(sp.Poly, "_from_expr",
                             classmethod(poly_from_expr))
-        view = dc.DeltaTerm.coeff.func
-
-        def coeff(term):
-            calls.append("coeff")
-            return view(term)
-        monkeypatch.setattr(dc.DeltaTerm, "coeff", property(coeff))
+        assert not hasattr(dc.DeltaTerm, "coeff")
         models.prop1_system(2.0)
         models.prop1_feasible_selftest(seed=0)
         assert calls == []

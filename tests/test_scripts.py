@@ -40,3 +40,15 @@ def test_run_all_suites_rejects_nmax(nmax, tmp_path):
     assert out.returncode == 2
     assert "--nmax" in out.stderr
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("args, flag", [
+    (["--nmin", "1"], "--nmin"), (["--nmax", "7"], "--nmax"),
+    (["--nmin", "4", "--nmax", "3"], "--nmin")])
+def test_export_tables_rejects_range(args, flag, tmp_path):
+    """n outside 2..6, or an empty range, is a usage error before any
+    table is derived: nothing is written."""
+    out = _run("export_tables.py", [*args, "--out", str(tmp_path)])
+    assert out.returncode == 2
+    assert flag in out.stderr
+    assert not any(tmp_path.iterdir())

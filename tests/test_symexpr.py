@@ -193,6 +193,20 @@ class TestRenderParse:
         e = sx.g2 * sx.jet("z1") + sx.jet("z2") * sx.T
         assert sx.render(e) == sx.render(sp.expand(e + 0))
 
+    def test_ring_element_as_its_expr(self):
+        R, a, b = sp.ring("a b", sp.QQ)
+        p = (a + b) ** 2 / 3
+        assert sx.render(p) == "a**2/3 + 2*a*b/3 + b**2/3"
+        assert sx.render(p) == sx.render(p.as_expr())
+
+    def test_field_element_expanded(self):
+        # a non-constant denominator: the Expr of the field element is
+        # one fraction, the rendered text its expansion
+        F, a, b = sp.field("a b", sp.QQ)
+        c = (a + 1) ** 2 / (2 * b)
+        assert sx.render(c) == "a**2/(2*b) + a/b + 1/(2*b)"
+        assert sx.render(c) == sx.render(c.as_expr())
+
 
 class TestEvaluation:
     def test_unbound(self):

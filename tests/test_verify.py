@@ -56,6 +56,19 @@ class TestReportPlumbing:
         assert list(inspect.signature(suite).parameters) == [
             "n", "seed", "jets", "tol", "corrupt"]
 
+    @pytest.mark.parametrize("suite, key", [
+        ("run_identity_suite", "trials"), ("run_oracle_suite", "points"),
+        ("run_poisson_suite", "jets"), ("run_thm2_suite", "trials")])
+    def test_zero_samples_rejected(self, suite, key, monkeypatch):
+        """A suite asked for no samples refuses before any work instead
+        of passing vacuously or sampling anyway."""
+        def no_work(*args, **kwargs):
+            raise AssertionError("the suite started work")
+        monkeypatch.setattr(elliptic, "make_context", no_work)
+        monkeypatch.setattr(verify.models, "thm3_extract", no_work)
+        with pytest.raises(ValueError, match=f"{key} must be >= 1"):
+            getattr(verify, suite)(**{key: 0})
+
     def test_byte_determinism(self):
         a = verify.run_identity_suite(seed=4, trials=10)
         b = verify.run_identity_suite(seed=4, trials=10)
@@ -148,12 +161,7 @@ class TestRingEvaluation:
             calls.append("lambdify")
             return lambdify(*args, **kwargs)
         monkeypatch.setattr(sp, "lambdify", counted)
-        view = dc.DeltaTerm.coeff.func
-
-        def coeff(term):
-            calls.append("coeff")
-            return view(term)
-        monkeypatch.setattr(dc.DeltaTerm, "coeff", property(coeff))
+        assert not hasattr(dc.DeltaTerm, "coeff")
         verify.run_poisson_suite(n=2)
         assert calls == []
 
