@@ -183,7 +183,8 @@ def _cmd_descend(args) -> int:
         "entries": [
             {"a": a, "b": b,
              "terms": [{"order": t.orders[0],
-                        "coeff": sx.render(t.value)}
+                        "coeff": sx.render(red.alg.g_basis(t.value,
+                                                           red.scale))}
                        for t in terms]}
             for (a, b), terms in sorted(red.entries.items())
         ],

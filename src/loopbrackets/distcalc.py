@@ -21,10 +21,22 @@ R3' follows from R1 and R3; all four are validated against direct
 pairings with polynomial test functions in the test suite.
 
 Every table owns one coefficient algebra (:class:`_RingAlgebra`), built
-when the table is: a sparse polynomial ring and its fraction field.  All
-arithmetic on the table stays in it, and a term stores its coefficient
-only as an element of it; sympy ``Expr`` appears only where coefficients
-come in (`build_table`, expression arguments).
+when the table is: a sparse polynomial ring over ZZ and its fraction
+field, in the basis h2 = g2/12, h3 = g3/2 of the quasi-modular leaves.
+There the tau-derivative rules have integer coefficients
+
+    dg1 = h2 - g1^2,  dh2 = h3 - 4 g1 h2,  dh3 = 24 h2^2 - 6 g1 h3,
+
+so every coefficient is an integer and no rational arithmetic runs.  A
+table stores L times its entries, L (`scale`) the least common
+denominator of its entries in that basis.  A bracket is homogeneous in
+the table, of degree 1 for antisymmetry and Leibniz and 2 for Jacobi, so
+a defect is zero exactly when it is zero at scale L, and its value is
+the stored one over L or L^2 (`DistPoly.scale`).  All arithmetic on the
+table stays in the algebra, and a term stores its coefficient only as
+an element of it; sympy ``Expr`` and the g basis appear only where
+coefficients come in (`build_table`, expression arguments) and go out
+(`_RingAlgebra.g_basis`, numeric evaluation).
 """
 
 from __future__ import annotations
@@ -32,18 +44,22 @@ from __future__ import annotations
 import dataclasses
 import itertools
 from dataclasses import dataclass
-from math import comb
+from math import comb, gcd, lcm, prod
 
 import numpy as np
 import sympy as sp
 from sympy.polys.fields import FracElement
-from sympy.polys.rings import PolyElement
+from sympy.polys.rings import PolyElement, PolyRing
 
 from . import symexpr as sx
 from .errors import (ClosureError, StructureError, UnboundSymbolError,
                      UnknownFieldError)
 
 _POINT_INDEX = {"x": 0, "y": 1, "w": 2}
+
+# the integral basis: g2 = 12 h2 and g3 = 2 h3, {g: (h, weight)}
+_H_BASIS = {sx.g2: (sp.Symbol("h2"), 12), sx.g3: (sp.Symbol("h3"), 2)}
+_G_BASIS = {h: (g, w) for g, (h, w) in _H_BASIS.items()}
 
 
 @dataclass(frozen=True)
@@ -59,9 +75,12 @@ class DeltaTerm:
 
 @dataclass(frozen=True)
 class DistPoly:
-    """Canonicalized distribution: merged terms, zero coefficients gone."""
+    """Canonicalized distribution: merged terms, zero coefficients gone.
+    Its value is the terms over `scale` (the table's scale to the degree
+    of the bracket in the table)."""
 
     terms: tuple[DeltaTerm, ...]
+    scale: int = 1
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -141,68 +160,127 @@ def _ring_symbols(seeds, depth: int, fields, constants=(),
 
 
 class _RingAlgebra:
-    """Coefficient arithmetic in a sparse polynomial ring over QQ and its
-    fraction field (elements are ring elements while they are
-    polynomial), with the total x-derivative and d/dth built in; each
-    generator is read once, by _kind, and one outside the alphabet is a
-    ClosureError.  With `frozen` the modular parameter is a constant: g1,
-    g2, g3, the other tau-dependent leaves and the modular jets T, T_x,
-    ... all have zero x-derivative.  `memo` holds the Leibniz brackets of
-    every table that shares this algebra, keyed on the row they read."""
+    """Coefficient arithmetic in a sparse polynomial ring and its fraction
+    field (elements are ring elements while they are polynomial), with
+    the total x-derivative and d/dth built in; each generator is read
+    once, by _kind, and one outside the alphabet is a ClosureError.
+
+    It is built from g-basis symbols (`gsyms`).  The ring is over ZZ in
+    the basis h2 = g2/12, h3 = g3/2 (`syms`, generator for generator)
+    when the d/dth rule of every leaf is integral there, and over QQ in
+    the g basis otherwise, which only the zeta leaves' rule (it halves
+    dwpu) causes; the h-basis rules are read off DTAU_RULES.  `G` is the
+    g basis over QQ with the same generator positions: elements come in
+    by `lift` or `conv` and go out by `g_basis`.  With `frozen` the
+    modular parameter is a constant: g1, g2, g3, the other tau-dependent
+    leaves and the modular jets T, T_x, ... all have zero x-derivative.
+    `memo` holds the Leibniz brackets of every table that shares this
+    algebra, keyed on the row they read."""
 
     def __init__(self, syms, fields, frozen: bool, constants=()):
-        self.F, *_ = sp.field(syms, sp.QQ)
-        self.R = self.F.ring
-        self.syms = tuple(syms)
-        self.index = {s: i for i, s in enumerate(self.syms)}
+        self.gsyms = tuple(syms)
+        self.G = PolyRing(self.gsyms, sp.QQ)
         self.constants = frozenset(constants)
-        kinds = [_kind(s, fields, self.constants) for s in self.syms]
+        kinds = [_kind(s, fields, self.constants) for s in self.gsyms]
+        for s, kind in zip(self.gsyms, kinds):
+            if kind is None:
+                raise ClosureError(f"no derivative rewrite for leaf {s}")
+        # d/dth of the tau-dependent leaves, in the g basis and, divided
+        # by the leaf's weight, in the h basis
+        dth = {i: self.G.from_expr(sx.DTAU_RULES[s])
+               for i, s in enumerate(self.gsyms) if kinds[i] == "tau"}
+        self._hpos = [(i, _H_BASIS[s][1]) for i, s in enumerate(self.gsyms)
+                      if s in _H_BASIS]
+        weight = dict(self._hpos)
+        h_dth = {i: {m: c * self._weight(m) / weight.get(i, 1)
+                     for m, c in r.items()} for i, r in dth.items()}
+        if all(c.denominator == 1 for r in h_dth.values() for c in r.values()):
+            dom = sp.ZZ
+            self.syms = tuple(_H_BASIS.get(s, (s,))[0] for s in self.gsyms)
+            dth = {i: {m: c.numerator for m, c in r.items()}
+                   for i, r in h_dth.items()}
+        else:
+            dom, self._hpos, self.syms = sp.QQ, [], self.gsyms
+        self.F, *_ = sp.field(self.syms, dom)
+        self.R = self.F.ring
+        self.index = {s: i for i, s in enumerate(self.syms)}
         self.jets = [k if isinstance(k, tuple) else None for k in kinds]
         self.memo: dict = {}
+        self._dth = {i: self.R.from_dict(r) for i, r in dth.items()}
         # x-derivative of each generator: the index of the next jet, the
         # terms of a polynomial image, or None past the prolongation depth
         self._img: list = []
-        # d/dth of the tau-dependent leaves
-        self._dth: dict[int, object] = {}
         T = self.index.get(sx.T)
-        for i, s in enumerate(self.syms):
-            info = self.jets[i]
+        for i, info in enumerate(self.jets):
             if info is not None:
                 f, k = info
                 if frozen and f == sx.MODULAR_FIELD:
                     self._img.append(())
                 else:
                     self._img.append(self.index.get(sx.jet(f, k + 1)))
-            elif kinds[i] == "constant":
+            elif kinds[i] == "constant" or frozen:
                 self._img.append(())
-            elif kinds[i] is None:
-                raise ClosureError(f"no derivative rewrite for leaf {s}")
             else:
-                self._dth[i] = self.R.from_expr(sx.DTAU_RULES[s])
-                self._img.append(() if frozen else tuple(
+                self._img.append(tuple(
                     (self._dth[i] * self.R.gens[T]).items()))
 
-    def conv(self, e):
-        """An Expr, or a polynomial over QQ, as an element: a ring element
-        when it is polynomial.  ClosureError for anything that is not a
-        rational function over QQ in the generators, floats included."""
+    def _weight(self, monom) -> int:
+        """The factor a g-basis monomial picks up in the h basis."""
+        return prod(w ** monom[i] for i, w in self._hpos)
+
+    def lift(self, e):
+        """(c, d) with c / d equal to e, an Expr or a polynomial over QQ in
+        the g basis: c an element, d the least positive integer that leaves
+        no ground denominator in c (1 over QQ).  ClosureError for anything
+        that is not a rational function over QQ in the generators, floats
+        included."""
         if not isinstance(e, PolyElement):
             e = sp.sympify(e)
         syms = _free_symbols(e)
-        if not syms <= self.index.keys():
-            missing = sorted(map(str, syms - self.index.keys()))
+        if not syms <= set(self.gsyms):
+            missing = sorted(map(str, syms - set(self.gsyms)))
             raise ClosureError(f"{missing} are not generators of the "
                                "coefficient ring")
         if isinstance(e, PolyElement):
             if e.ring.domain == sp.QQ:
-                return e.set_ring(self.R)
+                return self._from_g(e.set_ring(self.G))
         elif not e.has(sp.Float):
-            for dom in (self.R, self.F):
-                try:
-                    return dom.from_expr(e)
-                except ValueError:
-                    pass
+            try:
+                return self._from_g(self.G.from_expr(e))
+            except ValueError:
+                pass
+            try:
+                q = self.G.to_field().from_expr(e)
+            except ValueError:
+                pass
+            else:
+                (n, dn), (m, dm) = self._from_g(q.numer), self._from_g(q.denom)
+                return self.F.new(n * dm, m * dn), 1
         raise ClosureError(f"{e} is not a rational function over QQ")
+
+    def _from_g(self, q):
+        """lift of a polynomial q of G."""
+        terms = {m: c * self._weight(m) for m, c in q.items()}
+        if self.R.domain == sp.QQ:
+            return self.R.from_dict(terms), 1
+        d = lcm(*(c.denominator for c in terms.values()))
+        return self.R.from_dict({m: c.numerator * (d // c.denominator)
+                                 for m, c in terms.items()}), d
+
+    def conv(self, e):
+        """lift(e) as one element: c, or c / d in the fraction field."""
+        c, d = self.lift(e)
+        return c if d == 1 else self.F.new(c, self.R(d))
+
+    def g_basis(self, p, scale: int = 1):
+        """The value p / scale of the element p, as an element of G (or of
+        its fraction field): exact, for everything that leaves the
+        algebra."""
+        if isinstance(p, FracElement):
+            return self.G.to_field().new(self.g_basis(p.numer, scale),
+                                         self.g_basis(p.denom))
+        return self.G.from_dict({m: sp.QQ(c) / (scale * self._weight(m))
+                                 for m, c in p.items()})
 
     def _dx_poly(self, p):
         out = self.R.zero
@@ -258,7 +336,7 @@ class _RingAlgebra:
 
     def dth(self, p):
         """d/dth through the tau-dependent leaves (DTAU_RULES)."""
-        out = self.R.zero
+        out = self.F.zero if isinstance(p, FracElement) else self.R.zero
         for i in self.support(p):
             rule = self._dth.get(i)
             if rule is not None:
@@ -266,9 +344,19 @@ class _RingAlgebra:
         return out
 
 
+def _field_first(a, b):
+    """The operands with a field element first: a ring element meets a
+    field element on its right only after sympy has formatted a
+    CoercionFailed message with both."""
+    return (b, a) if isinstance(b, FracElement) else (a, b)
+
+
 def _merge(fac: dict, p: str, c) -> dict:
     fac = dict(fac)
-    fac[p] = fac[p] * c if p in fac else c
+    if p in fac:
+        a, b = _field_first(fac[p], c)
+        c = a * b
+    fac[p] = c
     return fac
 
 
@@ -350,7 +438,7 @@ def canonicalize(raw_terms, alg) -> DistPoly:
 def _sum(alg, parts):
     """sum of scale * c over parts, accumulated in place for polynomials."""
     if any(isinstance(c, FracElement) for _, c in parts):
-        return sum((c * s for s, c in parts), alg.R.zero)
+        return sum((alg.F(c) * s for s, c in parts), alg.F.zero)
     acc = alg.R.zero
     get, zero = acc.get, alg.R.domain.zero
     for s, c in parts:
@@ -360,15 +448,22 @@ def _sum(alg, parts):
     return acc
 
 
-def _values(p, samples):
-    """The element p at each sample, from its exponents and QQ
-    coefficients; a fraction as numerator over denominator."""
+def _values(p, samples, scale: int = 1):
+    """The element p over `scale` at each sample, from its exponents and
+    coefficients, with the g basis's coefficients (each divided exactly,
+    in one rounding) and the samples' g2, g3 for h2, h3; a fraction as
+    numerator over denominator."""
     if isinstance(p, FracElement):
-        return _values(p.numer, samples) / _values(p.denom, samples)
+        return _values(p.numer, samples, scale) / _values(p.denom, samples)
     monoms, coeffs = zip(*p.terms())
+    hpos = [(i, _G_BASIS[s][1]) for i, s in enumerate(p.ring.symbols)
+            if s in _G_BASIS]
+    coeffs = [c / (scale * prod(w ** m[i] for i, w in hpos))
+              for m, c in zip(monoms, coeffs)]
     E = np.array(monoms)
     used = np.flatnonzero(E.any(axis=0))
-    syms = [p.ring.symbols[i] for i in used]
+    syms = [_G_BASIS.get(s, (s,))[0] for s in
+            (p.ring.symbols[i] for i in used)]
     try:
         V = np.array([[s[g] for g in syms] for s in samples], dtype=complex)
     except KeyError as e:
@@ -378,9 +473,10 @@ def _values(p, samples):
 
 
 def evaluate_distpoly(dp: DistPoly, samples) -> np.ndarray:
-    """Coefficients at jet samples ({symbol: complex}), terms x samples;
-    UnboundSymbolError when a sample misses a generator of the support."""
-    return np.array([_values(t.value, samples) for t in dp.terms],
+    """Values of the coefficients at jet samples ({symbol: complex}),
+    terms x samples; UnboundSymbolError when a sample misses a generator
+    of the support."""
+    return np.array([_values(t.value, samples, dp.scale) for t in dp.terms],
                     dtype=complex).reshape(len(dp.terms), len(samples))
 
 
@@ -390,15 +486,17 @@ def evaluate_distpoly(dp: DistPoly, samples) -> np.ndarray:
 @dataclass(frozen=True)
 class BracketTable:
     """Local bracket: canonical (x,y) DeltaTerm lists for every ordered
-    pair of generators, with coefficients in `alg`.  frozen_modular marks
-    descended tables whose modular parameter is constant: their residuals
-    are evaluated with all th jets set to zero.  Tables come from
-    build_table and change_coordinates; dataclasses.replace with new
-    entries from the same algebra keeps its Leibniz memo."""
+    pair of generators, with coefficients in `alg`, each `scale` times
+    the bracket's.  frozen_modular marks descended tables whose modular
+    parameter is constant: their residuals are evaluated with all th
+    jets set to zero.  Tables come from build_table and
+    change_coordinates; dataclasses.replace with new entries from the
+    same algebra keeps its Leibniz memo."""
 
     fields: tuple[str, ...]
     entries: dict
     frozen_modular: bool = False
+    scale: int = 1
     alg: _RingAlgebra = dataclasses.field(kw_only=True, compare=False,
                                           repr=False)
 
@@ -421,24 +519,48 @@ def transpose_entry(entry, alg) -> tuple[DeltaTerm, ...]:
     return canonicalize(raw, alg=alg).terms
 
 
+def _integral(parts):
+    """(L, [L c / d]) for pairs (c, d) of an element and a positive
+    integer, L the least positive integer that leaves no ground
+    denominator in any L c / d."""
+    reduced = []
+    for c, d in parts:
+        if isinstance(c, FracElement):
+            if not c.denom.is_ground:
+                reduced.append((c / d if d != 1 else c, 1))
+                continue
+            c, d = c.numer, d * c.denom.LC
+        if d != 1:
+            g = gcd(d, c.content())
+            c, d = c.quo_ground(g), d // g
+        reduced.append((c, d))
+    L = lcm(*(d for _, d in reduced))
+    return L, [c * (L // d) for c, d in reduced]
+
+
 def build_table(fields, given, frozen_modular: bool = False,
                 constants=()) -> BracketTable:
     """Complete a partially given table by antisymmetry.
 
     `given` maps ordered pairs (a, b) to lists of (coeff, order), each
-    coefficient an Expr or a polynomial over QQ; every missing transpose
-    (b, a) is filled in as -{a(x), b(y)} with the points exchanged and
-    recanonicalized.  The table's algebra is built here, from the given
-    coefficients, the fields and the x-constants `constants` (symbols
-    with zero x-derivative besides u and v).
+    coefficient an Expr or a polynomial over QQ in the g basis; every
+    missing transpose (b, a) is filled in as -{a(x), b(y)} with the
+    points exchanged and recanonicalized.  The table's algebra is built
+    here, from the given coefficients, the fields and the x-constants
+    `constants` (symbols with zero x-derivative besides u and v); the
+    table stores its entries times the least common denominator of
+    their h-basis coefficients, its scale.
     """
     alg = _table_algebra([c for terms in given.values() for c, _ in terms],
                          [m for terms in given.values() for _, m in terms],
                          fields, constants, frozen_modular)
-    entries = {}
-    for (a, b), terms in given.items():
-        vals = ((alg.conv(c), m) for c, m in terms)
-        entries[(a, b)] = tuple(DeltaTerm(c, (m,)) for c, m in vals if c)
+    keys = [(key, m) for key, terms in given.items() for _, m in terms]
+    scale, vals = _integral(alg.lift(c) for terms in given.values()
+                            for c, _ in terms)
+    entries = {key: () for key in given}
+    for (key, m), c in zip(keys, vals):
+        if c:
+            entries[key] += (DeltaTerm(c, (m,)),)
     for (a, b) in list(entries):
         if (b, a) not in entries:
             neg = tuple(DeltaTerm(-t.value, t.orders) for t in entries[(a, b)])
@@ -446,7 +568,7 @@ def build_table(fields, given, frozen_modular: bool = False,
     for a, b in itertools.product(fields, repeat=2):
         entries.setdefault((a, b), ())
     return BracketTable(fields=tuple(fields), entries=entries,
-                        frozen_modular=frozen_modular, alg=alg)
+                        frozen_modular=frozen_modular, scale=scale, alg=alg)
 
 
 def _element(table: BracketTable, E):
@@ -484,7 +606,8 @@ def _partials(alg, E, fields):
         elif d:
             out.append((f, k, d))
     if sx.MODULAR_FIELD in fields:
-        d = mod + alg.dth(E)
+        a, b = _field_first(mod, alg.dth(E))
+        d = a + b
         if d:
             out.append((sx.MODULAR_FIELD, 0, d))
     return out
@@ -493,13 +616,14 @@ def _partials(alg, E, fields):
 def leibniz_bracket(table: BracketTable, a: str, E) -> DistPoly:
     """{a(x), E(y)} for a differential expression E in the table fields
     (a sympy Expr or an element of the table's algebra), canonicalized on
-    (x, y) with coefficients at x.  Memoized in the table's algebra on
-    (a, E, row a): triple-bracket assembly re-derives the same pairs
-    constantly, and a table that differs in other rows shares them."""
+    (x, y) with coefficients at x, at the table's scale.  Memoized in the
+    table's algebra on (a, E, row a): triple-bracket assembly re-derives
+    the same pairs constantly, and a table that differs in other rows
+    shares them."""
     if a not in table.fields:
         raise UnknownFieldError(f"unknown generator {a}")
     alg = table.alg
-    key = (a, E, table.fields,
+    key = (a, E, table.fields, table.scale,
            tuple(table.entries.get((a, f), ()) for f in table.fields))
     hit = alg.memo.get(key)
     if hit is not None:
@@ -512,13 +636,14 @@ def leibniz_bracket(table: BracketTable, a: str, E) -> DistPoly:
             # d^k/dy^k delta^(m)(x-y) = (-1)^k delta^(m+k)(x-y)
             raw.append(_RawTerm((("x", t.value), ("y", dE)),
                                 (("x", "y", t.orders[0] + k),)))
-    out = canonicalize(raw, alg=alg)
+    out = DistPoly(canonicalize(raw, alg=alg).terms, table.scale)
     alg.memo[key] = out
     return out
 
 
 def bracket_of_functions(table: BracketTable, F, G) -> DistPoly:
-    """{F(x), G(y)} for differential expressions F, G in the table fields."""
+    """{F(x), G(y)} for differential expressions F, G in the table
+    fields, at the table's scale."""
     alg = table.alg
     pF = _partials(alg, _element(table, F), table.fields)
     pG = _partials(alg, _element(table, G), table.fields)
@@ -537,7 +662,7 @@ def bracket_of_functions(table: BracketTable, F, G) -> DistPoly:
                         (("x", "y", m + l + k - i),)))
                     if i < k:
                         c = alg.dx(c)
-    return canonicalize(raws, alg=alg)
+    return DistPoly(canonicalize(raws, alg=alg).terms, table.scale)
 
 
 def antisymmetry_defect(table: BracketTable, a: str, b: str) -> DistPoly:
@@ -546,7 +671,7 @@ def antisymmetry_defect(table: BracketTable, a: str, b: str) -> DistPoly:
            for t in table.entry(a, b)]
     raw += [_RawTerm((("y", t.value),), (("y", "x", t.orders[0]),))
             for t in table.entry(b, a)]
-    return canonicalize(raw, alg=table.alg)
+    return DistPoly(canonicalize(raw, alg=table.alg).terms, table.scale)
 
 
 def _cyclic_term(table: BracketTable, outer: str, inner: tuple[str, str],
@@ -570,7 +695,7 @@ def jacobi_defect(table: BracketTable, a: str, b: str, c: str) -> DistPoly:
     raws += _cyclic_term(table, a, (b, c), ("x", "y", "w"))
     raws += _cyclic_term(table, b, (c, a), ("y", "w", "x"))
     raws += _cyclic_term(table, c, (a, b), ("w", "x", "y"))
-    return canonicalize(raws, alg=table.alg)
+    return DistPoly(canonicalize(raws, alg=table.alg).terms, table.scale ** 2)
 
 
 def jacobi_triples(fields) -> list[tuple[str, str, str]]:
@@ -595,14 +720,17 @@ def _compose(p, images: dict, K, powers: dict):
                 pw = powers.get((i, e))
                 if pw is None:
                     pw = powers[(i, e)] = images[i] ** e
-                term = term * pw
+                a, b = _field_first(term, pw)
+                term = a * b
         if isinstance(term, FracElement):
             fractions.append(term)
             continue
         for m, c in term.items():
             out[m] = get(m, zero) + c
     out.strip_zero()
-    return sum(fractions, out)
+    for f in fractions:
+        out = f + out
+    return out
 
 
 def change_coordinates(table: BracketTable, forward: dict, inverse: dict,
@@ -620,7 +748,8 @@ def change_coordinates(table: BracketTable, forward: dict, inverse: dict,
     The substitution is a homomorphism from the table's algebra into a
     fraction field K over the new and auxiliary jets: each old jet goes
     to the prolonged inverse, each modular jet to zero when freezing, and
-    every other generator to itself.
+    every other generator to itself.  The images over the table's scale
+    get the new table's own scale.
     """
     new_fields = tuple(forward)
     if frozen_modular is None:
@@ -636,7 +765,7 @@ def change_coordinates(table: BracketTable, forward: dict, inverse: dict,
                  if old.jets[i] and old.jets[i][0] in inverse), default=0)
     zeroed = {i for i in used if frozen_modular and old.jets[i]
               and old.jets[i][0] == sx.MODULAR_FIELD}
-    kept = [old.syms[i] for i in used - zeroed
+    kept = [old.gsyms[i] for i in used - zeroed
             if not (old.jets[i] and old.jets[i][0] in inverse)]
     # K reads every symbol that is no constant or leaf as a jet, by the
     # naming rule: the new and auxiliary fields are those of the inverse
@@ -645,7 +774,7 @@ def change_coordinates(table: BracketTable, forward: dict, inverse: dict,
                      None, frozen_modular, old.constants)
     images = {i: K.R.zero for i in zeroed}
     images.update({i: K.R.gens[K.index[old.syms[i]]]
-                   for i in used if old.syms[i] in kept})
+                   for i in used if old.gsyms[i] in kept})
     for f, e in inverse.items():
         cur = K.conv(e)
         for k in range(depth + 1):
@@ -667,21 +796,23 @@ def change_coordinates(table: BracketTable, forward: dict, inverse: dict,
                      / K.F(_compose(v.denom, images, K, powers)))
             else:
                 c = _compose(v, images, K, powers)
-            if isinstance(c, FracElement) and c.denom.is_ground:
-                c = c.numer.quo_ground(c.denom.LC)
             if K.support(c) & bad:
                 raise StructureError(
                     f"coefficient of ({a},{b}) at order {t.orders} does not "
-                    f"close on the new fields: {sx.render(c)}")
+                    f"close on the new fields: "
+                    f"{sx.render(K.g_basis(c, dp.scale))}")
             if c:
                 terms.append((c, t.orders))
         composed[(a, b)] = terms
 
-    seeds = {K.syms[i] for terms in composed.values() for c, _ in terms
+    seeds = {K.gsyms[i] for terms in composed.values() for c, _ in terms
              for i in K.support(c)}
     alg = _table_algebra(seeds, [orders[0] for terms in composed.values()
                                  for _, orders in terms],
                          new_fields, old.constants, frozen_modular)
+    scale, vals = _integral((c, table.scale) for terms in composed.values()
+                            for c, _ in terms)
+    vals = iter(vals)
 
     def transfer(c):
         if isinstance(c, FracElement):
@@ -689,8 +820,8 @@ def change_coordinates(table: BracketTable, forward: dict, inverse: dict,
                                  c.denom.set_ring(alg.R))
         return c.set_ring(alg.R)
 
-    entries = {key: tuple(DeltaTerm(transfer(c), orders)
-                          for c, orders in terms)
+    entries = {key: tuple(DeltaTerm(transfer(next(vals)), orders)
+                          for _, orders in terms)
                for key, terms in composed.items()}
     return BracketTable(fields=new_fields, entries=entries,
-                        frozen_modular=frozen_modular, alg=alg)
+                        frozen_modular=frozen_modular, scale=scale, alg=alg)

@@ -97,14 +97,18 @@ def reduce_argument(tau: complex, z: complex) -> tuple[complex, int, int]:
     """Reduce z modulo Z + Z*tau to the cell centered at the origin.
 
     Returns (z_reduced, m, k) with z = z_reduced + m + k*tau;
-    DomainError for a non-finite z.
+    DomainError for a non-finite z, or one whose reduction leaves the
+    double range.
     """
     z = complex(z)
     if not cmath.isfinite(z):
         raise DomainError(f"argument {z} is not finite")
-    k = round(z.imag / tau.imag)
-    zr = z - k * tau
-    m = round(zr.real)
+    try:
+        k = round(z.imag / tau.imag)
+        zr = z - k * tau
+        m = round(zr.real)
+    except (OverflowError, ValueError):
+        raise DomainError(f"argument {z} is too large to reduce") from None
     zr = zr - m
     return zr, m, k
 
@@ -202,13 +206,17 @@ def _zeta_series(ctx: EllipticContext, zr: complex) -> complex:
 
 def zeta(ctx: EllipticContext, z: complex) -> complex:
     """Weierstrass zeta function (quasi-periodic; reduction adds the
-    quasi-periods m*g1 + k*eta_tau)."""
+    quasi-periods m*g1 + k*eta_tau).  DomainError where they leave the
+    double range."""
     zr, m, k = reduce_argument(ctx.tau, z)
     _check_pole(ctx.tau, zr, ctx.pole_guard)
     val = _in_double_range(_zeta_series,
                            lambda ctx, zr: ctx.g1 * zr - TWO_PI_I * 0.5,
                            ctx, zr, -1)
-    return val + m * ctx.g1 + k * ctx.eta_tau
+    val = val + m * ctx.g1 + k * ctx.eta_tau
+    if not cmath.isfinite(val):
+        raise DomainError(f"zeta({z}) leaves the double range")
+    return val
 
 
 def sigma(ctx: EllipticContext, z: complex) -> complex:
@@ -216,8 +224,8 @@ def sigma(ctx: EllipticContext, z: complex) -> complex:
     product formula; elsewhere, with z = z_r + m + k*tau and w = m + k*tau,
     the quasi-periodicity
     sigma(z) = (-1)^(m+k+mk) exp(eta(w) (z_r + w/2)) sigma(z_r),
-    eta(w) = m*g1 + k*eta_tau.  DomainError where a factor leaves the
-    double range.
+    eta(w) = m*g1 + k*eta_tau.  DomainError where a factor or the value
+    leaves the double range.
     """
     z = complex(z)
     zr, m, k = reduce_argument(ctx.tau, z)
@@ -225,10 +233,10 @@ def sigma(ctx: EllipticContext, z: complex) -> complex:
         if m != 0 or k != 0:
             w = m + k * ctx.tau
             factor = cmath.exp((m * ctx.g1 + k * ctx.eta_tau) * (zr + w / 2))
-            if factor == 0:
+            val = factor * sigma(ctx, zr)
+            if factor == 0 or not cmath.isfinite(val):
                 raise DomainError(f"sigma({z}) leaves the double range")
-            sign = -1.0 if (m + k + m * k) % 2 else 1.0
-            return sign * factor * sigma(ctx, zr)
+            return -val if (m + k + m * k) % 2 else val
         q = ctx.nome_q
         x = _qz(z)
         half = cmath.exp(1j * math.pi * z)  # x ** (1/2) without branch trouble
@@ -239,7 +247,7 @@ def sigma(ctx: EllipticContext, z: complex) -> complex:
             qn *= q
             prod *= (1.0 - qn * x) * (1.0 - qn / x) / (1.0 - qn) ** 2
         return pref * prod
-    except (ZeroDivisionError, OverflowError):
+    except (ZeroDivisionError, OverflowError, ValueError):
         raise DomainError(f"sigma({z}) leaves the double range") from None
 
 

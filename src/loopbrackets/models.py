@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import functools
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import sympy as sp
@@ -109,9 +109,9 @@ _T_AT, _Z_AT = 3, 4
 
 
 def _structconsts_algebra(n: int) -> dcx._RingAlgebra:
-    """The ring of the n-field structure constants,
-    Q[g1, g2, g3, T, z.., z.._x] in that order, with the total
-    x-derivative of the delta calculus."""
+    """The delta-calculus algebra of the n-field structure constants; its
+    g basis `G` is their ring, Q[g1, g2, g3, T, z.., z.._x] in that
+    order."""
     zs = [field_name(a) for a in field_indices(n)]
     syms = [g1, g2, g3, T] + [jet(f) for f in zs] + [jet(f, 1) for f in zs]
     return dcx._RingAlgebra(syms, zs, frozen=False)
@@ -319,7 +319,7 @@ def thm3_extract(n: int) -> StructConsts:
     """
     lam = sp.Rational(1, n)
     idx = field_indices(n)
-    R = _structconsts_algebra(n).R
+    R = _structconsts_algebra(n).G
     alg = dcx._RingAlgebra(_SPECTRAL + R.symbols,
                            [field_name(a) for a in idx], frozen=False)
     Dx, Dth = alg.dx, alg.dth
@@ -609,12 +609,12 @@ def appendix_table(n: int) -> StructConsts:
     (u-v)-denominator divided out exactly."""
     idx = field_indices(n)
     alg = _structconsts_algebra(n)
-    R, *_ = sp.ring([u, v, _DINV, _I, _PI, _PI_INV] + list(alg.syms), sp.QQ)
-    P = {(a, b): alg.R.zero for a in idx for b in idx}
+    R, *_ = sp.ring([u, v, _DINV, _I, _PI, _PI_INV] + list(alg.gsyms), sp.QQ)
+    P = {(a, b): alg.G.zero for a in idx for b in idx}
     Q = dict(P)
     for (name, sector), gf in _closed_forms(n, R).items():
         _harvest(P if name == "P" else Q, sector, _finalize_closed_form(gf),
-                 n, alg.R)
+                 n, alg.G)
 
     # The closed-form generating functions cover the even-even, even-odd and
     # odd-odd sectors; the odd-even sector follows from antisymmetry:
@@ -623,7 +623,8 @@ def appendix_table(n: int) -> StructConsts:
         for b in idx:
             if a % 2 == 1 and b % 2 == 0:
                 P[(a, b)] = P[(b, a)]
-                Q[(a, b)] = alg.dx(P[(b, a)]) - Q[(b, a)]
+                c, d = alg.lift(P[(b, a)])
+                Q[(a, b)] = alg.g_basis(alg.dx(c), d) - Q[(b, a)]
     sc = StructConsts(n=n, P=P, Q=Q, generator="appendix")
     _check_homogeneity(sc)
     return sc
@@ -688,7 +689,7 @@ def structconsts_from_document(doc: dict) -> StructConsts:
     """The structure constants of a document written by
     structconsts_to_document, in the n-field ring.  ExtractionError for
     an entry that is not a polynomial there."""
-    R = _structconsts_algebra(doc["n"]).R
+    R = _structconsts_algebra(doc["n"]).G
 
     def entries(rows, term):
         out = {}
@@ -762,9 +763,11 @@ def lemma1_descend(table: dcx.BracketTable,
             dp = dcx.bracket_of_functions(table, jet(sx.MODULAR_FIELD, 0),
                                           forward["p" + f[1:]])
             if not dp.is_zero():
+                terms = [(sx.render(table.alg.g_basis(t.value, dp.scale)),
+                          t.orders) for t in dp.terms]
                 raise StructureError(
                     f"modular field is not central against p{f[1:]}: "
-                    f"{[(sx.render(t.value), t.orders) for t in dp.terms]}")
+                    f"{terms}")
 
     return dcx.change_coordinates(table, forward, inverse,
                                   eliminate=(denominator_field,),
@@ -784,8 +787,9 @@ def linear_identifications(sc: StructConsts,
     src_fields = ("z0", "z2")
     tgt_fields = tuple(f for f in target.fields if f != sx.MODULAR_FIELD)
     ms = sp.symbols("m11 m12 m21 m22")
-    R, *gens = sp.ring([*ms, *sorted(set(src.alg.syms) | set(target.alg.syms),
-                                     key=str)], sp.QQ)
+    R, *gens = sp.ring([*ms, *sorted(set(src.alg.gsyms)
+                                     | set(target.alg.gsyms), key=str)],
+                       sp.QQ)
     g = dict(zip(R.symbols, gens))
     m11, m12, m21, m22 = gens[:4]
     M, adj = ((m11, m12), (m21, m22)), ((m22, -m12), (-m21, m11))
@@ -797,7 +801,8 @@ def linear_identifications(sc: StructConsts,
             for a, zo in enumerate(src_fields) for k in (0, 1)]
 
     def entry(table, a, b):
-        return {t.orders: t.value.set_ring(R) for t in table.entry(a, b)}
+        return {t.orders: table.alg.g_basis(t.value, table.scale).set_ring(R)
+                for t in table.entry(a, b)}
 
     old = {(a, b): entry(src, za, zb) for a, za in enumerate(src_fields)
            for b, zb in enumerate(src_fields)}
@@ -827,13 +832,16 @@ class SigmaRealization:
 
     All first and mixed field-derivatives are assembled (in `at`) from
     closed forms for zeta, sigma_tau/sigma, wp_tau, zeta_tau -- no finite
-    differences anywhere."""
+    differences anywhere.  `at` keeps what it computed per spectral
+    point, so the residuals of one realization share it."""
 
     ctx: elliptic.EllipticContext
     n: int
     t: list  # complex values t_1..t_{n-1}
     f: complex
     jets: dict  # first jets: {"t1": t1', ..., "tau": tau', "f": f'}
+    _at: dict = field(default_factory=dict, init=False, repr=False,
+                      compare=False)
 
     def __post_init__(self):
         if self.n < 2:
@@ -851,7 +859,13 @@ class SigmaRealization:
         z - t_c and z, and the tau closed forms built from them: "value",
         "du" (spectral), "partial"[F], "second"[F][G], "du_partial"[F],
         and the x-derivatives "dx", "du_dx" and "partial_dx"[G] along the
-        field jets."""
+        field jets; also "zeta" and "zeta_tau", zeta and its tau closed
+        form at z itself.  Computed once per z."""
+        if z not in self._at:
+            self._at[z] = self._evaluate(z)
+        return self._at[z]
+
+    def _evaluate(self, z) -> dict:
         ctx, n, t, f, fields = self.ctx, self.n, self.t, self.f, self.fields
         args = [z + self.S] + [z - ta for ta in t] + [z]
         sig, zet, wpv, wpz = (
@@ -909,7 +923,7 @@ class SigmaRealization:
         jets = self.jets
         return {
             "value": e, "du": e * M_u, "partial": partial, "second": sec,
-            "du_partial": du_partial,
+            "du_partial": du_partial, "zeta": zet[-1], "zeta_tau": zt[-1],
             "dx": sum(partial[F] * jets[F] for F in fields),
             "du_dx": sum(du_partial[F] * jets[F] for F in fields),
             "partial_dx": {G: sum(sec[F][G] * jets[F] for F in fields)
@@ -970,14 +984,16 @@ def thm2_bracket_residual(ctx, n, real: SigmaRealization, up, vp,
                for F in fields for G in fields)
 
     tpr = real.jets["tau"]
-    qvu = (elliptic.zeta(ctx, up - vp) + elliptic.zeta(ctx, vp)
-           - ctx.g1 * up)
-    quv = (elliptic.zeta(ctx, vp - up) + elliptic.zeta(ctx, up)
-           - ctx.g1 * vp)
+    d = up - vp
+    wp_d, zeta_d = elliptic.wp(ctx, d), elliptic.zeta(ctx, d)
+    qvu = zeta_d + at_v["zeta"] - ctx.g1 * up
+    quv = elliptic.zeta(ctx, vp - up) + at_u["zeta"] - ctx.g1 * vp
     # tau'(x) * d/dtau q(v,u) = T_value * (2 pi i d/dtau q)
-    qvu_tau = (elliptic.zeta_tau(ctx, up - vp) + elliptic.zeta_tau(ctx, vp)
+    zeta_tau_d = elliptic.tau_closed_forms(
+        ctx, d, wp_d, elliptic.wp_z(ctx, d), zeta_d)[1]
+    qvu_tau = (zeta_tau_d + at_v["zeta_tau"]
                - elliptic.g_tau_derivatives(ctx)[0] * up)
-    qvu_u = -elliptic.wp(ctx, up - vp) - ctx.g1
+    qvu_u = -wp_d - ctx.g1
 
     rhs1 = rmatrix_delta_prime_coeff(qvu, quv, at_u["du"], at_v["value"],
                                      at_u["value"], at_v["du"], lam)
@@ -1087,10 +1103,11 @@ def _chart_coefficients(table, R=None) -> dict:
     chart = [(z2, alg.R.one), (z1x, z1x + z1 * z2x)]
     p = alg.F(z1) / alg.F(z2)
     out = {}
-    for t in dcx.bracket_of_functions(table, p, p).terms:
+    dp = dcx.bracket_of_functions(table, p, p)
+    for t in dp.terms:
         v = alg.F(t.value)
         num = v.numer.compose(chart).exquo(v.denom.compose(chart))
-        out[t.orders] = _group_terms(num, at[:3], R)
+        out[t.orders] = _group_terms(alg.g_basis(num, dp.scale), at[:3], R)
     return out
 
 
@@ -1170,8 +1187,10 @@ def prop1_system(s, include_jacobi: bool = True,
         at = sorted((i for i, info in enumerate(jets) if info),
                     key=lambda i: jets[i][::-1])
         for tri in dcx.jacobi_triples(("z1", "z2")):
-            for term in dcx.jacobi_defect(table, *tri).terms:
-                g = _group_terms(term.value, at, R)
+            dp = dcx.jacobi_defect(table, *tri)
+            for term in dp.terms:
+                g = _group_terms(table.alg.g_basis(term.value, dp.scale),
+                                 at, R)
                 rows.extend((g[key], 0) for key in sorted(g, reverse=True))
 
     c, A, quad, scales = _quadratic_tensors(rows, len(unknowns))

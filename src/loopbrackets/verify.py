@@ -379,11 +379,12 @@ def run_prop2_suite(seed: int = 0, tol: float = 1e-9) -> SuiteReport:
                               _table_residuals(table, jets_list), tol)]
 
     red = models.lemma1_descend(table, "z2")
-    alg, p = red.alg, jet("p1")
+    alg, p, L = red.alg, jet("p1"), red.scale
     G = alg.conv(-sp.Rational(1, 2) * (4 * p ** 3 - sx.g2 * p - sx.g3))
     c = {t.orders: t.value for t in red.entry("p1", "p1")}
-    ok1 = c.get((1,)) == G
-    ok0 = c.get((0,)) == alg.diff(G, alg.index[p]) / 2 * alg.gen(jet("p1", 1))
+    ok1 = c.get((1,)) == L * G
+    ok0 = 2 * c.get((0,), alg.R.zero) == (
+        L * alg.diff(G, alg.index[p]) * alg.gen(jet("p1", 1)))
     checks.append(CheckRecord(name="descent_leading_coefficient",
                               passed=ok1, exact=ok1))
     checks.append(CheckRecord(name="descent_delta_coefficient",

@@ -80,6 +80,13 @@ def pairing(raws, npts):
     return sp.integrate(sp.expand(total), (x, 0, 1))
 
 
+def g_value(table, t, scale=None):
+    """The Expr of the term t of `table` (or of a bracket on it, at
+    `scale`): its value in the g basis, divided by the scale."""
+    scale = table.scale if scale is None else scale
+    return table.alg.g_basis(t.value, scale).as_expr()
+
+
 def dp_raws(dp, three=False):
     """Canonical DistPoly re-expressed as raw terms for the oracle."""
     out = []
@@ -96,14 +103,17 @@ def dp_raws(dp, three=False):
 
 def canonical(raw, frozen=False):
     """canonicalize in an algebra built for sympy-valued raw terms: their
-    leaves, and their jets prolonged as far as the delta orders reach."""
+    leaves, and their jets prolonged as far as the delta orders reach.
+    The terms come back in the g basis."""
     depth = max(sum(d[2] for d in t.deltas) for t in raw)
     seeds = [c for t in raw for _, c in t.factors]
     alg = dc._RingAlgebra(dc._ring_symbols(seeds, depth, BASE, frozen=frozen),
                           BASE, frozen)
-    return dc.canonicalize([dc._RawTerm(tuple((p, alg.conv(c))
-                                              for p, c in t.factors),
-                                        t.deltas) for t in raw], alg)
+    dp = dc.canonicalize([dc._RawTerm(tuple((p, alg.conv(c))
+                                            for p, c in t.factors),
+                                      t.deltas) for t in raw], alg)
+    return dc.DistPoly(tuple(dc.DeltaTerm(alg.g_basis(t.value), t.orders)
+                             for t in dp.terms))
 
 
 class TestCanonicalizeAgainstPairing:
@@ -376,10 +386,10 @@ class TestCoordinateChange:
             table, {"w1": 2 * z1, "w2": sx.jet("z2")},
             {"z1": sx.jet("w1") / 2, "z2": sx.jet("w2")})
         old = table.entry("z1", "z1")
-        got = dict((t.orders, t.value.as_expr()) for t in new.entry("w1", "w1"))
+        got = {t.orders: g_value(new, t) for t in new.entry("w1", "w1")}
         for t in old:
-            expect = 4 * t.value.as_expr().subs({z1: sx.jet("w1") / 2,
-                                       z1x: sx.jet("w1", 1) / 2})
+            expect = 4 * g_value(table, t).subs({z1: sx.jet("w1") / 2,
+                                                 z1x: sx.jet("w1", 1) / 2})
             assert sp.expand(got[t.orders] - expect) == 0
 
     def test_elimination_failure_detected(self):
@@ -411,8 +421,9 @@ class TestNumericEvaluation:
             got = dc.evaluate_distpoly(dp, samples)
             assert got.shape == (len(dp.terms), len(samples))
             for t, row in zip(dp.terms, got):
+                ref = table.alg.g_basis(t.value, dp.scale).as_expr()
                 for s, g in zip(samples, row):
-                    want = sx.evaluate(t.value.as_expr(), s)
+                    want = sx.evaluate(ref, s)
                     assert abs(g - want) <= 1e-12 * max(1.0, abs(want))
                     checked += 1
         assert checked
@@ -519,7 +530,8 @@ class TestTableAlgebra:
             for b in forward:
                 dp = dc.bracket_of_functions(table, forward[a], forward[b])
                 coeffs = {t.orders: sp.expand(sp.cancel(
-                    t.value.as_expr().subs(subs, simultaneous=True))) for t in dp.terms}
+                    g_value(table, t, dp.scale).subs(subs, simultaneous=True)))
+                    for t in dp.terms}
                 out[(a, b)] = {k: c for k, c in coeffs.items() if c != 0}
         return out
 
@@ -529,7 +541,7 @@ class TestTableAlgebra:
         forward = {"p1": z1 / z2, "w2": z2}
         inverse = {"z1": sx.jet("p1") * sx.jet("w2"), "z2": sx.jet("w2")}
         new = self.check_change(table, forward, inverse, frozen)
-        assert frozen or any(sx.T in t.value.as_expr().free_symbols
+        assert frozen or any(sx.T in g_value(new, t).free_symbols
                              for terms in new.entries.values()
                              for t in terms)
 
@@ -538,7 +550,7 @@ class TestTableAlgebra:
         w1, w2 = sx.jet("w1"), sx.jet("w2")
         new = self.check_change(table, {"w1": z1 * z2, "w2": z2},
                                 {"z1": w1 / w2, "z2": w2}, False)
-        assert any(sp.denom(sp.together(t.value.as_expr())) != 1
+        assert any(sp.denom(sp.together(g_value(new, t))) != 1
                    for terms in new.entries.values() for t in terms)
 
     def check_change(self, table, forward, inverse, frozen):
@@ -547,8 +559,87 @@ class TestTableAlgebra:
         want = self.reference_change(table, forward, inverse, frozen)
         assert set(new.entries) == set(want)
         for key, terms in new.entries.items():
-            got = {t.orders: t.value.as_expr() for t in terms}
+            got = {t.orders: g_value(new, t) for t in terms}
             assert set(got) == set(want[key]), key
             for orders, c in got.items():
                 assert sp.expand(c - want[key][orders]) == 0, (key, orders)
         return new
+
+
+class TestIntegerAlgebra:
+    """Table algebras compute over ZZ in the basis h2 = g2/12, h3 = g3/2,
+    with entries stored at the table's scale; every value that leaves
+    the algebra is mapped back exactly."""
+
+    H2, H3 = sp.symbols("h2 h3")
+
+    @pytest.fixture(scope="class")
+    def n2(self):
+        return models.thm3_extract(2)
+
+    def test_rules_derived_from_dtau_rules(self, n2):
+        alg = n2.to_bracket_table().alg
+        assert alg.R.domain == sp.ZZ
+        subs = {sx.g2: 12 * self.H2, sx.g3: 2 * self.H3}
+        got = {}
+        for g, h, w in ((sx.g1, sx.g1, 1), (sx.g2, self.H2, 12),
+                        (sx.g3, self.H3, 2)):
+            want = sp.expand(sx.DTAU_RULES[g].subs(subs) / w)
+            got[h] = alg._dth[alg.index[h]].as_expr()
+            assert sp.expand(got[h] - want) == 0, h
+        g1, h2, h3 = sx.g1, self.H2, self.H3
+        assert got == {g1: h2 - g1 ** 2, h2: h3 - 4 * g1 * h2,
+                       h3: 24 * h2 ** 2 - 6 * g1 * h3}
+
+    def test_zeta_leaves_keep_qq(self):
+        # the zeta rule halves dwpu, which no basis of g2, g3 removes
+        R = models._structconsts_algebra(2).G
+        alg = dc._RingAlgebra(models._SPECTRAL + R.symbols, ("z0", "z2"),
+                              frozen=False)
+        assert alg.R.domain == sp.QQ and alg.syms == alg.gsyms
+
+    @pytest.mark.parametrize("n, scale", [(2, 1), (3, 6), (4, 4)])
+    def test_entries_map_back_exactly(self, n, scale):
+        sc = models.thm3_extract(n)
+        table = sc.to_bracket_table()
+        assert table.scale == scale
+        R = sc.P_poly[(0, 0)].ring
+        for a in sc.indices:
+            for b in sc.indices:
+                got = {t.orders: table.alg.g_basis(t.value,
+                                                   table.scale).set_ring(R)
+                       for t in table.entry(f"z{a}", f"z{b}")}
+                assert got == {k: v for k, v in (((1,), sc.P_poly[(a, b)]),
+                                                  ((0,), sc.Q_poly[(a, b)]))
+                               if v}
+
+    def test_lift_of_a_rational_polynomial(self):
+        # 1/2 z1 z2 g2 + 1/3 g3 = 6 h2 z1 z2 + (2/3) h3: lifted with d = 3
+        e = z1 * z2 * sx.g2 / 2 + sx.g3 / 3
+        alg = dc._RingAlgebra(dc._ring_symbols([e], 0, BASE, frozen=True),
+                              BASE, frozen=True)
+        c, d = alg.lift(e)
+        assert d == 3 and c.as_expr() == 18 * self.H2 * z1 * z2 + 2 * self.H3
+        assert sp.expand(alg.g_basis(c, d).as_expr() - e) == 0
+        assert alg.conv(e) == alg.F(c) / 3
+
+    def test_campaign_without_rational_arithmetic(self, n2, ctx, monkeypatch):
+        """The n = 2 antisymmetry and Jacobi campaign and its flipped
+        control, evaluation included, make no PythonMPQ sum or product."""
+        from sympy.external.pythonmpq import PythonMPQ
+        table = n2.to_bracket_table()
+        jets = TestNumericEvaluation.samples(ctx, table)
+        calls = []
+        for name in ("__add__", "__radd__", "__sub__", "__mul__",
+                     "__rmul__", "__truediv__"):
+            orig = getattr(PythonMPQ, name)
+
+            def counted(*args, _orig=orig, _name=name):
+                calls.append(_name)
+                return _orig(*args)
+            monkeypatch.setattr(PythonMPQ, name, counted)
+        residuals = verify._table_residuals(table, jets)
+        bad = verify._flip_one_entry(table, "z0", "z2")
+        flipped = verify._table_residuals(bad, jets[:1])
+        assert calls == []
+        assert max(residuals) == 0.0 and max(flipped) > 1e-3

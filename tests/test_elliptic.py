@@ -162,6 +162,35 @@ class TestSigmaContinuation:
         with pytest.raises(DomainError):
             elliptic.sigma(ctx, 0.3 + 400 * ctx.tau)
 
+    @pytest.mark.parametrize("z", [1e308 + 0.3j, -1e308 + 0.3j, 0.3 + 1e308j,
+                                   1e307 + 0.3j])
+    def test_huge_finite_argument_is_typed(self, z):
+        """The quasi-periods m*g1 + k*eta_tau leave the double range: a
+        DomainError, not a math domain error, an inf or a nan."""
+        ctx = elliptic.make_context(1j)
+        with pytest.raises(DomainError, match="double range"):
+            elliptic.sigma(ctx, z)
+        if z.real != 1e307:  # zeta(1e307 + 0.3j) is about 3.1e307
+            with pytest.raises(DomainError, match="double range"):
+                elliptic.zeta(ctx, z)
+
+    def test_unreducible_argument_is_typed(self):
+        """Im z / Im tau overflows: the reduction itself is refused."""
+        ctx = elliptic.make_context(0.5j)
+        for fn in (elliptic.wp, elliptic.zeta, elliptic.sigma):
+            with pytest.raises(DomainError, match="too large to reduce"):
+                fn(ctx, 0.3 + 1e308j)
+
+    def test_large_argument_unchanged(self):
+        """At 1e15 + 0.3j zeta is finite (m*g1 with m = 1e15) and sigma's
+        factor overflows, as before."""
+        ctx = elliptic.make_context(1j)
+        z = 1e15 + 0.3j
+        assert elliptic.zeta(ctx, z) == (elliptic.zeta(ctx, 0.3j)
+                                         + 10 ** 15 * ctx.g1)
+        with pytest.raises(DomainError, match="double range"):
+            elliptic.sigma(ctx, z)
+
 
 class TestDoubleRange:
     """exp(2 pi i z_r) outside the double range (|Im z_r| > ~113 needs

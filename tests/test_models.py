@@ -24,7 +24,7 @@ from loopbrackets.symexpr import jet
 
 def template_algebra(n):
     """An algebra like the one thm3_extract builds its template in."""
-    R = models._structconsts_algebra(n).R
+    R = models._structconsts_algebra(n).G
     fields = [models.field_name(a) for a in models.field_indices(n)]
     return dc._RingAlgebra(models._SPECTRAL + R.symbols, fields, frozen=False)
 
@@ -292,11 +292,10 @@ class TestDescent:
         assert red.frozen_modular
         p, px = jet("p1"), jet("p1", 1)
         G = -(4 * p ** 3 - sx.g2 * p - sx.g3) / 2
-        assert sp.expand(red.entry("p1", "p1")[1].value.as_expr() - G) == 0 or \
-            sp.expand(next(t.value.as_expr() for t in red.entry("p1", "p1")
-                           if t.orders == (1,)) - G) == 0
-        dcoeff = next(t.value.as_expr() for t in red.entry("p1", "p1")
-                      if t.orders == (0,))
+        got = {t.orders: red.alg.g_basis(t.value, red.scale).as_expr()
+               for t in red.entry("p1", "p1")}
+        assert sp.expand(got[(1,)] - G) == 0
+        dcoeff = got[(0,)]
         assert sp.expand(dcoeff - sp.diff(G, p) / 2 * px) == 0
 
     def test_descended_table_is_poisson(self):
@@ -405,6 +404,26 @@ class TestGeneratingFieldRealization:
         for name, log in calls.items():
             assert len(log) == len(set(log)) == 4, name
 
+    def test_series_calls_per_trial(self, ctx, monkeypatch):
+        """One n = 3 Theorem 2 trial (bracket residual, modular row and the
+        wrong-coupling control on one realization) evaluates `at` once per
+        spectral point: 32 series calls there, and wp, wp_z and zeta at
+        up - vp and zeta at vp - up in each bracket residual.  That is
+        40 calls for 36 distinct function-argument pairs (102 when every
+        residual called `at` afresh)."""
+        calls = []
+        for name in ("wp", "wp_z", "zeta", "sigma"):
+            def counted(c, z, fn=getattr(elliptic, name), name=name):
+                calls.append((name, z))
+                return fn(c, z)
+            monkeypatch.setattr(elliptic, name, counted)
+        real = self._realization(ctx, 3, seed=21)
+        up, vp = 0.21 + 0.17j, -0.26 + 0.2j
+        models.thm2_bracket_residual(ctx, 3, real, up, vp)
+        models.thm2_modular_row_residual(ctx, real, up)
+        models.thm2_bracket_residual(ctx, 3, real, up, vp, lam=1 / 3 + 0.25)
+        assert (len(calls), len(set(calls))) == (40, 36)
+
     def test_mismatched_arguments(self, ctx):
         """The residuals refuse a field count or a context other than the
         realization's own, instead of reading another table or mixing
@@ -469,14 +488,17 @@ def _specialised_equations(point, s):
                                  jet("z1") / jet("z2"))
     chart = {jet("z1"): p, jet("z1", 1): pp + p * zr, jet("z2"): 1,
              jet("z2", 1): zr}
-    got = {t.orders: t.value.as_expr() for t in dp.terms}
+    got = {t.orders: table.alg.g_basis(t.value, dp.scale).as_expr()
+           for t in dp.terms}
     for order, target in (((1,), G), ((0,), sp.diff(G, p) * pp / 2)):
         diff = sp.expand(got[order].subs(chart) - target)
         out += sp.Poly(diff, p, pp, zr).coeffs()
     zjets = [jet(f, k) for k in range(4) for f in ("z1", "z2")]
     for tri in dc.jacobi_triples(table.fields):
-        for term in dc.jacobi_defect(table, *tri).terms:
-            out += sp.Poly(term.value.as_expr(), *zjets).coeffs()
+        jd = dc.jacobi_defect(table, *tri)
+        for term in jd.terms:
+            out += sp.Poly(table.alg.g_basis(term.value, jd.scale).as_expr(),
+                           *zjets).coeffs()
     return np.array([complex(v) for v in out])
 
 
