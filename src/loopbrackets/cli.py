@@ -27,26 +27,9 @@ def parse_complex(text: str) -> complex:
     s = text.strip().replace(" ", "")
     if not s:
         raise argparse.ArgumentTypeError("empty complex literal")
-    if s.endswith("i"):
-        body = s[:-1]
-        # split into real and imaginary parts at the last +/- that is not
-        # an exponent sign
-        for k in range(len(body) - 1, 0, -1):
-            if body[k] in "+-" and body[k - 1] not in "eE":
-                re_part, im_part = body[:k], body[k:]
-                break
-        else:
-            re_part, im_part = "", body
-        if im_part in ("", "+"):
-            im_part = "1"
-        elif im_part == "-":
-            im_part = "-1"
-        try:
-            return complex(float(re_part) if re_part else 0.0, float(im_part))
-        except ValueError:
-            raise argparse.ArgumentTypeError(
-                f"bad complex literal {text!r}")
     try:
+        if s.endswith("i"):
+            return complex(s[:-1] + "j")
         return complex(float(s), 0.0)
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad complex literal {text!r}")

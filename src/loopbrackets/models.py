@@ -11,8 +11,10 @@ r-matrix template), and by transcribing closed-form generating
 functions.  Exact agreement of the two is the strongest self-check in
 the package.
 
-All symbolic work happens over exact rationals in the ring
-Q[g1, g2, g3, T]; numerics enter only in verification suites.
+The structure constants are exact, in one ring per n,
+Q[g1, g2, g3, T, z.., z.._x]; the delta calculus of their tables runs
+over ZZ in the basis h2 = g2/12, h3 = g3/2 (see distcalc).  Numerics
+enter only in verification suites.
 """
 
 from __future__ import annotations
@@ -222,8 +224,8 @@ def _check_homogeneity(sc: StructConsts):
 
 def _ring_square_reduce(p, i: int, square):
     """Replace x^2 by `square` for the generator x at position i, keeping
-    x-degree <= 1: the odd leaves (dwp^2 = 4 wp^3 - g2 wp - g3), or i
-    (i^2 = -1).  One pass over the terms; `square` is free of x."""
+    x-degree <= 1: the odd leaves (dwp^2 = 4 wp^3 - g2 wp - g3).  One
+    pass over the terms; `square` is free of x."""
     out, powers = p.ring.zero, [p.ring.one]  # powers[j] = square**j
     get, zero, mul = out.get, p.ring.domain.zero, p.ring.monomial_mul
     for monom, c in p.items():
@@ -238,33 +240,31 @@ def _ring_square_reduce(p, i: int, square):
     return out
 
 
-def _clear_pole(p, i_inv: int, D, power: int, reduce):
+def _clear_pole(p, i_inv: int, D, reduce):
     """Exact division by D of a polynomial in a generator Dinv = 1/D (at
-    position i_inv): multiply by D^power so that Dinv goes, apply
-    `reduce` (the caller's rewrites and checks), and divide D^power back
-    out.  ExtractionError for a Dinv power above `power`,
-    DivisibilityError when D^power does not divide the reduced
+    position i_inv): with K the Dinv-degree of p, form D^K p by Horner in
+    D, apply `reduce` (the caller's rewrites and checks), and divide D^K
+    back out.  DivisibilityError when D^K does not divide the reduced
     numerator."""
-    parts = _group_terms(p, [i_inv])
-    top = max(parts, default=(0,))[0]
-    if top > power:
-        raise ExtractionError(f"denominator power {top} exceeds the "
-                              f"clearing power {power}")
-    num = sum((c * D ** (power - k) for (k,), c in parts.items()),
-              p.ring.zero)
-    quo, rem = divmod(reduce(num), D ** power)
+    inv = p.ring.gens[i_inv]
+    K = max(p.degree(inv), 0)
+    num = p.ring.zero
+    for k in range(K + 1):
+        num = num * D + p.coeff_wrt(inv, k)
+    quo, rem = divmod(reduce(num), D ** K)
     if rem:
         raise DivisibilityError(
-            f"clearing factor ({D})^{power} does not divide the reduced "
+            f"clearing factor ({D})^{K} does not divide the reduced "
             f"numerator")
     return quo
 
 
-def _spectral_clear(p, power: int):
-    """Multiply a template element by (wpv - wpu)^power, reduce odd-leaf
-    powers, assert the spectral-transcendental leaves cancel, and divide
-    the clearing factor back out exactly.  The template's only
-    denominators are the powers of its generator dinv = 1/(wpv - wpu)."""
+def _spectral_clear(p):
+    """Multiply a template element by (wpv - wpu)^K, K its dinv-degree,
+    reduce odd-leaf powers, assert the spectral-transcendental leaves
+    cancel, and divide the clearing factor back out exactly.  The
+    template's only denominators are the powers of its generator
+    dinv = 1/(wpv - wpu)."""
     syms = p.ring.symbols
     x = dict(zip(syms, p.ring.gens))
 
@@ -278,8 +278,7 @@ def _spectral_clear(p, power: int):
                     f"spectral leaf {bad} survives the cancellation step")
         return num
 
-    return _clear_pole(p, syms.index(sx.dinv), x[wpv] - x[wpu], power,
-                       reduce)
+    return _clear_pole(p, syms.index(sx.dinv), x[wpv] - x[wpu], reduce)
 
 
 def _coeff_split(p, n: int, R) -> dict:
@@ -346,14 +345,14 @@ def thm3_extract(n: int) -> StructConsts:
     eth_u = Dth(eu)
     eth_v = Dth(ev)
 
-    P = _coeff_split(_spectral_clear(A - eu * eth_v - eth_u * ev, 3), n, R)
+    P = _coeff_split(_spectral_clear(A - eu * eth_v - eth_u * ev), n, R)
 
     dx_basis_v = {b: Dx(spectral_basis(alg, b, "v")) for b in idx}
     sum_p_dxp = sum(
         (spectral_basis(alg, a, "u") * dx_basis_v[b]
          * P[(a, b)].set_ring(alg.R) for a in idx for b in idx), alg.R.zero)
     Q = _coeff_split(_spectral_clear(
-        B - sum_p_dxp - eu * Dx(eth_v) - eth_u * Dx(ev), 3), n, R)
+        B - sum_p_dxp - eu * Dx(eth_v) - eth_u * Dx(ev)), n, R)
 
     sc = StructConsts(n=n, P=P, Q=Q, generator="thm3_extract")
     _check_homogeneity(sc)
@@ -363,9 +362,8 @@ def thm3_extract(n: int) -> StructConsts:
 # ---------------------------------------------------------------------------
 # closed-form generating functions
 
-# ring generators for 1/(u - v), i, pi and 1/pi in the closed forms
+# ring generator for 1/(u - v) in the closed forms
 _DINV = sp.Symbol("_Dinv")
-_I, _PI, _PI_INV = sp.symbols("_i _pi _piinv")
 
 
 def _poly_e(n: int, sector: int, var, z: dict, order: int = 0):
@@ -384,11 +382,10 @@ def _poly_e(n: int, sector: int, var, z: dict, order: int = 0):
 def _closed_forms(n: int, R) -> dict:
     """The closed-form generating functions for the even-even, even-odd
     and odd-odd sectors of P and Q, evaluated in R: 1/(u - v) is the
-    generator Dinv, and tau'(x) = 2 pi i T with i, pi and 1/pi as
-    generators."""
+    generator Dinv, and i tau'(x) / pi = -2 T (tau' = 2 pi i T)."""
     z = dict(zip(R.symbols, R.gens))
     u, v, g1, g2, g3 = (z[s] for s in (sx.u, sx.v, sx.g1, sx.g2, sx.g3))
-    Dinv, I, pi, pinv = (z[s] for s in (_DINV, _I, _PI, _PI_INV))
+    Dinv = z[_DINV]
     e0u_, e1u_ = _poly_e(n, 0, u, z), _poly_e(n, 1, u, z)
     e0v_, e1v_ = _poly_e(n, 0, v, z), _poly_e(n, 1, v, z)
     d_e0u = e0u_.diff(u)
@@ -399,7 +396,7 @@ def _closed_forms(n: int, R) -> dict:
     e0x_v, e1x_v = _poly_e(n, 0, v, z, 1), _poly_e(n, 1, v, z, 1)
     d_e0x_v = e0x_v.diff(v)
     d_e1x_v = e1x_v.diff(v)
-    tp = 2 * pi * I * z[T]
+    itp = -2 * z[T]
     lamn = sp.Rational(1, n)
 
     gf_P_ee = (
@@ -456,22 +453,22 @@ def _closed_forms(n: int, R) -> dict:
         - (4 * v**3 - g2 * v - g3) * (4 * u**3 - g2 * u - g3)
             * e1u_ * d_e1x_v * Dinv / 8
         + (12 * g2 * g1 * u - g2**2 + 18 * g1 * g3 - 18 * g3 * u)
-            * I * e0u_ * d_e0v * tp * pinv * Dinv / 24
+            * e0u_ * d_e0v * itp * Dinv / 24
         + (12 * g1 * u**2 - 12 * g1 * u * v + 12 * u**2 * v - g2 * u
            - 2 * g2 * v - 3 * g3) * d_e0u * e0x_v * Dinv / 6
         + (e0v_ * e0x_u - e0u_ * e0x_v) * Dinv**2 / 4
             * (4 * g1 * (u - v)**2 + 4 * u**2 * v + 4 * u * v**2
                - g2 * u - g2 * v - 2 * g3)
-        - I * e1v_ * d_e1u * tp * pinv / 8 * lamn
+        - e1v_ * d_e1u * itp / 8 * lamn
             * (2 * g2 * g1 - 3 * g3) * (4 * u**3 - g2 * u - g3)
         + sp.Rational(1, 8) * (4 * v**3 - g2 * v - g3)
             * (4 * u**3 - g2 * u - g3) * d_e1u * e1x_v * Dinv
-        - I * e1v_ * d_e1u * tp * pinv * Dinv / 48
+        - e1v_ * d_e1u * itp * Dinv / 48
             * (4 * u**3 - g2 * u - g3)
             * (12 * g2 * g1 * v - g2**2 + 18 * g1 * g3 - 18 * g3 * v)
         + sp.Rational(1, 8) * (4 * v**3 - g2 * v - g3)
             * (4 * u**3 - g2 * u - g3) * e1v_ * e1x_u * Dinv**2
-        - I * e1u_ * e1v_ * tp * pinv / 16 * lamn
+        - e1u_ * e1v_ * itp / 16 * lamn
             * (2 * g2 * g1 - 3 * g3) * (12 * u**2 - g2)
         - e1u_ * e1x_v * Dinv**2 / 16
             * (48 * u**4 * v**2 - 64 * u**3 * v**3 + 48 * u**2 * v**4
@@ -480,7 +477,7 @@ def _closed_forms(n: int, R) -> dict:
                + g2**2 * v**2 + 4 * g3 * u**3 - 12 * g3 * u**2 * v
                - 12 * g3 * u * v**2 + 4 * g3 * v**3 + 2 * g2 * g3 * u
                + 2 * g2 * g3 * v + 2 * g3**2)
-        + I * e0v_ * d_e0u * tp * pinv * Dinv / 24
+        + e0v_ * d_e0u * itp * Dinv / 24
             * (24 * g1**2 * u**2 - 24 * g1**2 * u * v - 8 * g2 * g1 * u
                - 4 * g2 * g1 * v - 2 * g2 * u**2 + 2 * g2 * u * v + g2**2
                - 18 * g1 * g3 + 12 * g3 * u + 6 * g3 * v)
@@ -488,18 +485,18 @@ def _closed_forms(n: int, R) -> dict:
             * (4 * v**3 - g2 * v - g3) * (4 * u**3 - g2 * u - g3)
         + e1u_ * d_e1x_v / 8 * lamn * (12 * u**2 - g2)
             * (4 * v**3 - g2 * v - g3)
-        - I * d_e1u * d_e1v * tp * pinv / 24 * lamn
+        - d_e1u * d_e1v * itp / 24 * lamn
             * (4 * u**3 - g2 * u - g3)
             * (12 * g2 * g1 * v - g2**2 + 18 * g1 * g3 - 18 * g3 * v)
-        + I * e1u_ * d_e1v * tp * pinv * Dinv / 48
+        + e1u_ * d_e1v * itp * Dinv / 48
             * (4 * u**3 - g2 * u - g3)
             * (12 * g2 * g1 * v - g2**2 + 18 * g1 * g3 - 18 * g3 * v)
-        - I * e1u_ * d_e1v * tp * pinv / 48 * lamn * (12 * u**2 - g2)
+        - e1u_ * d_e1v * itp / 48 * lamn * (12 * u**2 - g2)
             * (12 * g2 * g1 * v - g2**2 + 18 * g1 * g3 - 18 * g3 * v)
         + e1u_ * e1x_v / 16 * lamn * (12 * v**2 - g2) * (12 * u**2 - g2)
         + d_e1u * e1x_v / 8 * lamn * (12 * v**2 - g2)
             * (4 * u**3 - g2 * u - g3)
-        + I * e1u_ * e1v_ * tp * pinv / 48
+        + e1u_ * e1v_ * itp / 48
             * (24 * g2 * g1 * u**2 - 24 * g2 * g1 * u * v - 6 * g1 * g2**2
                + 4 * g2**2 * u + 2 * g2**2 * v - 72 * g1 * g3 * u
                - 36 * g1 * g3 * v - 36 * g3 * u**2 + 36 * g3 * u * v
@@ -514,7 +511,7 @@ def _closed_forms(n: int, R) -> dict:
         + sp.Rational(1, 6) * (12 * g1 * u**2 - 12 * g1 * u * v
                                + 12 * u**2 * v - g2 * u - 2 * g2 * v - 3 * g3)
             * d_e0u * e1x_v * Dinv
-        + I * e1v_ * d_e0u * tp * pinv * Dinv / 24
+        + e1v_ * d_e0u * itp * Dinv / 24
             * (24 * g1**2 * u**2 - 24 * g1**2 * u * v - 8 * g2 * g1 * u
                - 4 * g2 * g1 * v - 2 * g2 * u**2 + 2 * g2 * u * v + g2**2
                - 18 * g1 * g3 + 12 * g3 * u + 6 * g3 * v)
@@ -527,12 +524,12 @@ def _closed_forms(n: int, R) -> dict:
                                + 2 * g3) * e0x_v * e1u_ * Dinv**2
         + sp.Rational(1, 2) * (4 * u**3 - g2 * u - g3)
             * e0v_ * e1x_u * Dinv**2
-        + I * e0u_ * d_e1v * tp * pinv * Dinv / 24
+        + e0u_ * d_e1v * itp * Dinv / 24
             * (12 * g2 * g1 * u - g2**2 + 18 * g1 * g3 - 18 * g3 * u)
         + sp.Rational(1, 2) * (4 * g1 * u**2 - 8 * g1 * u * v + 4 * g1 * v**2
                                - 8 * u**2 * v + 4 * u * v**2 + g2 * u + g3)
             * e1x_v * e0u_ * Dinv**2
-        + I * (e0u_ * e1v_ - e1u_ * e0v_) * tp * pinv * Dinv**2 / 24
+        + (e0u_ * e1v_ - e1u_ * e0v_) * itp * Dinv**2 / 24
             * (12 * g1 * g2 * u - g2**2 + 18 * g1 * g3 - 18 * g3 * u)
         + lamn * (4 * u**3 - g2 * u - g3) * d_e0x_v * d_e1u
         + sp.Rational(1, 2) * lamn * (12 * u**2 - g2) * d_e0x_v * e1u_)
@@ -545,7 +542,7 @@ def _closed_forms(n: int, R) -> dict:
         + sp.Rational(1, 6) * (12 * g1 * u**2 - 12 * g1 * u * v
                                + 12 * u**2 * v - g2 * u - 2 * g2 * v - 3 * g3)
             * d_e1u * e1x_v * Dinv
-        + I * e1v_ * d_e1u * tp * pinv * Dinv / 24
+        + e1v_ * d_e1u * itp * Dinv / 24
             * (24 * g1**2 * u**2 - 24 * g1**2 * u * v - 8 * g2 * g1 * u
                - 4 * g2 * g1 * v - 2 * g2 * u**2 + 2 * g2 * u * v + g2**2
                - 18 * g1 * g3 + 12 * g3 * u + 6 * g3 * v)
@@ -553,9 +550,9 @@ def _closed_forms(n: int, R) -> dict:
                                + 4 * u * v**2 - g2 * u - g2 * v - 2 * g3)
             * e1v_ * e1x_u * Dinv**2
         + 2 * (d_e0u * e0x_v - e0u_ * d_e0x_v) * Dinv
-        + I * e1u_ * d_e1v * tp * pinv * Dinv / 24
+        + e1u_ * d_e1v * itp * Dinv / 24
             * (12 * g2 * g1 * u - g2**2 + 18 * g1 * g3 - 18 * g3 * u)
-        + I * e1u_ * e1v_ * tp * pinv / 8 * (12 * g1**2 - g2)
+        + e1u_ * e1v_ * itp / 8 * (12 * g1**2 - g2)
         + sp.Rational(1, 4) * (20 * g1 * (u - v)**2 - 4 * u**2 * v
                                - 4 * u * v**2 + g2 * u + g2 * v + 2 * g3)
             * e1x_v * e1u_ * Dinv**2
@@ -567,26 +564,11 @@ def _closed_forms(n: int, R) -> dict:
 
 
 def _finalize_closed_form(gf):
-    """Check that pi and i cancel from a closed form (i^2 = -1,
-    pi * (1/pi) = 1, and neither may remain) and divide its
-    (u - v)-denominator out exactly."""
+    """Divide the (u - v)-denominator of a closed form out exactly."""
     R = gf.ring
-    at = {s: i for i, s in enumerate(R.symbols)}
-    i_i, i_pi, i_pinv = at[_I], at[_PI], at[_PI_INV]
-    pi, pinv = R.gens[i_pi], R.gens[i_pinv]
-
-    def reduce(num):
-        num = _ring_square_reduce(num, i_i, -R.one)
-        num = sum((c * pi ** max(a - b, 0) * pinv ** max(b - a, 0)
-                   for (a, b), c in _group_terms(num, [i_pi, i_pinv]).items()),
-                  R.zero)
-        if any(m[i_i] or m[i_pi] or m[i_pinv] for m in num.itermonoms()):
-            raise ExtractionError("pi or i survive the tau' substitution")
-        return num
-
-    D = R.gens[at[sx.u]] - R.gens[at[sx.v]]
-    power = max(gf.degree(R.gens[at[_DINV]]), 0)
-    return _clear_pole(gf, at[_DINV], D, power, reduce)
+    at = R.symbols.index
+    D = R.gens[at(sx.u)] - R.gens[at(sx.v)]
+    return _clear_pole(gf, at(_DINV), D, lambda num: num)
 
 
 def _harvest(target: dict, sector: tuple, p, n: int, R):
@@ -605,11 +587,11 @@ def _harvest(target: dict, sector: tuple, p, n: int, R):
 
 def appendix_table(n: int) -> StructConsts:
     """Structure constants transcribed from the closed-form generating
-    functions, with the explicit tau'(x) replaced by 2*pi*i*T and every
-    (u-v)-denominator divided out exactly."""
+    functions, with the explicit i tau'(x) / pi replaced by -2 T and
+    every (u-v)-denominator divided out exactly."""
     idx = field_indices(n)
     alg = _structconsts_algebra(n)
-    R, *_ = sp.ring([u, v, _DINV, _I, _PI, _PI_INV] + list(alg.gsyms), sp.QQ)
+    R, *_ = sp.ring([u, v, _DINV] + list(alg.gsyms), sp.QQ)
     P = {(a, b): alg.G.zero for a in idx for b in idx}
     Q = dict(P)
     for (name, sector), gf in _closed_forms(n, R).items():
@@ -833,7 +815,8 @@ class SigmaRealization:
     All first and mixed field-derivatives are assembled (in `at`) from
     closed forms for zeta, sigma_tau/sigma, wp_tau, zeta_tau -- no finite
     differences anywhere.  `at` keeps what it computed per spectral
-    point, so the residuals of one realization share it."""
+    point, and `pair` per pair of points, so the residuals of one
+    realization share them."""
 
     ctx: elliptic.EllipticContext
     n: int
@@ -842,6 +825,8 @@ class SigmaRealization:
     jets: dict  # first jets: {"t1": t1', ..., "tau": tau', "f": f'}
     _at: dict = field(default_factory=dict, init=False, repr=False,
                       compare=False)
+    _pair: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
 
     def __post_init__(self):
         if self.n < 2:
@@ -864,6 +849,19 @@ class SigmaRealization:
         if z not in self._at:
             self._at[z] = self._evaluate(z)
         return self._at[z]
+
+    def pair(self, up, vp) -> tuple:
+        """(wp, zeta, zeta_tau) at up - vp and zeta at vp - up, the
+        two-point values of the bracket residual.  Computed once per
+        (up, vp)."""
+        if (up, vp) not in self._pair:
+            ctx, d = self.ctx, up - vp
+            wp_d, zeta_d = elliptic.wp(ctx, d), elliptic.zeta(ctx, d)
+            zeta_vu = elliptic.zeta(ctx, vp - up)
+            zeta_tau_d = elliptic.tau_closed_forms(
+                ctx, d, wp_d, elliptic.wp_z(ctx, d), zeta_d)[1]
+            self._pair[(up, vp)] = (wp_d, zeta_d, zeta_tau_d, zeta_vu)
+        return self._pair[(up, vp)]
 
     def _evaluate(self, z) -> dict:
         ctx, n, t, f, fields = self.ctx, self.n, self.t, self.f, self.fields
@@ -984,13 +982,10 @@ def thm2_bracket_residual(ctx, n, real: SigmaRealization, up, vp,
                for F in fields for G in fields)
 
     tpr = real.jets["tau"]
-    d = up - vp
-    wp_d, zeta_d = elliptic.wp(ctx, d), elliptic.zeta(ctx, d)
+    wp_d, zeta_d, zeta_tau_d, zeta_vu = real.pair(up, vp)
     qvu = zeta_d + at_v["zeta"] - ctx.g1 * up
-    quv = elliptic.zeta(ctx, vp - up) + at_u["zeta"] - ctx.g1 * vp
+    quv = zeta_vu + at_u["zeta"] - ctx.g1 * vp
     # tau'(x) * d/dtau q(v,u) = T_value * (2 pi i d/dtau q)
-    zeta_tau_d = elliptic.tau_closed_forms(
-        ctx, d, wp_d, elliptic.wp_z(ctx, d), zeta_d)[1]
     qvu_tau = (zeta_tau_d + at_v["zeta_tau"]
                - elliptic.g_tau_derivatives(ctx)[0] * up)
     qvu_u = -wp_d - ctx.g1

@@ -28,11 +28,18 @@ class TestComplexParsing:
         ("-0.25-2i", -0.25 - 2j),
         ("1e-3+2.5e2i", 1e-3 + 250j),
         ("1000i", 1000j),
+        ("1e5+i", 1e5 + 1j),
+        ("+i", 1j),
+        ("1+2i", 1 + 2j),
+        ("1e+5i", 1e5j),
+        ("1_000i", 1000j),
+        ("infi", complex(0.0, math.inf)),
     ])
     def test_examples(self, text, val):
         assert cli.parse_complex(text) == val
 
-    @pytest.mark.parametrize("text", ["", "abc", "1+2j", "++i"])
+    @pytest.mark.parametrize("text", ["", "abc", "1+2j", "++i", "2+-3i",
+                                      "(1+2)i", "1+2ii", "1--2i", "j"])
     def test_rejects(self, text):
         import argparse
         with pytest.raises(argparse.ArgumentTypeError):

@@ -138,25 +138,20 @@ class TestDerivationErrors:
         alg = template_algebra(2)
         return [alg.gen(s) for s in syms]
 
-    def test_denominator_power_above_clearing_power(self):
-        dinv, = self.template(sx.dinv)
-        with pytest.raises(ExtractionError, match="clearing power"):
-            models._spectral_clear(dinv ** 4, 3)
-
     def test_clearing_factor_does_not_divide(self):
         dinv, = self.template(sx.dinv)
         with pytest.raises(DivisibilityError):
-            models._spectral_clear(dinv, 3)
+            models._spectral_clear(dinv)
 
     def test_clearing_factor_cancels(self):
         dinv, wpu, wpv = self.template(sx.dinv, sx.wpu, sx.wpv)
-        assert models._spectral_clear((wpv - wpu) * dinv * wpu, 3) == wpu
+        assert models._spectral_clear((wpv - wpu) * dinv * wpu) == wpu
 
     @pytest.mark.parametrize("leaf", [sx.u, sx.zwu], ids=str)
     def test_spectral_leaf_survives(self, leaf):
         x, wpu = self.template(leaf, sx.wpu)
         with pytest.raises(ExtractionError, match=f"leaf {leaf} survives"):
-            models._spectral_clear(x * wpu, 3)
+            models._spectral_clear(x * wpu)
 
     @staticmethod
     def split(expr, n):
@@ -193,27 +188,66 @@ class TestDerivationErrors:
 
     @staticmethod
     def closed_form_ring():
-        return sp.ring([sx.u, sx.v, models._DINV, models._I, models._PI,
-                        models._PI_INV, sx.T], sp.QQ)
+        return sp.ring([sx.u, sx.v, models._DINV, sx.T], sp.QQ)
 
-    def test_closed_form_tau_prime_substitution(self):
-        R, u, v, Dinv, i, pi, pinv, T = self.closed_form_ring()
-        tp = 2 * pi * i * T
+    def test_closed_form_divides_out_u_minus_v(self):
+        """Poles of orders 1 and 2 in u - v and a pole-free term, divided
+        out together."""
+        R, u, v, Dinv, T = self.closed_form_ring()
         got = models._finalize_closed_form(
-            i * tp * pinv / 24 + (u ** 2 - v ** 2) * Dinv)
-        assert got.as_expr() == -sx.T / 12 + sx.u + sx.v
-
-    @pytest.mark.parametrize("survivor", ["i", "pi"])
-    def test_pi_or_i_survive(self, survivor):
-        R, u, v, Dinv, i, pi, pinv, T = self.closed_form_ring()
-        term = {"i": i * T, "pi": pi * T}[survivor]
-        with pytest.raises(ExtractionError, match="pi or i survive"):
-            models._finalize_closed_form(term + u * v)
+            (u - v) ** 2 * T * Dinv ** 2 + (u ** 2 - v ** 2) * Dinv - 2 * T)
+        assert got == u + v - T
 
     def test_closed_form_not_divisible(self):
-        R, u, v, Dinv, i, pi, pinv, T = self.closed_form_ring()
+        R, u, v, Dinv, T = self.closed_form_ring()
         with pytest.raises(DivisibilityError):
             models._finalize_closed_form(u * Dinv)
+
+    @staticmethod
+    def pole_case(seed):
+        """A random polynomial p in x, y and dinv = 1/D, D = x - y^2 + 1,
+        of dinv-degree K whose value at dinv = 1/D is a polynomial: its
+        dinv^K coefficient absorbs what the random lower ones leave
+        over.  Returns p, D and K."""
+        rng = np.random.default_rng(seed)
+        R, x, y, dinv = sp.ring("x, y, dinv", sp.QQ)
+        D = x - y ** 2 + 1
+
+        def poly():
+            return sum((int(c) * x ** i * y ** j for (i, j), c in
+                        np.ndenumerate(rng.integers(-4, 5, (3, 3)))), R.zero)
+
+        K = int(rng.integers(0, 4))
+        cs = [poly() for _ in range(K)]
+        cs.append(poly() * D ** K
+                  - sum((c * D ** (K - k) for k, c in enumerate(cs)), R.zero))
+        return sum((c * dinv ** k for k, c in enumerate(cs)), R.zero), D, K
+
+    @staticmethod
+    def field_value(p):
+        """p in the fraction field Q(x, y), with dinv set to 1/D."""
+        F, x, y = sp.field("x, y", sp.QQ)
+        return sum((c * x ** i * y ** j * (x - y ** 2 + 1) ** -k
+                    for (i, j, k), c in p.terms()), F.zero)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_clear_pole_matches_fraction_field(self, seed):
+        """_clear_pole equals the independent fraction-field value with
+        dinv set to 1/D, whatever the pole order."""
+        p, D, K = self.pole_case(seed)
+        q = models._clear_pole(p, 2, D, lambda num: num)
+        assert q.degree(p.ring.gens[2]) <= 0
+        assert self.field_value(q) == self.field_value(p)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_clear_pole_not_divisible(self, seed):
+        """The same polynomials plus dinv^(K+1): the field value has a
+        pole at D = 0, and _clear_pole refuses it."""
+        p, D, K = self.pole_case(seed)
+        bad = p + p.ring.gens[2] ** (K + 1)
+        assert self.field_value(bad).denom != 1
+        with pytest.raises(DivisibilityError):
+            models._clear_pole(bad, 2, D, lambda num: num)
 
     def test_entry_outside_the_ring(self):
         doc = models.structconsts_to_document(models.appendix_table(2))
@@ -407,10 +441,10 @@ class TestGeneratingFieldRealization:
     def test_series_calls_per_trial(self, ctx, monkeypatch):
         """One n = 3 Theorem 2 trial (bracket residual, modular row and the
         wrong-coupling control on one realization) evaluates `at` once per
-        spectral point: 32 series calls there, and wp, wp_z and zeta at
-        up - vp and zeta at vp - up in each bracket residual.  That is
-        40 calls for 36 distinct function-argument pairs (102 when every
-        residual called `at` afresh)."""
+        spectral point (32 series calls) and `pair` once per (up, vp): wp,
+        wp_z and zeta at up - vp and zeta at vp - up.  That is 36 calls
+        for 36 distinct function-argument pairs (102 when every residual
+        called `at` afresh)."""
         calls = []
         for name in ("wp", "wp_z", "zeta", "sigma"):
             def counted(c, z, fn=getattr(elliptic, name), name=name):
@@ -422,7 +456,7 @@ class TestGeneratingFieldRealization:
         models.thm2_bracket_residual(ctx, 3, real, up, vp)
         models.thm2_modular_row_residual(ctx, real, up)
         models.thm2_bracket_residual(ctx, 3, real, up, vp, lam=1 / 3 + 0.25)
-        assert (len(calls), len(set(calls))) == (40, 36)
+        assert (len(calls), len(set(calls))) == (36, 36)
 
     def test_mismatched_arguments(self, ctx):
         """The residuals refuse a field count or a context other than the
