@@ -21,9 +21,9 @@ R3' follows from R1 and R3; all four are validated against direct
 pairings with polynomial test functions in the test suite.
 
 Every table owns one coefficient algebra (:class:`_RingAlgebra`), built
-when the table is: a sparse polynomial ring over ZZ and its fraction
-field, in the basis h2 = g2/12, h3 = g3/2 of the quasi-modular leaves.
-There the tau-derivative rules have integer coefficients
+when the table is: sparse polynomials over ZZ in the basis h2 = g2/12,
+h3 = g3/2 of the quasi-modular leaves.  There the tau-derivative rules
+have integer coefficients
 
     dg1 = h2 - g1^2,  dh2 = h3 - 4 g1 h2,  dh3 = 24 h2^2 - 6 g1 h3,
 
@@ -32,10 +32,22 @@ table stores L times its entries, L (`scale`) the least common
 denominator of its entries in that basis.  A bracket is homogeneous in
 the table, of degree 1 for antisymmetry and Leibniz and 2 for Jacobi, so
 a defect is zero exactly when it is zero at scale L, and its value is
-the stored one over L or L^2 (`DistPoly.scale`).  All arithmetic on the
-table stays in the algebra, and a term stores its coefficient only as
-an element of it; sympy ``Expr`` and the g basis appear only where
-coefficients come in (`build_table`, expression arguments) and go out
+the stored one over L or L^2 (`DistPoly.scale`).
+
+An element (:class:`PackedPoly`) is a dict {monomial: coefficient} whose
+monomials are packed exponent vectors (Monagan and Pearce, CASC 2007):
+one int with an 8-bit field per generator, generator 0 in the most
+significant field, so that integer order is the lex order of the
+exponent vectors and a product of monomials is one integer addition.
+The x-derivative of a jet adds a precomputed integer, and each
+monomial's derivative is memoised on its algebra.  A multiplication
+whose total degree would pass 255, the largest exponent a field holds,
+raises ExponentOverflowError instead of carrying into the next field.
+A fraction is a numerator over one packed monomial, which is all that
+z_f / z_den in the descent and the coordinate changes need; any other
+denominator is a ClosureError.  All arithmetic on a table stays in its
+algebra; sympy ``Expr`` and the g basis appear only where coefficients
+come in (`build_table`, expression arguments) and go out
 (`_RingAlgebra.g_basis`, numeric evaluation).
 """
 
@@ -48,18 +60,22 @@ from math import comb, gcd, lcm, prod
 
 import numpy as np
 import sympy as sp
-from sympy.polys.fields import FracElement
-from sympy.polys.rings import PolyElement, PolyRing
+from sympy.core.sympify import CantSympify
+from sympy.polys.rings import PolyRing
 
 from . import symexpr as sx
-from .errors import (ClosureError, StructureError, UnboundSymbolError,
-                     UnknownFieldError)
+from .errors import (ClosureError, ExponentOverflowError, StructureError,
+                     UnboundSymbolError, UnknownFieldError)
 
 _POINT_INDEX = {"x": 0, "y": 1, "w": 2}
 
 # the integral basis: g2 = 12 h2 and g3 = 2 h3, {g: (h, weight)}
 _H_BASIS = {sx.g2: (sp.Symbol("h2"), 12), sx.g3: (sp.Symbol("h3"), 2)}
-_G_BASIS = {h: (g, w) for g, (h, w) in _H_BASIS.items()}
+
+# bits per packed exponent; a total degree up to _MAX_DEGREE fits every field
+_BITS = 8
+_MAX_DEGREE = (1 << _BITS) - 1
+_SCALARS = (int, type(sp.QQ.one))
 
 
 @dataclass(frozen=True)
@@ -96,10 +112,12 @@ class _RawTerm:
 
 
 def _free_symbols(e) -> set:
-    """The symbols of an Expr, or the generators a polynomial depends on."""
-    if isinstance(e, PolyElement):
-        return {s for s, col in zip(e.ring.symbols, zip(*e)) if any(col)}
-    return sp.sympify(e).free_symbols
+    """The symbols of an Expr, or the generators a sympy ring element
+    depends on."""
+    ring = getattr(e, "ring", None)
+    if ring is None:
+        return sp.sympify(e).free_symbols
+    return {s for s, col in zip(ring.symbols, zip(*e)) if any(col)}
 
 
 def _kind(s, fields, constants):
@@ -159,23 +177,148 @@ def _ring_symbols(seeds, depth: int, fields, constants=(),
     return sorted(gens, key=str)
 
 
-class _RingAlgebra:
-    """Coefficient arithmetic in a sparse polynomial ring and its fraction
-    field (elements are ring elements while they are polynomial), with
-    the total x-derivative and d/dth built in; each generator is read
-    once, by _kind, and one outside the alphabet is a ClosureError.
+def _fits(deg: int) -> int:
+    """deg, a total degree; ExponentOverflowError past the packing bound."""
+    if deg > _MAX_DEGREE:
+        raise ExponentOverflowError(
+            f"total degree {deg} exceeds the packing bound {_MAX_DEGREE}")
+    return deg
 
-    It is built from g-basis symbols (`gsyms`).  The ring is over ZZ in
-    the basis h2 = g2/12, h3 = g3/2 (`syms`, generator for generator)
-    when the d/dth rule of every leaf is integral there, and over QQ in
-    the g basis otherwise, which only the zeta leaves' rule (it halves
-    dwpu) causes; the h-basis rules are read off DTAU_RULES.  `G` is the
-    g basis over QQ with the same generator positions: elements come in
-    by `lift` or `conv` and go out by `g_basis`.  With `frozen` the
-    modular parameter is a constant: g1, g2, g3, the other tau-dependent
-    leaves and the modular jets T, T_x, ... all have zero x-derivative.
-    `memo` holds the Leibniz brackets of every table that shares this
-    algebra, keyed on the row they read."""
+
+def _reorder(m, at, n: int) -> tuple:
+    """The exponents m moved to positions `at` of n."""
+    out = [0] * n
+    for i, e in enumerate(m):
+        if e:
+            out[at[i]] = e
+    return tuple(out)
+
+
+def _integral(c, d: int):
+    """(c', d') with c' / d' = c / d for an element c and a positive
+    integer d: c' with integer coefficients, d' the least positive
+    integer that allows."""
+    q = lcm(*(v.denominator for v in c.values()))
+    num = {m: v.numerator * (q // v.denominator) for m, v in c.items()}
+    g = gcd(d * q, *num.values())
+    return (c.ring._new({m: v // g for m, v in num.items()}, c.deg, c.den),
+            d * q // g)
+
+
+class PackedPoly(dict, CantSympify):
+    """An element of a _RingAlgebra (`ring`, set on the algebra's own
+    subclass): {packed monomial: coefficient} over `den`, a packed
+    monomial (0 for a polynomial).  `deg` bounds the total degree of the
+    numerator.  Built once and never changed, so it hashes, and caches
+    its hash: the Leibniz memo keys on elements."""
+
+    __slots__ = ("deg", "den", "_hash")
+    ring: _RingAlgebra
+
+    def __hash__(self):
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = h = hash((frozenset(self.items()), self.den))
+            return h
+
+    def _operand(self, other):
+        """other as an element of this algebra; None for a foreign type."""
+        if type(other) is type(self):
+            return other
+        return self.ring.const(other) if isinstance(other, _SCALARS) else None
+
+    def __eq__(self, other):
+        other = self._operand(other)
+        if other is None:
+            return NotImplemented
+        return self.den == other.den and dict.__eq__(self, other)
+
+    def __ne__(self, other):
+        eq = self.__eq__(other)
+        return eq if eq is NotImplemented else not eq
+
+    def __add__(self, other):
+        other = self._operand(other)
+        return NotImplemented if other is None else self.ring._add(
+            self, other, 1)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        other = self._operand(other)
+        return NotImplemented if other is None else self.ring._add(
+            self, other, -1)
+
+    def __neg__(self):
+        return self.ring._new({m: -c for m, c in self.items()}, self.deg,
+                              self.den)
+
+    def __mul__(self, other):
+        if type(other) is type(self):
+            return self.ring._mul(self, other)
+        if not isinstance(other, _SCALARS):
+            return NotImplemented
+        if not other:
+            return self.ring.zero
+        return self.ring._new({m: c * other for m, c in self.items()},
+                              self.deg, self.den)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        if not isinstance(other, _SCALARS) or not other:
+            return NotImplemented
+        return self * (sp.QQ.one / other)
+
+    def __pow__(self, n):
+        if not isinstance(n, int) or n < 0:
+            return NotImplemented
+        out, base = self.ring.one, self
+        while n:
+            if n & 1:
+                out = out * base
+            n >>= 1
+            if n:
+                base = base * base
+        return out
+
+    def as_expr(self):
+        """The Expr of the element in its algebra's symbols."""
+        ring = self.ring
+
+        def monomial(m):
+            return sp.Mul(*(s ** e for s, e in zip(ring.syms, ring._unpack(m))
+                            if e))
+
+        num = sp.Add(*(sp.Rational(c.numerator, c.denominator) * monomial(m)
+                       for m, c in self.items()))
+        return num / monomial(self.den) if self.den else num
+
+
+class _RingAlgebra:
+    """Coefficient arithmetic on PackedPoly elements over the generators
+    `syms`, with the total x-derivative and d/dth built in; each
+    generator is read once, by _kind, and one outside the alphabet is a
+    ClosureError.
+
+    It is built from g-basis symbols (`gsyms`).  Coefficients are
+    integers (`domain` ZZ) in the basis h2 = g2/12, h3 = g3/2 (`syms`,
+    generator for generator) when the d/dth rule of every leaf is
+    integral there, and rationals (QQ) in the g basis otherwise, which
+    only the zeta leaves' rule (it halves dwpu) causes; the h-basis rules
+    are read off DTAU_RULES.  Generator i is the exponent field at bit
+    8 (len(syms) - 1 - i) of a packed monomial; a product whose total
+    degree would pass 255 raises ExponentOverflowError, and a fraction
+    is a numerator over one packed monomial.  `G` is the sympy ring of
+    the g basis over QQ with the same generator positions: elements come
+    in by `lift` or `conv` and go out by `g_basis`, and only there are
+    exponents unpacked (besides `support`, a monomial's first
+    x-derivative and the evaluator).
+    With `frozen` the modular parameter is a constant: g1, g2, g3, the
+    other tau-dependent leaves and the modular jets T, T_x, ... all have
+    zero x-derivative.  `memo` holds the Leibniz brackets of every table
+    that shares this algebra, keyed on the row they read."""
 
     def __init__(self, syms, fields, frozen: bool, constants=()):
         self.gsyms = tuple(syms)
@@ -195,55 +338,264 @@ class _RingAlgebra:
         h_dth = {i: {m: c * self._weight(m) / weight.get(i, 1)
                      for m, c in r.items()} for i, r in dth.items()}
         if all(c.denominator == 1 for r in h_dth.values() for c in r.values()):
-            dom = sp.ZZ
+            self.domain = sp.ZZ
             self.syms = tuple(_H_BASIS.get(s, (s,))[0] for s in self.gsyms)
             dth = {i: {m: c.numerator for m, c in r.items()}
                    for i, r in h_dth.items()}
         else:
-            dom, self._hpos, self.syms = sp.QQ, [], self.gsyms
-        self.F, *_ = sp.field(self.syms, dom)
-        self.R = self.F.ring
+            self.domain, self._hpos, self.syms = sp.QQ, [], self.gsyms
         self.index = {s: i for i, s in enumerate(self.syms)}
+        self._gindex = {s: i for i, s in enumerate(self.gsyms)}
         self.jets = [k if isinstance(k, tuple) else None for k in kinds]
         self.memo: dict = {}
-        self._dth = {i: self.R.from_dict(r) for i, r in dth.items()}
-        # x-derivative of each generator: the index of the next jet, the
-        # terms of a polynomial image, or None past the prolongation depth
+        self.dtype = type("PackedPoly", (PackedPoly,),
+                          {"__slots__": (), "ring": self})
+        self._nbytes = len(self.syms)
+        self._unit = [1 << _BITS * (self._nbytes - 1 - i)
+                      for i in range(self._nbytes)]
+        self.zero = self._new({}, 0)
+        self.one = self._new({0: 1}, 0)
+        self._dth = {i: self._from_exponents(r) for i, r in dth.items()}
+        # x-derivative of each generator: the integer that turns it into
+        # the next jet, the terms of a polynomial image over it, or None
+        # past the prolongation depth; and each monomial's derivative
         self._img: list = []
-        T = self.index.get(sx.T)
+        self._dxm: dict = {}
+        self._dx_grow = 0
         for i, info in enumerate(self.jets):
             if info is not None:
                 f, k = info
+                j = self.index.get(sx.jet(f, k + 1))
                 if frozen and f == sx.MODULAR_FIELD:
                     self._img.append(())
                 else:
-                    self._img.append(self.index.get(sx.jet(f, k + 1)))
+                    self._img.append(None if j is None
+                                     else self._unit[j] - self._unit[i])
             elif kinds[i] == "constant" or frozen:
                 self._img.append(())
             else:
-                self._img.append(tuple(
-                    (self._dth[i] * self.R.gens[T]).items()))
+                img = self._dth[i] * self.gen(sx.T)
+                self._dx_grow = max(self._dx_grow, self._degree(img) - 1)
+                self._img.append(tuple((m - self._unit[i], c)
+                                       for m, c in img.items()))
+
+    # -- packing --------------------------------------------------------
+
+    def _unpack(self, m: int) -> bytes:
+        """The exponents of the packed monomial m, generator 0 first."""
+        return m.to_bytes(self._nbytes, "big")
+
+    def _pack(self, exponents) -> int:
+        try:
+            return int.from_bytes(bytes(exponents), "big")
+        except ValueError:
+            raise ExponentOverflowError(f"an exponent exceeds the packing "
+                                        f"bound {_MAX_DEGREE}") from None
+
+    def _degree(self, p) -> int:
+        """The total degree of the numerator of p (of the monomial p)."""
+        if isinstance(p, int):
+            return sum(self._unpack(p))
+        return max((sum(self._unpack(m)) for m in p), default=0)
 
     def _weight(self, monom) -> int:
-        """The factor a g-basis monomial picks up in the h basis."""
+        """The factor a g-basis monomial (its exponents) picks up in the h
+        basis."""
         return prod(w ** monom[i] for i, w in self._hpos)
 
+    # -- construction ---------------------------------------------------
+
+    def _new(self, terms: dict, deg: int, den: int = 0) -> PackedPoly:
+        p = self.dtype(terms)
+        p.deg, p.den = deg, den
+        return p
+
+    def _strip(self, p: PackedPoly, deg: int) -> PackedPoly:
+        """p, filled in place, without its zero terms."""
+        for m in [m for m, c in p.items() if not c]:
+            del p[m]
+        p.deg, p.den = deg, 0
+        return p
+
+    def _frac(self, p: PackedPoly, den: int) -> PackedPoly:
+        """The numerator p (zero terms allowed) over the monomial den, with
+        their common monomial factor cancelled."""
+        p = self._strip(self.dtype(p), 0)
+        if p and den:
+            g = self._pack(map(min, *map(self._unpack, (den, *p))))
+            if g:
+                p = self.dtype({m - g: c for m, c in p.items()})
+                den -= g
+        else:
+            den = 0
+        p.deg, p.den = self._degree(p), den
+        return p
+
+    def _from_exponents(self, terms: dict) -> PackedPoly:
+        """The polynomial with coefficients {exponent tuple: c}."""
+        return self._new({self._pack(m): c for m, c in terms.items()},
+                         max(map(sum, terms), default=0))
+
+    def const(self, c) -> PackedPoly:
+        return self._new({0: c} if c else {}, 0)
+
+    def gen(self, s) -> PackedPoly:
+        """The generator for the symbol s."""
+        return self._new({self._unit[self.index[s]]: 1}, 1)
+
+    def monomial(self, m: int) -> PackedPoly:
+        return self._new({m: 1}, self._degree(m))
+
+    def fraction(self, p):
+        """(numerator, denominator) of p as elements."""
+        return self._new(p, p.deg), self.monomial(p.den)
+
+    def transfer(self, p) -> PackedPoly:
+        """The element p of another algebra, whose generators with a
+        nonzero exponent in p are generators here, as an element here."""
+        src = p.ring
+        at = [self.index.get(s) for s in src.syms]
+
+        def move(m):
+            return self._pack(_reorder(src._unpack(m), at, self._nbytes))
+
+        return self._new({move(m): c for m, c in p.items()}, p.deg,
+                         move(p.den))
+
+    def inverse(self, p) -> PackedPoly:
+        """1/p for p one term over a monomial; ClosureError for anything
+        else: a denominator must be a monomial."""
+        if len(p) != 1:
+            raise ClosureError(f"denominator {p.as_expr()} is not a monomial")
+        (m, c), = p.items()
+        return self._frac(self._new({p.den: c if c in (1, -1)
+                                     else sp.QQ.one / c}, 0), m)
+
+    # -- arithmetic -----------------------------------------------------
+
+    def _add(self, a, b, sign: int) -> PackedPoly:
+        """a + sign * b."""
+        if a.den or b.den:
+            den = self._pack(map(max, self._unpack(a.den),
+                                 self._unpack(b.den)))
+            a = self.fraction(a)[0] * self.monomial(den - a.den)
+            b = self.fraction(b)[0] * self.monomial(den - b.den)
+            return self._frac(self._add(a, b, sign), den)
+        out = self.dtype(a)
+        get = out.get
+        if sign == 1:
+            for m, c in b.items():
+                out[m] = get(m, 0) + c
+        else:
+            for m, c in b.items():
+                out[m] = get(m, 0) - c
+        return self._strip(out, max(a.deg, b.deg))
+
+    def _mul(self, a, b) -> PackedPoly:
+        deg = _fits(a.deg + b.deg)
+        den = 0
+        if a.den or b.den:
+            _fits(self._degree(a.den) + self._degree(b.den))
+            den = a.den + b.den
+        if len(a) > len(b):
+            a, b = b, a
+        if len(a) == 1:
+            (ma, ca), = a.items()
+            out = self._new({ma + mb: ca * cb for mb, cb in b.items()}, deg)
+            return self._frac(out, den) if den else out
+        out = self.dtype()
+        get = out.get
+        bi = b.items()
+        for ma, ca in a.items():
+            for mb, cb in bi:
+                m = ma + mb
+                out[m] = get(m, 0) + ca * cb
+        return self._frac(out, den) if den else self._strip(out, deg)
+
+    def _dx_monomial(self, m: int) -> tuple:
+        """The terms of the x-derivative of the monomial m, memoised."""
+        out: dict = {}
+        for i, e in enumerate(self._unpack(m)):
+            if not e:
+                continue
+            img = self._img[i]
+            if img is None:
+                raise ClosureError(f"prolongation depth exceeded at "
+                                   f"{self.syms[i]}")
+            if type(img) is int:
+                out[m + img] = out.get(m + img, 0) + e
+                continue
+            for d, c in img:
+                out[m + d] = out.get(m + d, 0) + e * c
+        terms = self._dxm[m] = tuple((k, c) for k, c in out.items() if c)
+        return terms
+
+    def dx(self, p) -> PackedPoly:
+        """The total x-derivative."""
+        if p.den:
+            _fits(2 * self._degree(p.den))
+            num, den = self.fraction(p)
+            return self._frac(self.dx(num) * den - num * self.dx(den),
+                              2 * p.den)
+        memo = self._dxm
+        out = self.dtype()
+        get = out.get
+        for m, c in p.items():
+            img = memo.get(m)
+            if img is None:
+                img = self._dx_monomial(m)
+            for mm, k in img:
+                out[mm] = get(mm, 0) + c * k
+        return self._strip(out, _fits(p.deg + self._dx_grow))
+
+    def diff(self, p, i: int) -> PackedPoly:
+        """Partial derivative in generator i."""
+        if p.den:
+            num, den = self.fraction(p)
+            return self.diff(num, i) * self.inverse(den) - num * self.diff(
+                den, i) * self.inverse(den * den)
+        shift, unit = _BITS * (self._nbytes - 1 - i), self._unit[i]
+        return self._new({m - unit: c * e for m, c in p.items()
+                          if (e := (m >> shift) & _MAX_DEGREE)},
+                         max(p.deg - 1, 0))
+
+    def support(self, p) -> set[int]:
+        """Indices of the generators that p depends on."""
+        acc = p.den
+        for m in p:
+            acc |= m
+        return {i for i, e in enumerate(self._unpack(acc)) if e}
+
+    def dth(self, p) -> PackedPoly:
+        """d/dth through the tau-dependent leaves (DTAU_RULES)."""
+        out = self.zero
+        for i in self.support(p):
+            rule = self._dth.get(i)
+            if rule is not None:
+                out = out + self.diff(p, i) * rule
+        return out
+
+    # -- boundary -------------------------------------------------------
+
     def lift(self, e):
-        """(c, d) with c / d equal to e, an Expr or a polynomial over QQ in
-        the g basis: c an element, d the least positive integer that leaves
-        no ground denominator in c (1 over QQ).  ClosureError for anything
-        that is not a rational function over QQ in the generators, floats
-        included."""
-        if not isinstance(e, PolyElement):
+        """(c, d) with c / d equal to e, an Expr or a sympy polynomial over
+        QQ in the g basis: c an element, d the least positive integer that
+        leaves no ground denominator in c (1 over QQ).  ClosureError for
+        anything that is not a rational function over QQ in the
+        generators with a monomial denominator, floats included."""
+        ring = getattr(e, "ring", None)
+        if ring is None:
             e = sp.sympify(e)
         syms = _free_symbols(e)
         if not syms <= set(self.gsyms):
             missing = sorted(map(str, syms - set(self.gsyms)))
             raise ClosureError(f"{missing} are not generators of the "
                                "coefficient ring")
-        if isinstance(e, PolyElement):
-            if e.ring.domain == sp.QQ:
-                return self._from_g(e.set_ring(self.G))
+        if ring is not None:
+            if ring.domain == sp.QQ:
+                at = [self._gindex.get(s) for s in ring.symbols]
+                return self._from_g({_reorder(m, at, self._nbytes): c
+                                     for m, c in e.items()})
         elif not e.has(sp.Float):
             try:
                 return self._from_g(self.G.from_expr(e))
@@ -255,108 +607,43 @@ class _RingAlgebra:
                 pass
             else:
                 (n, dn), (m, dm) = self._from_g(q.numer), self._from_g(q.denom)
-                return self.F.new(n * dm, m * dn), 1
+                c = n * dm * self.inverse(m)
+                return (c, 1) if self.domain == sp.QQ else _integral(c, dn)
         raise ClosureError(f"{e} is not a rational function over QQ")
 
     def _from_g(self, q):
-        """lift of a polynomial q of G."""
+        """lift of a polynomial of G, or of its terms {exponents: c}."""
         terms = {m: c * self._weight(m) for m, c in q.items()}
-        if self.R.domain == sp.QQ:
-            return self.R.from_dict(terms), 1
+        if self.domain == sp.QQ:
+            return self._from_exponents(terms), 1
         d = lcm(*(c.denominator for c in terms.values()))
-        return self.R.from_dict({m: c.numerator * (d // c.denominator)
-                                 for m, c in terms.items()}), d
+        return self._from_exponents({m: c.numerator * (d // c.denominator)
+                                     for m, c in terms.items()}), d
 
-    def conv(self, e):
-        """lift(e) as one element: c, or c / d in the fraction field."""
+    def conv(self, e) -> PackedPoly:
+        """lift(e) as one element, c / d."""
         c, d = self.lift(e)
-        return c if d == 1 else self.F.new(c, self.R(d))
+        return c if d == 1 else c / d
 
     def g_basis(self, p, scale: int = 1):
         """The value p / scale of the element p, as an element of G (or of
         its fraction field): exact, for everything that leaves the
         algebra."""
-        if isinstance(p, FracElement):
-            return self.G.to_field().new(self.g_basis(p.numer, scale),
-                                         self.g_basis(p.denom))
-        return self.G.from_dict({m: sp.QQ(c) / (scale * self._weight(m))
-                                 for m, c in p.items()})
+        def g_poly(terms, scale):
+            return self.G.from_dict({
+                tuple(u): sp.QQ(c.numerator,
+                                c.denominator * scale * self._weight(u))
+                for u, c in ((self._unpack(m), c) for m, c in terms)})
 
-    def _dx_poly(self, p):
-        out = self.R.zero
-        get, zero = out.get, self.R.domain.zero
-        mul = self.R.monomial_mul
-        for monom, coeff in p.items():
-            for i, k in enumerate(monom):
-                if not k:
-                    continue
-                img = self._img[i]
-                if img is None:
-                    raise ClosureError(f"prolongation depth exceeded at "
-                                       f"{self.syms[i]}")
-                c = coeff * k if k > 1 else coeff
-                m = list(monom)
-                m[i] = k - 1
-                if type(img) is int:
-                    m[img] += 1
-                    m = tuple(m)
-                    out[m] = get(m, zero) + c
-                    continue
-                m = tuple(m)
-                for im, ic in img:
-                    mm = mul(m, im)
-                    out[mm] = get(mm, zero) + c * ic
-        out.strip_zero()
-        return out
-
-    def gen(self, s):
-        """The generator for the symbol s."""
-        return self.R.gens[self.index[s]]
-
-    def dx(self, p):
-        if not isinstance(p, FracElement):
-            return self._dx_poly(p)
-        num, den = p.numer, p.denom
-        return self.F.new(self._dx_poly(num) * den - num * self._dx_poly(den),
-                          den * den)
-
-    def diff(self, p, i: int):
-        """Partial derivative in generator i."""
-        x = self.R.gens[i]
-        if not isinstance(p, FracElement):
-            return p.diff(x)
-        num, den = p.numer, p.denom
-        return self.F.new(num.diff(x) * den - num * den.diff(x), den * den)
-
-    def support(self, p) -> set[int]:
-        """Indices of the generators that p depends on."""
-        polys = (p.numer, p.denom) if isinstance(p, FracElement) else (p,)
-        return {i for q in polys for i, col in enumerate(zip(*q.keys()))
-                if any(col)}
-
-    def dth(self, p):
-        """d/dth through the tau-dependent leaves (DTAU_RULES)."""
-        out = self.F.zero if isinstance(p, FracElement) else self.R.zero
-        for i in self.support(p):
-            rule = self._dth.get(i)
-            if rule is not None:
-                out = out + self.diff(p, i) * rule
-        return out
-
-
-def _field_first(a, b):
-    """The operands with a field element first: a ring element meets a
-    field element on its right only after sympy has formatted a
-    CoercionFailed message with both."""
-    return (b, a) if isinstance(b, FracElement) else (a, b)
+        num = g_poly(p.items(), scale)
+        if not p.den:
+            return num
+        return self.G.to_field().new(num, g_poly([(p.den, 1)], 1))
 
 
 def _merge(fac: dict, p: str, c) -> dict:
     fac = dict(fac)
-    if p in fac:
-        a, b = _field_first(fac[p], c)
-        c = a * b
-    fac[p] = c
+    fac[p] = fac[p] * c if p in fac else c
     return fac
 
 
@@ -429,7 +716,7 @@ def canonicalize(raw_terms, alg) -> DistPoly:
             d_xy = next(d for d in deltas if d[:2] == ("x", "y"))
             d_xw = next(d for d in deltas if d[:2] == ("x", "w"))
             key = (d_xy[2], d_xw[2])
-        out.setdefault(key, []).append((scale, fac.get("x", alg.R.one)))
+        out.setdefault(key, []).append((scale, fac.get("x", alg.one)))
 
     terms = ((key, _sum(alg, out[key])) for key in sorted(out))
     return DistPoly(terms=tuple(DeltaTerm(c, key) for key, c in terms if c))
@@ -437,33 +724,37 @@ def canonicalize(raw_terms, alg) -> DistPoly:
 
 def _sum(alg, parts):
     """sum of scale * c over parts, accumulated in place for polynomials."""
-    if any(isinstance(c, FracElement) for _, c in parts):
-        return sum((alg.F(c) * s for s, c in parts), alg.F.zero)
-    acc = alg.R.zero
-    get, zero = acc.get, alg.R.domain.zero
+    if any(c.den for _, c in parts):
+        return sum((c * s for s, c in parts), alg.zero)
+    acc = alg.dtype()
+    get = acc.get
     for s, c in parts:
-        for m, v in c.items():
-            acc[m] = get(m, zero) + (v if s == 1 else v * s)
-    acc.strip_zero()
-    return acc
+        if s == 1:
+            for m, v in c.items():
+                acc[m] = get(m, 0) + v
+        else:
+            for m, v in c.items():
+                acc[m] = get(m, 0) + v * s
+    return alg._strip(acc, max(c.deg for _, c in parts))
 
 
 def _values(p, samples, scale: int = 1):
     """The element p over `scale` at each sample, from its exponents and
     coefficients, with the g basis's coefficients (each divided exactly,
     in one rounding) and the samples' g2, g3 for h2, h3; a fraction as
-    numerator over denominator."""
-    if isinstance(p, FracElement):
-        return _values(p.numer, samples, scale) / _values(p.denom, samples)
-    monoms, coeffs = zip(*p.terms())
-    hpos = [(i, _G_BASIS[s][1]) for i, s in enumerate(p.ring.symbols)
-            if s in _G_BASIS]
-    coeffs = [c / (scale * prod(w ** m[i] for i, w in hpos))
-              for m, c in zip(monoms, coeffs)]
-    E = np.array(monoms)
+    numerator over denominator.  The terms go in lex order of their
+    exponents, which fixes the order of the float sum."""
+    ring = p.ring
+    if p.den:
+        num, den = ring.fraction(p)
+        return _values(num, samples, scale) / _values(den, samples)
+    monoms, coeffs = zip(*sorted(p.items(), reverse=True))
+    rows = [ring._unpack(m) for m in monoms]
+    coeffs = [c / (scale * ring._weight(r)) for r, c in zip(rows, coeffs)]
+    E = np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(
+        len(rows), -1).astype(np.int64)
     used = np.flatnonzero(E.any(axis=0))
-    syms = [_G_BASIS.get(s, (s,))[0] for s in
-            (p.ring.symbols[i] for i in used)]
+    syms = [ring.gsyms[i] for i in used]
     try:
         V = np.array([[s[g] for g in syms] for s in samples], dtype=complex)
     except KeyError as e:
@@ -519,21 +810,11 @@ def transpose_entry(entry, alg) -> tuple[DeltaTerm, ...]:
     return canonicalize(raw, alg=alg).terms
 
 
-def _integral(parts):
+def _common_scale(parts):
     """(L, [L c / d]) for pairs (c, d) of an element and a positive
     integer, L the least positive integer that leaves no ground
     denominator in any L c / d."""
-    reduced = []
-    for c, d in parts:
-        if isinstance(c, FracElement):
-            if not c.denom.is_ground:
-                reduced.append((c / d if d != 1 else c, 1))
-                continue
-            c, d = c.numer, d * c.denom.LC
-        if d != 1:
-            g = gcd(d, c.content())
-            c, d = c.quo_ground(g), d // g
-        reduced.append((c, d))
+    reduced = [_integral(c, d) for c, d in parts]
     L = lcm(*(d for _, d in reduced))
     return L, [c * (L // d) for c, d in reduced]
 
@@ -555,7 +836,7 @@ def build_table(fields, given, frozen_modular: bool = False,
                          [m for terms in given.values() for _, m in terms],
                          fields, constants, frozen_modular)
     keys = [(key, m) for key, terms in given.items() for _, m in terms]
-    scale, vals = _integral(alg.lift(c) for terms in given.values()
+    scale, vals = _common_scale(alg.lift(c) for terms in given.values()
                             for c, _ in terms)
     entries = {key: () for key in given}
     for (key, m), c in zip(keys, vals):
@@ -574,7 +855,7 @@ def build_table(fields, given, frozen_modular: bool = False,
 def _element(table: BracketTable, E):
     """E in the table's algebra; UnknownFieldError for a symbol that is
     neither a jet of the table's fields nor a leaf or x-constant."""
-    if isinstance(E, (PolyElement, FracElement)):
+    if isinstance(E, PackedPoly):
         return E
     E = sp.sympify(E)
     for s in E.free_symbols:
@@ -592,7 +873,7 @@ def _partials(alg, E, fields):
     g1, g2, g3 (and the other tau-dependent leaves) on top of any literal
     th generator."""
     out = []
-    mod = alg.R.zero
+    mod = alg.zero
     for i in sorted(alg.support(E)):
         info = alg.jets[i]
         if info is None:
@@ -606,8 +887,7 @@ def _partials(alg, E, fields):
         elif d:
             out.append((f, k, d))
     if sx.MODULAR_FIELD in fields:
-        a, b = _field_first(mod, alg.dth(E))
-        d = a + b
+        d = mod + alg.dth(E)
         if d:
             out.append((sx.MODULAR_FIELD, 0, d))
     return out
@@ -708,29 +988,34 @@ def jacobi_triples(fields) -> list[tuple[str, str, str]]:
 # coordinate changes
 
 def _compose(p, images: dict, K, powers: dict):
-    """The polynomial p (of some algebra) with generator i replaced by
-    images[i], an element of K; powers caches images[i]**e."""
-    out = K.R.zero
-    get, zero = out.get, K.R.domain.zero
-    fractions = []
-    for monom, coeff in p.items():
-        term = K.R(coeff)
-        for i, e in enumerate(monom):
+    """The element p (of some algebra) with generator i replaced by
+    images[i], an element of K; powers caches images[i]**e.  The image
+    of p's denominator must be one term over a monomial."""
+    def image(m):
+        term = K.one
+        for i, e in enumerate(p.ring._unpack(m)):
             if e:
                 pw = powers.get((i, e))
                 if pw is None:
                     pw = powers[(i, e)] = images[i] ** e
-                a, b = _field_first(term, pw)
-                term = a * b
-        if isinstance(term, FracElement):
+                term = term * pw
+        return term
+
+    out = K.dtype()
+    get = out.get
+    fractions, deg = [], 0
+    for m, c in p.items():
+        term = image(m) * c
+        if term.den:
             fractions.append(term)
             continue
-        for m, c in term.items():
-            out[m] = get(m, zero) + c
-    out.strip_zero()
+        deg = max(deg, term.deg)
+        for mm, cc in term.items():
+            out[mm] = get(mm, 0) + cc
+    out = K._strip(out, deg)
     for f in fractions:
-        out = f + out
-    return out
+        out = out + f
+    return out * K.inverse(image(p.den)) if p.den else out
 
 
 def change_coordinates(table: BracketTable, forward: dict, inverse: dict,
@@ -745,8 +1030,9 @@ def change_coordinates(table: BracketTable, forward: dict, inverse: dict,
     A frozen_modular result (default: as the source table) holds the
     modular parameter constant, so its jets T, T_x, ... are set to zero.
 
-    The substitution is a homomorphism from the table's algebra into a
-    fraction field K over the new and auxiliary jets: each old jet goes
+    The substitution is a homomorphism from the table's algebra into an
+    algebra K over the new and auxiliary jets, whose fractions have
+    monomial denominators (ClosureError otherwise): each old jet goes
     to the prolonged inverse, each modular jet to zero when freezing, and
     every other generator to itself.  The images over the table's scale
     get the new table's own scale.
@@ -754,7 +1040,8 @@ def change_coordinates(table: BracketTable, forward: dict, inverse: dict,
     new_fields = tuple(forward)
     if frozen_modular is None:
         frozen_modular = table.frozen_modular
-    dps = {(a, b): bracket_of_functions(table, forward[a], forward[b])
+    fwd = {f: _element(table, e) for f, e in forward.items()}
+    dps = {(a, b): bracket_of_functions(table, fwd[a], fwd[b])
            for a, b in itertools.product(new_fields, repeat=2)}
 
     old = table.alg
@@ -772,8 +1059,8 @@ def change_coordinates(table: BracketTable, forward: dict, inverse: dict,
     K = _RingAlgebra(_ring_symbols(list(inverse.values()) + kept, depth, None,
                                    old.constants, frozen_modular),
                      None, frozen_modular, old.constants)
-    images = {i: K.R.zero for i in zeroed}
-    images.update({i: K.R.gens[K.index[old.syms[i]]]
+    images = {i: K.zero for i in zeroed}
+    images.update({i: K.gen(old.syms[i])
                    for i in used if old.gsyms[i] in kept})
     for f, e in inverse.items():
         cur = K.conv(e)
@@ -790,12 +1077,7 @@ def change_coordinates(table: BracketTable, forward: dict, inverse: dict,
     for (a, b), dp in dps.items():
         terms = []
         for t in dp.terms:
-            v = t.value
-            if isinstance(v, FracElement):
-                c = (K.F(_compose(v.numer, images, K, powers))
-                     / K.F(_compose(v.denom, images, K, powers)))
-            else:
-                c = _compose(v, images, K, powers)
+            c = _compose(t.value, images, K, powers)
             if K.support(c) & bad:
                 raise StructureError(
                     f"coefficient of ({a},{b}) at order {t.orders} does not "
@@ -810,17 +1092,11 @@ def change_coordinates(table: BracketTable, forward: dict, inverse: dict,
     alg = _table_algebra(seeds, [orders[0] for terms in composed.values()
                                  for _, orders in terms],
                          new_fields, old.constants, frozen_modular)
-    scale, vals = _integral((c, table.scale) for terms in composed.values()
-                            for c, _ in terms)
+    scale, vals = _common_scale((c, table.scale)
+                                for terms in composed.values()
+                                for c, _ in terms)
     vals = iter(vals)
-
-    def transfer(c):
-        if isinstance(c, FracElement):
-            return alg.F.raw_new(c.numer.set_ring(alg.R),
-                                 c.denom.set_ring(alg.R))
-        return c.set_ring(alg.R)
-
-    entries = {key: tuple(DeltaTerm(transfer(next(vals)), orders)
+    entries = {key: tuple(DeltaTerm(alg.transfer(next(vals)), orders)
                           for _, orders in terms)
                for key, terms in composed.items()}
     return BracketTable(fields=new_fields, entries=entries,

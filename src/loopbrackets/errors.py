@@ -26,6 +26,11 @@ class ClosureError(LoopBracketsError):
     """A derivative rewrite is missing for a leaf symbol."""
 
 
+class ExponentOverflowError(LoopBracketsError):
+    """A polynomial's degree would exceed what its packed exponent fields
+    hold."""
+
+
 class UnboundSymbolError(LoopBracketsError):
     """Numeric evaluation hit a leaf with no assigned value."""
 

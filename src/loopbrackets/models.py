@@ -58,18 +58,18 @@ def spectral_basis(alg: dcx._RingAlgebra, a: int, which: str):
     w, dw = (alg.gen(s) for s in ((wpu, dwpu) if which == "u"
                                   else (wpv, dwpv)))
     if a == 0:
-        return alg.R.one
+        return alg.one
     if a == 1 or a < 0:
         raise DomainError(f"no basis element of pole order {a}")
     if a % 2 == 0:
         return w ** (a // 2)
-    return -dw * w ** ((a - 3) // 2) * sp.Rational(1, 2)
+    return -dw * w ** ((a - 3) // 2) * sp.QQ(1, 2)
 
 
 def generating_field(alg: dcx._RingAlgebra, n: int, which: str):
     """e = sum_a p_a(spectral) z_a over the n generators, in `alg`."""
     return sum((spectral_basis(alg, a, which) * alg.gen(jet(field_name(a)))
-                for a in field_indices(n)), alg.R.zero)
+                for a in field_indices(n)), alg.zero)
 
 
 # ---------------------------------------------------------------------------
@@ -80,7 +80,7 @@ def q_weight_sym(alg: dcx._RingAlgebra, first: str, second: str):
     an element of `alg`: the denominator wpv - wpu is its generator
     dinv, shared by every weight so that sums combine exactly."""
     x = alg.gen
-    half = (x(dwpu) + x(dwpv)) * x(sx.dinv) * sp.Rational(1, 2)
+    half = (x(dwpu) + x(dwpv)) * x(sx.dinv) * sp.QQ(1, 2)
     if (first, second) == ("u", "v"):
         return half + x(zwv) - x(g1) * x(v)
     if (first, second) == ("v", "u"):
@@ -316,7 +316,7 @@ def thm3_extract(n: int) -> StructConsts:
     Weierstrass leaves and dinv = 1/(wpv - wpu); clearing the shared
     denominator must cancel every bare u, v, zeta leaf exactly.
     """
-    lam = sp.Rational(1, n)
+    lam = sp.QQ(1, n)
     idx = field_indices(n)
     R = _structconsts_algebra(n).G
     alg = dcx._RingAlgebra(_SPECTRAL + R.symbols,
@@ -328,7 +328,7 @@ def thm3_extract(n: int) -> StructConsts:
 
     def d_spectral(p, var):
         return sum((alg.diff(p, i) * img for i, img in images[var]),
-                   alg.R.zero)
+                   alg.zero)
 
     eu = generating_field(alg, n, "u")
     ev = generating_field(alg, n, "v")
@@ -345,14 +345,15 @@ def thm3_extract(n: int) -> StructConsts:
     eth_u = Dth(eu)
     eth_v = Dth(ev)
 
-    P = _coeff_split(_spectral_clear(A - eu * eth_v - eth_u * ev), n, R)
+    P = _coeff_split(_spectral_clear(alg.g_basis(A - eu * eth_v
+                                                 - eth_u * ev)), n, R)
 
     dx_basis_v = {b: Dx(spectral_basis(alg, b, "v")) for b in idx}
     sum_p_dxp = sum(
         (spectral_basis(alg, a, "u") * dx_basis_v[b]
-         * P[(a, b)].set_ring(alg.R) for a in idx for b in idx), alg.R.zero)
-    Q = _coeff_split(_spectral_clear(
-        B - sum_p_dxp - eu * Dx(eth_v) - eth_u * Dx(ev)), n, R)
+         * alg.conv(P[(a, b)]) for a in idx for b in idx), alg.zero)
+    Q = _coeff_split(_spectral_clear(alg.g_basis(
+        B - sum_p_dxp - eu * Dx(eth_v) - eth_u * Dx(ev))), n, R)
 
     sc = StructConsts(n=n, P=P, Q=Q, generator="thm3_extract")
     _check_homogeneity(sc)
@@ -1094,15 +1095,16 @@ def _chart_coefficients(table, R=None) -> dict:
     alg = table.alg
     at = [alg.index[jet(f, k)] for f, k in (("z1", 0), ("z1", 1),
                                             ("z2", 1), ("z2", 0))]
-    z1, z1x, z2x, z2 = (alg.R.gens[i] for i in at)
-    chart = [(z2, alg.R.one), (z1x, z1x + z1 * z2x)]
-    p = alg.F(z1) / alg.F(z2)
+    z1, z1x, z2x, z2 = (alg.G.gens[i] for i in at)
+    chart = [(z2, alg.G.one), (z1x, z1x + z1 * z2x)]
+    p = jet("z1") / jet("z2")
     out = {}
     dp = dcx.bracket_of_functions(table, p, p)
     for t in dp.terms:
-        v = alg.F(t.value)
-        num = v.numer.compose(chart).exquo(v.denom.compose(chart))
-        out[t.orders] = _group_terms(alg.g_basis(num, dp.scale), at[:3], R)
+        num, den = alg.fraction(t.value)
+        num = alg.g_basis(num, dp.scale).compose(chart).exquo(
+            alg.g_basis(den).compose(chart))
+        out[t.orders] = _group_terms(num, at[:3], R)
     return out
 
 

@@ -8,7 +8,11 @@ descended onto p1 = z1/z2 (rendered as the descend command renders).
 residuals came to be evaluated from ring elements instead of lambdified
 expressions: the control's max_residual moved in its last digits
 (31583.73749007927 -> 31583.73749007926, numpy sums in another order),
-and every other byte stayed.  `loopb verify identities --trials 30 --json`
+and every other byte stayed.  `loopb verify poisson --n 4 --json` was
+written before the delta calculus moved from sympy's polynomial rings
+to packed exponent vectors; its control's max_residual, a float sum
+like the n = 2 one, pins the order in which the evaluator adds terms.
+`loopb verify identities --trials 30 --json`
 and `loopb verify thm2 --n 3 --trials 10 --json` were written before
 the sigma realization came to evaluate each elliptic function once per
 argument and the identity suite came to share its tau-step contexts.
@@ -74,6 +78,13 @@ def test_verify_poisson_n2(tmp_path):
     assert cli.main(["verify", "poisson", "--n", "2",
                      "--json", str(out)]) == 0
     assert out.read_bytes() == (DATA / "verify_poisson_n2.json").read_bytes()
+
+
+def test_verify_poisson_n4(tmp_path):
+    out = tmp_path / "report.json"
+    assert cli.main(["verify", "poisson", "--n", "4",
+                     "--json", str(out)]) == 0
+    assert out.read_bytes() == (DATA / "verify_poisson_n4.json").read_bytes()
 
 
 @pytest.mark.parametrize("args,golden", [
