@@ -559,6 +559,17 @@ class _RingAlgebra:
                           if (e := (m >> shift) & _MAX_DEGREE)},
                          max(p.deg - 1, 0))
 
+    def coefficients(self, p, i: int) -> dict:
+        """{k: c_k} with p = sum_k c_k x^k, x generator i and every c_k
+        free of x, for a polynomial p; each c_k of degree bound
+        p.deg - k."""
+        shift, unit = _BITS * (self._nbytes - 1 - i), self._unit[i]
+        out: dict = {}
+        for m, c in p.items():
+            k = (m >> shift) & _MAX_DEGREE
+            out.setdefault(k, {})[m - k * unit] = c
+        return {k: self._new(t, max(p.deg - k, 0)) for k, t in out.items()}
+
     def support(self, p) -> set[int]:
         """Indices of the generators that p depends on."""
         acc = p.den

@@ -222,63 +222,65 @@ def _check_homogeneity(sc: StructConsts):
                     f"shape: {m[zs0] + m[zs1] + (dT,)}")
 
 
-def _ring_square_reduce(p, i: int, square):
-    """Replace x^2 by `square` for the generator x at position i, keeping
-    x-degree <= 1: the odd leaves (dwp^2 = 4 wp^3 - g2 wp - g3).  One
-    pass over the terms; `square` is free of x."""
-    out, powers = p.ring.zero, [p.ring.one]  # powers[j] = square**j
-    get, zero, mul = out.get, p.ring.domain.zero, p.ring.monomial_mul
-    for monom, c in p.items():
-        k = monom[i]
-        while len(powers) <= k // 2:
-            powers.append(powers[-1] * square)
-        m = monom[:i] + (k % 2,) + monom[i + 1:]
-        for sm, sc in powers[k // 2].items():
-            mm = mul(m, sm)
-            out[mm] = get(mm, zero) + c * sc
-    out.strip_zero()
-    return out
-
-
-def _clear_pole(p, i_inv: int, D, reduce):
-    """Exact division by D of a polynomial in a generator Dinv = 1/D (at
-    position i_inv): with K the Dinv-degree of p, form D^K p by Horner in
-    D, apply `reduce` (the caller's rewrites and checks), and divide D^K
-    back out.  DivisibilityError when D^K does not divide the reduced
-    numerator."""
+def _clear_pole(p, i_inv: int, D):
+    """Exact division by D of a sympy polynomial in a generator
+    Dinv = 1/D (at position i_inv): with K the Dinv-degree of p, form
+    D^K p by Horner in D and divide D^K back out.  DivisibilityError
+    when D^K does not divide that numerator.  Only the closed-form route
+    clears its poles here; the r-matrix template has _spectral_clear."""
     inv = p.ring.gens[i_inv]
     K = max(p.degree(inv), 0)
     num = p.ring.zero
     for k in range(K + 1):
         num = num * D + p.coeff_wrt(inv, k)
-    quo, rem = divmod(reduce(num), D ** K)
+    quo, rem = divmod(num, D ** K)
     if rem:
         raise DivisibilityError(
-            f"clearing factor ({D})^{K} does not divide the reduced "
-            f"numerator")
+            f"clearing factor ({D})^{K} does not divide the numerator")
     return quo
 
 
 def _spectral_clear(p):
-    """Multiply a template element by (wpv - wpu)^K, K its dinv-degree,
-    reduce odd-leaf powers, assert the spectral-transcendental leaves
-    cancel, and divide the clearing factor back out exactly.  The
-    template's only denominators are the powers of its generator
-    dinv = 1/(wpv - wpu)."""
-    syms = p.ring.symbols
-    x = dict(zip(syms, p.ring.gens))
-
-    def reduce(num):
-        for w, dw in ((wpu, dwpu), (wpv, dwpv)):
-            num = _ring_square_reduce(
-                num, syms.index(dw), 4 * x[w] ** 3 - x[g2] * x[w] - x[g3])
-        for bad in (u, v, zwu, zwv):
-            if num.degree(x[bad]) > 0:
-                raise ExtractionError(
-                    f"spectral leaf {bad} survives the cancellation step")
-        return num
-
-    return _clear_pole(p, syms.index(sx.dinv), x[wpv] - x[wpu], reduce)
+    """The template element p, an element of its algebra whose only
+    denominators are the powers of its generator dinv = 1/(wpv - wpu),
+    with that pole cleared, computed on packed monomials: with K the
+    dinv-degree of p, form D^K p by Horner in D = wpv - wpu, rewrite
+    dwp^2 = 4 wp^3 - g2 wp - g3 at both spectral points, refuse a
+    surviving u, v or zeta leaf (ExtractionError), and divide by D K
+    times by synthetic division in wpv (DivisibilityError on a nonzero
+    remainder).  The arithmetic runs on p times the least common
+    denominator of its coefficients, so on integers, and the result,
+    an element of the same algebra, is divided back once.  Every degree
+    bound stays true, so a product past the packing bound still raises
+    ExponentOverflowError."""
+    alg = p.ring
+    at, x = alg.index, alg.gen
+    p, scale = dcx._integral(p, 1)
+    parts = alg.coefficients(p, at[sx.dinv])
+    K = max(parts, default=0)
+    num = alg.zero
+    for k in range(K + 1):
+        num = num * (x(wpv) - x(wpu)) + parts.get(k, alg.zero)
+    for w, dw in ((wpu, dwpu), (wpv, dwpv)):
+        square = x(w) ** 3 * 4 - x(g2) * x(w) - x(g3)
+        num = sum((c * x(dw) ** (k % 2) * square ** (k // 2)
+                   for k, c in alg.coefficients(num, at[dw]).items()),
+                  alg.zero)
+    for bad in (u, v, zwu, zwv):
+        if at[bad] in alg.support(num):
+            raise ExtractionError(
+                f"spectral leaf {bad} survives the cancellation step")
+    for _ in range(K):
+        parts = alg.coefficients(num, at[wpv])
+        num, carry = alg.zero, alg.zero
+        for k in range(max(parts, default=0), 0, -1):
+            carry = parts.get(k, alg.zero) + carry * x(wpu)
+            num = num + carry * x(wpv) ** (k - 1)
+        if parts.get(0, alg.zero) + carry * x(wpu):
+            raise DivisibilityError(
+                f"clearing factor (wpv - wpu)^{K} does not divide the "
+                f"reduced numerator")
+    return num / scale
 
 
 def _coeff_split(p, n: int, R) -> dict:
@@ -345,14 +347,14 @@ def thm3_extract(n: int) -> StructConsts:
     eth_u = Dth(eu)
     eth_v = Dth(ev)
 
-    P = _coeff_split(_spectral_clear(alg.g_basis(A - eu * eth_v
+    P = _coeff_split(alg.g_basis(_spectral_clear(A - eu * eth_v
                                                  - eth_u * ev)), n, R)
 
     dx_basis_v = {b: Dx(spectral_basis(alg, b, "v")) for b in idx}
     sum_p_dxp = sum(
         (spectral_basis(alg, a, "u") * dx_basis_v[b]
          * alg.conv(P[(a, b)]) for a in idx for b in idx), alg.zero)
-    Q = _coeff_split(_spectral_clear(alg.g_basis(
+    Q = _coeff_split(alg.g_basis(_spectral_clear(
         B - sum_p_dxp - eu * Dx(eth_v) - eth_u * Dx(ev))), n, R)
 
     sc = StructConsts(n=n, P=P, Q=Q, generator="thm3_extract")
@@ -569,7 +571,7 @@ def _finalize_closed_form(gf):
     R = gf.ring
     at = R.symbols.index
     D = R.gens[at(sx.u)] - R.gens[at(sx.v)]
-    return _clear_pole(gf, at(_DINV), D, lambda num: num)
+    return _clear_pole(gf, at(_DINV), D)
 
 
 def _harvest(target: dict, sector: tuple, p, n: int, R):
@@ -615,13 +617,18 @@ def appendix_table(n: int) -> StructConsts:
 
 def match_structconsts(a: StructConsts, b: StructConsts) -> list[str]:
     """Entry-by-entry exact comparison; returns discrepancy descriptions
-    (empty = exact match)."""
+    (empty = exact match).  An entry that only one side has is a
+    discrepancy too."""
     if a.n != b.n:
         return [f"different n: {a.n} vs {b.n}"]
     out = []
     for name, pa, pb in (("P", a.P_poly, b.P_poly), ("Q", a.Q_poly, b.Q_poly)):
-        for key in sorted(pa):
-            if pa[key] != pb[key]:
+        for key in sorted(pa.keys() | pb.keys()):
+            if key not in pb:
+                out.append(f"{name}{key}: missing from the second table")
+            elif key not in pa:
+                out.append(f"{name}{key}: missing from the first table")
+            elif pa[key] != pb[key]:
                 out.append(f"{name}{key}: {sx.render(pa[key])} != "
                            f"{sx.render(pb[key])}")
     return out
@@ -649,9 +656,9 @@ def structconsts_to_document(sc: StructConsts) -> dict:
         terms = []
         for mono, c in sorted(_group_terms(p, q_at).items()):
             if mono not in monomials:
-                gens = (p.ring.symbols[i] for i in q_at)
-                monomials[mono] = sx.render(
-                    sp.prod(x ** e for x, e in zip(gens, mono)))
+                R = p.ring
+                monomials[mono] = sx.render(R.term_new(
+                    dcx._reorder(mono, q_at, R.ngens), R.domain.one))
             terms.append({"monomial": monomials[mono], "coeff": sx.render(c)})
         return terms
 

@@ -24,6 +24,7 @@ and the fields at hand, and each table lists its own x-constants.
 
 from __future__ import annotations
 
+import functools
 import re
 
 import numpy as np
@@ -144,14 +145,43 @@ def total_x_derivative(e: sp.Expr, fields) -> sp.Expr:
     return _apply_derivation(e, rule)
 
 
+@functools.lru_cache(maxsize=64)
+def _name_order(ring):
+    """(positions, names) of the generators of `ring` sorted by name, as
+    sympy sorts Symbols."""
+    names = [s.name for s in ring.symbols]
+    at = sorted(range(len(names)), key=names.__getitem__)
+    return tuple(at), tuple(names[i] for i in at)
+
+
+def _render_poly(p) -> str:
+    """The text of sympy's lex-ordered printer for a polynomial over QQ,
+    written from its terms: descending lex order of the exponents with
+    the generators sorted by name, each term [-][num*]x**e*.../den."""
+    at, names = _name_order(p.ring)
+    out = []
+    for m, c in sorted(((tuple(m[i] for i in at), c) for m, c in p.items()),
+                       reverse=True):
+        factors = [x if e == 1 else f"{x}**{e}"
+                   for x, e in zip(names, m) if e]
+        num, den = abs(c.numerator), c.denominator
+        if num != 1 or not factors:
+            factors.insert(0, str(num))
+        out.append(("- " if c < 0 else "+ ") + "*".join(factors)
+                   + ("" if den == 1 else f"/{den}"))
+    text = " ".join(out)
+    return "0" if not text else text[2:] if text[0] == "+" else "-" + text[2:]
+
+
 def render(c) -> str:
     """Deterministic canonical textual form (expanded, lex-ordered) of a
-    ring element, a field element or an Expr.  A ring element's Expr is
-    already expanded; the other two are expanded here."""
-    e = c.as_expr()
-    if not isinstance(c, PolyElement):
-        e = sp.expand(e)
-    return sp.sstr(e, order="lex")
+    ring element, a field element or an Expr.  A polynomial over QQ is
+    printed straight from its terms, byte for byte as sympy's
+    lex-ordered printer prints its Expr; anything else is expanded and
+    goes through that printer."""
+    if isinstance(c, PolyElement) and c.ring.domain == sp.QQ:
+        return _render_poly(c)
+    return sp.sstr(sp.expand(c.as_expr()), order="lex")
 
 
 def parse(s: str) -> sp.Expr:

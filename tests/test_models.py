@@ -10,6 +10,7 @@ import sys
 import numpy as np
 import pytest
 import sympy as sp
+from sympy.printing.str import StrPrinter
 
 from loopbrackets import cli
 from loopbrackets import distcalc as dc
@@ -18,7 +19,7 @@ from loopbrackets import models
 from loopbrackets import symexpr as sx
 from loopbrackets import verify
 from loopbrackets.errors import (DivisibilityError, DomainError,
-                                 ExtractionError)
+                                 ExponentOverflowError, ExtractionError)
 from loopbrackets.symexpr import jet
 
 
@@ -136,7 +137,7 @@ class TestDerivationErrors:
     @staticmethod
     def template(*syms):
         alg = template_algebra(2)
-        return [alg.g_basis(alg.gen(s)) for s in syms]
+        return [alg.gen(s) for s in syms]
 
     def test_clearing_factor_does_not_divide(self):
         dinv, = self.template(sx.dinv)
@@ -235,7 +236,7 @@ class TestDerivationErrors:
         """_clear_pole equals the independent fraction-field value with
         dinv set to 1/D, whatever the pole order."""
         p, D, K = self.pole_case(seed)
-        q = models._clear_pole(p, 2, D, lambda num: num)
+        q = models._clear_pole(p, 2, D)
         assert q.degree(p.ring.gens[2]) <= 0
         assert self.field_value(q) == self.field_value(p)
 
@@ -247,7 +248,7 @@ class TestDerivationErrors:
         bad = p + p.ring.gens[2] ** (K + 1)
         assert self.field_value(bad).denom != 1
         with pytest.raises(DivisibilityError):
-            models._clear_pole(bad, 2, D, lambda num: num)
+            models._clear_pole(bad, 2, D)
 
     def test_entry_outside_the_ring(self):
         doc = models.structconsts_to_document(models.appendix_table(2))
@@ -258,6 +259,113 @@ class TestDerivationErrors:
     def test_constructor_takes_ring_elements_only(self):
         with pytest.raises(TypeError, match="not a ring element"):
             models.StructConsts(n=2, P={(0, 0): jet("z0") ** 2}, Q={})
+
+
+class TestPackedSpectralClear:
+    """_spectral_clear on packed template elements against the sympy
+    _clear_pole, with the odd-leaf reduction written out in the g-basis
+    ring for the reference."""
+
+    LEAVES = (sx.wpu, sx.wpv, sx.dwpu, sx.dwpv, sx.g1, sx.g2, sx.g3, sx.T,
+              jet("z0"), jet("z2"), jet("z3", 1))
+
+    @classmethod
+    def case(cls, seed):
+        """A random n=3 template element p of pole order K (1..3) in dinv
+        whose value at dinv = 1/(wpv - wpu) is a polynomial: its dinv^K
+        coefficient absorbs what the random lower ones leave over.
+        Returns the algebra, p and K."""
+        rng = np.random.default_rng(seed)
+        alg = template_algebra(3)
+        x = alg.gen
+        D = x(sx.wpv) - x(sx.wpu)
+
+        def poly():
+            out = alg.zero
+            for _ in range(6):
+                m = alg.const(sp.QQ(int(rng.integers(-5, 6)),
+                                    int(rng.integers(1, 4))))
+                for i in rng.integers(0, len(cls.LEAVES), rng.integers(0, 4)):
+                    m = m * x(cls.LEAVES[i])
+                out = out + m
+            return out
+
+        K = int(rng.integers(1, 4))
+        cs = [poly() for _ in range(K)]
+        cs.append(poly() * D ** K - sum((c * D ** (K - k)
+                                         for k, c in enumerate(cs)), alg.zero))
+        return alg, sum((c * x(sx.dinv) ** k for k, c in enumerate(cs)),
+                        alg.zero), K
+
+    @staticmethod
+    def reference(alg, p):
+        """The sympy route: dwp^2 = 4 wp^3 - g2 wp - g3 in the g-basis
+        ring by coefficients, then _clear_pole."""
+        G = alg.G
+        y = dict(zip(G.symbols, G.gens))
+        q = alg.g_basis(p)
+        for w, dw in ((sx.wpu, sx.dwpu), (sx.wpv, sx.dwpv)):
+            cubic = 4 * y[w] ** 3 - y[sx.g2] * y[w] - y[sx.g3]
+            q = sum((q.coeff_wrt(y[dw], k) * y[dw] ** (k % 2)
+                     * cubic ** (k // 2)
+                     for k in range(max(q.degree(y[dw]), 0) + 1)), G.zero)
+        return models._clear_pole(q, G.symbols.index(sx.dinv),
+                                  y[sx.wpv] - y[sx.wpu])
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_matches_sympy(self, seed):
+        alg, p, K = self.case(seed)
+        assert max(alg.coefficients(p, alg.index[sx.dinv])) == K
+        out = models._spectral_clear(p)
+        assert out.deg >= alg._degree(out)
+        assert alg.g_basis(out) == self.reference(alg, p)
+        assert alg.index[sx.dinv] not in alg.support(out)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_not_divisible(self, seed):
+        """The same elements plus dinv^(K+1): both routes refuse them."""
+        alg, p, K = self.case(seed)
+        bad = p + alg.gen(sx.dinv) ** (K + 1)
+        with pytest.raises(DivisibilityError):
+            models._spectral_clear(bad)
+        with pytest.raises(DivisibilityError):
+            self.reference(alg, bad)
+
+    def test_degree_bound_overflows(self):
+        """wpu^250 times (wpv - wpu)^6 passes the packing bound: the
+        Horner step raises instead of carrying into a neighbouring
+        exponent."""
+        alg = template_algebra(2)
+        x = alg.gen
+        with pytest.raises(ExponentOverflowError):
+            models._spectral_clear(x(sx.wpu) ** 250 + x(sx.dinv) ** 6)
+
+
+class TestMatchStructconsts:
+    def test_missing_and_extra_rows(self):
+        """One P row dropped from a document and one added: each side's
+        missing key is a mismatch, whichever table comes first."""
+        sc = models.appendix_table(2)
+        doc = models.structconsts_to_document(sc)
+        dropped = doc["P"].pop(1)
+        doc["P"].append({"a": 2, "b": 3, "terms": dropped["terms"]})
+        back = models.structconsts_from_document(doc)
+        key = (dropped["a"], dropped["b"])
+        assert models.match_structconsts(sc, back) == [
+            f"P{key}: missing from the second table",
+            "P(2, 3): missing from the first table"]
+        assert models.match_structconsts(back, sc) == [
+            f"P{key}: missing from the first table",
+            "P(2, 3): missing from the second table"]
+
+
+def test_documents_never_reach_the_sympy_printer(monkeypatch):
+    """Documents print every coefficient and monomial from its terms."""
+    def refuse(self, expr):
+        raise AssertionError(f"sympy printer reached on {type(expr)}")
+    monkeypatch.setattr(StrPrinter, "doprint", refuse)
+    doc = models.structconsts_to_document(models.thm3_extract(3))
+    assert doc["Q"][0]["terms"]
 
 
 class TestDerivationRings:

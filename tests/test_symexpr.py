@@ -2,11 +2,13 @@
 numerically against the special-function layer), and the
 render/parse round trip."""
 
+import numpy as np
 import pytest
 import sympy as sp
 from hypothesis import given, settings, strategies as st
 
 from loopbrackets import elliptic
+from loopbrackets import models
 from loopbrackets import symexpr as sx
 from loopbrackets.errors import ClosureError, UnboundSymbolError
 
@@ -206,6 +208,76 @@ class TestRenderParse:
         c = (a + 1) ** 2 / (2 * b)
         assert sx.render(c) == "a**2/(2*b) + a/b + 1/(2*b)"
         assert sx.render(c) == sx.render(c.as_expr())
+
+
+def random_polys(seed: int, count: int) -> list:
+    """Seeded polynomials over QQ in a ring whose generator order is not
+    the name order (T before g1, z10 before z2, z0_x before z0), with
+    coefficients +-1 among others, constant terms and zero."""
+    rng = np.random.default_rng(seed)
+    R, *gens = sp.ring("z0_x z10 z2 g1 T z0", sp.QQ)
+    out = [R.zero, R.one, -R.one]
+    for _ in range(count):
+        p = R.zero
+        for _ in range(rng.integers(1, 6)):
+            c = sp.QQ(int(rng.choice([1, -1, 2, -3, 7])),
+                      int(rng.choice([1, 1, 2, 3, 12])))
+            for i in rng.integers(0, len(gens), rng.integers(0, 5)):
+                c = c * gens[i]
+            p += c
+        out.append(p)
+    return out
+
+
+def printed_entries(n: int) -> list:
+    """Every P/Q entry of both derivation routes at n and every
+    coefficient the document writer prints from them."""
+    k = len(models.field_indices(n))
+    zs0 = list(range(models._Z_AT, models._Z_AT + k))
+    q_at = list(range(models._Z_AT, models._Z_AT + 2 * k)) + [models._T_AT]
+    out = []
+    for sc in (models.thm3_extract(n), models.appendix_table(n)):
+        for table, at in ((sc.P_poly, zs0), (sc.Q_poly, q_at)):
+            for p in table.values():
+                out.append(p)
+                out.extend(models._group_terms(p, at).values())
+    return out
+
+
+def misprinted(polys) -> list:
+    """The polynomials whose direct rendering differs from sympy's
+    lex-ordered printer on their Expr."""
+    return [p for p in polys
+            if sx.render(p) != sp.sstr(p.as_expr(), order="lex")]
+
+
+class TestDirectPrinter:
+    """render prints a polynomial from its terms, byte for byte as
+    sympy's lex-ordered printer prints its Expr."""
+
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_table_entries(self, n):
+        assert misprinted(printed_entries(n)) == []
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_polynomials(self, seed):
+        assert misprinted(random_polys(seed, 300)) == []
+
+    def test_zero_and_signs(self):
+        R, x, y = sp.ring("x y", sp.QQ)
+        assert sx.render(R.zero) == "0"
+        assert sx.render(-x - 1) == "-x - 1"
+        assert sx.render(-x * y / 3 + sp.QQ(5, 2)) == "-x*y/3 + 5/2"
+
+    def test_ring_position_order_is_caught(self, monkeypatch):
+        """Negative control: generators taken in ring position instead of
+        by name misprint the random polynomials and the n=3 entries."""
+        def by_position(ring):
+            return (tuple(range(ring.ngens)),
+                    tuple(s.name for s in ring.symbols))
+        monkeypatch.setattr(sx, "_name_order", by_position)
+        assert misprinted(random_polys(0, 50))
+        assert misprinted(printed_entries(3))
 
 
 class TestEvaluation:
