@@ -9,7 +9,9 @@ produced two independent ways: by extracting structure constants from
 the spectral-parameter bracket on the generating field e(u,x) (the
 r-matrix template), and by transcribing closed-form generating
 functions.  Exact agreement of the two is the strongest self-check in
-the package.
+the package.  The routes share only the routine that clears their one
+pole, 1/(wpv - wpu) in the template and 1/(u - v) in the closed forms,
+on packed elements (_clear_pole).
 
 The structure constants are exact, in one ring per n,
 Q[g1, g2, g3, T, z.., z.._x]; the delta calculus of their tables runs
@@ -222,65 +224,56 @@ def _check_homogeneity(sc: StructConsts):
                     f"shape: {m[zs0] + m[zs1] + (dT,)}")
 
 
-def _clear_pole(p, i_inv: int, D):
-    """Exact division by D of a sympy polynomial in a generator
-    Dinv = 1/D (at position i_inv): with K the Dinv-degree of p, form
-    D^K p by Horner in D and divide D^K back out.  DivisibilityError
-    when D^K does not divide that numerator.  Only the closed-form route
-    clears its poles here; the r-matrix template has _spectral_clear."""
-    inv = p.ring.gens[i_inv]
-    K = max(p.degree(inv), 0)
-    num = p.ring.zero
-    for k in range(K + 1):
-        num = num * D + p.coeff_wrt(inv, k)
-    quo, rem = divmod(num, D ** K)
-    if rem:
-        raise DivisibilityError(
-            f"clearing factor ({D})^{K} does not divide the numerator")
-    return quo
-
-
-def _spectral_clear(p):
-    """The template element p, an element of its algebra whose only
-    denominators are the powers of its generator dinv = 1/(wpv - wpu),
-    with that pole cleared, computed on packed monomials: with K the
-    dinv-degree of p, form D^K p by Horner in D = wpv - wpu, rewrite
-    dwp^2 = 4 wp^3 - g2 wp - g3 at both spectral points, refuse a
-    surviving u, v or zeta leaf (ExtractionError), and divide by D K
-    times by synthetic division in wpv (DivisibilityError on a nonzero
-    remainder).  The arithmetic runs on p times the least common
-    denominator of its coefficients, so on integers, and the result,
-    an element of the same algebra, is divided back once.  Every degree
-    bound stays true, so a product past the packing bound still raises
-    ExponentOverflowError."""
+def _clear_pole(p, i_inv: int, hi, lo):
+    """p with its pole cleared, for p an element of a _RingAlgebra whose
+    only denominators are the powers of its generator i_inv (an index) =
+    1/(hi - lo), hi a generator symbol and lo an element free of it.  On
+    p over its least common denominator (so on integers), form D^K p by
+    Horner in D = hi - lo, K the i_inv-degree of p, divide by D K times
+    by synthetic division in hi (DivisibilityError on a nonzero
+    remainder), and divide the scale back out.  A product past the
+    packing bound raises ExponentOverflowError."""
     alg = p.ring
-    at, x = alg.index, alg.gen
+    i_hi, h = alg.index[hi], alg.gen(hi)
     p, scale = dcx._integral(p, 1)
-    parts = alg.coefficients(p, at[sx.dinv])
+    parts = alg.coefficients(p, i_inv)
     K = max(parts, default=0)
     num = alg.zero
     for k in range(K + 1):
-        num = num * (x(wpv) - x(wpu)) + parts.get(k, alg.zero)
-    for w, dw in ((wpu, dwpu), (wpv, dwpv)):
-        square = x(w) ** 3 * 4 - x(g2) * x(w) - x(g3)
-        num = sum((c * x(dw) ** (k % 2) * square ** (k // 2)
-                   for k, c in alg.coefficients(num, at[dw]).items()),
-                  alg.zero)
-    for bad in (u, v, zwu, zwv):
-        if at[bad] in alg.support(num):
-            raise ExtractionError(
-                f"spectral leaf {bad} survives the cancellation step")
+        num = num * (h - lo) + parts.get(k, alg.zero)
     for _ in range(K):
-        parts = alg.coefficients(num, at[wpv])
+        parts = alg.coefficients(num, i_hi)
         num, carry = alg.zero, alg.zero
         for k in range(max(parts, default=0), 0, -1):
-            carry = parts.get(k, alg.zero) + carry * x(wpu)
-            num = num + carry * x(wpv) ** (k - 1)
-        if parts.get(0, alg.zero) + carry * x(wpu):
+            carry = parts.get(k, alg.zero) + carry * lo
+            num = num + carry * h ** (k - 1)
+        if parts.get(0, alg.zero) + carry * lo:
             raise DivisibilityError(
-                f"clearing factor (wpv - wpu)^{K} does not divide the "
-                f"reduced numerator")
+                f"clearing factor ({(h - lo).as_expr()})^{K} does not "
+                f"divide the numerator")
     return num / scale
+
+
+def _spectral_clear(p):
+    """The template element p, whose only denominators are the powers of
+    its generator dinv = 1/(wpv - wpu), with that pole cleared by
+    _clear_pole after dwp^2 = 4 wp^3 - g2 wp - g3 is rewritten at both
+    spectral points (the divisor has no dwp, so the two commute; the
+    rewrite runs on p over its least common denominator, on integers);
+    ExtractionError when a u, v or zeta leaf survives."""
+    alg = p.ring
+    at, x = alg.index, alg.gen
+    p, scale = dcx._integral(p, 1)
+    for w, dw in ((wpu, dwpu), (wpv, dwpv)):
+        square = x(w) ** 3 * 4 - x(g2) * x(w) - x(g3)
+        p = sum((c * x(dw) ** (k % 2) * square ** (k // 2)
+                 for k, c in alg.coefficients(p, at[dw]).items()), alg.zero)
+    p = _clear_pole(p, at[sx.dinv], wpv, x(wpu)) / scale
+    for bad in (u, v, zwu, zwv):
+        if at[bad] in alg.support(p):
+            raise ExtractionError(
+                f"spectral leaf {bad} survives the cancellation step")
+    return p
 
 
 def _coeff_split(p, n: int, R) -> dict:
@@ -382,76 +375,77 @@ def _poly_e(n: int, sector: int, var, z: dict, order: int = 0):
     return sum(terms, var.ring.zero)
 
 
-def _closed_forms(n: int, R) -> dict:
+def _closed_forms(n: int, alg: dcx._RingAlgebra) -> dict:
     """The closed-form generating functions for the even-even, even-odd
-    and odd-odd sectors of P and Q, evaluated in R: 1/(u - v) is the
+    and odd-odd sectors of P and Q, as elements of alg: 1/(u - v) is the
     generator Dinv, and i tau'(x) / pi = -2 T (tau' = 2 pi i T)."""
-    z = dict(zip(R.symbols, R.gens))
+    z = {s: alg.conv(s) for s in alg.gsyms}
     u, v, g1, g2, g3 = (z[s] for s in (sx.u, sx.v, sx.g1, sx.g2, sx.g3))
+    i_u, i_v = alg.index[sx.u], alg.index[sx.v]
     Dinv = z[_DINV]
     e0u_, e1u_ = _poly_e(n, 0, u, z), _poly_e(n, 1, u, z)
     e0v_, e1v_ = _poly_e(n, 0, v, z), _poly_e(n, 1, v, z)
-    d_e0u = e0u_.diff(u)
-    d_e1u = e1u_.diff(u)
-    d_e0v = e0v_.diff(v)
-    d_e1v = e1v_.diff(v)
+    d_e0u = alg.diff(e0u_, i_u)
+    d_e1u = alg.diff(e1u_, i_u)
+    d_e0v = alg.diff(e0v_, i_v)
+    d_e1v = alg.diff(e1v_, i_v)
     e0x_u, e1x_u = _poly_e(n, 0, u, z, 1), _poly_e(n, 1, u, z, 1)
     e0x_v, e1x_v = _poly_e(n, 0, v, z, 1), _poly_e(n, 1, v, z, 1)
-    d_e0x_v = e0x_v.diff(v)
-    d_e1x_v = e1x_v.diff(v)
+    d_e0x_v = alg.diff(e0x_v, i_v)
+    d_e1x_v = alg.diff(e1x_v, i_v)
     itp = -2 * z[T]
-    lamn = sp.Rational(1, n)
+    lamn = sp.QQ(1, n)
 
     gf_P_ee = (
         2 * u * d_e0u * e0v_ * g1
-        - sp.Rational(1, 6) * (-12 * u**2 * v + g2 * u + 2 * g2 * v + 3 * g3)
+        - sp.QQ(1, 6) * (-12 * u**2 * v + g2 * u + 2 * g2 * v + 3 * g3)
             * d_e0u * e0v_ * Dinv
         + 2 * v * d_e0v * e0u_ * g1
-        + sp.Rational(1, 6) * (-12 * u * v**2 + 2 * g2 * u + g2 * v + 3 * g3)
+        + sp.QQ(1, 6) * (-12 * u * v**2 + 2 * g2 * u + g2 * v + 3 * g3)
             * d_e0v * e0u_ * Dinv
-        + sp.Rational(1, 8) * (4 * v**3 - g2 * v - g3) * (4 * u**3 - g2 * u - g3)
+        + sp.QQ(1, 8) * (4 * v**3 - g2 * v - g3) * (4 * u**3 - g2 * u - g3)
             * d_e1u * e1v_ * Dinv
-        - sp.Rational(1, 8) * (4 * v**3 - g2 * v - g3) * (4 * u**3 - g2 * u - g3)
+        - sp.QQ(1, 8) * (4 * v**3 - g2 * v - g3) * (4 * u**3 - g2 * u - g3)
             * d_e1v * e1u_ * Dinv
-        + sp.Rational(1, 4) * lamn * (4 * v**3 - g2 * v - g3)
+        + sp.QQ(1, 4) * lamn * (4 * v**3 - g2 * v - g3)
             * (4 * u**3 - g2 * u - g3) * d_e1u * d_e1v
-        - (3 * u**2 * v**2 - sp.Rational(1, 4) * g2 * (u - v)**2
-           + sp.Rational(1, 16) * g2**2 + sp.Rational(3, 4) * g3 * u
-           + sp.Rational(3, 4) * g3 * v) * e1u_ * e1v_
-        + sp.Rational(1, 8) * lamn * (12 * v**2 - g2)
+        - (3 * u**2 * v**2 - sp.QQ(1, 4) * g2 * (u - v)**2
+           + sp.QQ(1, 16) * g2**2 + sp.QQ(3, 4) * g3 * u
+           + sp.QQ(3, 4) * g3 * v) * e1u_ * e1v_
+        + sp.QQ(1, 8) * lamn * (12 * v**2 - g2)
             * (4 * u**3 - g2 * u - g3) * d_e1u * e1v_
-        + sp.Rational(1, 8) * lamn * (12 * u**2 - g2)
+        + sp.QQ(1, 8) * lamn * (12 * u**2 - g2)
             * (4 * v**3 - g2 * v - g3) * d_e1v * e1u_
-        + sp.Rational(1, 16) * lamn * (12 * v**2 - g2) * (12 * u**2 - g2)
+        + sp.QQ(1, 16) * lamn * (12 * v**2 - g2) * (12 * u**2 - g2)
             * e1u_ * e1v_)
 
     gf_P_eo = (
         2 * u * d_e0u * e1v_ * g1
-        + sp.Rational(1, 6) * (12 * u**2 * v - g2 * u - 2 * g2 * v - 3 * g3)
+        + sp.QQ(1, 6) * (12 * u**2 * v - g2 * u - 2 * g2 * v - 3 * g3)
             * d_e0u * e1v_ * Dinv
-        + sp.Rational(1, 2) * (4 * u**3 - g2 * u - g3)
+        + sp.QQ(1, 2) * (4 * u**3 - g2 * u - g3)
             * (d_e1u * e0v_ - d_e0v * e1u_) * Dinv
         + 2 * v * d_e1v * e0u_ * g1 + 3 * e0u_ * e1v_ * g1
-        - sp.Rational(1, 6) * (12 * u * v**2 - 2 * g2 * u - g2 * v - 3 * g3)
+        - sp.QQ(1, 6) * (12 * u * v**2 - 2 * g2 * u - g2 * v - 3 * g3)
             * d_e1v * e0u_ * Dinv
-        - sp.Rational(1, 4) * (12 * u * v - g2) * e0u_ * e1v_ * Dinv
-        + sp.Rational(1, 4) * (12 * u**2 - g2) * e0v_ * e1u_ * Dinv
+        - sp.QQ(1, 4) * (12 * u * v - g2) * e0u_ * e1v_ * Dinv
+        + sp.QQ(1, 4) * (12 * u**2 - g2) * e0v_ * e1u_ * Dinv
         + lamn * (4 * u**3 - g2 * u - g3) * d_e0v * d_e1u
-        + lamn * (6 * u**2 - sp.Rational(1, 2) * g2) * d_e0v * e1u_)
+        + lamn * (6 * u**2 - sp.QQ(1, 2) * g2) * d_e0v * e1u_)
 
     gf_P_oo = (
         2 * u * d_e1u * e1v_ * g1 + 6 * e1u_ * e1v_ * g1
         + 4 * lamn * d_e0u * d_e0v
-        + sp.Rational(1, 6) * (12 * u**2 * v - g2 * u - 2 * g2 * v - 3 * g3)
+        + sp.QQ(1, 6) * (12 * u**2 * v - g2 * u - 2 * g2 * v - 3 * g3)
             * d_e1u * e1v_ * Dinv
-        - sp.Rational(1, 6) * (12 * u * v**2 - 2 * g2 * u - g2 * v - 3 * g3)
+        - sp.QQ(1, 6) * (12 * u * v**2 - 2 * g2 * u - g2 * v - 3 * g3)
             * d_e1v * e1u_ * Dinv
         + 2 * (e0v_ * d_e0u - e0u_ * d_e0v) * Dinv
         + 2 * v * d_e1v * e1u_ * g1)
 
     gf_Q_ee = (
-        sp.Rational(1, 6) * (12 * g1 * u * v - 12 * g1 * v**2 - 12 * u * v**2
-                             + 2 * g2 * u + g2 * v + 3 * g3)
+        sp.QQ(1, 6) * (12 * g1 * u * v - 12 * g1 * v**2 - 12 * u * v**2
+                       + 2 * g2 * u + g2 * v + 3 * g3)
             * e0u_ * d_e0x_v * Dinv
         - (4 * v**3 - g2 * v - g3) * (4 * u**3 - g2 * u - g3)
             * e1u_ * d_e1x_v * Dinv / 8
@@ -464,12 +458,12 @@ def _closed_forms(n: int, R) -> dict:
                - g2 * u - g2 * v - 2 * g3)
         - e1v_ * d_e1u * itp / 8 * lamn
             * (2 * g2 * g1 - 3 * g3) * (4 * u**3 - g2 * u - g3)
-        + sp.Rational(1, 8) * (4 * v**3 - g2 * v - g3)
+        + sp.QQ(1, 8) * (4 * v**3 - g2 * v - g3)
             * (4 * u**3 - g2 * u - g3) * d_e1u * e1x_v * Dinv
         - e1v_ * d_e1u * itp * Dinv / 48
             * (4 * u**3 - g2 * u - g3)
             * (12 * g2 * g1 * v - g2**2 + 18 * g1 * g3 - 18 * g3 * v)
-        + sp.Rational(1, 8) * (4 * v**3 - g2 * v - g3)
+        + sp.QQ(1, 8) * (4 * v**3 - g2 * v - g3)
             * (4 * u**3 - g2 * u - g3) * e1v_ * e1x_u * Dinv**2
         - e1u_ * e1v_ * itp / 16 * lamn
             * (2 * g2 * g1 - 3 * g3) * (12 * u**2 - g2)
@@ -506,13 +500,13 @@ def _closed_forms(n: int, R) -> dict:
                + 9 * g2 * g3))
 
     gf_Q_eo = (
-        -sp.Rational(1, 2) * (4 * u**3 - g2 * u - g3)
+        -sp.QQ(1, 2) * (4 * u**3 - g2 * u - g3)
             * e1u_ * d_e0x_v * Dinv
-        + sp.Rational(1, 6) * (12 * g1 * u * v - 12 * g1 * v**2
-                               - 12 * u * v**2 + 2 * g2 * u + g2 * v + 3 * g3)
+        + sp.QQ(1, 6) * (12 * g1 * u * v - 12 * g1 * v**2
+                         - 12 * u * v**2 + 2 * g2 * u + g2 * v + 3 * g3)
             * e0u_ * d_e1x_v * Dinv
-        + sp.Rational(1, 6) * (12 * g1 * u**2 - 12 * g1 * u * v
-                               + 12 * u**2 * v - g2 * u - 2 * g2 * v - 3 * g3)
+        + sp.QQ(1, 6) * (12 * g1 * u**2 - 12 * g1 * u * v
+                         + 12 * u**2 * v - g2 * u - 2 * g2 * v - 3 * g3)
             * d_e0u * e1x_v * Dinv
         + e1v_ * d_e0u * itp * Dinv / 24
             * (24 * g1**2 * u**2 - 24 * g1**2 * u * v - 8 * g2 * g1 * u
@@ -521,43 +515,43 @@ def _closed_forms(n: int, R) -> dict:
         + e1v_ * e0x_u * Dinv**2 / 4
             * (4 * g1 * u**2 - 8 * g1 * u * v + 4 * g1 * v**2 + 4 * u**2 * v
                + 4 * u * v**2 - g2 * u - g2 * v - 2 * g3)
-        + sp.Rational(1, 2) * (4 * u**3 - g2 * u - g3)
+        + sp.QQ(1, 2) * (4 * u**3 - g2 * u - g3)
             * e0x_v * d_e1u * Dinv
-        + sp.Rational(1, 4) * (4 * u**3 - 12 * u**2 * v + g2 * u + g2 * v
-                               + 2 * g3) * e0x_v * e1u_ * Dinv**2
-        + sp.Rational(1, 2) * (4 * u**3 - g2 * u - g3)
+        + sp.QQ(1, 4) * (4 * u**3 - 12 * u**2 * v + g2 * u + g2 * v
+                         + 2 * g3) * e0x_v * e1u_ * Dinv**2
+        + sp.QQ(1, 2) * (4 * u**3 - g2 * u - g3)
             * e0v_ * e1x_u * Dinv**2
         + e0u_ * d_e1v * itp * Dinv / 24
             * (12 * g2 * g1 * u - g2**2 + 18 * g1 * g3 - 18 * g3 * u)
-        + sp.Rational(1, 2) * (4 * g1 * u**2 - 8 * g1 * u * v + 4 * g1 * v**2
-                               - 8 * u**2 * v + 4 * u * v**2 + g2 * u + g3)
+        + sp.QQ(1, 2) * (4 * g1 * u**2 - 8 * g1 * u * v + 4 * g1 * v**2
+                         - 8 * u**2 * v + 4 * u * v**2 + g2 * u + g3)
             * e1x_v * e0u_ * Dinv**2
         + (e0u_ * e1v_ - e1u_ * e0v_) * itp * Dinv**2 / 24
             * (12 * g1 * g2 * u - g2**2 + 18 * g1 * g3 - 18 * g3 * u)
         + lamn * (4 * u**3 - g2 * u - g3) * d_e0x_v * d_e1u
-        + sp.Rational(1, 2) * lamn * (12 * u**2 - g2) * d_e0x_v * e1u_)
+        + sp.QQ(1, 2) * lamn * (12 * u**2 - g2) * d_e0x_v * e1u_)
 
     gf_Q_oo = (
-        sp.Rational(1, 6) * (12 * g1 * u * v - 12 * g1 * v**2 - 12 * u * v**2
-                             + 2 * g2 * u + g2 * v + 3 * g3)
+        sp.QQ(1, 6) * (12 * g1 * u * v - 12 * g1 * v**2 - 12 * u * v**2
+                       + 2 * g2 * u + g2 * v + 3 * g3)
             * e1u_ * d_e1x_v * Dinv
         + 2 * (e0v_ * e0x_u - e0u_ * e0x_v) * Dinv**2
-        + sp.Rational(1, 6) * (12 * g1 * u**2 - 12 * g1 * u * v
-                               + 12 * u**2 * v - g2 * u - 2 * g2 * v - 3 * g3)
+        + sp.QQ(1, 6) * (12 * g1 * u**2 - 12 * g1 * u * v
+                         + 12 * u**2 * v - g2 * u - 2 * g2 * v - 3 * g3)
             * d_e1u * e1x_v * Dinv
         + e1v_ * d_e1u * itp * Dinv / 24
             * (24 * g1**2 * u**2 - 24 * g1**2 * u * v - 8 * g2 * g1 * u
                - 4 * g2 * g1 * v - 2 * g2 * u**2 + 2 * g2 * u * v + g2**2
                - 18 * g1 * g3 + 12 * g3 * u + 6 * g3 * v)
-        + sp.Rational(1, 4) * (4 * g1 * (u - v)**2 + 4 * u**2 * v
-                               + 4 * u * v**2 - g2 * u - g2 * v - 2 * g3)
+        + sp.QQ(1, 4) * (4 * g1 * (u - v)**2 + 4 * u**2 * v
+                         + 4 * u * v**2 - g2 * u - g2 * v - 2 * g3)
             * e1v_ * e1x_u * Dinv**2
         + 2 * (d_e0u * e0x_v - e0u_ * d_e0x_v) * Dinv
         + e1u_ * d_e1v * itp * Dinv / 24
             * (12 * g2 * g1 * u - g2**2 + 18 * g1 * g3 - 18 * g3 * u)
         + e1u_ * e1v_ * itp / 8 * (12 * g1**2 - g2)
-        + sp.Rational(1, 4) * (20 * g1 * (u - v)**2 - 4 * u**2 * v
-                               - 4 * u * v**2 + g2 * u + g2 * v + 2 * g3)
+        + sp.QQ(1, 4) * (20 * g1 * (u - v)**2 - 4 * u**2 * v
+                         - 4 * u * v**2 + g2 * u + g2 * v + 2 * g3)
             * e1x_v * e1u_ * Dinv**2
         + 4 * lamn * d_e0x_v * d_e0u)
 
@@ -566,16 +560,8 @@ def _closed_forms(n: int, R) -> dict:
             ("Q", (0, 1)): gf_Q_eo, ("Q", (1, 1)): gf_Q_oo}
 
 
-def _finalize_closed_form(gf):
-    """Divide the (u - v)-denominator of a closed form out exactly."""
-    R = gf.ring
-    at = R.symbols.index
-    D = R.gens[at(sx.u)] - R.gens[at(sx.v)]
-    return _clear_pole(gf, at(_DINV), D)
-
-
 def _harvest(target: dict, sector: tuple, p, n: int, R):
-    """Add the terms c u^a v^b of a finalized closed form of `sector`
+    """Add the terms c u^a v^b of a cleared closed form of `sector`
     (0 even, 1 odd, per spectral variable) to the entries of target, as
     elements of R."""
     su, sv = sector
@@ -591,15 +577,18 @@ def _harvest(target: dict, sector: tuple, p, n: int, R):
 def appendix_table(n: int) -> StructConsts:
     """Structure constants transcribed from the closed-form generating
     functions, with the explicit i tau'(x) / pi replaced by -2 T and
-    every (u-v)-denominator divided out exactly."""
+    every (u-v)-denominator divided out exactly by _clear_pole."""
     idx = field_indices(n)
     alg = _structconsts_algebra(n)
-    R, *_ = sp.ring([u, v, _DINV] + list(alg.gsyms), sp.QQ)
+    forms = dcx._RingAlgebra((u, v, _DINV) + alg.gsyms,
+                             [field_name(a) for a in idx], frozen=False,
+                             constants=(_DINV,))
     P = {(a, b): alg.G.zero for a in idx for b in idx}
     Q = dict(P)
-    for (name, sector), gf in _closed_forms(n, R).items():
-        _harvest(P if name == "P" else Q, sector, _finalize_closed_form(gf),
-                 n, alg.G)
+    for (name, sector), gf in _closed_forms(n, forms).items():
+        gf = _clear_pole(gf, forms.index[_DINV], u, forms.gen(v))
+        _harvest(P if name == "P" else Q, sector, forms.g_basis(gf), n,
+                 alg.G)
 
     # The closed-form generating functions cover the even-even, even-odd and
     # odd-odd sectors; the odd-even sector follows from antisymmetry:
@@ -1156,8 +1145,10 @@ def prop1_system(s, include_jacobi: bool = True,
     matching_target overrides the (G, G'/2) pair with arbitrary
     canonical (delta', delta) coefficients, {order: {(i, j, k): value}}
     for the monomials p^i p'^j zr^k (zr = z2'/z2) -- used by the
-    feasible self-test.
+    feasible self-test.  DomainError for a non-finite s.
     """
+    if not np.isfinite(complex(s)):
+        raise DomainError(f"parameter s = {s} is not finite")
     qsym, rsym, unknowns = _nogo_unknowns()
     table = _nogo_tables(qsym, rsym, unknowns)
     R = sp.ring(unknowns, sp.QQ)[0]
@@ -1223,8 +1214,12 @@ def prop1_certificate(sys: NoGoSystem, restarts: int = 100,
     """Multi-start least-squares minimization of the squared residual;
     the smallest value found is the no-go evidence.  "values" lists the
     squared residual of every restart, in order.  The solver gets the
-    exact Jacobian, in the real block form of _real_split."""
+    exact Jacobian, in the real block form of _real_split.  ValueError
+    for fewer than one restart."""
     from scipy.optimize import least_squares
+
+    if restarts < 1:
+        raise ValueError("restarts must be >= 1")
 
     rng = np.random.default_rng(seed)
     resid, jac = _real_split(sys)

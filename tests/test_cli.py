@@ -178,6 +178,19 @@ class TestVerifyCommand:
         assert run_cli(["verify", suite, "--trials", "0"]) == 2
         assert "must be >= 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("restarts", ["0", "-1"])
+    def test_nogo_without_restarts_usage_error(self, restarts, capsys):
+        assert run_cli(["verify", "nogo", "--restarts", restarts]) == 2
+        captured = capsys.readouterr()
+        assert "restarts must be >= 1" in captured.err
+        assert not captured.out
+
+    @pytest.mark.parametrize("s", ["nan", "inf"])
+    def test_nogo_non_finite_s(self, s, capsys):
+        assert run_cli(["verify", "nogo", "--s", s, "--restarts", "1"]) == 2
+        assert f"parameter s = ({s}+0j) is not finite" in \
+            capsys.readouterr().err
+
     def test_oracle_points_from_trials(self, capsys):
         assert run_cli(["verify", "oracle", "--trials", "1"]) == 0
         assert json.loads(capsys.readouterr().out)["params"]["points"] == 1

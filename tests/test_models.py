@@ -188,67 +188,103 @@ class TestDerivationErrors:
             models._harvest(target, (0, 0), u ** 2 * z0 ** 2, 2, R)
 
     @staticmethod
-    def closed_form_ring():
-        return sp.ring([sx.u, sx.v, models._DINV, sx.T], sp.QQ)
+    def closed_form_algebra():
+        """A packed algebra in u, v, Dinv = 1/(u - v) and T."""
+        alg = dc._RingAlgebra([sx.u, sx.v, models._DINV, sx.T], (), False,
+                              constants=(models._DINV,))
+        return (alg, *(alg.gen(s) for s in alg.syms))
 
     def test_closed_form_divides_out_u_minus_v(self):
         """Poles of orders 1 and 2 in u - v and a pole-free term, divided
         out together."""
-        R, u, v, Dinv, T = self.closed_form_ring()
-        got = models._finalize_closed_form(
-            (u - v) ** 2 * T * Dinv ** 2 + (u ** 2 - v ** 2) * Dinv - 2 * T)
+        alg, u, v, Dinv, T = self.closed_form_algebra()
+        got = models._clear_pole(
+            (u - v) ** 2 * T * Dinv ** 2 + (u ** 2 - v ** 2) * Dinv - 2 * T,
+            alg.index[models._DINV], sx.u, v)
         assert got == u + v - T
 
     def test_closed_form_not_divisible(self):
-        R, u, v, Dinv, T = self.closed_form_ring()
+        alg, u, v, Dinv, T = self.closed_form_algebra()
         with pytest.raises(DivisibilityError):
-            models._finalize_closed_form(u * Dinv)
+            models._clear_pole(u * Dinv, alg.index[models._DINV], sx.u, v)
 
-    @staticmethod
-    def pole_case(seed):
-        """A random polynomial p in x, y and dinv = 1/D, D = x - y^2 + 1,
-        of dinv-degree K whose value at dinv = 1/D is a polynomial: its
-        dinv^K coefficient absorbs what the random lower ones leave
-        over.  Returns p, D and K."""
+    X, Y, DINV = sp.symbols("x y dinv")
+
+    @classmethod
+    def pole_case(cls, seed):
+        """A random element p of a packed algebra in x, y and dinv = 1/D,
+        D = x - y^2 + 1, of dinv-degree K whose value at dinv = 1/D is a
+        polynomial: its dinv^K coefficient absorbs what the random lower
+        ones leave over.  Returns p and K."""
         rng = np.random.default_rng(seed)
-        R, x, y, dinv = sp.ring("x, y, dinv", sp.QQ)
+        syms = (cls.X, cls.Y, cls.DINV)
+        alg = dc._RingAlgebra(syms, (), False, constants=syms)
+        x, y, dinv = (alg.gen(s) for s in syms)
         D = x - y ** 2 + 1
 
         def poly():
             return sum((int(c) * x ** i * y ** j for (i, j), c in
-                        np.ndenumerate(rng.integers(-4, 5, (3, 3)))), R.zero)
+                        np.ndenumerate(rng.integers(-4, 5, (3, 3)))),
+                       alg.zero)
 
         K = int(rng.integers(0, 4))
         cs = [poly() for _ in range(K)]
-        cs.append(poly() * D ** K
-                  - sum((c * D ** (K - k) for k, c in enumerate(cs)), R.zero))
-        return sum((c * dinv ** k for k, c in enumerate(cs)), R.zero), D, K
+        cs.append(poly() * D ** K - sum((c * D ** (K - k)
+                                         for k, c in enumerate(cs)),
+                                        alg.zero))
+        return sum((c * dinv ** k for k, c in enumerate(cs)), alg.zero), K
+
+    @classmethod
+    def clear(cls, p):
+        """_clear_pole of p at x = y^2 - 1."""
+        alg = p.ring
+        y = alg.gen(cls.Y)
+        return models._clear_pole(p, alg.index[cls.DINV], cls.X, y ** 2 - 1)
 
     @staticmethod
     def field_value(p):
-        """p in the fraction field Q(x, y), with dinv set to 1/D."""
+        """The packed element p in the fraction field Q(x, y), with dinv
+        set to 1/D."""
         F, x, y = sp.field("x, y", sp.QQ)
         return sum((c * x ** i * y ** j * (x - y ** 2 + 1) ** -k
-                    for (i, j, k), c in p.terms()), F.zero)
+                    for (i, j, k), c in p.ring.g_basis(p).terms()), F.zero)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_clear_pole_matches_fraction_field(self, seed):
         """_clear_pole equals the independent fraction-field value with
         dinv set to 1/D, whatever the pole order."""
-        p, D, K = self.pole_case(seed)
-        q = models._clear_pole(p, 2, D)
-        assert q.degree(p.ring.gens[2]) <= 0
+        p, K = self.pole_case(seed)
+        q = self.clear(p)
+        assert p.ring.index[self.DINV] not in p.ring.support(q)
         assert self.field_value(q) == self.field_value(p)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_clear_pole_not_divisible(self, seed):
         """The same polynomials plus dinv^(K+1): the field value has a
         pole at D = 0, and _clear_pole refuses it."""
-        p, D, K = self.pole_case(seed)
-        bad = p + p.ring.gens[2] ** (K + 1)
+        p, K = self.pole_case(seed)
+        bad = p + p.ring.gen(self.DINV) ** (K + 1)
         assert self.field_value(bad).denom != 1
         with pytest.raises(DivisibilityError):
-            models._clear_pole(bad, 2, D)
+            self.clear(bad)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_clear_pole_flipped_divisor_detected(self, seed):
+        """Negative control: clearing with the divisor -D, written as p at
+        dinv -> -dinv cleared by D, either leaves a remainder or misses
+        the fraction-field value at every pole order K >= 1 (and changes
+        nothing at K = 0)."""
+        p, K = self.pole_case(seed)
+        alg = p.ring
+        dinv = alg.gen(self.DINV)
+        flipped = sum((c * (-dinv) ** k for k, c in alg.coefficients(
+            p, alg.index[self.DINV]).items()), alg.zero)
+        try:
+            fired = self.field_value(self.clear(flipped)) != \
+                self.field_value(p)
+        except DivisibilityError:
+            fired = True
+        assert fired == (K >= 1)
 
     def test_entry_outside_the_ring(self):
         doc = models.structconsts_to_document(models.appendix_table(2))
@@ -262,9 +298,9 @@ class TestDerivationErrors:
 
 
 class TestPackedSpectralClear:
-    """_spectral_clear on packed template elements against the sympy
-    _clear_pole, with the odd-leaf reduction written out in the g-basis
-    ring for the reference."""
+    """_spectral_clear on packed template elements against the value in
+    sympy's fraction field, with the odd-leaf reduction written out in
+    the g-basis ring and dinv set to 1/(wpv - wpu)."""
 
     LEAVES = (sx.wpu, sx.wpv, sx.dwpu, sx.dwpv, sx.g1, sx.g2, sx.g3, sx.T,
               jet("z0"), jet("z2"), jet("z3", 1))
@@ -299,9 +335,11 @@ class TestPackedSpectralClear:
 
     @staticmethod
     def reference(alg, p):
-        """The sympy route: dwp^2 = 4 wp^3 - g2 wp - g3 in the g-basis
-        ring by coefficients, then _clear_pole."""
+        """dwp^2 = 4 wp^3 - g2 wp - g3 in the g-basis ring by
+        coefficients, then the value in the fraction field of that ring
+        at dinv = 1/(wpv - wpu)."""
         G = alg.G
+        F = G.to_field()
         y = dict(zip(G.symbols, G.gens))
         q = alg.g_basis(p)
         for w, dw in ((sx.wpu, sx.dwpu), (sx.wpv, sx.dwpv)):
@@ -309,8 +347,10 @@ class TestPackedSpectralClear:
             q = sum((q.coeff_wrt(y[dw], k) * y[dw] ** (k % 2)
                      * cubic ** (k // 2)
                      for k in range(max(q.degree(y[dw]), 0) + 1)), G.zero)
-        return models._clear_pole(q, G.symbols.index(sx.dinv),
-                                  y[sx.wpv] - y[sx.wpu])
+        D = F(y[sx.wpv] - y[sx.wpu])
+        return sum((F(q.coeff_wrt(y[sx.dinv], k)) / D ** k
+                    for k in range(max(q.degree(y[sx.dinv]), 0) + 1)),
+                   F.zero)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_sympy(self, seed):
@@ -318,18 +358,18 @@ class TestPackedSpectralClear:
         assert max(alg.coefficients(p, alg.index[sx.dinv])) == K
         out = models._spectral_clear(p)
         assert out.deg >= alg._degree(out)
-        assert alg.g_basis(out) == self.reference(alg, p)
+        assert alg.G.to_field()(alg.g_basis(out)) == self.reference(alg, p)
         assert alg.index[sx.dinv] not in alg.support(out)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_not_divisible(self, seed):
-        """The same elements plus dinv^(K+1): both routes refuse them."""
+        """The same elements plus dinv^(K+1): the field value has a pole
+        at wpv = wpu, and _spectral_clear refuses them."""
         alg, p, K = self.case(seed)
         bad = p + alg.gen(sx.dinv) ** (K + 1)
+        assert self.reference(alg, bad).denom != 1
         with pytest.raises(DivisibilityError):
             models._spectral_clear(bad)
-        with pytest.raises(DivisibilityError):
-            self.reference(alg, bad)
 
     def test_degree_bound_overflows(self):
         """wpu^250 times (wpv - wpu)^6 passes the packing bound: the
@@ -377,7 +417,7 @@ class TestDerivationRings:
     DERIVATIONS = ("total_x_derivative", "d_dtau_scaled", "d_dz_spectral")
 
     @pytest.mark.parametrize("route, rings", [("thm3_extract", (0, 0)),
-                                              ("appendix_table", (1, 0))])
+                                              ("appendix_table", (0, 0))])
     def test_calls(self, route, rings, monkeypatch):
         calls = []
         for mod, name in ([(sp, n) for n in ("ring", "field", "cancel")]
@@ -707,6 +747,12 @@ class TestNoGoTensors:
 
 
 class TestNoGoCertificate:
+    @pytest.mark.parametrize("s", [float("nan"), float("inf"),
+                                   complex(1, float("inf"))])
+    def test_non_finite_s(self, s):
+        with pytest.raises(DomainError, match="parameter s = .* not finite"):
+            models.prop1_system(s)
+
     def test_infeasible(self, nogo_system):
         cert = models.prop1_certificate(nogo_system, restarts=12, seed=0)
         assert cert["min_residual"] > 1e-2

@@ -211,6 +211,13 @@ class TestNoGoSuite:
                           if c.name == "lifting_system_infeasible")
         assert infeasible.max_residual > 1e-3
 
+    @pytest.mark.parametrize("restarts", [0, -1])
+    def test_needs_a_restart(self, restarts):
+        """Without a restart there is no minimum to certify: the suite
+        refuses instead of passing on an infinite one."""
+        with pytest.raises(ValueError, match="restarts must be >= 1"):
+            verify.run_nogo_suite(restarts=restarts, seed=0)
+
 
 class TestCp2Suite:
     def test_passes(self):
