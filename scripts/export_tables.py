@@ -15,7 +15,7 @@ import pathlib
 import sys
 import time
 
-from loopbrackets import models
+from loopbrackets import models, verify
 from loopbrackets.cli import atomic_write
 
 
@@ -29,9 +29,10 @@ def _timed(seconds: dict, stage: str, fn, *args):
 
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
-    for flag, default in (("--nmin", 2), ("--nmax", 6)):
-        ap.add_argument(flag, type=int, default=default, choices=range(2, 7),
-                        metavar="{2..6}")
+    ns = verify.POISSON_NS
+    for flag, default in (("--nmin", ns[0]), ("--nmax", ns[-1])):
+        ap.add_argument(flag, type=int, default=default, choices=ns,
+                        metavar=f"{{{ns[0]}..{ns[-1]}}}")
     ap.add_argument("--out", default="tables")
     args = ap.parse_args()
     if args.nmin > args.nmax:

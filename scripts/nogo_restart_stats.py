@@ -29,6 +29,8 @@ def main() -> int:
     ap.add_argument("--csv", default=None,
                     help="write the per-restart residuals as CSV")
     args = ap.parse_args()
+    if args.restarts < 1:
+        ap.error(f"--restarts must be >= 1, not {args.restarts}")
 
     sys_ = models.prop1_system(args.s)
     print(f"s = {args.s}: {len(sys_.c)} equations, "

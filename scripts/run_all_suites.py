@@ -19,8 +19,9 @@ def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--out", default="reports")
-    ap.add_argument("--nmax", type=int, default=6, choices=range(2, 7),
-                    metavar="{2..6}",
+    ns = verify.POISSON_NS
+    ap.add_argument("--nmax", type=int, default=ns[-1], choices=ns,
+                    metavar=f"{{{ns[0]}..{ns[-1]}}}",
                     help="largest field count for the Poisson suites")
     args = ap.parse_args()
 
@@ -35,7 +36,7 @@ def main() -> int:
     runs += [(f"thm2_n{n}", lambda n=n: verify.run_thm2_suite(
         n=n, seed=args.seed)) for n in (2, 3)]
     runs += [(f"poisson_n{n}", lambda n=n: verify.run_poisson_suite(
-        n=n, seed=args.seed)) for n in range(2, args.nmax + 1)]
+        n=n, seed=args.seed)) for n in range(ns[0], args.nmax + 1)]
 
     all_pass = True
     for name, fn in runs:

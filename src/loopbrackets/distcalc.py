@@ -22,8 +22,9 @@ pairings with polynomial test functions in the test suite.
 
 Every table owns one coefficient algebra (:class:`_RingAlgebra`), built
 when the table is: sparse polynomials over ZZ in the basis h2 = g2/12,
-h3 = g3/2 of the quasi-modular leaves.  There the tau-derivative rules
-have integer coefficients
+h3 = g3/2 of the quasi-modular leaves and hdwp = dwp/2 of the odd
+Weierstrass leaves at u and v.  There every tau- and spectral-derivative
+rule has integer coefficients, among them
 
     dg1 = h2 - g1^2,  dh2 = h3 - 4 g1 h2,  dh3 = 24 h2^2 - 6 g1 h3,
 
@@ -69,8 +70,9 @@ from .errors import (ClosureError, ExponentOverflowError, StructureError,
 
 _POINT_INDEX = {"x": 0, "y": 1, "w": 2}
 
-# the integral basis: g2 = 12 h2 and g3 = 2 h3, {g: (h, weight)}
-_H_BASIS = {sx.g2: (sp.Symbol("h2"), 12), sx.g3: (sp.Symbol("h3"), 2)}
+# the integral basis {g: (h, weight)}: g2 = 12 h2, g3 = 2 h3, dwp = 2 hdwp
+_H_BASIS = {sx.g2: (sp.Symbol("h2"), 12), sx.g3: (sp.Symbol("h3"), 2),
+            sx.dwpu: (sp.Symbol("hdwpu"), 2), sx.dwpv: (sp.Symbol("hdwpv"), 2)}
 
 # bits per packed exponent; a total degree up to _MAX_DEGREE fits every field
 _BITS = 8
@@ -302,19 +304,18 @@ class _RingAlgebra:
     generator is read once, by _kind, and one outside the alphabet is a
     ClosureError.
 
-    It is built from g-basis symbols (`gsyms`).  Coefficients are
-    integers (`domain` ZZ) in the basis h2 = g2/12, h3 = g3/2 (`syms`,
-    generator for generator) when the d/dth rule of every leaf is
-    integral there, and rationals (QQ) in the g basis otherwise, which
-    only the zeta leaves' rule (it halves dwpu) causes; the h-basis rules
-    are read off DTAU_RULES.  Generator i is the exponent field at bit
-    8 (len(syms) - 1 - i) of a packed monomial; a product whose total
-    degree would pass 255 raises ExponentOverflowError, and a fraction
-    is a numerator over one packed monomial.  `G` is the sympy ring of
-    the g basis over QQ with the same generator positions: elements come
-    in by `lift` or `conv` and go out by `g_basis`, and only there are
-    exponents unpacked (besides `support`, a monomial's first
-    x-derivative and the evaluator).
+    It is built from g-basis symbols (`gsyms`) and computes over ZZ in
+    the basis of _H_BASIS (`syms`, generator for generator): h2 = g2/12,
+    h3 = g3/2, hdwpu = dwpu/2, hdwpv = dwpv/2, where every leaf rule is
+    integral.  A rule table becomes a derivation by `derivation`, which
+    `derive` applies; d/dth is the one of DTAU_RULES.  Generator i is the
+    exponent field at bit 8 (len(syms) - 1 - i) of a packed monomial; a
+    product whose total degree would pass 255 raises
+    ExponentOverflowError, and a fraction is a numerator over one packed
+    monomial.  `G` is the sympy ring of the g basis over QQ with the
+    same generator positions: elements come in by `lift` or `conv` and
+    go out by `g_basis`, and only there are exponents unpacked (besides
+    `support`, a monomial's first x-derivative and the evaluator).
     With `frozen` the modular parameter is a constant: g1, g2, g3, the
     other tau-dependent leaves and the modular jets T, T_x, ... all have
     zero x-derivative.  `memo` holds the Leibniz brackets of every table
@@ -328,22 +329,9 @@ class _RingAlgebra:
         for s, kind in zip(self.gsyms, kinds):
             if kind is None:
                 raise ClosureError(f"no derivative rewrite for leaf {s}")
-        # d/dth of the tau-dependent leaves, in the g basis and, divided
-        # by the leaf's weight, in the h basis
-        dth = {i: self.G.from_expr(sx.DTAU_RULES[s])
-               for i, s in enumerate(self.gsyms) if kinds[i] == "tau"}
+        self.syms = tuple(_H_BASIS.get(s, (s,))[0] for s in self.gsyms)
         self._hpos = [(i, _H_BASIS[s][1]) for i, s in enumerate(self.gsyms)
                       if s in _H_BASIS]
-        weight = dict(self._hpos)
-        h_dth = {i: {m: c * self._weight(m) / weight.get(i, 1)
-                     for m, c in r.items()} for i, r in dth.items()}
-        if all(c.denominator == 1 for r in h_dth.values() for c in r.values()):
-            self.domain = sp.ZZ
-            self.syms = tuple(_H_BASIS.get(s, (s,))[0] for s in self.gsyms)
-            dth = {i: {m: c.numerator for m, c in r.items()}
-                   for i, r in h_dth.items()}
-        else:
-            self.domain, self._hpos, self.syms = sp.QQ, [], self.gsyms
         self.index = {s: i for i, s in enumerate(self.syms)}
         self._gindex = {s: i for i, s in enumerate(self.gsyms)}
         self.jets = [k if isinstance(k, tuple) else None for k in kinds]
@@ -355,7 +343,7 @@ class _RingAlgebra:
                       for i in range(self._nbytes)]
         self.zero = self._new({}, 0)
         self.one = self._new({0: 1}, 0)
-        self._dth = {i: self._from_exponents(r) for i, r in dth.items()}
+        self._dth = self.derivation(sx.DTAU_RULES)
         # x-derivative of each generator: the integer that turns it into
         # the next jet, the terms of a polynomial image over it, or None
         # past the prolongation depth; and each monomial's derivative
@@ -430,11 +418,6 @@ class _RingAlgebra:
             den = 0
         p.deg, p.den = self._degree(p), den
         return p
-
-    def _from_exponents(self, terms: dict) -> PackedPoly:
-        """The polynomial with coefficients {exponent tuple: c}."""
-        return self._new({self._pack(m): c for m, c in terms.items()},
-                         max(map(sum, terms), default=0))
 
     def const(self, c) -> PackedPoly:
         return self._new({0: c} if c else {}, 0)
@@ -577,21 +560,31 @@ class _RingAlgebra:
             acc |= m
         return {i for i, e in enumerate(self._unpack(acc)) if e}
 
+    def derivation(self, rules) -> dict:
+        """The derivation given by `rules`, {g-basis symbol: Expr of its
+        image}, on the generators here: {i: image of generator i}, the
+        image of g / w for an h-basis generator (weight w) the rule over
+        w, and none for a listed constant.  Converted once; `derive`
+        applies it."""
+        return {i: self.conv(rules[s] / _H_BASIS.get(s, (s, 1))[1])
+                for i, s in enumerate(self.gsyms)
+                if s in rules and s not in self.constants}
+
+    def derive(self, p, images) -> PackedPoly:
+        """sum_i dp/dx_i images[i]: the derivation `images` on p."""
+        return sum((self.diff(p, i) * images[i]
+                    for i in self.support(p) & images.keys()), self.zero)
+
     def dth(self, p) -> PackedPoly:
         """d/dth through the tau-dependent leaves (DTAU_RULES)."""
-        out = self.zero
-        for i in self.support(p):
-            rule = self._dth.get(i)
-            if rule is not None:
-                out = out + self.diff(p, i) * rule
-        return out
+        return self.derive(p, self._dth)
 
     # -- boundary -------------------------------------------------------
 
     def lift(self, e):
         """(c, d) with c / d equal to e, an Expr or a sympy polynomial over
         QQ in the g basis: c an element, d the least positive integer that
-        leaves no ground denominator in c (1 over QQ).  ClosureError for
+        leaves no ground denominator in c.  ClosureError for
         anything that is not a rational function over QQ in the
         generators with a monomial denominator, floats included."""
         ring = getattr(e, "ring", None)
@@ -618,18 +611,16 @@ class _RingAlgebra:
                 pass
             else:
                 (n, dn), (m, dm) = self._from_g(q.numer), self._from_g(q.denom)
-                c = n * dm * self.inverse(m)
-                return (c, 1) if self.domain == sp.QQ else _integral(c, dn)
+                return _integral(n * dm * self.inverse(m), dn)
         raise ClosureError(f"{e} is not a rational function over QQ")
 
     def _from_g(self, q):
         """lift of a polynomial of G, or of its terms {exponents: c}."""
         terms = {m: c * self._weight(m) for m, c in q.items()}
-        if self.domain == sp.QQ:
-            return self._from_exponents(terms), 1
         d = lcm(*(c.denominator for c in terms.values()))
-        return self._from_exponents({m: c.numerator * (d // c.denominator)
-                                     for m, c in terms.items()}), d
+        return self._new({self._pack(m): c.numerator * (d // c.denominator)
+                          for m, c in terms.items()},
+                         max(map(sum, terms), default=0)), d
 
     def conv(self, e) -> PackedPoly:
         """lift(e) as one element, c / d."""

@@ -14,9 +14,9 @@ pole, 1/(wpv - wpu) in the template and 1/(u - v) in the closed forms,
 on packed elements (_clear_pole).
 
 The structure constants are exact, in one ring per n,
-Q[g1, g2, g3, T, z.., z.._x]; the delta calculus of their tables runs
-over ZZ in the basis h2 = g2/12, h3 = g3/2 (see distcalc).  Numerics
-enter only in verification suites.
+Q[g1, g2, g3, T, z.., z.._x]; the r-matrix template and the delta
+calculus of their tables run over ZZ in the h basis of distcalc.
+Numerics enter only in verification suites.
 """
 
 from __future__ import annotations
@@ -54,18 +54,23 @@ def field_name(a: int) -> str:
     return f"z{a}"
 
 
+# (wp, hdwp = dwp / 2, 2 hdwp^2 = (4 wp^3 - g2 wp - g3) / 2) at u and v
+_WP = {var: (w, dcx._H_BASIS[dw][0], (4 * w ** 3 - g2 * w - g3) / 2)
+       for var, w, dw in (("u", wpu, dwpu), ("v", wpv, dwpv))}
+
+
 def spectral_basis(alg: dcx._RingAlgebra, a: int, which: str):
     """Basis function with a pole of order a at the origin, as an element
-    of `alg` in the Weierstrass leaves of the chosen spectral variable."""
-    w, dw = (alg.gen(s) for s in ((wpu, dwpu) if which == "u"
-                                  else (wpv, dwpv)))
+    of `alg` in the Weierstrass leaves of the chosen spectral variable:
+    wp^(a/2) for even a, -hdwp wp^((a-3)/2) for odd a."""
+    w, hdw = (alg.gen(s) for s in _WP[which][:2])
     if a == 0:
         return alg.one
     if a == 1 or a < 0:
         raise DomainError(f"no basis element of pole order {a}")
     if a % 2 == 0:
         return w ** (a // 2)
-    return -dw * w ** ((a - 3) // 2) * sp.QQ(1, 2)
+    return -hdw * w ** ((a - 3) // 2)
 
 
 def generating_field(alg: dcx._RingAlgebra, n: int, which: str):
@@ -82,7 +87,7 @@ def q_weight_sym(alg: dcx._RingAlgebra, first: str, second: str):
     an element of `alg`: the denominator wpv - wpu is its generator
     dinv, shared by every weight so that sums combine exactly."""
     x = alg.gen
-    half = (x(dwpu) + x(dwpv)) * x(sx.dinv) * sp.QQ(1, 2)
+    half = (x(_WP["u"][1]) + x(_WP["v"][1])) * x(sx.dinv)
     if (first, second) == ("u", "v"):
         return half + x(zwv) - x(g1) * x(v)
     if (first, second) == ("v", "u"):
@@ -257,17 +262,23 @@ def _clear_pole(p, i_inv: int, hi, lo):
 def _spectral_clear(p):
     """The template element p, whose only denominators are the powers of
     its generator dinv = 1/(wpv - wpu), with that pole cleared by
-    _clear_pole after dwp^2 = 4 wp^3 - g2 wp - g3 is rewritten at both
-    spectral points (the divisor has no dwp, so the two commute; the
-    rewrite runs on p over its least common denominator, on integers);
+    _clear_pole after 2 hdwp^2 = 2 wp^3 - 6 h2 wp - h3, dwp^2 = 4 wp^3 -
+    g2 wp - g3 in the h basis, is rewritten at both spectral points (the
+    divisor has no hdwp, so the two commute).  The rewrite runs on
+    integers: on p over its least common denominator, times 2^K for
+    hdwp^k its highest power and K = k // 2, 2^K kept in the scale;
     ExtractionError when a u, v or zeta leaf survives."""
     alg = p.ring
     at, x = alg.index, alg.gen
     p, scale = dcx._integral(p, 1)
-    for w, dw in ((wpu, dwpu), (wpv, dwpv)):
-        square = x(w) ** 3 * 4 - x(g2) * x(w) - x(g3)
-        p = sum((c * x(dw) ** (k % 2) * square ** (k // 2)
-                 for k, c in alg.coefficients(p, at[dw]).items()), alg.zero)
+    for w, hdw, rule in _WP.values():
+        twice_square = alg.conv(rule)
+        parts = alg.coefficients(p, at[hdw])
+        K = max(parts, default=0) // 2
+        scale <<= K
+        p = sum((c * 2 ** (K - k // 2) * x(hdw) ** (k % 2)
+                 * twice_square ** (k // 2) for k, c in parts.items()),
+                alg.zero)
     p = _clear_pole(p, at[sx.dinv], wpv, x(wpu)) / scale
     for bad in (u, v, zwu, zwv):
         if at[bad] in alg.support(p):
@@ -309,46 +320,41 @@ def thm3_extract(n: int) -> StructConsts:
     eth = d/d(th) applied to the spectral basis inside e.  Both right
     sides are elements of the template algebra, polynomial in the
     Weierstrass leaves and dinv = 1/(wpv - wpu); clearing the shared
-    denominator must cancel every bare u, v, zeta leaf exactly.
+    denominator must cancel every bare u, v, zeta leaf exactly.  The
+    template is linear in the weights q and lambda = 1/n, so it is
+    formed with n q and lambda n = 1, and both sides are cleared times n
+    and read off at scale n: every coefficient before that is an integer.
     """
-    lam = sp.QQ(1, n)
     idx = field_indices(n)
     R = _structconsts_algebra(n).G
     alg = dcx._RingAlgebra(_SPECTRAL + R.symbols,
                            [field_name(a) for a in idx], frozen=False)
     Dx, Dth = alg.dx, alg.dth
-    images = {var: [(alg.index[s], alg.conv(r))
-                    for s, r in sx._DU_RULES[var].items()]
-              for var in ("u", "v")}
-
-    def d_spectral(p, var):
-        return sum((alg.diff(p, i) * img for i, img in images[var]),
-                   alg.zero)
+    du, dv = (alg.derivation(sx._DU_RULES[var]) for var in ("u", "v"))
 
     eu = generating_field(alg, n, "u")
     ev = generating_field(alg, n, "v")
-    du_eu = d_spectral(eu, "u")
-    dv_ev = d_spectral(ev, "v")
-    qvu = q_weight_sym(alg, "v", "u")
-    quv = q_weight_sym(alg, "u", "v")
+    du_eu = alg.derive(eu, du)
+    dv_ev = alg.derive(ev, dv)
+    qvu = q_weight_sym(alg, "v", "u") * n
+    quv = q_weight_sym(alg, "u", "v") * n
 
-    A = rmatrix_delta_prime_coeff(qvu, quv, du_eu, ev, eu, dv_ev, lam)
-    B = rmatrix_delta_coeff(
-        qvu, quv, alg.gen(T) * Dth(qvu), d_spectral(qvu, "u"),
-        eu, ev, du_eu, Dx(eu), Dx(ev), Dx(dv_ev), lam)
+    nA = rmatrix_delta_prime_coeff(qvu, quv, du_eu, ev, eu, dv_ev, 1)
+    nB = rmatrix_delta_coeff(
+        qvu, quv, alg.gen(T) * Dth(qvu), alg.derive(qvu, du),
+        eu, ev, du_eu, Dx(eu), Dx(ev), Dx(dv_ev), 1)
 
-    eth_u = Dth(eu)
-    eth_v = Dth(ev)
+    eth_u, eth_v = Dth(eu), Dth(ev)
 
-    P = _coeff_split(alg.g_basis(_spectral_clear(A - eu * eth_v
-                                                 - eth_u * ev)), n, R)
+    P = _coeff_split(alg.g_basis(_spectral_clear(
+        nA - (eu * eth_v + eth_u * ev) * n), n), n, R)
 
     dx_basis_v = {b: Dx(spectral_basis(alg, b, "v")) for b in idx}
-    sum_p_dxp = sum(
+    n_sum_p_dxp = sum(
         (spectral_basis(alg, a, "u") * dx_basis_v[b]
-         * alg.conv(P[(a, b)]) for a in idx for b in idx), alg.zero)
+         * alg.conv(P[(a, b)] * n) for a in idx for b in idx), alg.zero)
     Q = _coeff_split(alg.g_basis(_spectral_clear(
-        B - sum_p_dxp - eu * Dx(eth_v) - eth_u * Dx(ev))), n, R)
+        nB - n_sum_p_dxp - (eu * Dx(eth_v) + eth_u * Dx(ev)) * n), n), n, R)
 
     sc = StructConsts(n=n, P=P, Q=Q, generator="thm3_extract")
     _check_homogeneity(sc)

@@ -26,6 +26,8 @@ from .errors import LoopBracketsError
 from .symexpr import jet
 
 TAU_BOX = {"re": 0.5, "im_lo": 0.8, "im_hi": 2.0}
+# the field counts of the Poisson suite, which the scripts accept too
+POISSON_NS = range(2, 7)
 
 
 def sample_tau(rng) -> complex:
@@ -299,8 +301,9 @@ def run_poisson_suite(n: int = 2, seed: int = 0, jets: int = 20,
                       tol: float = 1e-8, corrupt: bool = False) -> SuiteReport:
     """Extraction, closed-form match, antisymmetry, Jacobi, descent and
     chart-independence checks for one field count n."""
-    if not 2 <= n <= 6:
-        raise models.DomainError(f"n = {n} outside the supported range 2..6")
+    if n not in POISSON_NS:
+        raise models.DomainError(f"n = {n} outside the supported range "
+                                 f"{POISSON_NS[0]}..{POISSON_NS[-1]}")
     if jets < 1:
         raise ValueError("jets must be >= 1")
     rng = np.random.default_rng(seed)

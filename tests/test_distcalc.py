@@ -586,7 +586,6 @@ class TestIntegerAlgebra:
 
     def test_rules_derived_from_dtau_rules(self, n2):
         alg = n2.to_bracket_table().alg
-        assert alg.domain == sp.ZZ
         subs = {sx.g2: 12 * self.H2, sx.g3: 2 * self.H3}
         got = {}
         for g, h, w in ((sx.g1, sx.g1, 1), (sx.g2, self.H2, 12),
@@ -598,12 +597,28 @@ class TestIntegerAlgebra:
         assert got == {g1: h2 - g1 ** 2, h2: h3 - 4 * g1 * h2,
                        h3: 24 * h2 ** 2 - 6 * g1 * h3}
 
-    def test_zeta_leaves_keep_qq(self):
-        # the zeta rule halves dwpu, which no basis of g2, g3 removes
+    def test_template_rules_in_the_h_basis(self):
+        """The thm3 template algebra computes in hdwpu = dwpu/2 and
+        hdwpv = dwpv/2 as well: every image of its derivations, d/dth
+        (DTAU_RULES) and d/du, d/dv (_DU_RULES), is the rule in the h
+        basis over the generator's weight, with integer coefficients."""
         R = models._structconsts_algebra(2).G
         alg = dc._RingAlgebra(models._SPECTRAL + R.symbols, ("z0", "z2"),
                               frozen=False)
-        assert alg.domain == sp.QQ and alg.syms == alg.gsyms
+        HU, HV = sp.symbols("hdwpu hdwpv")
+        weights = {sx.g2: (self.H2, 12), sx.g3: (self.H3, 2),
+                   sx.dwpu: (HU, 2), sx.dwpv: (HV, 2)}
+        assert {h for h, _ in weights.values()} <= set(alg.syms)
+        assert not weights.keys() & set(alg.syms)
+        subs = {g: w * h for g, (h, w) in weights.items()}
+        for rules in (sx.DTAU_RULES, *sx._DU_RULES.values()):
+            images = alg.derivation(rules)
+            assert {alg.gsyms[i] for i in images} == set(rules)
+            for i, image in images.items():
+                g = alg.gsyms[i]
+                want = rules[g].subs(subs) / weights.get(g, (g, 1))[1]
+                assert sp.expand(image.as_expr() - want) == 0, g
+                assert all(type(c) is int for c in image.values()), g
 
     @pytest.mark.parametrize("n, scale", [(2, 1), (3, 6), (4, 4)])
     def test_entries_map_back_exactly(self, n, scale):
@@ -655,12 +670,14 @@ class TestIntegerAlgebra:
 class TestPackedAgainstSympy:
     """The packed element type against sympy's PolyRing and FracField, a
     reference that shares no code with it: seeded random elements of the
-    n = 4 table algebra (ZZ, h basis) and of the QQ algebra of the thm3
-    template, read out field by field from their packed monomials.  The
-    reference x-derivative is the chain rule over the generators, with
-    the tau rules taken from DTAU_RULES by substitution."""
+    n = 4 table algebra and of the algebra of the thm3 template (both
+    over ZZ in the h basis), read out field by field from their packed
+    monomials.  The reference x-derivative is the chain rule over the
+    generators, with the tau rules taken from DTAU_RULES by
+    substitution."""
 
-    H = {sp.Symbol("h2"): (sx.g2, 12), sp.Symbol("h3"): (sx.g3, 2)}
+    H = {sp.Symbol("h2"): (sx.g2, 12), sp.Symbol("h3"): (sx.g3, 2),
+         sp.Symbol("hdwpu"): (sx.dwpu, 2), sp.Symbol("hdwpv"): (sx.dwpv, 2)}
 
     @pytest.fixture(scope="class", params=["table_n4", "template_n4"])
     def algebras(self, request):
@@ -675,11 +692,10 @@ class TestPackedAgainstSympy:
                 fields, frozen=False)
         frozen = dc._RingAlgebra(alg.gsyms, fields, frozen=True)
         R = sp.ring(alg.syms, sp.QQ)[0]
-        h_basis = alg.domain == sp.ZZ
-        subs = {g: w * h for h, (g, w) in self.H.items()} if h_basis else {}
+        subs = {g: w * h for h, (g, w) in self.H.items()}
         rules = {}
         for s in alg.syms:
-            g, w = self.H.get(s, (s, 1)) if h_basis else (s, 1)
+            g, w = self.H.get(s, (s, 1))
             if g in sx.DTAU_RULES:
                 rules[s] = R(sp.expand(sx.DTAU_RULES[g].subs(subs) / w))
         return alg, frozen, fields, R, rules
@@ -715,8 +731,6 @@ class TestPackedAgainstSympy:
         p, r = alg.zero, R.zero
         for _ in range(int(rng.integers(1, 5))):
             c = int(rng.integers(-9, 10)) or 1
-            if alg.domain == sp.QQ:
-                c = sp.QQ(c, int(rng.integers(1, 4)))
             tp, tr = alg.const(c), R(c)
             for _ in range(int(rng.integers(1, 4))):
                 s = gens[int(rng.integers(len(gens)))]

@@ -50,7 +50,7 @@ class TestBasics:
         x = alg.gen
         assert models.spectral_basis(alg, 0, "u") == 1
         assert models.spectral_basis(alg, 2, "u") == x(sx.wpu)
-        assert models.spectral_basis(alg, 3, "v") + x(sx.dwpv) / 2 == 0
+        assert models.spectral_basis(alg, 3, "v") * 2 + alg.conv(sx.dwpv) == 0
         assert models.spectral_basis(alg, 4, "u") - x(sx.wpu) ** 2 == 0
         for a in (1, -2):
             with pytest.raises(DomainError):
@@ -313,7 +313,7 @@ class TestPackedSpectralClear:
         Returns the algebra, p and K."""
         rng = np.random.default_rng(seed)
         alg = template_algebra(3)
-        x = alg.gen
+        x = alg.conv
         D = x(sx.wpv) - x(sx.wpu)
 
         def poly():
@@ -442,6 +442,43 @@ class TestDerivationRings:
         assert calls.count("Poly") == 0
         assert [calls.count(name) for name in self.DERIVATIONS] == [0, 0, 0]
         assert (calls.count("ring"), calls.count("field")) == rings
+
+
+class TestIntegerTemplate:
+    """The thm3 template computes over ZZ in the h basis, hdwp = dwp/2
+    included: rational arithmetic runs only where the entries leave for
+    the g-basis ring."""
+
+    def test_rational_constructions_pinned(self, monkeypatch):
+        """After a warm-up call, thm3_extract(6) makes at most a third of
+        the 37,788 PythonMPQ constructions of the template kept over QQ
+        in the g basis."""
+        from sympy.external.pythonmpq import PythonMPQ
+        models.thm3_extract(6)
+        new = PythonMPQ.__dict__["_new"].__func__
+        calls = []
+
+        def counted(cls, *args):
+            calls.append(None)
+            return new(cls, *args)
+        monkeypatch.setattr(PythonMPQ, "_new", classmethod(counted))
+        models.thm3_extract(6)
+        assert 0 < len(calls) <= 37788 // 3
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_wrong_odd_leaf_rewrite_detected(self, n, monkeypatch):
+        """Negative control: 2 hdwp^2 rewritten with the sign of g3 (so
+        of h3) flipped makes the extraction raise or miss the closed
+        forms."""
+        wrong = {var: (w, h, rule.subs(sx.g3, -sx.g3))
+                 for var, (w, h, rule) in models._WP.items()}
+        monkeypatch.setattr(models, "_WP", wrong)
+        try:
+            fired = bool(models.match_structconsts(
+                models.thm3_extract(n), models.appendix_table(n)))
+        except (DivisibilityError, ExtractionError):
+            fired = True
+        assert fired
 
 
 class TestBracketTables:

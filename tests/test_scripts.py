@@ -1,13 +1,17 @@
 """Smoke test of the command-line scripts: each runs in a fresh
 interpreter with the package on its path and exits 0, and rejects an
-out-of-range argument with a usage error."""
+out-of-range argument with a usage error.  The field-count range is
+checked in this process, with the first derivation stubbed out."""
 
+import importlib.util
 import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
+
+from loopbrackets import models, verify
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -52,3 +56,67 @@ def test_export_tables_rejects_range(args, flag, tmp_path):
     assert out.returncode == 2
     assert flag in out.stderr
     assert not any(tmp_path.iterdir())
+
+
+@pytest.mark.parametrize("restarts", ["0", "-3"])
+def test_nogo_restart_stats_rejects_restarts(restarts, tmp_path):
+    """Fewer than one restart is a usage error before the system is
+    built: nothing is printed and no CSV is written."""
+    csv = tmp_path / "r.csv"
+    out = _run("nogo_restart_stats.py",
+               ["--restarts", restarts, "--csv", str(csv)])
+    assert out.returncode == 2
+    assert "--restarts" in out.stderr and "Traceback" not in out.stderr
+    assert out.stdout == "" and not csv.exists()
+
+
+class _Reached(Exception):
+    """Raised by a stub of the first derivation a run would start."""
+
+
+def _reached(*args, **kwargs):
+    raise _Reached
+
+
+def _accepts(call) -> bool:
+    """True when call() gets past its argument checks to the stub, False
+    when it refuses them (a DomainError, or a usage error with exit 2)."""
+    try:
+        call()
+    except _Reached:
+        return True
+    except models.DomainError:
+        return False
+    except SystemExit as e:
+        assert e.code == 2
+        return False
+    raise AssertionError("neither refused nor reached the stub")
+
+
+def _script_main(script, argv, monkeypatch):
+    """The main of a script, loaded in this process, with argv set."""
+    spec = importlib.util.spec_from_file_location(
+        script.removesuffix(".py"), ROOT / "scripts" / script)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    monkeypatch.setattr(sys, "argv", [script, *argv])
+    return mod.main
+
+
+@pytest.mark.parametrize("n", range(-1, 10))
+def test_scripts_refuse_what_the_poisson_suite_refuses(n, tmp_path,
+                                                       monkeypatch):
+    """run_all_suites.py --nmax and export_tables.py --nmin, --nmax take
+    exactly the field counts run_poisson_suite takes: with the first
+    derivation of each run stubbed out, each accepts n or refuses it
+    together with the suite."""
+    monkeypatch.setattr(models, "thm3_extract", _reached)
+    monkeypatch.setattr(verify, "run_identity_suite", _reached)
+    suite = _accepts(lambda: verify.run_poisson_suite(n=n))
+    assert suite == (2 <= n <= 6)
+    for script, argv in (("run_all_suites.py", ["--nmax", str(n)]),
+                         ("export_tables.py", ["--nmin", str(n)]),
+                         ("export_tables.py", ["--nmax", str(n)])):
+        main = _script_main(script, [*argv, "--out", str(tmp_path)],
+                            monkeypatch)
+        assert _accepts(main) == suite, (script, argv)
