@@ -271,6 +271,8 @@ class PackedPoly(dict, CantSympify):
     def __truediv__(self, other):
         if not isinstance(other, _SCALARS) or not other:
             return NotImplemented
+        if other == 1:
+            return self
         return self * (sp.QQ.one / other)
 
     def __pow__(self, n):

@@ -266,7 +266,8 @@ def _spectral_clear(p):
     g2 wp - g3 in the h basis, is rewritten at both spectral points (the
     divisor has no hdwp, so the two commute).  The rewrite runs on
     integers: on p over its least common denominator, times 2^K for
-    hdwp^k its highest power and K = k // 2, 2^K kept in the scale;
+    hdwp^k its highest power and K = k // 2.  Returns the cleared element
+    times that scale, and the scale, for g_basis to divide out;
     ExtractionError when a u, v or zeta leaf survives."""
     alg = p.ring
     at, x = alg.index, alg.gen
@@ -279,12 +280,12 @@ def _spectral_clear(p):
         p = sum((c * 2 ** (K - k // 2) * x(hdw) ** (k % 2)
                  * twice_square ** (k // 2) for k, c in parts.items()),
                 alg.zero)
-    p = _clear_pole(p, at[sx.dinv], wpv, x(wpu)) / scale
+    p = _clear_pole(p, at[sx.dinv], wpv, x(wpu))
     for bad in (u, v, zwu, zwv):
         if at[bad] in alg.support(p):
             raise ExtractionError(
                 f"spectral leaf {bad} survives the cancellation step")
-    return p
+    return p, scale
 
 
 def _coeff_split(p, n: int, R) -> dict:
@@ -346,15 +347,16 @@ def thm3_extract(n: int) -> StructConsts:
 
     eth_u, eth_v = Dth(eu), Dth(ev)
 
-    P = _coeff_split(alg.g_basis(_spectral_clear(
-        nA - (eu * eth_v + eth_u * ev) * n), n), n, R)
+    num, scale = _spectral_clear(nA - (eu * eth_v + eth_u * ev) * n)
+    P = _coeff_split(alg.g_basis(num, n * scale), n, R)
 
     dx_basis_v = {b: Dx(spectral_basis(alg, b, "v")) for b in idx}
     n_sum_p_dxp = sum(
         (spectral_basis(alg, a, "u") * dx_basis_v[b]
          * alg.conv(P[(a, b)] * n) for a in idx for b in idx), alg.zero)
-    Q = _coeff_split(alg.g_basis(_spectral_clear(
-        nB - n_sum_p_dxp - (eu * Dx(eth_v) + eth_u * Dx(ev)) * n), n), n, R)
+    num, scale = _spectral_clear(
+        nB - n_sum_p_dxp - (eu * Dx(eth_v) + eth_u * Dx(ev)) * n)
+    Q = _coeff_split(alg.g_basis(num, n * scale), n, R)
 
     sc = StructConsts(n=n, P=P, Q=Q, generator="thm3_extract")
     _check_homogeneity(sc)
@@ -1215,15 +1217,60 @@ def _real_split(sys: NoGoSystem):
     return resid, jac
 
 
+# residual evaluations per restart, and the gradient, step and decrease
+# tolerance of _levenberg_marquardt (scipy's least_squares defaults)
+_LM_MAX_NFEV = 400
+_LM_TOL = 1e-8
+
+
+def _levenberg_marquardt(resid, jac, x):
+    """Minimise |resid(x)|^2 from x by damped Gauss-Newton steps
+    (JtJ + mu I) h = -Jt f (Madsen, Nielsen and Tingleff, "Methods for
+    non-linear least squares problems", 2004, alg. 3.16).  mu > 0 keeps
+    the system positive definite where J is rank deficient, and follows
+    the gain ratio by Nielsen's rule.  Stops once the gradient |Jt f|_inf,
+    the step relative to |x|, or an accepted step's relative decrease of
+    the squared residual is at most _LM_TOL, or after _LM_MAX_NFEV
+    residual evaluations.  Returns (x, squared residual, nfev, njev)."""
+    f = resid(x)
+    J = jac(x)
+    nfev = njev = 1
+    cost, A, g = f @ f, J.T @ J, J.T @ f
+    mu, nu = 1e-3 * A.diagonal().max(), 2.0
+    eye = np.eye(len(x))
+    while nfev < _LM_MAX_NFEV and np.abs(g).max() > _LM_TOL:
+        h = np.linalg.solve(A + mu * eye, -g)
+        if np.linalg.norm(h) <= _LM_TOL * (np.linalg.norm(x) + _LM_TOL):
+            break
+        f_new = resid(x + h)
+        nfev += 1
+        cost_new = f_new @ f_new
+        # gain ratio: actual over predicted decrease of |f|^2, the latter
+        # positive in exact arithmetic but not always after rounding
+        rho = (cost - cost_new) / (h @ (mu * h - g))
+        if not (cost_new < cost and rho > 0):
+            mu, nu = mu * nu, 2 * nu
+            continue
+        small = cost - cost_new <= _LM_TOL * cost
+        x, f, cost = x + h, f_new, cost_new
+        J = jac(x)
+        njev += 1
+        A, g = J.T @ J, J.T @ f
+        mu, nu = mu * max(1 / 3, 1 - (2 * rho - 1) ** 3), 2.0
+        if small:
+            break
+    return x, float(cost), nfev, njev
+
+
 def prop1_certificate(sys: NoGoSystem, restarts: int = 100,
                       seed: int = 0) -> dict:
     """Multi-start least-squares minimization of the squared residual;
-    the smallest value found is the no-go evidence.  "values" lists the
-    squared residual of every restart, in order.  The solver gets the
-    exact Jacobian, in the real block form of _real_split.  ValueError
-    for fewer than one restart."""
-    from scipy.optimize import least_squares
-
+    the smallest value found is the no-go evidence.  Each restart starts
+    from a seeded normal point and runs _levenberg_marquardt on the
+    residual and exact Jacobian of _real_split, for at most _LM_MAX_NFEV
+    (400) residual evaluations.  "values" lists the squared residual of
+    every restart, in order, and "nfev" and "njev" its residual and
+    Jacobian evaluations.  ValueError for fewer than one restart."""
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
 
@@ -1232,14 +1279,15 @@ def prop1_certificate(sys: NoGoSystem, restarts: int = 100,
 
     best = np.inf
     best_x = None
-    values = []
+    values, nfevs, njevs = [], [], []
     for _ in range(restarts):
         x0 = rng.normal(scale=1.0, size=2 * len(sys.unknowns))
-        res = least_squares(resid, x0, jac=jac, method="lm", max_nfev=400)
-        val = float(2 * res.cost)  # sum of squares
+        x, val, nfev, njev = _levenberg_marquardt(resid, jac, x0)
         values.append(val)
+        nfevs.append(nfev)
+        njevs.append(njev)
         if val < best:
-            best, best_x = val, res.x
+            best, best_x = val, x
     return {
         "s": str(sys.s),
         "restarts": restarts,
@@ -1250,6 +1298,8 @@ def prop1_certificate(sys: NoGoSystem, restarts: int = 100,
         else None,
         "n_equations": len(sys.c),
         "values": values,
+        "nfev": nfevs,
+        "njev": njevs,
     }
 
 

@@ -216,14 +216,16 @@ def run_identity_suite(seed: int = 0, trials: int = 100,
                 abs(fd - log_sigma_t) / max(1.0, abs(log_sigma_t)))
 
     checks = [_residual_check(k, v, tol) for k, v in res.items()]
-    # negative control: the cubic with a wrong invariant must blow up
+    # negative control: the cubic with both invariants 1% off must blow
+    # up; g2 and g3 never vanish together (the discriminant is nonzero),
+    # while g2 alone vanishes at tau = exp(2 pi i / 3)
     ctx = ctxs[0]
     bad = []
     for _ in range(5):
         z = sx.spectral_point(rng, ctx.tau)
         w = elliptic.wp(ctx, z)
         bad.append(abs(elliptic.wp_z(ctx, z) ** 2
-                       - (4 * w ** 3 - 1.01 * ctx.g2 * w - ctx.g3))
+                       - (4 * w ** 3 - 1.01 * (ctx.g2 * w + ctx.g3)))
                    / max(1.0, abs(w) ** 3))
     checks.append(_residual_check("control_wrong_invariant", bad, tol,
                                   negative=True, floor=1e-3))

@@ -5,6 +5,7 @@ checked in this process, with the first derivation stubbed out."""
 
 import importlib.util
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -34,6 +35,15 @@ def test_script_runs(script, args, tmp_path):
     out = _run(script, [a.format(tmp=tmp_path) for a in args])
     assert out.returncode == 0, out.stderr
     assert any(tmp_path.iterdir())
+
+
+def test_nogo_restart_stats_prints_evaluations():
+    out = _run("nogo_restart_stats.py", ["--restarts", "3"])
+    assert out.returncode == 0, out.stderr
+    got = re.search(r"^solver evaluations over 3 restarts: (\d+) residual, "
+                    r"(\d+) Jacobian$", out.stdout, re.MULTILINE)
+    nfev, njev = int(got[1]), int(got[2])
+    assert 3 <= njev <= nfev <= 3 * 400
 
 
 @pytest.mark.parametrize("nmax", ["1", "7"])

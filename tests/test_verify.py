@@ -4,6 +4,7 @@ negative controls actually fire, and reports serialize deterministically."""
 import inspect
 import json
 
+import numpy as np
 import pytest
 import sympy as sp
 
@@ -91,6 +92,17 @@ class TestIdentitySuite:
     def test_has_negative_control(self):
         rep = verify.run_identity_suite(seed=0, trials=10)
         assert any(c.negative_control for c in rep.checks)
+
+    def test_control_fires_where_g2_vanishes(self):
+        """Seed 316 puts the control's tau at 0.4965+0.8650i, next to
+        exp(2 pi i / 3) mod 1, where |g2| = 2.85: a 1% error in g2 alone
+        reads 4e-4 there, below the 1e-3 floor."""
+        rep = verify.run_identity_suite(seed=316, trials=1200)
+        control = next(c for c in rep.checks
+                       if c.name == "control_wrong_invariant")
+        assert abs(elliptic.make_context(
+            verify.sample_tau(np.random.default_rng(316))).g2) < 3
+        assert control.passed and control.max_residual > 1e-3
 
     def test_tight_tolerance_fails_honestly(self):
         rep = verify.run_identity_suite(seed=0, trials=10, tol=1e-300)
