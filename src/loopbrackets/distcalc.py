@@ -2,8 +2,8 @@
 
 A local bracket is stored as a :class:`BracketTable`: for each ordered
 pair of generators, a list of :class:`DeltaTerm` whose coefficients are
-differential polynomials anchored at the first point x.  Composite
-brackets (Leibniz extension, triple brackets for Jacobi) are built as
+differential polynomials anchored at the first point x.  The Leibniz
+extension {a(x), E(y)} and the triple brackets of Jacobi are built as
 raw multi-point terms and pushed to the canonical basis
 
     coeff(x) * delta^(p)(x-y) * delta^(q)(x-w)
@@ -17,8 +17,13 @@ by rewrite rules applied to a fixpoint:
   R3' delta^(m)(x-w) delta^(n)(y-w)
         = (-1)^n sum_j binom(m,j) delta^(n+j)(x-y) delta^(m-j)(x-w)
 
-R3' follows from R1 and R3; all four are validated against direct
-pairings with polynomial test functions in the test suite.
+R3' is R1 on delta^(n)(y-w), then R3 on the chain x-w-y, and canonicalize
+applies it that way; all four are validated against direct pairings with
+polynomial test functions in the test suite.  A bracket of two
+expressions {F(x), G(y)} (bracket_of_functions) makes no raw terms: it
+is the sum over the partials dF/d(f^(k)) of dF(x) d^k/dx^k {f(x), G(y)},
+each Leibniz bracket read from the memo and differentiated by
+d/dx [C(x) delta^(m)(x-y)] = C'(x) delta^(m)(x-y) + C(x) delta^(m+1)(x-y).
 
 Every table owns one coefficient algebra (:class:`_RingAlgebra`), built
 when the table is: sparse polynomials over ZZ in the basis h2 = g2/12,
@@ -679,21 +684,19 @@ def canonicalize(raw_terms, alg) -> DistPoly:
                     scale = -scale
             deltas.append((a, b, k))
 
-        pairs = tuple(sorted((a, b) for a, b, _ in deltas))
-        if len(deltas) == 2 and pairs == (("x", "y"), ("y", "w")):
-            m = next(d[2] for d in deltas if d[:2] == ("x", "y"))
-            n = next(d[2] for d in deltas if d[:2] == ("y", "w"))
+        # R3 on the chain x-b-c, delta^(m)(x-b) delta^(n)(b-c).  After R1
+        # the delta off x is delta^(n)(y-w): the chain is x-y-w, or x-w-y
+        # once R1 turns it into (-1)^n delta^(n)(w-y) (R3').
+        tail = next((d for d in deltas if d[0] != "x"), None)
+        if len(deltas) == 2 and tail is not None:
+            (_, b, m), = (d for d in deltas if d is not tail)
+            n = tail[2]
+            c = "y" if b == "w" else "w"
+            if b == "w" and n % 2:
+                scale = -scale
             for j in range(m + 1):
                 queue.append((scale * comb(m, j), fac,
-                              (("x", "y", m - j), ("x", "w", n + j))))
-            continue
-        if len(deltas) == 2 and pairs == (("x", "w"), ("y", "w")):
-            m = next(d[2] for d in deltas if d[:2] == ("x", "w"))
-            n = next(d[2] for d in deltas if d[:2] == ("y", "w"))
-            sign = -scale if n % 2 else scale
-            for j in range(m + 1):
-                queue.append((sign * comb(m, j), fac,
-                              (("x", "y", n + j), ("x", "w", m - j))))
+                              (("x", b, m - j), ("x", c, n + j))))
             continue
 
         p = "y" if "y" in fac else "w" if "w" in fac else None
@@ -927,26 +930,29 @@ def leibniz_bracket(table: BracketTable, a: str, E) -> DistPoly:
 
 def bracket_of_functions(table: BracketTable, F, G) -> DistPoly:
     """{F(x), G(y)} for differential expressions F, G in the table
-    fields, at the table's scale."""
+    fields, at the table's scale: the sum over the partials (f, k, dF) of
+    F of dF(x) d^k/dx^k {f(x), G(y)}, each {f(x), G(y)} a Leibniz bracket
+    differentiated k times by
+
+        d/dx [C(x) delta^(m)(x-y)] = C'(x) delta^(m)(x-y)
+                                     + C(x) delta^(m+1)(x-y)."""
     alg = table.alg
-    pF = _partials(alg, _element(table, F), table.fields)
-    pG = _partials(alg, _element(table, G), table.fields)
-    raws = []
-    for f, k, dF in pF:
-        for g, l, dG in pG:
-            if l % 2:
-                dG = -dG
-            for t in table.entry(f, g):
-                m = t.orders[0]
-                c = t.value
-                # d^k/dx^k d^l/dy^l [C(x) delta^(m)(x-y)]
-                for i in range(k + 1):
-                    raws.append(_RawTerm(
-                        (("x", dF * comb(k, i)), ("x", c), ("y", dG)),
-                        (("x", "y", m + l + k - i),)))
-                    if i < k:
-                        c = alg.dx(c)
-    return DistPoly(canonicalize(raws, alg=alg).terms, table.scale)
+    G = _element(table, G)
+    out: dict[int, list] = {}
+    for f, k, dF in _partials(alg, _element(table, F), table.fields):
+        terms = {t.orders[0]: t.value
+                 for t in leibniz_bracket(table, f, G).terms}
+        for _ in range(k):
+            parts: dict[int, list] = {}
+            for m, c in terms.items():
+                parts.setdefault(m, []).append((1, alg.dx(c)))
+                parts.setdefault(m + 1, []).append((1, c))
+            terms = {m: _sum(alg, p) for m, p in parts.items()}
+        for m, c in terms.items():
+            out.setdefault(m, []).append((1, dF * c))
+    terms = ((m, _sum(alg, out[m])) for m in sorted(out))
+    return DistPoly(tuple(DeltaTerm(c, (m,)) for m, c in terms if c),
+                    table.scale)
 
 
 def antisymmetry_defect(table: BracketTable, a: str, b: str) -> DistPoly:
@@ -1023,15 +1029,14 @@ def _compose(p, images: dict, K, powers: dict):
 
 
 def change_coordinates(table: BracketTable, forward: dict, inverse: dict,
-                       eliminate: tuple[str, ...] = (),
-                       frozen_modular: bool | None = None) -> BracketTable:
+                       frozen_modular: bool = False) -> BracketTable:
     """Bracket table for new generators.
 
     forward maps each new field name to its expression in the old jets;
     inverse maps each old field name to its expression in the new jets
-    (auxiliary fields allowed).  Fields listed in `eliminate` must cancel
-    from every coefficient after substitution, else StructureError.
-    A frozen_modular result (default: as the source table) holds the
+    (auxiliary fields allowed).  Every jet of a field that is neither new
+    nor the modular field must cancel from every coefficient after
+    substitution, else StructureError.  A frozen_modular result holds the
     modular parameter constant, so its jets T, T_x, ... are set to zero.
 
     The substitution is a homomorphism from the table's algebra into an
@@ -1042,8 +1047,6 @@ def change_coordinates(table: BracketTable, forward: dict, inverse: dict,
     get the new table's own scale.
     """
     new_fields = tuple(forward)
-    if frozen_modular is None:
-        frozen_modular = table.frozen_modular
     fwd = {f: _element(table, e) for f, e in forward.items()}
     dps = {(a, b): bracket_of_functions(table, fwd[a], fwd[b])
            for a, b in itertools.product(new_fields, repeat=2)}
@@ -1075,7 +1078,8 @@ def change_coordinates(table: BracketTable, forward: dict, inverse: dict,
             if k < depth:
                 cur = K.dx(cur)
 
-    bad = {i for i, info in enumerate(K.jets) if info and info[0] in eliminate}
+    bad = {i for i, info in enumerate(K.jets)
+           if info and info[0] not in (*new_fields, sx.MODULAR_FIELD)}
     powers: dict = {}
     composed = {}
     for (a, b), dp in dps.items():

@@ -49,6 +49,11 @@ class EllipticContext:
 def make_context(tau: complex) -> EllipticContext:
     """Build an EllipticContext with the series truncation chosen from |q|.
 
+    The context holds tau translated by the integer part of its real
+    part, which changes neither the nome nor the lattice Z + Z tau, so
+    that the phase 2 pi Re(tau) is formed without rounding a large real
+    part; a tau with |Re(tau)| < 1 is kept as it is.
+
     Raises DomainError for a tau whose nome exp(2 pi i tau) cannot be
     formed (not finite, or a real part whose phase overflows) or with
     Im(tau) <= 0, ConvergenceError if the geometric tail cannot reach the
@@ -59,6 +64,8 @@ def make_context(tau: complex) -> EllipticContext:
         raise DomainError(f"modular parameter {tau} is not finite")
     if tau.imag <= 0:
         raise DomainError(f"modular parameter needs Im(tau) > 0, got {tau}")
+    if shift := math.trunc(tau.real):
+        tau -= shift
     tolerance = EllipticContext.tolerance
     q = cmath.exp(TWO_PI_I * tau)
     absq = abs(q)

@@ -306,6 +306,10 @@ def _coeff_split(p, n: int, R) -> dict:
     return out
 
 
+# d/dth on the leaves at v alone: the tau chain rule of Dx p_b(v)
+_DTH_V = {s: sx.DTAU_RULES[s] for s in (wpv, dwpv)}
+
+
 def thm3_extract(n: int) -> StructConsts:
     """Structure constants obtained by matching the generating-field
     bracket coefficient-by-coefficient in the spectral basis.
@@ -326,10 +330,10 @@ def thm3_extract(n: int) -> StructConsts:
     formed with n q and lambda n = 1, and both sides are cleared times n
     and read off at scale n: every coefficient before that is an integer.
     """
-    idx = field_indices(n)
     R = _structconsts_algebra(n).G
     alg = dcx._RingAlgebra(_SPECTRAL + R.symbols,
-                           [field_name(a) for a in idx], frozen=False)
+                           [field_name(a) for a in field_indices(n)],
+                           frozen=False)
     Dx, Dth = alg.dx, alg.dth
     du, dv = (alg.derivation(sx._DU_RULES[var]) for var in ("u", "v"))
 
@@ -347,16 +351,15 @@ def thm3_extract(n: int) -> StructConsts:
 
     eth_u, eth_v = Dth(eu), Dth(ev)
 
-    num, scale = _spectral_clear(nA - (eu * eth_v + eth_u * ev) * n)
-    P = _coeff_split(alg.g_basis(num, n * scale), n, R)
+    N, s = _spectral_clear(nA - (eu * eth_v + eth_u * ev) * n)
+    P = _coeff_split(alg.g_basis(N, n * s), n, R)
 
-    dx_basis_v = {b: Dx(spectral_basis(alg, b, "v")) for b in idx}
-    n_sum_p_dxp = sum(
-        (spectral_basis(alg, a, "u") * dx_basis_v[b]
-         * alg.conv(P[(a, b)] * n) for a in idx for b in idx), alg.zero)
-    num, scale = _spectral_clear(
-        nB - n_sum_p_dxp - (eu * Dx(eth_v) + eth_u * Dx(ev)) * n)
-    Q = _coeff_split(alg.g_basis(num, n * scale), n, R)
+    # p_b(v) depends on x through tau alone, so with N / s = n sum p_a(u)
+    # p_b(v) P_ab the P-sum of the delta side is T dth_v(N) / (n s)
+    num, s2 = _spectral_clear(
+        (nB - (eu * Dx(eth_v) + eth_u * Dx(ev)) * n) * s
+        - alg.gen(T) * alg.derive(N, alg.derivation(_DTH_V)))
+    Q = _coeff_split(alg.g_basis(num, n * s * s2), n, R)
 
     sc = StructConsts(n=n, P=P, Q=Q, generator="thm3_extract")
     _check_homogeneity(sc)
@@ -672,33 +675,6 @@ def structconsts_to_document(sc: StructConsts) -> dict:
     }
 
 
-def structconsts_from_document(doc: dict) -> StructConsts:
-    """The structure constants of a document written by
-    structconsts_to_document, in the n-field ring.  ExtractionError for
-    an entry that is not a polynomial there."""
-    R = _structconsts_algebra(doc["n"]).G
-
-    def entries(rows, term):
-        out = {}
-        for e in rows:
-            key = (e["a"], e["b"])
-            expr = sp.sympify(sum(term(t) for t in e["terms"]))
-            try:
-                out[key] = R.from_expr(expr)
-            except ValueError:
-                raise ExtractionError(
-                    f"entry {key} is not a polynomial in {R.symbols}: "
-                    f"{expr}") from None
-        return out
-
-    P = entries(doc["P"], lambda t: sx.parse(t["coeff"])
-                * jet(field_name(t["c"])) * jet(field_name(t["d"])))
-    Q = entries(doc["Q"], lambda t: sx.parse(t["coeff"])
-                * sx.parse(t["monomial"]))
-    return StructConsts(n=doc["n"], P=P, Q=Q,
-                        generator=doc.get("generator", ""))
-
-
 # ---------------------------------------------------------------------------
 # the explicit 3-field table and the projective descent
 
@@ -734,6 +710,9 @@ def lemma1_descend(table: dcx.BracketTable,
     coordinates p_a = z_a / z_den; asserts centrality of the modular
     field, then freezes its jets to zero (modular parameter becomes a
     constant of the reduced family)."""
+    if denominator_field == sx.MODULAR_FIELD:
+        raise StructureError(f"the modular field {denominator_field} is no "
+                             "projective coordinate to divide by")
     if denominator_field not in table.fields:
         raise StructureError(f"unknown denominator field {denominator_field}")
     zfields = [f for f in table.fields if f != sx.MODULAR_FIELD]
@@ -757,7 +736,6 @@ def lemma1_descend(table: dcx.BracketTable,
                     f"{terms}")
 
     return dcx.change_coordinates(table, forward, inverse,
-                                  eliminate=(denominator_field,),
                                   frozen_modular=True)
 
 

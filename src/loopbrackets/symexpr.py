@@ -184,12 +184,6 @@ def render(c) -> str:
     return sp.sstr(sp.expand(c.as_expr()), order="lex")
 
 
-def parse(s: str) -> sp.Expr:
-    """Inverse of render: every name in the text is a plain symbol."""
-    names = {name: sp.Symbol(name) for name in re.findall(r"[A-Za-z_]\w*", s)}
-    return sp.expand(sp.sympify(s, locals=names))
-
-
 # ---------------------------------------------------------------------------
 # numeric evaluation
 

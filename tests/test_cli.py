@@ -247,6 +247,13 @@ class TestDescendCommand:
         assert run_cli(["descend", "--n", "2",
                         "--denominator", "z9"]) == 2
 
+    def test_modular_denominator(self, capsys):
+        assert run_cli(["descend", "--n", "4",
+                        "--denominator", "th"]) == 2
+        err = capsys.readouterr().err
+        assert "modular field th is no projective coordinate" in err
+        assert "Traceback" not in err
+
 
 class TestEntryPoint:
     def test_installed_script(self):

@@ -51,6 +51,28 @@ class TestInvariants:
         with pytest.raises(DomainError, match="not finite"):
             elliptic.make_context(tau)
 
+    @pytest.mark.parametrize("k", [6, 9, 12])
+    def test_large_real_part_translated(self, k):
+        """tau and tau - trunc(Re tau) have one nome and one lattice; the
+        context holds the translated tau, and its values equal those
+        computed there."""
+        tau = complex(0.3 + 10 ** k, 0.9)
+        near = complex(tau.real - math.trunc(tau.real), tau.imag)
+        ctx, ref = elliptic.make_context(tau), elliptic.make_context(near)
+        assert ctx.tau == near
+        for got, want in ((ctx.g1, ref.g1), (ctx.g2, ref.g2),
+                          (ctx.g3, ref.g3),
+                          (elliptic.wp(ctx, 0.2 + 0.1j),
+                           elliptic.wp(ref, 0.2 + 0.1j))):
+            assert abs(got - want) <= 1e-12 * abs(want)
+
+    @pytest.mark.parametrize("tau", [0.3 + 0.9j, -0.7 + 0.9j, -0.0 + 1j,
+                                     0.999 + 0.5j])
+    def test_small_real_part_kept(self, tau):
+        got = elliptic.make_context(tau).tau
+        assert (got.real, got.imag) == (tau.real, tau.imag)
+        assert math.copysign(1, got.real) == math.copysign(1, tau.real)
+
     def test_huge_im_tau_accepted(self):
         # 2 pi i tau overflows only in its real part: the nome is 0
         assert elliptic.make_context(1e308j).nome_q == 0

@@ -1,6 +1,7 @@
 """Source hygiene: no module of the package imports a name at module level
 that it never uses, no private function or method goes unreferenced, no
-function mutates module-level state, and nothing calls sympy's heuristic
+public definition is left to the tests alone, no function mutates
+module-level state, and nothing calls sympy's heuristic
 `simplify` or `together`.  No linter is part of the toolchain, so this
 parses the modules with `ast` instead."""
 
@@ -110,6 +111,70 @@ def test_unreferenced_private_definition_detected():
               "        pass\n")
     assert unreferenced_private_definitions({"m.py": source}) == [
         "m.py:_dead", "m.py:_recursive", "m.py:_unused"]
+
+
+def unreferenced_public_definitions(package: dict[str, str],
+                                    others: dict[str, str]) -> list[str]:
+    """`module:name` for every public module-level function or class of
+    the `package` sources that nothing in `package` or `others` reads
+    outside its own definition: no Name, no attribute and no string
+    constant (the benchmark's tracer wraps functions named in strings)."""
+    def refs(tree):
+        return [n.id if isinstance(n, ast.Name) else
+                n.attr if isinstance(n, ast.Attribute) else n.value
+                for n in ast.walk(tree)
+                if isinstance(n, (ast.Name, ast.Attribute))
+                or (isinstance(n, ast.Constant) and isinstance(n.value, str))]
+
+    trees = {m: ast.parse(src) for m, src in {**package, **others}.items()}
+    total: dict[str, int] = {}
+    for tree in trees.values():
+        for name in refs(tree):
+            total[name] = total.get(name, 0) + 1
+    return sorted(
+        f"{m}:{node.name}" for m in package for node in trees[m].body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef))
+        and not node.name.startswith("_")
+        and total.get(node.name, 0) <= refs(node).count(node.name))
+
+
+def test_public_definitions_have_callers():
+    """Every public definition of the package is used by the package,
+    its scripts or the benchmark harness, not by its tests alone."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    package, others = {}, {}
+    for module in MODULES:
+        with open(os.path.join(PKG, module), encoding="utf-8") as fh:
+            package[module] = fh.read()
+    for top in ("scripts", "bench"):
+        for dirpath, _, files in os.walk(os.path.join(root, top)):
+            for f in files:
+                if f.endswith(".py"):
+                    path = os.path.join(dirpath, f)
+                    with open(path, encoding="utf-8") as fh:
+                        others[os.path.relpath(path, root)] = fh.read()
+    assert others
+    assert unreferenced_public_definitions(package, others) == []
+
+
+def test_unreferenced_public_definition_detected():
+    package = {"a.py": ("def used():\n"
+                        "    return 1\n"
+                        "def unused():\n"
+                        "    return used()\n"
+                        "def recursive(k):\n"
+                        "    return recursive(k - 1)\n"
+                        "def by_name():\n"
+                        "    pass\n"
+                        "class Dead:\n"
+                        "    def method(self):\n"
+                        "        pass\n"
+                        "def _private():\n"
+                        "    pass\n")}
+    others = {"bench/run.py": "LAYERS = ('by_name',)\n"}
+    assert unreferenced_public_definitions(package, others) == [
+        "a.py:Dead", "a.py:recursive", "a.py:unused"]
 
 
 MUTATORS = {"add", "update", "setdefault", "append", "extend", "pop", "clear",
