@@ -138,8 +138,8 @@ def _kind(s, fields, constants):
 
 
 def _table_algebra(seeds, orders, fields, constants, frozen: bool):
-    """The algebra of a table whose coefficients have the leaves of
-    `seeds` and delta orders `orders`.  With delta orders up to N and
+    """The algebra of a table whose coefficients have the leaves and jets
+    of `seeds` and delta orders `orders`.  With delta orders up to N and
     coefficient jets up to J, a Leibniz bracket takes at most N + J
     x-derivatives of a factor and a Jacobi defect 2N + J more, so no jet
     past order 3 (N + J) can occur: that is its prolongation depth."""
@@ -439,18 +439,6 @@ class _RingAlgebra:
     def fraction(self, p):
         """(numerator, denominator) of p as elements."""
         return self._new(p, p.deg), self.monomial(p.den)
-
-    def transfer(self, p) -> PackedPoly:
-        """The element p of another algebra, whose generators with a
-        nonzero exponent in p are generators here, as an element here."""
-        src = p.ring
-        at = [self.index.get(s) for s in src.syms]
-
-        def move(m):
-            return self._pack(_reorder(src._unpack(m), at, self._nbytes))
-
-        return self._new({move(m): c for m, c in p.items()}, p.deg,
-                         move(p.den))
 
     def inverse(self, p) -> PackedPoly:
         """1/p for p one term over a monomial; ClosureError for anything
@@ -785,15 +773,12 @@ def evaluate_distpoly(dp: DistPoly, samples) -> np.ndarray:
 class BracketTable:
     """Local bracket: canonical (x,y) DeltaTerm lists for every ordered
     pair of generators, with coefficients in `alg`, each `scale` times
-    the bracket's.  frozen_modular marks descended tables whose modular
-    parameter is constant: their residuals are evaluated with all th
-    jets set to zero.  Tables come from build_table and
-    change_coordinates; dataclasses.replace with new entries from the
-    same algebra keeps its Leibniz memo."""
+    the bracket's.  Tables come from build_table and change_coordinates;
+    dataclasses.replace with new entries from the same algebra keeps its
+    Leibniz memo."""
 
     fields: tuple[str, ...]
     entries: dict
-    frozen_modular: bool = False
     scale: int = 1
     alg: _RingAlgebra = dataclasses.field(kw_only=True, compare=False,
                                           repr=False)
@@ -826,8 +811,7 @@ def _common_scale(parts):
     return L, [c * (L // d) for c, d in reduced]
 
 
-def build_table(fields, given, frozen_modular: bool = False,
-                constants=()) -> BracketTable:
+def build_table(fields, given, constants=()) -> BracketTable:
     """Complete a partially given table by antisymmetry.
 
     `given` maps ordered pairs (a, b) to lists of (coeff, order), each
@@ -841,7 +825,7 @@ def build_table(fields, given, frozen_modular: bool = False,
     """
     alg = _table_algebra([c for terms in given.values() for c, _ in terms],
                          [m for terms in given.values() for _, m in terms],
-                         fields, constants, frozen_modular)
+                         fields, constants, False)
     keys = [(key, m) for key, terms in given.items() for _, m in terms]
     scale, vals = _common_scale(alg.lift(c) for terms in given.values()
                             for c, _ in terms)
@@ -855,8 +839,8 @@ def build_table(fields, given, frozen_modular: bool = False,
             entries[(b, a)] = transpose_entry(neg, alg=alg)
     for a, b in itertools.product(fields, repeat=2):
         entries.setdefault((a, b), ())
-    return BracketTable(fields=tuple(fields), entries=entries,
-                        frozen_modular=frozen_modular, scale=scale, alg=alg)
+    return BracketTable(fields=tuple(fields), entries=entries, scale=scale,
+                        alg=alg)
 
 
 def _element(table: BracketTable, E):
@@ -1039,12 +1023,14 @@ def change_coordinates(table: BracketTable, forward: dict, inverse: dict,
     substitution, else StructureError.  A frozen_modular result holds the
     modular parameter constant, so its jets T, T_x, ... are set to zero.
 
-    The substitution is a homomorphism from the table's algebra into an
-    algebra K over the new and auxiliary jets, whose fractions have
-    monomial denominators (ClosureError otherwise): each old jet goes
-    to the prolonged inverse, each modular jet to zero when freezing, and
-    every other generator to itself.  The images over the table's scale
-    get the new table's own scale.
+    The substitution is a homomorphism from the table's algebra into the
+    new table's algebra K, over the new and auxiliary jets, whose
+    fractions have monomial denominators (ClosureError otherwise): each
+    old jet goes to the prolonged inverse, each modular jet to zero when
+    freezing, and every other generator to itself.  K is built once, from
+    the inverse's jets raised as far as the prolongation reaches, so it
+    holds the substitution and the new table's brackets alike.  The
+    images over the table's scale get the new table's own scale.
     """
     new_fields = tuple(forward)
     fwd = {f: _element(table, e) for f, e in forward.items()}
@@ -1062,10 +1048,17 @@ def change_coordinates(table: BracketTable, forward: dict, inverse: dict,
     kept = [old.gsyms[i] for i in used - zeroed
             if not (old.jets[i] and old.jets[i][0] in inverse)]
     # K reads every symbol that is no constant or leaf as a jet, by the
-    # naming rule: the new and auxiliary fields are those of the inverse
-    K = _RingAlgebra(_ring_symbols(list(inverse.values()) + kept, depth, None,
-                                   old.constants, frozen_modular),
-                     None, frozen_modular, old.constants)
+    # naming rule: the new and auxiliary fields are those of the inverse.
+    # Its seeds hold the inverse's jets raised `depth` orders, the highest
+    # the substitution makes, so its prolongation covers the new table.
+    seeds = list(inverse.values()) + kept
+    for e in inverse.values():
+        for s in e.free_symbols:
+            if isinstance(kind := _kind(s, None, old.constants), tuple):
+                seeds.append(sx.jet(kind[0], kind[1] + depth))
+    K = _table_algebra(seeds, [t.orders[0] for dp in dps.values()
+                               for t in dp.terms],
+                       None, old.constants, frozen_modular)
     images = {i: K.zero for i in zeroed}
     images.update({i: K.gen(old.syms[i])
                    for i in used if old.gsyms[i] in kept})
@@ -1095,17 +1088,11 @@ def change_coordinates(table: BracketTable, forward: dict, inverse: dict,
                 terms.append((c, t.orders))
         composed[(a, b)] = terms
 
-    seeds = {K.gsyms[i] for terms in composed.values() for c, _ in terms
-             for i in K.support(c)}
-    alg = _table_algebra(seeds, [orders[0] for terms in composed.values()
-                                 for _, orders in terms],
-                         new_fields, old.constants, frozen_modular)
     scale, vals = _common_scale((c, table.scale)
                                 for terms in composed.values()
                                 for c, _ in terms)
     vals = iter(vals)
-    entries = {key: tuple(DeltaTerm(alg.transfer(next(vals)), orders)
-                          for _, orders in terms)
+    entries = {key: tuple(DeltaTerm(next(vals), orders) for _, orders in terms)
                for key, terms in composed.items()}
-    return BracketTable(fields=new_fields, entries=entries,
-                        frozen_modular=frozen_modular, scale=scale, alg=alg)
+    return BracketTable(fields=new_fields, entries=entries, scale=scale,
+                        alg=K)

@@ -1209,7 +1209,7 @@ def _levenberg_marquardt(resid, jac, x):
     the gain ratio by Nielsen's rule.  Stops once the gradient |Jt f|_inf,
     the step relative to |x|, or an accepted step's relative decrease of
     the squared residual is at most _LM_TOL, or after _LM_MAX_NFEV
-    residual evaluations.  Returns (x, squared residual, nfev, njev)."""
+    residual evaluations.  Returns (squared residual, nfev, njev)."""
     f = resid(x)
     J = jac(x)
     nfev = njev = 1
@@ -1237,7 +1237,7 @@ def _levenberg_marquardt(resid, jac, x):
         mu, nu = mu * max(1 / 3, 1 - (2 * rho - 1) ** 3), 2.0
         if small:
             break
-    return x, float(cost), nfev, njev
+    return float(cost), nfev, njev
 
 
 def prop1_certificate(sys: NoGoSystem, restarts: int = 100,
@@ -1246,35 +1246,26 @@ def prop1_certificate(sys: NoGoSystem, restarts: int = 100,
     the smallest value found is the no-go evidence.  Each restart starts
     from a seeded normal point and runs _levenberg_marquardt on the
     residual and exact Jacobian of _real_split, for at most _LM_MAX_NFEV
-    (400) residual evaluations.  "values" lists the squared residual of
-    every restart, in order, and "nfev" and "njev" its residual and
-    Jacobian evaluations.  ValueError for fewer than one restart."""
+    (400) residual evaluations.  "min_residual" and "median_residual"
+    summarise "values", the squared residual of every restart in order,
+    and "nfev" and "njev" list its residual and Jacobian evaluations.
+    ValueError for fewer than one restart."""
     if restarts < 1:
         raise ValueError("restarts must be >= 1")
 
     rng = np.random.default_rng(seed)
     resid, jac = _real_split(sys)
 
-    best = np.inf
-    best_x = None
     values, nfevs, njevs = [], [], []
     for _ in range(restarts):
         x0 = rng.normal(scale=1.0, size=2 * len(sys.unknowns))
-        x, val, nfev, njev = _levenberg_marquardt(resid, jac, x0)
+        val, nfev, njev = _levenberg_marquardt(resid, jac, x0)
         values.append(val)
         nfevs.append(nfev)
         njevs.append(njev)
-        if val < best:
-            best, best_x = val, x
     return {
-        "s": str(sys.s),
-        "restarts": restarts,
-        "seed": seed,
-        "min_residual": best,
+        "min_residual": min(values),
         "median_residual": float(np.median(values)),
-        "best_point_norm": float(np.linalg.norm(best_x)) if best_x is not None
-        else None,
-        "n_equations": len(sys.c),
         "values": values,
         "nfev": nfevs,
         "njev": njevs,
@@ -1313,47 +1304,28 @@ def prop1_feasible_selftest(seed: int = 0) -> dict:
 # finite-dimensional warm-up on three homogeneous coordinates
 
 def cp2_check(g2val=None, g3val=None, corrupt: bool = False) -> dict:
-    """Gradient bracket of the cubic Qt on (z1, z2, z3): exact descent to
-    the affine coordinates and exact finite Jacobi identity.  `corrupt`
-    perturbs one coefficient of the cubic for the negative control."""
-    z1, z2, z3 = sp.symbols("w1 w2 w3")
-    p1, p2 = sp.symbols("q1 q2")
+    """Gradient bracket {z_i(x), z_j(y)} = eps_ijk dQt/dz_k delta(x-y) of
+    the cubic Qt on (z1, z2, z3), an ultralocal table: exact Jacobi
+    identity, and exact descent to the affine coordinates p1 = z1/z3,
+    p2 = z2/z3 by lemma1_descend, where {p1, p2} must be
+    (p1^2 - 4 p2^3 + G2 p2 + G3) delta.  `corrupt` perturbs one
+    coefficient of the cubic for the negative control."""
+    z1, z2, z3 = (jet(f) for f in ("z1", "z2", "z3"))
     G2 = g2 if g2val is None else sp.sympify(g2val)
     G3 = g3 if g3val is None else sp.sympify(g3val)
-    cube = sp.Integer(5 if corrupt else 4)
-    Qt = sp.Rational(1, 3) * (z1**2 * z3 - cube * z2**3 + G2 * z2 * z3**2
-                              + G3 * z3**3)
-    br = {
-        (1, 2): sp.diff(Qt, z3),
-        (2, 3): sp.diff(Qt, z1),
-        (3, 1): sp.diff(Qt, z2),
-    }
-
-    def bracket(i, j):
-        if i == j:
-            return sp.Integer(0)
-        if (i, j) in br:
-            return br[(i, j)]
-        return -br[(j, i)]
-
-    zs = {1: z1, 2: z2, 3: z3}
-
-    def fbracket(F, G):
-        return sp.expand(sum(sp.diff(F, zs[i]) * sp.diff(G, zs[j])
-                             * bracket(i, j)
-                             for i in (1, 2, 3) for j in (1, 2, 3)))
-
-    descended = sp.cancel(fbracket(z1 / z3, z2 / z3))
-    descended = sp.expand(descended.subs({z1: p1 * z3, z2: p2 * z3}))
-    target = p1**2 - 4 * p2**3 + G2 * p2 + G3
-    descent_exact = sp.expand(descended - target) == 0
-
-    jac = sp.expand(
-        fbracket(z1, fbracket(z2, z3)) + fbracket(z2, fbracket(z3, z1))
-        + fbracket(z3, fbracket(z1, z2)))
+    cube = 5 if corrupt else 4
+    Qt = (z1**2 * z3 - cube * z2**3 + G2 * z2 * z3**2 + G3 * z3**3) / 3
+    table = dcx.build_table(("z1", "z2", "z3"), {
+        ("z1", "z2"): [(sp.diff(Qt, z3), 0)],
+        ("z2", "z3"): [(sp.diff(Qt, z1), 0)],
+        ("z3", "z1"): [(sp.diff(Qt, z2), 0)],
+    })
+    red = lemma1_descend(table, "z3")
+    p1, p2 = jet("p1"), jet("p2")
+    target = red.scale * red.alg.conv(p1**2 - 4 * p2**3 + G2 * p2 + G3)
     return {
-        "descent_exact": bool(descent_exact),
-        "jacobi_exact": bool(jac == 0),
-        "descended": sx.render(descended),
-        "target": sx.render(target),
+        "descent_exact": red.entry("p1", "p2") == (
+            dcx.DeltaTerm(target, (0,)),),
+        "jacobi_exact": all(dcx.jacobi_defect(table, *tr).is_zero()
+                            for tr in dcx.jacobi_triples(table.fields)),
     }

@@ -31,8 +31,9 @@ POISSON_NS = range(2, 7)
 
 
 def sample_tau(rng) -> complex:
-    """Modular parameter from the fixed fundamental-domain box
-    |Re tau| <= 1/2, 0.8 <= Im tau <= 2."""
+    """Modular parameter from the fixed box |Re tau| <= 1/2,
+    0.8 <= Im tau <= 2.  The box is not the fundamental domain: its
+    points with |tau| < 1 lie outside it."""
     return complex(rng.uniform(-TAU_BOX["re"], TAU_BOX["re"]),
                    rng.uniform(TAU_BOX["im_lo"], TAU_BOX["im_hi"]))
 
@@ -476,8 +477,8 @@ def run_nogo_suite(s: complex = 2.0, restarts: int = 100,
 
 @_timed
 def run_cp2_suite(g2val=1, g3val=sp.Rational(1, 2)) -> SuiteReport:
-    """Exact symbolic descent of the three-field quadratic bracket to the
-    projective-plane bracket, plus its finite Jacobi check."""
+    """Exact descent of the three-field quadratic bracket to the
+    projective-plane bracket, plus its exact Jacobi check."""
     res = models.cp2_check(g2val, g3val)
     bad = models.cp2_check(g2val, g3val, corrupt=True)
     checks = [

@@ -113,35 +113,60 @@ def test_unreferenced_private_definition_detected():
         "m.py:_dead", "m.py:_recursive", "m.py:_unused"]
 
 
+def read_names(tree) -> list[str]:
+    """Every name the tree reads: Names, attributes and string constants
+    (the benchmark's tracer wraps functions named in strings)."""
+    return [n.id if isinstance(n, ast.Name) else
+            n.attr if isinstance(n, ast.Attribute) else n.value
+            for n in ast.walk(tree)
+            if isinstance(n, (ast.Name, ast.Attribute))
+            or (isinstance(n, ast.Constant) and isinstance(n.value, str))]
+
+
+def unreferenced(package: dict[str, str], others: dict[str, str],
+                 definitions) -> list[str]:
+    """`module:label` for every (label, node) that `definitions` yields
+    from a `package` module's tree whose name nothing in `package` or
+    `others` reads outside the node itself."""
+    trees = {m: ast.parse(src) for m, src in {**package, **others}.items()}
+    total: dict[str, int] = {}
+    for tree in trees.values():
+        for name in read_names(tree):
+            total[name] = total.get(name, 0) + 1
+    return sorted(f"{m}:{label}" for m in package
+                  for label, node in definitions(trees[m])
+                  if total.get(node.name, 0)
+                  <= read_names(node).count(node.name))
+
+
 def unreferenced_public_definitions(package: dict[str, str],
                                     others: dict[str, str]) -> list[str]:
     """`module:name` for every public module-level function or class of
     the `package` sources that nothing in `package` or `others` reads
-    outside its own definition: no Name, no attribute and no string
-    constant (the benchmark's tracer wraps functions named in strings)."""
-    def refs(tree):
-        return [n.id if isinstance(n, ast.Name) else
-                n.attr if isinstance(n, ast.Attribute) else n.value
-                for n in ast.walk(tree)
-                if isinstance(n, (ast.Name, ast.Attribute))
-                or (isinstance(n, ast.Constant) and isinstance(n.value, str))]
-
-    trees = {m: ast.parse(src) for m, src in {**package, **others}.items()}
-    total: dict[str, int] = {}
-    for tree in trees.values():
-        for name in refs(tree):
-            total[name] = total.get(name, 0) + 1
-    return sorted(
-        f"{m}:{node.name}" for m in package for node in trees[m].body
+    outside its own definition."""
+    return unreferenced(package, others, lambda tree: (
+        (node.name, node) for node in tree.body
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
                              ast.ClassDef))
-        and not node.name.startswith("_")
-        and total.get(node.name, 0) <= refs(node).count(node.name))
+        and not node.name.startswith("_")))
 
 
-def test_public_definitions_have_callers():
-    """Every public definition of the package is used by the package,
-    its scripts or the benchmark harness, not by its tests alone."""
+def unreferenced_public_methods(package: dict[str, str],
+                                others: dict[str, str]) -> list[str]:
+    """`module:Class.name` for every public method or property of a
+    module-level class of the `package` sources, private classes
+    included, whose name nothing in `package` or `others` reads outside
+    its own definition.  Methods are matched by name alone."""
+    return unreferenced(package, others, lambda tree: (
+        (f"{cls.name}.{node.name}", node) for cls in tree.body
+        if isinstance(cls, ast.ClassDef) for node in cls.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        and not node.name.startswith("_")))
+
+
+def package_and_others() -> tuple[dict[str, str], dict[str, str]]:
+    """The package sources, and those of its scripts and the benchmark
+    harness, by path."""
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     package, others = {}, {}
     for module in MODULES:
@@ -155,7 +180,13 @@ def test_public_definitions_have_callers():
                     with open(path, encoding="utf-8") as fh:
                         others[os.path.relpath(path, root)] = fh.read()
     assert others
-    assert unreferenced_public_definitions(package, others) == []
+    return package, others
+
+
+def test_public_definitions_have_callers():
+    """Every public definition of the package is used by the package,
+    its scripts or the benchmark harness, not by its tests alone."""
+    assert unreferenced_public_definitions(*package_and_others()) == []
 
 
 def test_unreferenced_public_definition_detected():
@@ -175,6 +206,38 @@ def test_unreferenced_public_definition_detected():
     others = {"bench/run.py": "LAYERS = ('by_name',)\n"}
     assert unreferenced_public_definitions(package, others) == [
         "a.py:Dead", "a.py:recursive", "a.py:unused"]
+
+
+def test_public_methods_have_callers():
+    """Every public method of a package class is used by the package, its
+    scripts or the benchmark harness, not by its tests alone."""
+    assert unreferenced_public_methods(*package_and_others()) == []
+
+
+def test_unreferenced_public_method_detected():
+    package = {"a.py": ("class _Algebra:\n"
+                        "    def used(self):\n"
+                        "        return self.by_name\n"
+                        "    def unused(self):\n"
+                        "        return self.used()\n"
+                        "    def recursive(self, k):\n"
+                        "        return self.recursive(k - 1)\n"
+                        "    def by_name(self):\n"
+                        "        pass\n"
+                        "    def _private(self):\n"
+                        "        pass\n"
+                        "    def __eq__(self, other):\n"
+                        "        pass\n"
+                        "def outside():\n"
+                        "    return _Algebra().traced()\n"
+                        "class Table:\n"
+                        "    def traced(self):\n"
+                        "        pass\n"
+                        "    def order(self):\n"
+                        "        pass\n")}
+    others = {"bench/run.py": "LAYERS = ('order',)\n"}
+    assert unreferenced_public_methods(package, others) == [
+        "a.py:_Algebra.recursive", "a.py:_Algebra.unused"]
 
 
 MUTATORS = {"add", "update", "setdefault", "append", "extend", "pop", "clear",

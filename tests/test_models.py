@@ -508,11 +508,66 @@ class TestBracketTables:
             assert dc.jacobi_defect(tb, *tr).is_zero()
 
 
+def assert_frozen(table):
+    """The table's modular parameter is a constant: every tau-dependent
+    leaf of its algebra has zero x-derivative."""
+    alg = table.alg
+    leaves = [s for s in alg.gsyms if s in sx.DTAU_RULES]
+    assert leaves and not any(alg.dx(alg.conv(s)) for s in leaves)
+
+
+class TestAlgebraConstructions:
+    """One coefficient algebra per table: a coordinate change builds only
+    its new table's, which carries the substitution too."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        out = []
+        init = dc._RingAlgebra.__init__
+
+        def counted(alg, *args, **kwargs):
+            out.append(alg)
+            init(alg, *args, **kwargs)
+        monkeypatch.setattr(dc._RingAlgebra, "__init__", counted)
+        return out
+
+    @staticmethod
+    def counts(built):
+        """Algebras built by one descent of the n = 4 table and by the
+        n = 4 Poisson suite."""
+        table = models.thm3_extract(4).to_bracket_table()
+        built.clear()
+        models.lemma1_descend(table, "z0")
+        descent = len(built)
+        built.clear()
+        assert verify.run_poisson_suite(n=4).passed
+        return descent, len(built)
+
+    def test_pinned(self, built):
+        assert self.counts(built) == (1, 7)
+
+    def test_copy_into_a_second_algebra_detected(self, built, monkeypatch):
+        change = dc.change_coordinates
+
+        def copied(*args, **kwargs):
+            new = change(*args, **kwargs)
+            alg = dc._RingAlgebra(new.alg.gsyms, None, True,
+                                  new.alg.constants)
+            entries = {key: tuple(dc.DeltaTerm(alg._new(
+                dict(t.value), t.value.deg, t.value.den), t.orders)
+                for t in terms) for key, terms in new.entries.items()}
+            return dataclasses.replace(new, entries=entries, alg=alg)
+        monkeypatch.setattr(dc, "change_coordinates", copied)
+        assert self.counts(built) == (2, 9)
+
+
 class TestDescent:
     def test_cubic_chart(self):
         red = models.lemma1_descend(models.prop2_table(), "z2")
         assert red.fields == ("p1",)
-        assert red.frozen_modular
+        assert_frozen(red)
+        with pytest.raises(AssertionError):
+            assert_frozen(models.prop2_table())
         p, px = jet("p1"), jet("p1", 1)
         G = -(4 * p ** 3 - sx.g2 * p - sx.g3) / 2
         got = {t.orders: red.alg.g_basis(t.value, red.scale).as_expr()
@@ -530,7 +585,7 @@ class TestDescent:
         tb = models.thm3_extract(3).to_bracket_table()
         for denom in ("z0", "z3"):
             red = models.lemma1_descend(tb, denom)
-            assert red.frozen_modular
+            assert_frozen(red)
             for tr in dc.jacobi_triples(red.fields):
                 assert dc.jacobi_defect(red, *tr).is_zero()
 
@@ -910,3 +965,22 @@ class TestThreeFieldWarmup:
     def test_corrupted_casimir_detected(self):
         out = models.cp2_check(corrupt=True)
         assert not out["descent_exact"]
+
+    def test_flipped_entry_breaks_jacobi(self, monkeypatch):
+        """jacobi_exact reads the table's Jacobi defects: with the (z1, z2)
+        entry of the gradient bracket negated, one is nonzero."""
+        build = dc.build_table
+
+        def flipped(fields, given, **kwargs):
+            given = dict(given)
+            given[("z1", "z2")] = [(-c, m) for c, m in given[("z1", "z2")]]
+            return build(fields, given, **kwargs)
+        monkeypatch.setattr(dc, "build_table", flipped)
+        assert not models.cp2_check()["jacobi_exact"]
+
+    def test_descends_through_lemma1(self, monkeypatch):
+        def refused(table, denominator_field):
+            raise RuntimeError("no descent")
+        monkeypatch.setattr(models, "lemma1_descend", refused)
+        with pytest.raises(RuntimeError, match="no descent"):
+            models.cp2_check()
