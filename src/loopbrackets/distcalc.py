@@ -52,9 +52,9 @@ raises ExponentOverflowError instead of carrying into the next field.
 A fraction is a numerator over one packed monomial, which is all that
 z_f / z_den in the descent and the coordinate changes need; any other
 denominator is a ClosureError.  All arithmetic on a table stays in its
-algebra; sympy ``Expr`` and the g basis appear only where coefficients
-come in (`build_table`, expression arguments) and go out
-(`_RingAlgebra.g_basis`, numeric evaluation).
+algebra.  sympy ``Expr`` and the g basis appear only where coefficients
+come in (`build_table`, expression arguments) and where values leave,
+all through `_RingAlgebra.g_terms` (`as_expr`, `render`, evaluation).
 """
 
 from __future__ import annotations
@@ -119,12 +119,11 @@ class _RawTerm:
 
 
 def _free_symbols(e) -> set:
-    """The symbols of an Expr, or the generators a sympy ring element
+    """The symbols of an Expr, or the g-basis generators an element
     depends on."""
-    ring = getattr(e, "ring", None)
-    if ring is None:
-        return sp.sympify(e).free_symbols
-    return {s for s, col in zip(ring.symbols, zip(*e)) if any(col)}
+    if isinstance(e, PackedPoly):
+        return {e.ring.gsyms[i] for i in e.ring.support(e)}
+    return sp.sympify(e).free_symbols
 
 
 def _kind(s, fields, constants):
@@ -293,16 +292,16 @@ class PackedPoly(dict, CantSympify):
         return out
 
     def as_expr(self):
-        """The Expr of the element in its algebra's symbols."""
+        """The value of the element, an Expr in the g basis."""
         ring = self.ring
 
-        def monomial(m):
-            return sp.Mul(*(s ** e for s, e in zip(ring.syms, ring._unpack(m))
-                            if e))
+        def expr(p):
+            return sp.Add(*(sp.Rational(c.numerator, c.denominator) * sp.Mul(
+                *(s ** e for s, e in zip(ring.gsyms, u) if e))
+                for u, c in ring.g_terms(p)))
 
-        num = sp.Add(*(sp.Rational(c.numerator, c.denominator) * monomial(m)
-                       for m, c in self.items()))
-        return num / monomial(self.den) if self.den else num
+        num, den = map(expr, ring.fraction(self))
+        return num / den
 
 
 class _RingAlgebra:
@@ -319,10 +318,10 @@ class _RingAlgebra:
     exponent field at bit 8 (len(syms) - 1 - i) of a packed monomial; a
     product whose total degree would pass 255 raises
     ExponentOverflowError, and a fraction is a numerator over one packed
-    monomial.  `G` is the sympy ring of the g basis over QQ with the
-    same generator positions: elements come in by `lift` or `conv` and
-    go out by `g_basis`, and only there are exponents unpacked (besides
-    `support`, a monomial's first x-derivative and the evaluator).
+    monomial.  Elements come in by `lift` or `conv`, from an Expr or
+    from another algebra, and their values go out by `g_terms` alone:
+    g-basis exponents (the same as here, generator for generator) and
+    exact coefficients over QQ.
     With `frozen` the modular parameter is a constant: g1, g2, g3, the
     other tau-dependent leaves and the modular jets T, T_x, ... all have
     zero x-derivative.  `memo` holds the Leibniz brackets of every table
@@ -330,7 +329,8 @@ class _RingAlgebra:
 
     def __init__(self, syms, fields, frozen: bool, constants=()):
         self.gsyms = tuple(syms)
-        self.G = PolyRing(self.gsyms, sp.QQ)
+        self.names = tuple(s.name for s in self.gsyms)
+        self._parser = PolyRing(self.gsyms, sp.QQ)
         self.constants = frozenset(constants)
         kinds = [_kind(s, fields, self.constants) for s in self.gsyms]
         for s, kind in zip(self.gsyms, kinds):
@@ -340,7 +340,6 @@ class _RingAlgebra:
         self._hpos = [(i, _H_BASIS[s][1]) for i, s in enumerate(self.gsyms)
                       if s in _H_BASIS]
         self.index = {s: i for i, s in enumerate(self.syms)}
-        self._gindex = {s: i for i, s in enumerate(self.gsyms)}
         self.jets = [k if isinstance(k, tuple) else None for k in kinds]
         self.memo: dict = {}
         self.dtype = type("PackedPoly", (PackedPoly,),
@@ -577,31 +576,29 @@ class _RingAlgebra:
     # -- boundary -------------------------------------------------------
 
     def lift(self, e):
-        """(c, d) with c / d equal to e, an Expr or a sympy polynomial over
-        QQ in the g basis: c an element, d the least positive integer that
-        leaves no ground denominator in c.  ClosureError for
-        anything that is not a rational function over QQ in the
-        generators with a monomial denominator, floats included."""
-        ring = getattr(e, "ring", None)
-        if ring is None:
+        """(c, d) with c / d equal to e, an Expr in the g basis or an
+        element of any algebra: c an element, d the least positive integer
+        that leaves no ground denominator in c.  ClosureError for anything
+        that is not a rational function over QQ in the generators with a
+        monomial denominator, floats included."""
+        if not isinstance(e, PackedPoly):
             e = sp.sympify(e)
         syms = _free_symbols(e)
         if not syms <= set(self.gsyms):
             missing = sorted(map(str, syms - set(self.gsyms)))
             raise ClosureError(f"{missing} are not generators of the "
                                "coefficient ring")
-        if ring is not None:
-            if ring.domain == sp.QQ:
-                at = [self._gindex.get(s) for s in ring.symbols]
-                return self._from_g({_reorder(m, at, self._nbytes): c
-                                     for m, c in e.items()})
-        elif not e.has(sp.Float):
+        if isinstance(e, PackedPoly):
+            images = {i: self.gen(s) for i, s in enumerate(e.ring.syms)
+                      if s in self.index}
+            return _integral(_compose(e, images, self, {}), 1)
+        if not e.has(sp.Float):
             try:
-                return self._from_g(self.G.from_expr(e))
+                return self._from_g(self._parser.from_expr(e))
             except ValueError:
                 pass
             try:
-                q = self.G.to_field().from_expr(e)
+                q = self._parser.to_field().from_expr(e)
             except ValueError:
                 pass
             else:
@@ -610,7 +607,7 @@ class _RingAlgebra:
         raise ClosureError(f"{e} is not a rational function over QQ")
 
     def _from_g(self, q):
-        """lift of a polynomial of G, or of its terms {exponents: c}."""
+        """lift of a polynomial of the parser ring."""
         terms = {m: c * self._weight(m) for m, c in q.items()}
         d = lcm(*(c.denominator for c in terms.values()))
         return self._new({self._pack(m): c.numerator * (d // c.denominator)
@@ -622,20 +619,20 @@ class _RingAlgebra:
         c, d = self.lift(e)
         return c if d == 1 else c / d
 
-    def g_basis(self, p, scale: int = 1):
-        """The value p / scale of the element p, as an element of G (or of
-        its fraction field): exact, for everything that leaves the
-        algebra."""
-        def g_poly(terms, scale):
-            return self.G.from_dict({
-                tuple(u): sp.QQ(c.numerator,
-                                c.denominator * scale * self._weight(u))
-                for u, c in ((self._unpack(m), c) for m, c in terms)})
-
-        num = g_poly(p.items(), scale)
-        if not p.den:
-            return num
-        return self.G.to_field().new(num, g_poly([(p.den, 1)], 1))
+    def g_terms(self, p, scale: int = 1) -> list:
+        """The value p / scale of the polynomial p in the g basis, as
+        [(exponents, c)]: the exponents of a term, generator 0 first, and
+        its exact coefficient over QQ with the weight of its h-basis
+        generators divided out.  Every value that leaves the algebra is
+        read here; a fraction as numerator and denominator."""
+        if p.den:
+            raise ClosureError("a fraction has no terms")
+        out = []
+        for u, c in ((self._unpack(m), c) for m, c in p.items()):
+            d = scale * self._weight(u)
+            out.append((u, c if d == 1 else sp.QQ(c.numerator,
+                                                  c.denominator * d)))
+        return out
 
 
 def _merge(fac: dict, p: str, c) -> dict:
@@ -734,18 +731,15 @@ def _sum(alg, parts):
 
 
 def _values(p, samples, scale: int = 1):
-    """The element p over `scale` at each sample, from its exponents and
-    coefficients, with the g basis's coefficients (each divided exactly,
-    in one rounding) and the samples' g2, g3 for h2, h3; a fraction as
-    numerator over denominator.  The terms go in lex order of their
+    """The element p over `scale` at each sample, from its g-basis terms
+    (each coefficient rounded once) and the samples' g2, g3; a fraction
+    as numerator over denominator.  The terms go in lex order of their
     exponents, which fixes the order of the float sum."""
     ring = p.ring
     if p.den:
         num, den = ring.fraction(p)
         return _values(num, samples, scale) / _values(den, samples)
-    monoms, coeffs = zip(*sorted(p.items(), reverse=True))
-    rows = [ring._unpack(m) for m in monoms]
-    coeffs = [c / (scale * ring._weight(r)) for r, c in zip(rows, coeffs)]
+    rows, coeffs = zip(*sorted(ring.g_terms(p, scale), reverse=True))
     E = np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(
         len(rows), -1).astype(np.int64)
     used = np.flatnonzero(E.any(axis=0))
@@ -815,7 +809,7 @@ def build_table(fields, given, constants=()) -> BracketTable:
     """Complete a partially given table by antisymmetry.
 
     `given` maps ordered pairs (a, b) to lists of (coeff, order), each
-    coefficient an Expr or a polynomial over QQ in the g basis; every
+    coefficient an Expr in the g basis or an element of an algebra; every
     missing transpose (b, a) is filled in as -{a(x), b(y)} with the
     points exchanged and recanonicalized.  The table's algebra is built
     here, from the given coefficients, the fields and the x-constants
@@ -1083,7 +1077,7 @@ def change_coordinates(table: BracketTable, forward: dict, inverse: dict,
                 raise StructureError(
                     f"coefficient of ({a},{b}) at order {t.orders} does not "
                     f"close on the new fields: "
-                    f"{sx.render(K.g_basis(c, dp.scale))}")
+                    f"{sx.render(c, dp.scale)}")
             if c:
                 terms.append((c, t.orders))
         composed[(a, b)] = terms

@@ -13,9 +13,9 @@ the package.  The routes share only the routine that clears their one
 pole, 1/(wpv - wpu) in the template and 1/(u - v) in the closed forms,
 on packed elements (_clear_pole).
 
-The structure constants are exact, in one ring per n,
-Q[g1, g2, g3, T, z.., z.._x]; the r-matrix template and the delta
-calculus of their tables run over ZZ in the h basis of distcalc.
+The structure constants are exact, packed elements of one algebra per n
+over g1, g2, g3, T, z.., z.._x; they, the r-matrix template and the
+delta calculus of their tables compute in the h basis of distcalc.
 Numerics enter only in verification suites.
 """
 
@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import sympy as sp
-from sympy.polys.rings import PolyElement
 
 from . import distcalc as dcx
 from . import elliptic
@@ -118,9 +117,8 @@ _T_AT, _Z_AT = 3, 4
 
 
 def _structconsts_algebra(n: int) -> dcx._RingAlgebra:
-    """The delta-calculus algebra of the n-field structure constants; its
-    g basis `G` is their ring, Q[g1, g2, g3, T, z.., z.._x] in that
-    order."""
+    """The algebra of the n-field structure constants, over g1, g2, g3,
+    T, z.., z.._x in that order (g2, g3 as h2, h3 inside it)."""
     zs = [field_name(a) for a in field_indices(n)]
     syms = [g1, g2, g3, T] + [jet(f) for f in zs] + [jet(f, 1) for f in zs]
     return dcx._RingAlgebra(syms, zs, frozen=False)
@@ -132,28 +130,28 @@ _SPECTRAL = (u, v, wpu, wpv, dwpu, dwpv, zwu, zwv, sx.dinv)
 
 
 def _group_terms(p, at, R=None) -> dict:
-    """The terms of p grouped by their exponents at generator positions
-    `at`: {exponents: coefficient}, the coefficient an element of R
-    (default p's ring) in the other generators.  ExtractionError when a
-    generator that is neither at `at` nor in R survives in p."""
-    src = p.ring.symbols
-    R = p.ring if R is None else R
-    dst = {s: j for j, s in enumerate(R.symbols)}
-    keep = [(i, dst[s]) for i, s in enumerate(src) if s in dst and i not in at]
-    stray = [i for i, s in enumerate(src) if s not in dst and i not in at]
-    zero = [0] * R.ngens
+    """The terms of the polynomial p grouped by their exponents at
+    generator positions `at`: {exponents: coefficient}, the coefficient
+    an element of the algebra R (default p's) in the other generators,
+    which move to R by symbol.  ExtractionError when a generator that is
+    neither at `at` nor in R survives in p."""
+    src = p.ring
+    R = src if R is None else R
+    kept = {s: i for i, s in enumerate(src.syms) if i not in at}
+    stray = [i for s, i in kept.items() if s not in R.index]
+    # for each generator of R, its position in p's exponents, or the zero
+    # byte appended to them
+    perm = [kept.get(s, len(src.syms)) for s in R.syms]
     groups: dict = {}
-    for monom, coeff in p.iterterms():
+    for m, c in p.items():
+        e = src._unpack(m) + b"\0"
         for i in stray:
-            if monom[i]:
+            if e[i]:
                 raise ExtractionError(
-                    f"{src[i]} survives in a structure constant")
-        m = list(zero)
-        for i, j in keep:
-            m[j] = monom[i]
-        key = tuple(monom[i] for i in at)
-        groups.setdefault(key, {})[tuple(m)] = coeff
-    return {key: R.dtype(terms) for key, terms in groups.items()}
+                    f"{src.gsyms[i]} survives in a structure constant")
+        rest = int.from_bytes(bytes(map(e.__getitem__, perm)), "big")
+        groups.setdefault(tuple(map(e.__getitem__, at)), {})[rest] = c
+    return {key: R._new(terms, p.deg) for key, terms in groups.items()}
 
 
 class StructConsts:
@@ -162,17 +160,17 @@ class StructConsts:
     delta-coefficient (quadratic in z and z' with at most one first jet,
     or T times a z-quadratic).
 
-    The entries are elements of one ring per n,
-    Q[g1, g2, g3, T, z.., z.._x] (`P_poly`, `Q_poly`), and the
-    constructor takes nothing else.  `P` and `Q` are cached sympy views
-    of the same entries that nothing in the package reads; they are kept
-    for the benchmark harness, which checks the constants through them."""
+    The entries are packed elements of `_structconsts_algebra(n)`
+    (`P_poly`, `Q_poly`), and the constructor takes nothing else.  `P`
+    and `Q` are cached g-basis Exprs of the same entries that nothing in
+    the package reads; they are kept for the benchmark harness, which
+    checks the constants through them."""
 
     def __init__(self, n: int, P: dict, Q: dict,
                  generator: str = "thm3_extract"):
         for key, e in itertools.chain(P.items(), Q.items()):
-            if not isinstance(e, PolyElement):
-                raise TypeError(f"entry {key} is not a ring element: {e!r}")
+            if not isinstance(e, dcx.PackedPoly):
+                raise TypeError(f"entry {key} is not a packed element: {e!r}")
         self.n = n
         self.generator = generator
         self.P_poly = dict(P)
@@ -214,19 +212,19 @@ def _check_homogeneity(sc: StructConsts):
     zs0 = slice(_Z_AT, _Z_AT + k)
     zs1 = slice(_Z_AT + k, _Z_AT + 2 * k)
     for (a, b), p in sc.P_poly.items():
-        if any(sum(m[zs0]) != 2 for m in p.itermonoms()):
+        if any(sum(m[zs0]) != 2 for m in map(p.ring._unpack, p)):
             raise ExtractionError(f"P[{a},{b}] not homogeneous quadratic")
-        if any(m[_T_AT] or any(m[zs1]) for m in p.itermonoms()):
+        if any(m[_T_AT] or any(m[zs1]) for m in map(p.ring._unpack, p)):
             raise ExtractionError(f"P[{a},{b}] contains jets or T")
     for (a, b), p in sc.Q_poly.items():
-        for m in p.itermonoms():
+        for m in map(p.ring._unpack, p):
             d0, d1, dT = sum(m[zs0]), sum(m[zs1]), m[_T_AT]
             ok = (d0 == 1 and d1 == 1 and dT == 0) or \
                  (d0 == 2 and d1 == 0 and dT == 1)
             if not ok:
                 raise ExtractionError(
                     f"Q[{a},{b}] has a monomial outside the z z' / T z z "
-                    f"shape: {m[zs0] + m[zs1] + (dT,)}")
+                    f"shape: {tuple(m[zs0] + m[zs1]) + (dT,)}")
 
 
 def _clear_pole(p, i_inv: int, hi, lo):
@@ -267,7 +265,7 @@ def _spectral_clear(p):
     divisor has no hdwp, so the two commute).  The rewrite runs on
     integers: on p over its least common denominator, times 2^K for
     hdwp^k its highest power and K = k // 2.  Returns the cleared element
-    times that scale, and the scale, for g_basis to divide out;
+    times that scale, and the scale, for the caller to divide out;
     ExtractionError when a u, v or zeta leaf survives."""
     alg = p.ring
     at, x = alg.index, alg.gen
@@ -288,12 +286,12 @@ def _spectral_clear(p):
     return p, scale
 
 
-def _coeff_split(p, n: int, R) -> dict:
-    """Read off entries, as elements of R, from a cleared bilinear
-    generating polynomial: the {1, dwpu} x {1, dwpv} split times
-    monomials wpu^a wpv^b."""
+def _coeff_split(p, n: int, R, scale: int = 1) -> dict:
+    """Read off entries, in the algebra R, from a cleared bilinear
+    generating polynomial p / scale: the {1, hdwpu} x {1, hdwpv} split
+    (p_a = -hdwp wp^((a-3)/2) for odd a) times monomials wpu^a wpv^b."""
     out = {(a, b): R.zero for a in field_indices(n) for b in field_indices(n)}
-    at = [p.ring.symbols.index(s) for s in (dwpu, dwpv, wpu, wpv)]
+    at = [p.ring.index[s] for s in (_WP["u"][1], _WP["v"][1], wpu, wpv)]
     for (i, j, a, b), c in _group_terms(p, at, R).items():
         if i > 1 or j > 1:
             raise ExtractionError("unreduced odd-leaf power")
@@ -302,8 +300,8 @@ def _coeff_split(p, n: int, R) -> dict:
             raise ExtractionError(
                 f"stray generating monomial maps outside the field set: "
                 f"pole orders ({ia}, {ib}) for n={n}")
-        out[(ia, ib)] += (-2) ** (i + j) * c
-    return out
+        out[(ia, ib)] += -c if (i + j) % 2 else c
+    return {key: c / scale for key, c in out.items()}
 
 
 # d/dth on the leaves at v alone: the tau chain rule of Dx p_b(v)
@@ -330,8 +328,8 @@ def thm3_extract(n: int) -> StructConsts:
     formed with n q and lambda n = 1, and both sides are cleared times n
     and read off at scale n: every coefficient before that is an integer.
     """
-    R = _structconsts_algebra(n).G
-    alg = dcx._RingAlgebra(_SPECTRAL + R.symbols,
+    R = _structconsts_algebra(n)
+    alg = dcx._RingAlgebra(_SPECTRAL + R.gsyms,
                            [field_name(a) for a in field_indices(n)],
                            frozen=False)
     Dx, Dth = alg.dx, alg.dth
@@ -352,14 +350,14 @@ def thm3_extract(n: int) -> StructConsts:
     eth_u, eth_v = Dth(eu), Dth(ev)
 
     N, s = _spectral_clear(nA - (eu * eth_v + eth_u * ev) * n)
-    P = _coeff_split(alg.g_basis(N, n * s), n, R)
+    P = _coeff_split(N, n, R, n * s)
 
     # p_b(v) depends on x through tau alone, so with N / s = n sum p_a(u)
     # p_b(v) P_ab the P-sum of the delta side is T dth_v(N) / (n s)
     num, s2 = _spectral_clear(
         (nB - (eu * Dx(eth_v) + eth_u * Dx(ev)) * n) * s
         - alg.gen(T) * alg.derive(N, alg.derivation(_DTH_V)))
-    Q = _coeff_split(alg.g_basis(num, n * s * s2), n, R)
+    Q = _coeff_split(num, n, R, n * s * s2)
 
     sc = StructConsts(n=n, P=P, Q=Q, generator="thm3_extract")
     _check_homogeneity(sc)
@@ -576,7 +574,7 @@ def _harvest(target: dict, sector: tuple, p, n: int, R):
     (0 even, 1 odd, per spectral variable) to the entries of target, as
     elements of R."""
     su, sv = sector
-    at = [p.ring.symbols.index(s) for s in (u, v)]
+    at = [p.ring.index[s] for s in (u, v)]
     for (a, b), c in _group_terms(p, at, R).items():
         ia, ib = 2 * a + 3 * su, 2 * b + 3 * sv
         if ia > n or ib > n:
@@ -594,12 +592,11 @@ def appendix_table(n: int) -> StructConsts:
     forms = dcx._RingAlgebra((u, v, _DINV) + alg.gsyms,
                              [field_name(a) for a in idx], frozen=False,
                              constants=(_DINV,))
-    P = {(a, b): alg.G.zero for a in idx for b in idx}
+    P = {(a, b): alg.zero for a in idx for b in idx}
     Q = dict(P)
     for (name, sector), gf in _closed_forms(n, forms).items():
         gf = _clear_pole(gf, forms.index[_DINV], u, forms.gen(v))
-        _harvest(P if name == "P" else Q, sector, forms.g_basis(gf), n,
-                 alg.G)
+        _harvest(P if name == "P" else Q, sector, gf, n, alg)
 
     # The closed-form generating functions cover the even-even, even-odd and
     # odd-odd sectors; the odd-even sector follows from antisymmetry:
@@ -608,17 +605,16 @@ def appendix_table(n: int) -> StructConsts:
         for b in idx:
             if a % 2 == 1 and b % 2 == 0:
                 P[(a, b)] = P[(b, a)]
-                c, d = alg.lift(P[(b, a)])
-                Q[(a, b)] = alg.g_basis(alg.dx(c), d) - Q[(b, a)]
+                Q[(a, b)] = alg.dx(P[(b, a)]) - Q[(b, a)]
     sc = StructConsts(n=n, P=P, Q=Q, generator="appendix")
     _check_homogeneity(sc)
     return sc
 
 
 def match_structconsts(a: StructConsts, b: StructConsts) -> list[str]:
-    """Entry-by-entry exact comparison; returns discrepancy descriptions
-    (empty = exact match).  An entry that only one side has is a
-    discrepancy too."""
+    """Entry-by-entry exact comparison of generators and terms; returns
+    discrepancy descriptions (empty = exact match).  An entry that only
+    one side has is a discrepancy too."""
     if a.n != b.n:
         return [f"different n: {a.n} vs {b.n}"]
     out = []
@@ -628,7 +624,8 @@ def match_structconsts(a: StructConsts, b: StructConsts) -> list[str]:
                 out.append(f"{name}{key}: missing from the second table")
             elif key not in pa:
                 out.append(f"{name}{key}: missing from the first table")
-            elif pa[key] != pb[key]:
+            elif ((pa[key].ring.gsyms, pa[key].den, dict(pa[key]))
+                  != (pb[key].ring.gsyms, pb[key].den, dict(pb[key]))):
                 out.append(f"{name}{key}: {sx.render(pa[key])} != "
                            f"{sx.render(pb[key])}")
     return out
@@ -657,8 +654,8 @@ def structconsts_to_document(sc: StructConsts) -> dict:
         for mono, c in sorted(_group_terms(p, q_at).items()):
             if mono not in monomials:
                 R = p.ring
-                monomials[mono] = sx.render(R.term_new(
-                    dcx._reorder(mono, q_at, R.ngens), R.domain.one))
+                monomials[mono] = sx.render(R.monomial(R._pack(
+                    dcx._reorder(mono, q_at, len(R.syms)))))
             terms.append({"monomial": monomials[mono], "coeff": sx.render(c)})
         return terms
 
@@ -729,8 +726,8 @@ def lemma1_descend(table: dcx.BracketTable,
             dp = dcx.bracket_of_functions(table, jet(sx.MODULAR_FIELD, 0),
                                           forward["p" + f[1:]])
             if not dp.is_zero():
-                terms = [(sx.render(table.alg.g_basis(t.value, dp.scale)),
-                          t.orders) for t in dp.terms]
+                terms = [(sx.render(t.value, dp.scale), t.orders)
+                         for t in dp.terms]
                 raise StructureError(
                     f"modular field is not central against p{f[1:]}: "
                     f"{terms}")
@@ -752,11 +749,11 @@ def linear_identifications(sc: StructConsts,
     src_fields = ("z0", "z2")
     tgt_fields = tuple(f for f in target.fields if f != sx.MODULAR_FIELD)
     ms = sp.symbols("m11 m12 m21 m22")
-    R, *gens = sp.ring([*ms, *sorted(set(src.alg.gsyms)
-                                     | set(target.alg.gsyms), key=str)],
-                       sp.QQ)
+    Rm, m11, m12, m21, m22 = sp.ring(ms, sp.QQ)
+    # the fields and leaves over QQ[M]: each coefficient is an equation
+    R, *gens = sp.ring(sorted(set(src.alg.gsyms) | set(target.alg.gsyms),
+                              key=str), Rm.to_domain())
     g = dict(zip(R.symbols, gens))
-    m11, m12, m21, m22 = gens[:4]
     M, adj = ((m11, m12), (m21, m22)), ((m22, -m12), (-m21, m11))
     det = m11 * m22 - m12 * m21
     # det z_a = sum_j adj_aj w_j, prolonged to first jets; every entry is
@@ -766,7 +763,7 @@ def linear_identifications(sc: StructConsts,
             for a, zo in enumerate(src_fields) for k in (0, 1)]
 
     def entry(table, a, b):
-        return {t.orders: table.alg.g_basis(t.value, table.scale).set_ring(R)
+        return {t.orders: R.from_expr(t.value.as_expr() / table.scale)
                 for t in table.entry(a, b)}
 
     old = {(a, b): entry(src, za, zb) for a, za in enumerate(src_fields)
@@ -780,8 +777,7 @@ def linear_identifications(sc: StructConsts,
                 lhs = sum((M[i][a] * M[j][b] * old[a, b].get(order, R.zero)
                            for a in range(2) for b in range(2)), R.zero)
                 diff = lhs.compose(subs) - det**2 * new.get(order, R.zero)
-                eqs.update(c.monic() for c in
-                           _group_terms(diff, range(4, R.ngens)).values())
+                eqs.update(c.monic() for c in diff.values())
     sols = sp.solve([e.as_expr() for e in sorted(eqs, key=str)], ms,
                     dict=True)
     return [s for s in sols if sp.expand(det.as_expr().xreplace(s)) != 0]
@@ -1069,45 +1065,45 @@ def _nogo_unknowns():
                         + sorted(rsym.values(), key=str))
 
 
-def _chart_coefficients(table, R=None) -> dict:
+def _chart_coefficients(table) -> dict:
     """{p(x), p(y)} for p = z1/z2 in the chart z2 = 1, where z1 = p and
     z1' = p' + p zr with zr = z2'/z2: {order: {(i, j, k): coefficient of
-    p^i p'^j zr^k, an element of R}}.  In the table's ring z1, z1_x and
-    z2_x stand for p, p' and zr once z2 is set to 1."""
+    p^i p'^j zr^k, an element of the table's algebra free of the z
+    jets}}.  The chart is z2 -> 1, z1_x -> z1_x + z1 z2_x on the table's
+    algebra, after which z1, z1_x and z2_x stand for p, p' and zr."""
     alg = table.alg
-    at = [alg.index[jet(f, k)] for f, k in (("z1", 0), ("z1", 1),
-                                            ("z2", 1), ("z2", 0))]
-    z1, z1x, z2x, z2 = (alg.G.gens[i] for i in at)
-    chart = [(z2, alg.G.one), (z1x, z1x + z1 * z2x)]
-    p = jet("z1") / jet("z2")
-    out = {}
-    dp = dcx.bracket_of_functions(table, p, p)
-    for t in dp.terms:
-        num, den = alg.fraction(t.value)
-        num = alg.g_basis(num, dp.scale).compose(chart).exquo(
-            alg.g_basis(den).compose(chart))
-        out[t.orders] = _group_terms(num, at[:3], R)
-    return out
+    z1, z1x, z2, z2x = jet("z1"), jet("z1", 1), jet("z2"), jet("z2", 1)
+    images = {i: alg.gen(s) for i, s in enumerate(alg.syms)}
+    images[alg.index[z2]] = alg.one
+    images[alg.index[z1x]] = alg.gen(z1x) + alg.gen(z1) * alg.gen(z2x)
+    at = [alg.index[s] for s in (z1, z1x, z2x)]
+    dp = dcx.bracket_of_functions(table, z1 / z2, z1 / z2)
+    return {t.orders: {key: c / dp.scale for key, c in _group_terms(
+        dcx._compose(t.value, images, alg, {}), at).items()}
+        for t in dp.terms}
 
 
 def _quadratic_tensors(rows, m: int):
     """c, A, quad and scales of NoGoSystem from the equations poly = t
-    (poly without constant term in the m unknowns, t a number): drop the
-    zero ones, scale each by its largest coefficient magnitude (so that
-    the residual is invariant under trivial rescalings of the system)."""
+    (poly in the m unknowns, the first generators of its algebra, with no
+    constant term; t a number): drop the zero ones, scale each by its
+    largest coefficient magnitude (so that the residual is invariant
+    under trivial rescalings of the system).  Terms go in descending lex
+    order, which fixes the order of `quad`."""
     scales, parts = [], ([], [], [])  # (row, *variables, value) by degree
     for poly, t in rows:
-        terms = [(monom, complex(v)) for monom, v in poly.terms()]
+        terms = [(poly.ring._unpack(monom), complex(v))
+                 for monom, v in sorted(poly.items(), reverse=True)]
         if t:
-            terms.append((poly.ring.zero_monom, -t))
+            terms.append((b"", -t))
         if not terms:
             continue
         scale = max(abs(v) for _, v in terms)
         for monom, v in terms:
             at = [k for k, e in enumerate(monom) for _ in range(e)]
-            if len(at) > 2:
-                raise DomainError(
-                    f"no-go equation of degree {len(at)} > 2 in the unknowns")
+            if len(at) > 2 or any(k >= m for k in at):
+                raise DomainError(f"no-go equation term {tuple(monom)} is "
+                                  "not of degree <= 2 in the unknowns")
             parts[len(at)].append((len(scales), *at, v / scale))
         scales.append(scale)
     c = np.zeros(len(scales), dtype=complex)
@@ -1126,7 +1122,8 @@ def prop1_system(s, include_jacobi: bool = True,
                  matching_target=None) -> NoGoSystem:
     """Constraint system for lifting the projective-line hydrodynamic
     bracket with G = p(p-1)(p-s) to a constant homogeneous bracket on
-    two fields, read from the ring elements of the table's algebra.
+    two fields, read from the packed elements of the table's algebra,
+    whose first generators are the unknowns.
 
     matching_target overrides the (G, G'/2) pair with arbitrary
     canonical (delta', delta) coefficients, {order: {(i, j, k): value}}
@@ -1137,9 +1134,9 @@ def prop1_system(s, include_jacobi: bool = True,
         raise DomainError(f"parameter s = {s} is not finite")
     qsym, rsym, unknowns = _nogo_unknowns()
     table = _nogo_tables(qsym, rsym, unknowns)
-    R = sp.ring(unknowns, sp.QQ)[0]
-    q = {k: R(sym) for k, sym in qsym.items()}
-    r = {k: R(sym) for k, sym in rsym.items()}
+    alg = table.alg
+    q = {k: alg.gen(sym) for k, sym in qsym.items()}
+    r = {k: alg.gen(sym) for k, sym in rsym.items()}
 
     rows = []  # (polynomial in the unknowns, numeric target)
 
@@ -1156,23 +1153,23 @@ def prop1_system(s, include_jacobi: bool = True,
         matching_target = {
             (1,): {(3, 0, 0): 1, (2, 0, 0): -(1 + sc), (1, 0, 0): sc},
             (0,): {(2, 1, 0): 1.5, (1, 1, 0): -(1 + sc), (0, 1, 0): sc / 2}}
-    got = _chart_coefficients(table, R)
+    got = _chart_coefficients(table)
     for order in ((1,), (0,)):
         have, want = got.get(order, {}), matching_target.get(order, {})
         for key in sorted(have.keys() | want.keys(), reverse=True):
-            rows.append((have.get(key, R.zero), want.get(key, 0)))
+            rows.append((have.get(key, alg.zero), want.get(key, 0)))
 
     if include_jacobi:
         # the z jets in the order z1, z2, z1_x, z2_x, ...
-        jets = table.alg.jets
+        jets = alg.jets
         at = sorted((i for i, info in enumerate(jets) if info),
                     key=lambda i: jets[i][::-1])
         for tri in dcx.jacobi_triples(("z1", "z2")):
             dp = dcx.jacobi_defect(table, *tri)
             for term in dp.terms:
-                g = _group_terms(table.alg.g_basis(term.value, dp.scale),
-                                 at, R)
-                rows.extend((g[key], 0) for key in sorted(g, reverse=True))
+                g = _group_terms(term.value, at)
+                rows.extend((g[key] / dp.scale, 0)
+                            for key in sorted(g, reverse=True))
 
     c, A, quad, scales = _quadratic_tensors(rows, len(unknowns))
     return NoGoSystem(s=s, unknowns=unknowns, c=c, A=A, quad=quad,
@@ -1293,7 +1290,7 @@ def prop1_feasible_selftest(seed: int = 0) -> dict:
         rv[(a, b, c, d)] = r1 if a != b else qv[(a, b, c, d)]
         rv[(b, a, c, d)] = 2 * qv[(a, b, c, d)] - rv[(a, b, c, d)]
 
-    target = {order: {key: complex(p.LC) for key, p in coeffs.items()}
+    target = {order: {key: complex(p[0]) for key, p in coeffs.items()}
               for order, coeffs in
               _chart_coefficients(_nogo_tables(qv, rv)).items()}
     sys2 = prop1_system(s=2, include_jacobi=False, matching_target=target)

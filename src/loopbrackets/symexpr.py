@@ -29,7 +29,6 @@ import re
 
 import numpy as np
 import sympy as sp
-from sympy.polys.rings import PolyElement
 
 from . import elliptic
 from .errors import ClosureError, UnboundSymbolError
@@ -146,21 +145,21 @@ def total_x_derivative(e: sp.Expr, fields) -> sp.Expr:
 
 
 @functools.lru_cache(maxsize=64)
-def _name_order(ring):
-    """(positions, names) of the generators of `ring` sorted by name, as
-    sympy sorts Symbols."""
-    names = [s.name for s in ring.symbols]
+def _name_order(names):
+    """(positions, names) of the generators named `names` sorted by name,
+    as sympy sorts Symbols."""
     at = sorted(range(len(names)), key=names.__getitem__)
     return tuple(at), tuple(names[i] for i in at)
 
 
-def _render_poly(p) -> str:
-    """The text of sympy's lex-ordered printer for a polynomial over QQ,
-    written from its terms: descending lex order of the exponents with
-    the generators sorted by name, each term [-][num*]x**e*.../den."""
-    at, names = _name_order(p.ring)
+def _render_poly(terms, names) -> str:
+    """The text of sympy's lex-ordered printer for the polynomial over QQ
+    with `terms` [(exponents, c)] in the generators named `names`, written
+    from the terms: descending lex order of the exponents with the
+    generators sorted by name, each term [-][num*]x**e*.../den."""
+    at, names = _name_order(names)
     out = []
-    for m, c in sorted(((tuple(m[i] for i in at), c) for m, c in p.items()),
+    for m, c in sorted(((tuple(m[i] for i in at), c) for m, c in terms),
                        reverse=True):
         factors = [x if e == 1 else f"{x}**{e}"
                    for x, e in zip(names, m) if e]
@@ -173,15 +172,18 @@ def _render_poly(p) -> str:
     return "0" if not text else text[2:] if text[0] == "+" else "-" + text[2:]
 
 
-def render(c) -> str:
-    """Deterministic canonical textual form (expanded, lex-ordered) of a
-    ring element, a field element or an Expr.  A polynomial over QQ is
-    printed straight from its terms, byte for byte as sympy's
-    lex-ordered printer prints its Expr; anything else is expanded and
-    goes through that printer."""
-    if isinstance(c, PolyElement) and c.ring.domain == sp.QQ:
-        return _render_poly(c)
-    return sp.sstr(sp.expand(c.as_expr()), order="lex")
+def render(c, scale: int = 1) -> str:
+    """Deterministic canonical textual form (expanded, lex-ordered) of an
+    Expr, or of the value c / scale of an element of a coefficient
+    algebra.  A polynomial element is printed straight from its g-basis
+    terms, byte for byte as sympy's lex-ordered printer prints its Expr;
+    anything else is expanded and goes through that printer."""
+    ring = getattr(c, "ring", None)
+    if ring is None:
+        return sp.sstr(sp.expand(sp.sympify(c) / scale), order="lex")
+    if c.den:
+        return render(c.as_expr(), scale)
+    return _render_poly(ring.g_terms(c, scale), ring.names)
 
 
 # ---------------------------------------------------------------------------

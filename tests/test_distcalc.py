@@ -87,7 +87,7 @@ def g_value(table, t, scale=None):
     """The Expr of the term t of `table` (or of a bracket on it, at
     `scale`): its value in the g basis, divided by the scale."""
     scale = table.scale if scale is None else scale
-    return table.alg.g_basis(t.value, scale).as_expr()
+    return t.value.as_expr() / scale
 
 
 def dp_raws(dp, three=False):
@@ -106,17 +106,14 @@ def dp_raws(dp, three=False):
 
 def canonical(raw, frozen=False):
     """canonicalize in an algebra built for sympy-valued raw terms: their
-    leaves, and their jets prolonged as far as the delta orders reach.
-    The terms come back in the g basis."""
+    leaves, and their jets prolonged as far as the delta orders reach."""
     depth = max(sum(d[2] for d in t.deltas) for t in raw)
     seeds = [c for t in raw for _, c in t.factors]
     alg = dc._RingAlgebra(dc._ring_symbols(seeds, depth, BASE, frozen=frozen),
                           BASE, frozen)
-    dp = dc.canonicalize([dc._RawTerm(tuple((p, alg.conv(c))
-                                            for p, c in t.factors),
-                                      t.deltas) for t in raw], alg)
-    return dc.DistPoly(tuple(dc.DeltaTerm(alg.g_basis(t.value), t.orders)
-                             for t in dp.terms))
+    return dc.canonicalize([dc._RawTerm(tuple((p, alg.conv(c))
+                                              for p, c in t.factors),
+                                        t.deltas) for t in raw], alg)
 
 
 class TestCanonicalizeAgainstPairing:
@@ -506,7 +503,7 @@ class TestNumericEvaluation:
             got = dc.evaluate_distpoly(dp, samples)
             assert got.shape == (len(dp.terms), len(samples))
             for t, row in zip(dp.terms, got):
-                ref = table.alg.g_basis(t.value, dp.scale).as_expr()
+                ref = g_value(table, t, dp.scale)
                 for s, g in zip(samples, row):
                     want = sx.evaluate(ref, s)
                     assert abs(g - want) <= 1e-12 * max(1.0, abs(want))
@@ -668,37 +665,34 @@ class TestIntegerAlgebra:
 
     def test_rules_derived_from_dtau_rules(self, n2):
         alg = n2.to_bracket_table().alg
-        subs = {sx.g2: 12 * self.H2, sx.g3: 2 * self.H3}
         got = {}
         for g, h, w in ((sx.g1, sx.g1, 1), (sx.g2, self.H2, 12),
                         (sx.g3, self.H3, 2)):
-            want = sp.expand(sx.DTAU_RULES[g].subs(subs) / w)
-            got[h] = alg._dth[alg.index[h]].as_expr()
-            assert sp.expand(got[h] - want) == 0, h
-        g1, h2, h3 = sx.g1, self.H2, self.H3
-        assert got == {g1: h2 - g1 ** 2, h2: h3 - 4 * g1 * h2,
-                       h3: 24 * h2 ** 2 - 6 * g1 * h3}
+            got[h] = alg._dth[alg.index[h]]
+            assert sp.expand(got[h].as_expr() - sx.DTAU_RULES[g] / w) == 0, h
+        g1, h2, h3 = (alg.gen(s) for s in (sx.g1, self.H2, self.H3))
+        assert got == {sx.g1: h2 - g1 ** 2, self.H2: h3 - 4 * g1 * h2,
+                       self.H3: 24 * h2 ** 2 - 6 * g1 * h3}
 
     def test_template_rules_in_the_h_basis(self):
         """The thm3 template algebra computes in hdwpu = dwpu/2 and
         hdwpv = dwpv/2 as well: every image of its derivations, d/dth
         (DTAU_RULES) and d/du, d/dv (_DU_RULES), is the rule in the h
         basis over the generator's weight, with integer coefficients."""
-        R = models._structconsts_algebra(2).G
-        alg = dc._RingAlgebra(models._SPECTRAL + R.symbols, ("z0", "z2"),
+        R = models._structconsts_algebra(2)
+        alg = dc._RingAlgebra(models._SPECTRAL + R.gsyms, ("z0", "z2"),
                               frozen=False)
         HU, HV = sp.symbols("hdwpu hdwpv")
         weights = {sx.g2: (self.H2, 12), sx.g3: (self.H3, 2),
                    sx.dwpu: (HU, 2), sx.dwpv: (HV, 2)}
         assert {h for h, _ in weights.values()} <= set(alg.syms)
         assert not weights.keys() & set(alg.syms)
-        subs = {g: w * h for g, (h, w) in weights.items()}
         for rules in (sx.DTAU_RULES, *sx._DU_RULES.values()):
             images = alg.derivation(rules)
             assert {alg.gsyms[i] for i in images} == set(rules)
             for i, image in images.items():
                 g = alg.gsyms[i]
-                want = rules[g].subs(subs) / weights.get(g, (g, 1))[1]
+                want = rules[g] / weights.get(g, (g, 1))[1]
                 assert sp.expand(image.as_expr() - want) == 0, g
                 assert all(type(c) is int for c in image.values()), g
 
@@ -710,8 +704,7 @@ class TestIntegerAlgebra:
         R = sc.P_poly[(0, 0)].ring
         for a in sc.indices:
             for b in sc.indices:
-                got = {t.orders: table.alg.g_basis(t.value,
-                                                   table.scale).set_ring(R)
+                got = {t.orders: R.conv(t.value) / table.scale
                        for t in table.entry(f"z{a}", f"z{b}")}
                 assert got == {k: v for k, v in (((1,), sc.P_poly[(a, b)]),
                                                   ((0,), sc.Q_poly[(a, b)]))
@@ -723,9 +716,29 @@ class TestIntegerAlgebra:
         alg = dc._RingAlgebra(dc._ring_symbols([e], 0, BASE, frozen=True),
                               BASE, frozen=True)
         c, d = alg.lift(e)
-        assert d == 3 and c.as_expr() == 18 * self.H2 * z1 * z2 + 2 * self.H3
-        assert sp.expand(alg.g_basis(c, d).as_expr() - e) == 0
+        h2, h3 = alg.gen(self.H2), alg.gen(self.H3)
+        assert d == 3 and c == 18 * h2 * alg.gen(z1) * alg.gen(z2) + 2 * h3
+        assert sp.expand((c / d).as_expr() - e) == 0
         assert alg.conv(e) == c / 3
+
+    def test_values_leave_in_the_g_basis(self):
+        """as_expr, render and the messages that print a value read it in
+        the g basis: g2 / 3 is stored as 4 h2 and leaves as g2/3."""
+        z0 = sx.jet("z0")
+        alg = dc._RingAlgebra(dc._ring_symbols([sx.g2 * z0], 0, ("z0",),
+                                               frozen=True), ("z0",), True)
+        third = alg.conv(sx.g2 / 3)
+        assert dict(third) == dict(4 * alg.gen(self.H2))
+        assert third.as_expr() == sx.g2 / 3
+        assert sx.render(third) == "g2/3"
+        with pytest.raises(ClosureError, match="g2 \\+ z0 is not a monomial"):
+            alg.inverse(alg.conv(sx.g2 + z0))
+        tbl = dc.build_table(("z1", "z2"), {("z1", "z1"): [(sx.g2 * z2, 1)],
+                                            ("z1", "z2"): [],
+                                            ("z2", "z2"): []})
+        with pytest.raises(StructureError, match="close on the new fields: "
+                                                 "g2\\*z2$"):
+            dc.change_coordinates(tbl, {"w1": z1}, {"z1": sx.jet("w1")})
 
     def test_campaign_without_rational_arithmetic(self, n2, ctx, monkeypatch):
         """The n = 2 antisymmetry and Jacobi campaign and its flipped
@@ -770,7 +783,7 @@ class TestPackedAgainstSympy:
         else:
             fields = ("z0", "z2", "z3", "z4")
             alg = dc._RingAlgebra(
-                models._SPECTRAL + models._structconsts_algebra(4).G.symbols,
+                models._SPECTRAL + models._structconsts_algebra(4).gsyms,
                 fields, frozen=False)
         frozen = dc._RingAlgebra(alg.gsyms, fields, frozen=True)
         R = sp.ring(alg.syms, sp.QQ)[0]
@@ -909,14 +922,15 @@ class TestPackedAgainstSympy:
                     len(gsyms), size=int(rng.integers(1, 4)))))
                 for _ in range(4))
         c, d = alg.lift(e)
-        assert sp.expand(alg.g_basis(c, d).as_expr() - e) == 0
-        assert sp.expand(alg.g_basis(alg.conv(e)).as_expr() - e) == 0
-        # a sympy polynomial in another generator order lifts the same
-        Rs = sp.ring(sorted(e.free_symbols, key=str, reverse=True), sp.QQ)[0]
-        assert alg.lift(Rs.from_expr(e)) == (c, d)
+        assert sp.expand((c / d).as_expr() - e) == 0
+        assert sp.expand(alg.conv(e).as_expr() - e) == 0
+        # an element of an algebra in another generator order lifts the same
+        other = dc._RingAlgebra(alg.gsyms[::-1], fields, frozen=True)
+        assert alg.lift(other.conv(e)) == (c, d)
         frac = e / gsyms[0] ** 2 / gsyms[-1]
         c, d = alg.lift(frac)
-        assert c.den and sp.cancel(alg.g_basis(c, d).as_expr() - frac) == 0
+        assert c.den and sp.cancel((c / d).as_expr() - frac) == 0
+        assert alg.lift(other.conv(frac)) == (c, d)
 
 
 class TestPackingEdges:
@@ -935,7 +949,7 @@ class TestPackingEdges:
         exps = m.to_bytes(len(alg.syms), "big")
         assert c == 1 and exps[i] == 255 and sum(exps) == 255
         assert (x ** 254 * x) == top and alg.support(top) == {i}
-        assert sp.expand(alg.g_basis(top).as_expr() - sx.jet("z0") ** 255) == 0
+        assert sp.expand(top.as_expr() - sx.jet("z0") ** 255) == 0
         assert alg.diff(top, i) == 255 * x ** 254
         for over in (lambda: x ** 256, lambda: top * x,
                      lambda: x ** 128 * alg.gen(sx.jet("z2")) ** 128):

@@ -63,8 +63,7 @@ def test_prop2_descent():
         "entries": [
             {"a": a, "b": b,
              "terms": [{"order": t.orders[0],
-                        "coeff": sx.render(red.alg.g_basis(t.value,
-                                                           red.scale))}
+                        "coeff": sx.render(t.value, red.scale)}
                        for t in terms]}
             for (a, b), terms in sorted(red.entries.items())
         ],

@@ -364,3 +364,53 @@ def test_heuristic_simplification_detected():
               "    return sp.cancel(a + b + c), sp.simplify\n")
     assert heuristic_calls(source) == ["4:simplify", "5:together",
                                        "6:simplify"]
+
+
+def coefficient_leaks(module: str, source: str) -> list[str]:
+    """`line:name` for every import from sympy.polys outside distcalc.py,
+    and, in any module, every name, attribute or imported name
+    `PolyElement` or `g_basis` and every attribute `G`.  A coefficient
+    value leaves its algebra through one g-basis reader in distcalc, so
+    no other module handles sympy's polynomial types."""
+    out = []
+    for n in ast.walk(ast.parse(source)):
+        if isinstance(n, (ast.Import, ast.ImportFrom)):
+            full = [a.name if isinstance(n, ast.Import)
+                    else f"{n.module}.{a.name}" for a in n.names]
+            if module != "distcalc.py":
+                out += [f"{n.lineno}:{m}" for m in full
+                        if m.startswith("sympy.polys")]
+            names = [a.name for a in n.names]
+        elif isinstance(n, ast.Name):
+            names = [n.id]
+        elif isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            names = [n.name]
+        elif isinstance(n, ast.Attribute):
+            names = [n.attr] + ([".G"] if n.attr == "G" else [])
+        else:
+            continue
+        out += [f"{n.lineno}:{m}" for m in names
+                if m in ("PolyElement", "g_basis", ".G")]
+    return sorted(out)
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_coefficient_leaks(module):
+    with open(os.path.join(PKG, module), encoding="utf-8") as fh:
+        assert coefficient_leaks(module, fh.read()) == []
+
+
+def test_coefficient_leak_detected():
+    source = ("import sympy.polys.rings\n"
+              "from sympy.polys.rings import PolyElement as PE\n"
+              "from sympy import polys, Rational\n"
+              "def f(alg, p):\n"
+              "    return alg.g_basis(p), alg.G, isinstance(p, PE), g_basis\n"
+              "def g_basis(p):\n"
+              "    return p\n"
+              "G = alg.Gs\n")
+    names = ["2:PolyElement", "5:.G", "5:g_basis", "5:g_basis", "6:g_basis"]
+    assert coefficient_leaks("models.py", source) == sorted(
+        names + ["1:sympy.polys.rings", "2:sympy.polys.rings.PolyElement",
+                 "3:sympy.polys"])
+    assert coefficient_leaks("distcalc.py", source) == names

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 import sympy as sp
 
+from loopbrackets import distcalc as dc
 from loopbrackets import elliptic
 from loopbrackets import models
 from loopbrackets import symexpr as sx
@@ -170,32 +171,51 @@ class TestRenderParse:
         assert sx.render(e) == sx.render(sp.expand(e + 0))
 
     def test_ring_element_as_its_expr(self):
-        R, a, b = sp.ring("a b", sp.QQ)
-        p = (a + b) ** 2 / 3
+        a, b = sp.symbols("a b")
+        alg = dc._RingAlgebra([a, b], (), True, constants=(a, b))
+        p = alg.conv((a + b) ** 2 / 3)
         assert sx.render(p) == "a**2/3 + 2*a*b/3 + b**2/3"
         assert sx.render(p) == sx.render(p.as_expr())
+        assert sx.render(3 * p, 3) == sx.render(p)
+
+    def test_g_basis_value(self):
+        """An element prints its value in the g basis, not the h basis
+        it computes in (g2 = 12 h2, g3 = 2 h3)."""
+        alg = dc._RingAlgebra([sx.g1, sx.g2, sx.g3], (), True)
+        p = alg.conv(sx.g2 / 3 + sx.g3 * sx.g1)
+        assert dict(p) == dict(4 * alg.gen(sp.Symbol("h2"))
+                               + 2 * alg.gen(sp.Symbol("h3")) * alg.gen(sx.g1))
+        assert sx.render(p) == "g1*g3 + g2/3"
+        assert sx.render(p, 6) == "g1*g3/6 + g2/18"
 
     def test_field_element_expanded(self):
-        # a non-constant denominator: the Expr of the field element is
-        # one fraction, the rendered text its expansion
-        F, a, b = sp.field("a b", sp.QQ)
-        c = (a + 1) ** 2 / (2 * b)
+        # a monomial denominator: the Expr of the element is one
+        # fraction, the rendered text its expansion
+        a, b = sp.symbols("a b")
+        alg = dc._RingAlgebra([a, b], (), True, constants=(a, b))
+        c = alg.conv((a + 1) ** 2 / (2 * b))
+        assert c.den
         assert sx.render(c) == "a**2/(2*b) + a/b + 1/(2*b)"
         assert sx.render(c) == sx.render(c.as_expr())
+        assert sx.render(c, 2) == "a**2/(4*b) + a/(2*b) + 1/(4*b)"
 
 
 def random_polys(seed: int, count: int) -> list:
-    """Seeded polynomials over QQ in a ring whose generator order is not
-    the name order (T before g1, z10 before z2, z0_x before z0), with
-    coefficients +-1 among others, constant terms and zero."""
+    """Seeded polynomials over QQ in an algebra whose generator order is
+    not the name order (T before g1, z10 before z2, z0_x before z0), with
+    coefficients +-1 among others, constant terms and zero, and g2, g3
+    among the generators, which the algebra holds as h2 = g2/12 and
+    h3 = g3/2."""
     rng = np.random.default_rng(seed)
-    R, *gens = sp.ring("z0_x z10 z2 g1 T z0", sp.QQ)
-    out = [R.zero, R.one, -R.one]
+    alg = dc._RingAlgebra(sp.symbols("z0_x z10 g3 z2 g1 T g2 z0"), None,
+                          True)
+    gens = [alg.gen(s) for s in alg.syms]
+    out = [alg.zero, alg.one, -alg.one]
     for _ in range(count):
-        p = R.zero
+        p = alg.zero
         for _ in range(rng.integers(1, 6)):
-            c = sp.QQ(int(rng.choice([1, -1, 2, -3, 7])),
-                      int(rng.choice([1, 1, 2, 3, 12])))
+            c = alg.const(sp.QQ(int(rng.choice([1, -1, 2, -3, 7])),
+                                int(rng.choice([1, 1, 2, 3, 12]))))
             for i in rng.integers(0, len(gens), rng.integers(0, 5)):
                 c = c * gens[i]
             p += c
@@ -238,17 +258,18 @@ class TestDirectPrinter:
         assert misprinted(random_polys(seed, 300)) == []
 
     def test_zero_and_signs(self):
-        R, x, y = sp.ring("x y", sp.QQ)
-        assert sx.render(R.zero) == "0"
+        alg = dc._RingAlgebra(sp.symbols("x y"), (), True,
+                              constants=sp.symbols("x y"))
+        x, y = (alg.gen(s) for s in alg.syms)
+        assert sx.render(alg.zero) == "0"
         assert sx.render(-x - 1) == "-x - 1"
         assert sx.render(-x * y / 3 + sp.QQ(5, 2)) == "-x*y/3 + 5/2"
 
     def test_ring_position_order_is_caught(self, monkeypatch):
         """Negative control: generators taken in ring position instead of
         by name misprint the random polynomials and the n=3 entries."""
-        def by_position(ring):
-            return (tuple(range(ring.ngens)),
-                    tuple(s.name for s in ring.symbols))
+        def by_position(names):
+            return tuple(range(len(names))), names
         monkeypatch.setattr(sx, "_name_order", by_position)
         assert misprinted(random_polys(0, 50))
         assert misprinted(printed_entries(3))

@@ -1,6 +1,7 @@
 """Verification campaigns: every suite passes at default strictness, the
 negative controls actually fire, and reports serialize deterministically."""
 
+import dataclasses
 import inspect
 import json
 
@@ -10,7 +11,9 @@ import sympy as sp
 
 from loopbrackets import distcalc as dc
 from loopbrackets import elliptic
+from loopbrackets import models
 from loopbrackets import verify
+from loopbrackets.symexpr import jet
 
 
 class TestReportPlumbing:
@@ -159,6 +162,80 @@ class TestPoissonSuite:
         from loopbrackets.errors import DomainError
         with pytest.raises(DomainError):
             verify.run_poisson_suite(n=9)
+
+
+def failed(rep) -> set:
+    """Names of the report's checks that did not pass."""
+    return {c.name for c in rep.checks if not c.passed}
+
+
+class TestInjectedFaults:
+    """Each positive check fails, and reports instead of raising, when a
+    fault it exists to catch is injected; no other check moves except
+    those that read the faulty object too."""
+
+    def test_broken_descent_fails_its_charts(self, monkeypatch):
+        """One negated off-diagonal descended entry: both charts sample
+        their own fields and fail with a nonzero residual."""
+        descend = models.lemma1_descend
+
+        def negated(table, denominator):
+            red = descend(table, denominator)
+            a, b = next(k for k, v in red.entries.items() if k[0] != k[1]
+                        and v)
+            return verify._flip_one_entry(red, a, b)
+        monkeypatch.setattr(models, "lemma1_descend", negated)
+        rep = verify.run_poisson_suite(n=3)
+        assert failed(rep) == {"descended_chart_z0", "descended_chart_z3"}
+        assert all(c.max_residual > 1e-3 for c in rep.checks
+                   if c.name.startswith("descended_chart_"))
+
+    def test_th_row_with_a_field_term(self, monkeypatch):
+        """{th(x), z0(y)} gains z2 delta': th no longer commutes with the
+        ratios, Jacobi breaks, and neither chart descends."""
+        build = dc.build_table
+
+        def shifted(fields, given, **kwargs):
+            if ("th", "z0") in given:
+                given = {**given, ("th", "z0"): [
+                    (jet("z0") + jet("z2"), 1), (jet("z0", 1), 0)]}
+            return build(fields, given, **kwargs)
+        monkeypatch.setattr(dc, "build_table", shifted)
+        rep = verify.run_poisson_suite(n=3)
+        assert failed(rep) == {"modular_centrality", "antisymmetry_and_jacobi",
+                               "descended_chart_z0", "descended_chart_z3"}
+        assert all("not central" in c.detail for c in rep.checks
+                   if c.name.startswith("descended_chart_"))
+
+    @pytest.mark.parametrize("order, check", [
+        ((1,), "descent_leading_coefficient"),
+        ((0,), "descent_delta_coefficient")])
+    def test_wrong_descended_entry(self, monkeypatch, order, check):
+        """The descended (p1, p1) term of one delta order doubled."""
+        descend = models.lemma1_descend
+
+        def doubled(table, denominator):
+            red = descend(table, denominator)
+            entries = dict(red.entries)
+            entries[("p1", "p1")] = tuple(
+                dc.DeltaTerm(2 * t.value if t.orders == order else t.value,
+                             t.orders) for t in entries[("p1", "p1")])
+            return dataclasses.replace(red, entries=entries)
+        monkeypatch.setattr(models, "lemma1_descend", doubled)
+        assert failed(verify.run_prop2_suite()) == {check}
+
+    def test_unreachable_identification_target(self, monkeypatch):
+        """With {z2, z2} negated in the target, no invertible M maps the
+        extracted table onto it."""
+        identify = models.linear_identifications
+
+        def flipped(sc, target):
+            return identify(sc, verify._flip_one_entry(target, "z2", "z2"))
+        monkeypatch.setattr(models, "linear_identifications", flipped)
+        rep = verify.run_prop2_suite()
+        assert failed(rep) == {"identification_with_extracted_table"}
+        assert next(c.detail for c in rep.checks
+                    if not c.passed) == "[]"
 
 
 class TestRingEvaluation:
