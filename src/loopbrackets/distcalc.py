@@ -52,9 +52,11 @@ raises ExponentOverflowError instead of carrying into the next field.
 A fraction is a numerator over one packed monomial, which is all that
 z_f / z_den in the descent and the coordinate changes need; any other
 denominator is a ClosureError.  All arithmetic on a table stays in its
-algebra.  sympy ``Expr`` and the g basis appear only where coefficients
-come in (`build_table`, expression arguments) and where values leave,
-all through `_RingAlgebra.g_terms` (`as_expr`, `render`, evaluation).
+algebra, and no sympy polynomial ring is built.  sympy ``Expr`` and the
+g basis appear only where coefficients come in (`build_table`,
+expression arguments), each walked into an element by
+`_RingAlgebra.lift`, and where values leave, all through
+`_RingAlgebra.g_terms` (`as_expr`, `render`, evaluation).
 """
 
 from __future__ import annotations
@@ -67,7 +69,6 @@ from math import comb, gcd, lcm, prod
 import numpy as np
 import sympy as sp
 from sympy.core.sympify import CantSympify
-from sympy.polys.rings import PolyRing
 
 from . import symexpr as sx
 from .errors import (ClosureError, ExponentOverflowError, StructureError,
@@ -296,9 +297,9 @@ class PackedPoly(dict, CantSympify):
         ring = self.ring
 
         def expr(p):
-            return sp.Add(*(sp.Rational(c.numerator, c.denominator) * sp.Mul(
+            return sp.Add(*(sp.Rational(num, den) * sp.Mul(
                 *(s ** e for s, e in zip(ring.gsyms, u) if e))
-                for u, c in ring.g_terms(p)))
+                for u, num, den in ring.g_terms(p)))
 
         num, den = map(expr, ring.fraction(self))
         return num / den
@@ -318,10 +319,10 @@ class _RingAlgebra:
     exponent field at bit 8 (len(syms) - 1 - i) of a packed monomial; a
     product whose total degree would pass 255 raises
     ExponentOverflowError, and a fraction is a numerator over one packed
-    monomial.  Elements come in by `lift` or `conv`, from an Expr or
-    from another algebra, and their values go out by `g_terms` alone:
-    g-basis exponents (the same as here, generator for generator) and
-    exact coefficients over QQ.
+    monomial.  Elements come in by `lift` or `conv`, from an Expr (by
+    `_walk`) or from another algebra, and their values go out by
+    `g_terms` alone: g-basis exponents (the same as here, generator for
+    generator) and exact coefficients as integer pairs num / den.
     With `frozen` the modular parameter is a constant: g1, g2, g3, the
     other tau-dependent leaves and the modular jets T, T_x, ... all have
     zero x-derivative.  `memo` holds the Leibniz brackets of every table
@@ -330,7 +331,6 @@ class _RingAlgebra:
     def __init__(self, syms, fields, frozen: bool, constants=()):
         self.gsyms = tuple(syms)
         self.names = tuple(s.name for s in self.gsyms)
-        self._parser = PolyRing(self.gsyms, sp.QQ)
         self.constants = frozenset(constants)
         kinds = [_kind(s, fields, self.constants) for s in self.gsyms]
         for s, kind in zip(self.gsyms, kinds):
@@ -349,6 +349,8 @@ class _RingAlgebra:
                       for i in range(self._nbytes)]
         self.zero = self._new({}, 0)
         self.one = self._new({0: 1}, 0)
+        self._g_gens = {s: self._new({u: _H_BASIS.get(s, (s, 1))[1]}, 1)
+                        for s, u in zip(self.gsyms, self._unit)}
         self._dth = self.derivation(sx.DTAU_RULES)
         # x-derivative of each generator: the integer that turns it into
         # the next jet, the terms of a polynomial image over it, or None
@@ -560,7 +562,7 @@ class _RingAlgebra:
         image of g / w for an h-basis generator (weight w) the rule over
         w, and none for a listed constant.  Converted once; `derive`
         applies it."""
-        return {i: self.conv(rules[s] / _H_BASIS.get(s, (s, 1))[1])
+        return {i: self.conv(rules[s], _H_BASIS.get(s, (s, 1))[1])
                 for i, s in enumerate(self.gsyms)
                 if s in rules and s not in self.constants}
 
@@ -575,63 +577,59 @@ class _RingAlgebra:
 
     # -- boundary -------------------------------------------------------
 
-    def lift(self, e):
-        """(c, d) with c / d equal to e, an Expr in the g basis or an
-        element of any algebra: c an element, d the least positive integer
-        that leaves no ground denominator in c.  ClosureError for anything
-        that is not a rational function over QQ in the generators with a
-        monomial denominator, floats included."""
+    def lift(self, e, w: int = 1):
+        """(c, d) with c / d equal to e / w, e an Expr in the g basis or
+        an element of any algebra and w a positive integer: c an element,
+        d the least positive integer that leaves no ground denominator in
+        c.  An Expr goes in by `_walk`, an element generator by generator
+        (ClosureError for one that is no generator here)."""
         if not isinstance(e, PackedPoly):
-            e = sp.sympify(e)
-        syms = _free_symbols(e)
-        if not syms <= set(self.gsyms):
-            missing = sorted(map(str, syms - set(self.gsyms)))
-            raise ClosureError(f"{missing} are not generators of the "
-                               "coefficient ring")
-        if isinstance(e, PackedPoly):
-            images = {i: self.gen(s) for i, s in enumerate(e.ring.syms)
-                      if s in self.index}
-            return _integral(_compose(e, images, self, {}), 1)
-        if not e.has(sp.Float):
-            try:
-                return self._from_g(self._parser.from_expr(e))
-            except ValueError:
-                pass
-            try:
-                q = self._parser.to_field().from_expr(e)
-            except ValueError:
-                pass
-            else:
-                (n, dn), (m, dm) = self._from_g(q.numer), self._from_g(q.denom)
-                return _integral(n * dm * self.inverse(m), dn)
-        raise ClosureError(f"{e} is not a rational function over QQ")
+            return _integral(self._walk(sp.sympify(e)), w)
+        missing = _free_symbols(e) - set(self.gsyms)
+        if missing:
+            raise ClosureError(f"{sorted(map(str, missing))} are not "
+                               "generators of the coefficient ring")
+        images = {i: self.gen(s) for i, s in enumerate(e.ring.syms)
+                  if s in self.index}
+        return _integral(_compose(e, images, self, {}), w)
 
-    def _from_g(self, q):
-        """lift of a polynomial of the parser ring."""
-        terms = {m: c * self._weight(m) for m, c in q.items()}
-        d = lcm(*(c.denominator for c in terms.values()))
-        return self._new({self._pack(m): c.numerator * (d // c.denominator)
-                          for m, c in terms.items()},
-                         max(map(sum, terms), default=0)), d
+    def _walk(self, e) -> PackedPoly:
+        """The element of the g-basis Expr e: a generator's symbol is the
+        generator times its h weight, a Rational a constant, Add and Mul a
+        sum and a product, an integer power a power (a negative one
+        through `inverse`).  Anything else is a ClosureError."""
+        if e.is_Symbol and e in self._g_gens:
+            return self._g_gens[e]
+        if e.is_Rational:
+            return self.const(e.p if e.q == 1 else sp.QQ(e.p, e.q))
+        if e.is_Add:
+            return _sum(self, [(1, self._walk(a)) for a in e.args])
+        if e.is_Mul:
+            return prod(map(self._walk, e.args), start=self.one)
+        if e.is_Pow and e.exp.is_Integer:
+            base, n = self._walk(e.base), int(e.exp)
+            return base ** n if n >= 0 else self.inverse(base) ** -n
+        raise ClosureError(f"{e} is not a rational function of the generators")
 
-    def conv(self, e) -> PackedPoly:
-        """lift(e) as one element, c / d."""
-        c, d = self.lift(e)
-        return c if d == 1 else c / d
+    def conv(self, e, w: int = 1) -> PackedPoly:
+        """lift(e, w) as one element, c / d."""
+        c, d = self.lift(e, w)
+        return c / d
 
     def g_terms(self, p, scale: int = 1) -> list:
         """The value p / scale of the polynomial p in the g basis, as
-        [(exponents, c)]: the exponents of a term, generator 0 first, and
-        its exact coefficient over QQ with the weight of its h-basis
-        generators divided out.  Every value that leaves the algebra is
-        read here; a fraction as numerator and denominator."""
+        [(exponents, num, den)]: the exponents of a term, generator 0
+        first, and its exact coefficient num / den in lowest terms (den
+        positive), the weight of its h-basis generators divided out.
+        Every value that leaves the algebra is read here; a fraction as
+        numerator and denominator."""
         if p.den:
             raise ClosureError("a fraction has no terms")
         out = []
         for u, c in ((self._unpack(m), c) for m, c in p.items()):
-            d = scale * self._weight(u)
-            out.append((u, c if d == 1 else sp.QQ(c.numerator,
-                                                  c.denominator * d)))
+            num, den = c.numerator, c.denominator * scale * self._weight(u)
+            g = gcd(num, den)
+            out.append((u, num // g, den // g))
         return out
 
 
@@ -739,7 +737,7 @@ def _values(p, samples, scale: int = 1):
     if p.den:
         num, den = ring.fraction(p)
         return _values(num, samples, scale) / _values(den, samples)
-    rows, coeffs = zip(*sorted(ring.g_terms(p, scale), reverse=True))
+    rows, nums, dens = zip(*sorted(ring.g_terms(p, scale), reverse=True))
     E = np.frombuffer(b"".join(rows), dtype=np.uint8).reshape(
         len(rows), -1).astype(np.int64)
     used = np.flatnonzero(E.any(axis=0))
@@ -749,7 +747,7 @@ def _values(p, samples, scale: int = 1):
     except KeyError as e:
         raise UnboundSymbolError(f"no value for {e.args[0]}") from None
     monos = np.prod(V[:, None, :] ** E[:, used], axis=2)
-    return np.sum(monos * np.array(coeffs, dtype=float), axis=1)
+    return np.sum(monos * [n / d for n, d in zip(nums, dens)], axis=1)
 
 
 def evaluate_distpoly(dp: DistPoly, samples) -> np.ndarray:

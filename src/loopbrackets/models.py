@@ -741,6 +741,10 @@ def linear_identifications(sc: StructConsts,
     """Search constant linear field maps sending the n = 2 extracted
     table to an explicit 2-field target table (plus modular row).
 
+    Both tables move into one packed algebra led by the constants
+    m11..m22, each times the other's scale; every coefficient in M of the
+    identity below, made monic, is one equation for one `sp.solve`.
+
     Returns sympy solution dicts for the matrix w_i = sum_j M_ij z_j.
     """
     if sc.n != 2:
@@ -749,36 +753,34 @@ def linear_identifications(sc: StructConsts,
     src_fields = ("z0", "z2")
     tgt_fields = tuple(f for f in target.fields if f != sx.MODULAR_FIELD)
     ms = sp.symbols("m11 m12 m21 m22")
-    Rm, m11, m12, m21, m22 = sp.ring(ms, sp.QQ)
-    # the fields and leaves over QQ[M]: each coefficient is an equation
-    R, *gens = sp.ring(sorted(set(src.alg.gsyms) | set(target.alg.gsyms),
-                              key=str), Rm.to_domain())
-    g = dict(zip(R.symbols, gens))
+    gens = sorted(set(src.alg.gsyms) | set(target.alg.gsyms), key=str)
+    K = dcx._RingAlgebra([*ms, *gens], None, True, constants=ms)
+    m11, m12, m21, m22 = map(K.gen, ms)
     M, adj = ((m11, m12), (m21, m22)), ((m22, -m12), (-m21, m11))
     det = m11 * m22 - m12 * m21
+    images = {i: K.gen(s) for i, s in enumerate(src.alg.syms)}
     # det z_a = sum_j adj_aj w_j, prolonged to first jets; every entry is
     # quadratic in the fields, so {z_a, z_b} picks up det**2
-    subs = [(g[jet(zo, k)], sum(adj[a][j] * g[jet(tgt_fields[j], k)]
-                                for j in range(2)))
-            for a, zo in enumerate(src_fields) for k in (0, 1)]
-
-    def entry(table, a, b):
-        return {t.orders: R.from_expr(t.value.as_expr() / table.scale)
-                for t in table.entry(a, b)}
-
-    old = {(a, b): entry(src, za, zb) for a, za in enumerate(src_fields)
-           for b, zb in enumerate(src_fields)}
+    for k in (0, 1):
+        w0, w1 = (K.gen(jet(w, k)) for w in tgt_fields)
+        for a, zo in enumerate(src_fields):
+            images[src.alg.index[jet(zo, k)]] = adj[a][0] * w0 + adj[a][1] * w1
+    old = {(a, b): {t.orders: target.scale * dcx._compose(
+        t.value, images, K, {}) for t in src.entry(za, zb)}
+        for a, za in enumerate(src_fields) for b, zb in enumerate(src_fields)}
     eqs = set()
     for i, wa in enumerate(tgt_fields):
         for j, wb in enumerate(tgt_fields):
-            new = entry(target, wa, wb)
+            new = {t.orders: src.scale * K.conv(t.value)
+                   for t in target.entry(wa, wb)}
             for order in ((0,), (1,)):
                 # {w_i(x), w_j(y)} = sum_ab M_ia M_jb {z_a(x), z_b(y)}
-                lhs = sum((M[i][a] * M[j][b] * old[a, b].get(order, R.zero)
-                           for a in range(2) for b in range(2)), R.zero)
-                diff = lhs.compose(subs) - det**2 * new.get(order, R.zero)
-                eqs.update(c.monic() for c in diff.values())
-    sols = sp.solve([e.as_expr() for e in sorted(eqs, key=str)], ms,
+                lhs = sum((M[i][a] * M[j][b] * old[a, b].get(order, K.zero)
+                           for a in range(2) for b in range(2)), K.zero)
+                diff = lhs - det**2 * new.get(order, K.zero)
+                eqs.update(c / c[max(c)] for c in _group_terms(
+                    diff, range(len(ms), len(K.syms))).values())
+    sols = sp.solve(sorted((e.as_expr() for e in eqs), key=str), ms,
                     dict=True)
     return [s for s in sols if sp.expand(det.as_expr().xreplace(s)) != 0]
 

@@ -154,19 +154,19 @@ def _name_order(names):
 
 def _render_poly(terms, names) -> str:
     """The text of sympy's lex-ordered printer for the polynomial over QQ
-    with `terms` [(exponents, c)] in the generators named `names`, written
-    from the terms: descending lex order of the exponents with the
-    generators sorted by name, each term [-][num*]x**e*.../den."""
+    with `terms` [(exponents, num, den)], each coefficient num / den in
+    lowest terms, in the generators named `names`, written from the
+    terms: descending lex order of the exponents with the generators
+    sorted by name, each term [-][num*]x**e*.../den."""
     at, names = _name_order(names)
     out = []
-    for m, c in sorted(((tuple(m[i] for i in at), c) for m, c in terms),
-                       reverse=True):
+    for m, num, den in sorted(((tuple(m[i] for i in at), num, den)
+                               for m, num, den in terms), reverse=True):
         factors = [x if e == 1 else f"{x}**{e}"
                    for x, e in zip(names, m) if e]
-        num, den = abs(c.numerator), c.denominator
-        if num != 1 or not factors:
-            factors.insert(0, str(num))
-        out.append(("- " if c < 0 else "+ ") + "*".join(factors)
+        if abs(num) != 1 or not factors:
+            factors.insert(0, str(abs(num)))
+        out.append(("- " if num < 0 else "+ ") + "*".join(factors)
                    + ("" if den == 1 else f"/{den}"))
     text = " ".join(out)
     return "0" if not text else text[2:] if text[0] == "+" else "-" + text[2:]

@@ -963,3 +963,47 @@ class TestPackingEdges:
             table.alg.lift(z1 / (z1 + z2))
         with pytest.raises(ClosureError, match="not a monomial"):
             dc.build_table(("z1", "z2"), {("z1", "z2"): [(z1 / (z1 + z2), 1)]})
+
+
+class TestExprWalker:
+    """lift walks an Expr into a packed element: each case gives the
+    (c, d) of the sympy polynomial-ring parser it replaces, or raises the
+    typed error."""
+
+    Z0, Z2 = sx.jet("z0"), sx.jet("z2")
+
+    @pytest.fixture(scope="class")
+    def alg(self):
+        return models.thm3_extract(2).to_bracket_table().alg
+
+    def test_values(self, alg):
+        z0, z2 = self.Z0, self.Z2
+        x, y, h2 = alg.gen(z0), alg.gen(z2), alg.gen(sp.Symbol("h2"))
+        assert alg.lift((2 * z0) ** -2) == (alg.inverse(x ** 2), 4)
+        assert alg.lift(((z0 + z2) ** 2 + 1) ** 2) == (
+            ((x + y) ** 2 + 1) ** 2, 1)
+        assert alg.lift((z0 ** 2 * z2) ** -3 * z2 / 3) == (
+            alg.inverse(x ** 6 * y ** 2), 3)
+        assert alg.lift(sx.g2 / 3) == (4 * h2, 1)
+        assert alg.lift(sx.g2 / 5 + z0 / 2) == (24 * h2 + 5 * x, 10)
+        # the weight argument divides: g2 / 12 is the generator h2
+        assert alg.lift(sx.g2, 12) == (h2, 1)
+
+    @pytest.mark.parametrize("e", [0.5 * Z0, sp.I * Z0, sp.sqrt(Z0),
+                                   Z0 ** (1 / 2), sp.sqrt(2) * Z0,
+                                   sp.sin(Z0), sp.Symbol("outside") * Z0])
+    def test_outside_the_rational_functions(self, alg, e):
+        with pytest.raises(ClosureError):
+            alg.lift(e)
+
+    def test_typed_errors(self, alg, table):
+        with pytest.raises(ClosureError, match="not a monomial"):
+            table.alg.lift(z1 / (z1 + z2))
+        with pytest.raises(ExponentOverflowError):
+            alg.lift(self.Z0 ** 256)
+
+    def test_no_cancellation(self, table):
+        """A denominator must be a monomial as written: the walker does
+        not cancel (z1^2 - z2^2) / (z1 - z2) to z1 + z2."""
+        with pytest.raises(ClosureError, match="not a monomial"):
+            table.alg.lift((z1 ** 2 - z2 ** 2) / (z1 - z2))

@@ -366,20 +366,24 @@ def test_heuristic_simplification_detected():
                                        "6:simplify"]
 
 
-def coefficient_leaks(module: str, source: str) -> list[str]:
-    """`line:name` for every import from sympy.polys outside distcalc.py,
-    and, in any module, every name, attribute or imported name
-    `PolyElement` or `g_basis` and every attribute `G`.  A coefficient
-    value leaves its algebra through one g-basis reader in distcalc, so
-    no other module handles sympy's polynomial types."""
+def coefficient_leaks(source: str) -> list[str]:
+    """`line:name` for every import from sympy.polys; every name,
+    attribute or imported name `PolyElement`, `g_basis`, `PolyRing` or
+    `FracField` and every attribute `G`; and every use of sympy's `ring`,
+    `field`, `Poly` or `polys` (`sp.ring`, `sympy.Poly`, `from sympy import
+    field`), as `sympy.<name>`.  A coefficient is a packed element from
+    the Expr it is walked from to the g-basis terms it is read out as, so
+    no module builds or handles sympy's polynomial types."""
+    banned = ("PolyElement", "g_basis", ".G", "PolyRing", "FracField")
+    sympy_rings = ("ring", "field", "Poly", "polys")
     out = []
     for n in ast.walk(ast.parse(source)):
         if isinstance(n, (ast.Import, ast.ImportFrom)):
             full = [a.name if isinstance(n, ast.Import)
                     else f"{n.module}.{a.name}" for a in n.names]
-            if module != "distcalc.py":
-                out += [f"{n.lineno}:{m}" for m in full
-                        if m.startswith("sympy.polys")]
+            out += [f"{n.lineno}:{m}" for m in full
+                    if m.startswith("sympy.polys")
+                    or m in (f"sympy.{r}" for r in sympy_rings)]
             names = [a.name for a in n.names]
         elif isinstance(n, ast.Name):
             names = [n.id]
@@ -387,30 +391,35 @@ def coefficient_leaks(module: str, source: str) -> list[str]:
             names = [n.name]
         elif isinstance(n, ast.Attribute):
             names = [n.attr] + ([".G"] if n.attr == "G" else [])
+            if (isinstance(n.value, ast.Name) and n.value.id in ("sp", "sympy")
+                    and n.attr in sympy_rings):
+                out.append(f"{n.lineno}:sympy.{n.attr}")
         else:
             continue
-        out += [f"{n.lineno}:{m}" for m in names
-                if m in ("PolyElement", "g_basis", ".G")]
+        out += [f"{n.lineno}:{m}" for m in names if m in banned]
     return sorted(out)
 
 
 @pytest.mark.parametrize("module", MODULES)
 def test_no_coefficient_leaks(module):
     with open(os.path.join(PKG, module), encoding="utf-8") as fh:
-        assert coefficient_leaks(module, fh.read()) == []
+        assert coefficient_leaks(fh.read()) == []
 
 
 def test_coefficient_leak_detected():
     source = ("import sympy.polys.rings\n"
               "from sympy.polys.rings import PolyElement as PE\n"
-              "from sympy import polys, Rational\n"
+              "from sympy import polys, Rational, ring, Poly\n"
               "def f(alg, p):\n"
               "    return alg.g_basis(p), alg.G, isinstance(p, PE), g_basis\n"
               "def g_basis(p):\n"
               "    return p\n"
-              "G = alg.Gs\n")
-    names = ["2:PolyElement", "5:.G", "5:g_basis", "5:g_basis", "6:g_basis"]
-    assert coefficient_leaks("models.py", source) == sorted(
-        names + ["1:sympy.polys.rings", "2:sympy.polys.rings.PolyElement",
-                 "3:sympy.polys"])
-    assert coefficient_leaks("distcalc.py", source) == names
+              "G = alg.Gs, p.ring, alg.field, sp.Rational(1, 2)\n"
+              "R = sp.ring(syms, sp.QQ)[0], sympy.field('x', QQ), sp.Poly(e)\n"
+              "F = PolyRing(syms, QQ).to_field(), FracField, sp.polys.x\n")
+    assert coefficient_leaks(source) == sorted(
+        ["1:sympy.polys.rings", "2:sympy.polys.rings.PolyElement",
+         "2:PolyElement", "3:sympy.polys", "3:sympy.ring", "3:sympy.Poly",
+         "5:.G", "5:g_basis", "5:g_basis", "6:g_basis", "9:sympy.ring",
+         "9:sympy.field", "9:sympy.Poly", "10:PolyRing", "10:FracField",
+         "10:sympy.polys"])

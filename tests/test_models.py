@@ -251,8 +251,8 @@ class TestDerivationErrors:
         """The packed element p in the fraction field Q(x, y), with dinv
         set to 1/D."""
         F, x, y = sp.field("x, y", sp.QQ)
-        return sum((c * x ** i * y ** j * (x - y ** 2 + 1) ** -k
-                    for (i, j, k), c in p.ring.g_terms(p)), F.zero)
+        return sum((sp.QQ(num, den) * x ** i * y ** j * (x - y ** 2 + 1) ** -k
+                    for (i, j, k), num, den in p.ring.g_terms(p)), F.zero)
 
     @pytest.mark.parametrize("seed", range(8))
     def test_clear_pole_matches_fraction_field(self, seed):
@@ -307,7 +307,8 @@ class TestPackedSpectralClear:
     def g_ring(alg, p, scale=1):
         """The value p / scale in sympy's ring over the g basis."""
         G = sp.ring(alg.gsyms, sp.QQ)[0]
-        return G.from_dict({tuple(m): c for m, c in alg.g_terms(p, scale)})
+        return G.from_dict({tuple(m): sp.QQ(num, den)
+                            for m, num, den in alg.g_terms(p, scale)})
 
     LEAVES = (sx.wpu, sx.wpv, sx.dwpu, sx.dwpv, sx.g1, sx.g2, sx.g3, sx.T,
               jet("z0"), jet("z2"), jet("z3", 1))

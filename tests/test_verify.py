@@ -291,6 +291,25 @@ class TestThm2Suite:
         rep = verify.run_thm2_suite(n=n, trials=trials, seed=seed)
         assert rep.passed, [c.to_dict() for c in rep.checks if not c.passed]
 
+    def test_scaled_modular_row_detected(self, monkeypatch):
+        """Mutation: the flat table's delta coefficient C0[tau][f] scaled
+        by 1.01 fails the two checks that read it (residuals near 1.7e-3
+        and 4.8e-5 at n = 3), with no exception; the control passes."""
+        assert verify.run_thm2_suite(n=3, trials=10).passed
+        flat = models.flat_table_coeffs
+
+        def scaled(n, real):
+            C1, C0 = flat(n, real)
+            C0["tau"]["f"] *= 1.01
+            return C1, C0
+
+        monkeypatch.setattr(models, "flat_table_coeffs", scaled)
+        rep = verify.run_thm2_suite(n=3, trials=10)
+        failed = {c.name for c in rep.checks if not c.passed}
+        assert failed == {"modular_row", "generating_field_bracket"}
+        assert next(c for c in rep.checks
+                    if c.name == "control_wrong_coupling").passed
+
 
 class TestNoGoSuite:
     def test_passes_fast(self):
