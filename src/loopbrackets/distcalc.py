@@ -65,14 +65,15 @@ import dataclasses
 import itertools
 from dataclasses import dataclass
 from math import comb, gcd, lcm, prod
+from operator import itemgetter
 
 import numpy as np
 import sympy as sp
 from sympy.core.sympify import CantSympify
 
 from . import symexpr as sx
-from .errors import (ClosureError, ExponentOverflowError, StructureError,
-                     UnboundSymbolError, UnknownFieldError)
+from .errors import (ClosureError, ExponentOverflowError, ExtractionError,
+                     StructureError, UnboundSymbolError, UnknownFieldError)
 
 _POINT_INDEX = {"x": 0, "y": 1, "w": 2}
 
@@ -190,15 +191,6 @@ def _fits(deg: int) -> int:
         raise ExponentOverflowError(
             f"total degree {deg} exceeds the packing bound {_MAX_DEGREE}")
     return deg
-
-
-def _reorder(m, at, n: int) -> tuple:
-    """The exponents m moved to positions `at` of n."""
-    out = [0] * n
-    for i, e in enumerate(m):
-        if e:
-            out[at[i]] = e
-    return tuple(out)
 
 
 def _integral(c, d: int):
@@ -538,16 +530,42 @@ class _RingAlgebra:
                           if (e := (m >> shift) & _MAX_DEGREE)},
                          max(p.deg - 1, 0))
 
-    def coefficients(self, p, i: int) -> dict:
-        """{k: c_k} with p = sum_k c_k x^k, x generator i and every c_k
-        free of x, for a polynomial p; each c_k of degree bound
-        p.deg - k."""
-        shift, unit = _BITS * (self._nbytes - 1 - i), self._unit[i]
-        out: dict = {}
+    def split(self, p, at, into=None) -> dict:
+        """{exponents: group} with p = sum x^exponents group, for p a
+        polynomial and x the generators at positions `at`: the exponents a
+        tuple in the order of `at`, each group the terms of p with those
+        fields cleared, of degree bound p.deg minus the exponents' sum.
+        With `into` the groups move to that algebra by symbol; a generator
+        neither at `at` nor in `into` is an ExtractionError."""
+        if p.den:
+            raise ClosureError("a fraction has no terms")
+        mask = sum(_MAX_DEGREE * self._unit[i] for i in at)
+        groups: dict = {}
         for m, c in p.items():
-            k = (m >> shift) & _MAX_DEGREE
-            out.setdefault(k, {})[m - k * unit] = c
-        return {k: self._new(t, max(p.deg - k, 0)) for k, t in out.items()}
+            k = m & mask
+            groups.setdefault(k, {})[m ^ k] = c
+        if into is not None:
+            # i to j: shift left 8 (len(into.syms) - j + i), right 8 len(syms)
+            moves: dict = {}
+            kept = set(at)
+            for i, s in enumerate(self.syms):
+                j = into.index.get(s)
+                if j is not None and i not in kept:
+                    kept.add(i)
+                    d = _BITS * (into._nbytes - j + i)
+                    moves[d] = moves.get(d, 0) | _MAX_DEGREE * self._unit[i]
+            stray = self.support(p) - kept
+            if stray:
+                raise ExtractionError(f"{self.gsyms[min(stray)]} survives in "
+                                      "a structure constant")
+            low = _BITS * self._nbytes
+            groups = {k: {sum((m & w) << d for d, w in moves.items()) >> low: c
+                          for m, c in t.items()} for k, t in groups.items()}
+        get = itemgetter(*at) if len(at) > 1 else lambda e: tuple(e[i]
+                                                                  for i in at)
+        keys = {k: get(self._unpack(k)) for k in groups}
+        return {keys[k]: (into or self)._new(t, p.deg - sum(keys[k]))
+                for k, t in groups.items()}
 
     def support(self, p) -> set[int]:
         """Indices of the generators that p depends on."""

@@ -20,6 +20,7 @@ from .errors import CollisionError, ConvergenceError, DomainError, PoleError
 TWO_PI_I = 2j * math.pi
 
 MAX_TRUNCATION = 4000
+POLE_GUARD = 1e-6
 
 
 @dataclass(frozen=True)
@@ -39,7 +40,6 @@ class EllipticContext:
     g3: complex
     series_truncation: int
     tolerance: float = 1e-10
-    pole_guard: float = 1e-6
 
     @property
     def eta_tau(self) -> complex:
@@ -71,6 +71,8 @@ def make_context(tau: complex) -> EllipticContext:
     absq = abs(q)
     # Dropped tail of the q-series is geometric; aim two orders below target.
     target = tolerance * 1e-3
+    if absq >= 1.0:  # Im(tau) too small for |q| to round below 1
+        raise ConvergenceError(f"|q| rounds to 1 at tau={tau}")
     if absq == 0.0:  # nome underflowed; any truncation is exact
         n = 8
     else:
@@ -120,10 +122,12 @@ def reduce_argument(tau: complex, z: complex) -> tuple[complex, int, int]:
     return zr, m, k
 
 
-def _check_pole(tau: complex, zr: complex, guard: float):
-    for om in (0, 1, -1, tau, -tau, 1 + tau, -1 - tau, 1 - tau, -1 + tau):
-        if abs(zr - om) < guard:
-            raise PoleError(f"argument within {guard} of lattice point {om}")
+def _check_pole(zr: complex):
+    """PoleError for a reduced argument within POLE_GUARD of 0.  Every
+    other lattice point is min(1/2, Im(tau)/2) >= 5.9e-4 or more away at
+    a tau that make_context accepts, so 0 is the only one to check."""
+    if abs(zr) < POLE_GUARD:
+        raise PoleError(f"argument within {POLE_GUARD} of lattice point 0")
 
 
 def _qz(z: complex) -> complex:
@@ -165,7 +169,7 @@ def _wp_series(ctx: EllipticContext, zr: complex) -> complex:
 def wp(ctx: EllipticContext, z: complex) -> complex:
     """Weierstrass elliptic function for the lattice Z + Z*tau."""
     zr, _, _ = reduce_argument(ctx.tau, z)
-    _check_pole(ctx.tau, zr, ctx.pole_guard)
+    _check_pole(zr)
     return _in_double_range(_wp_series, lambda ctx, zr: TWO_PI_I ** 2 / 12.0,
                             ctx, zr, 1)
 
@@ -187,7 +191,7 @@ def _wp_z_series(ctx: EllipticContext, zr: complex) -> complex:
 def wp_z(ctx: EllipticContext, z: complex) -> complex:
     """z-derivative of wp."""
     zr, _, _ = reduce_argument(ctx.tau, z)
-    _check_pole(ctx.tau, zr, ctx.pole_guard)
+    _check_pole(zr)
     return _in_double_range(_wp_z_series, lambda ctx, zr: 0j, ctx, zr, -1)
 
 
@@ -216,7 +220,7 @@ def zeta(ctx: EllipticContext, z: complex) -> complex:
     quasi-periods m*g1 + k*eta_tau).  DomainError where they leave the
     double range."""
     zr, m, k = reduce_argument(ctx.tau, z)
-    _check_pole(ctx.tau, zr, ctx.pole_guard)
+    _check_pole(zr)
     val = _in_double_range(_zeta_series,
                            lambda ctx, zr: ctx.g1 * zr - TWO_PI_I * 0.5,
                            ctx, zr, -1)

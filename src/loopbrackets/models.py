@@ -24,6 +24,7 @@ from __future__ import annotations
 import functools
 import itertools
 from dataclasses import dataclass, field
+from math import prod
 
 import numpy as np
 import sympy as sp
@@ -129,31 +130,6 @@ def _structconsts_algebra(n: int) -> dcx._RingAlgebra:
 _SPECTRAL = (u, v, wpu, wpv, dwpu, dwpv, zwu, zwv, sx.dinv)
 
 
-def _group_terms(p, at, R=None) -> dict:
-    """The terms of the polynomial p grouped by their exponents at
-    generator positions `at`: {exponents: coefficient}, the coefficient
-    an element of the algebra R (default p's) in the other generators,
-    which move to R by symbol.  ExtractionError when a generator that is
-    neither at `at` nor in R survives in p."""
-    src = p.ring
-    R = src if R is None else R
-    kept = {s: i for i, s in enumerate(src.syms) if i not in at}
-    stray = [i for s, i in kept.items() if s not in R.index]
-    # for each generator of R, its position in p's exponents, or the zero
-    # byte appended to them
-    perm = [kept.get(s, len(src.syms)) for s in R.syms]
-    groups: dict = {}
-    for m, c in p.items():
-        e = src._unpack(m) + b"\0"
-        for i in stray:
-            if e[i]:
-                raise ExtractionError(
-                    f"{src.gsyms[i]} survives in a structure constant")
-        rest = int.from_bytes(bytes(map(e.__getitem__, perm)), "big")
-        groups.setdefault(tuple(map(e.__getitem__, at)), {})[rest] = c
-    return {key: R._new(terms, p.deg) for key, terms in groups.items()}
-
-
 class StructConsts:
     """Structure constants of the homogeneous bracket on n fields:
     P maps (a, b) to the delta'-coefficient (quadratic in z), Q to the
@@ -209,22 +185,20 @@ class StructConsts:
 
 def _check_homogeneity(sc: StructConsts):
     k = len(sc.indices)
-    zs0 = slice(_Z_AT, _Z_AT + k)
-    zs1 = slice(_Z_AT + k, _Z_AT + 2 * k)
+    at = [*range(_Z_AT, _Z_AT + 2 * k), _T_AT]  # z.., z.._x, T
     for (a, b), p in sc.P_poly.items():
-        if any(sum(m[zs0]) != 2 for m in map(p.ring._unpack, p)):
+        keys = p.ring.split(p, at)
+        if any(sum(key[:k]) != 2 for key in keys):
             raise ExtractionError(f"P[{a},{b}] not homogeneous quadratic")
-        if any(m[_T_AT] or any(m[zs1]) for m in map(p.ring._unpack, p)):
+        if any(any(key[k:]) for key in keys):
             raise ExtractionError(f"P[{a},{b}] contains jets or T")
     for (a, b), p in sc.Q_poly.items():
-        for m in map(p.ring._unpack, p):
-            d0, d1, dT = sum(m[zs0]), sum(m[zs1]), m[_T_AT]
-            ok = (d0 == 1 and d1 == 1 and dT == 0) or \
-                 (d0 == 2 and d1 == 0 and dT == 1)
-            if not ok:
+        for key in p.ring.split(p, at):
+            degrees = sum(key[:k]), sum(key[k:-1]), key[-1]  # z, z_x, T
+            if degrees not in ((1, 1, 0), (2, 0, 1)):  # z z' or T z z
                 raise ExtractionError(
                     f"Q[{a},{b}] has a monomial outside the z z' / T z z "
-                    f"shape: {tuple(m[zs0] + m[zs1]) + (dT,)}")
+                    f"shape: {key}")
 
 
 def _clear_pole(p, i_inv: int, hi, lo):
@@ -239,13 +213,13 @@ def _clear_pole(p, i_inv: int, hi, lo):
     alg = p.ring
     i_hi, h = alg.index[hi], alg.gen(hi)
     p, scale = dcx._integral(p, 1)
-    parts = alg.coefficients(p, i_inv)
+    parts = {k: c for (k,), c in alg.split(p, [i_inv]).items()}
     K = max(parts, default=0)
     num = alg.zero
     for k in range(K + 1):
         num = num * (h - lo) + parts.get(k, alg.zero)
     for _ in range(K):
-        parts = alg.coefficients(num, i_hi)
+        parts = {k: c for (k,), c in alg.split(num, [i_hi]).items()}
         num, carry = alg.zero, alg.zero
         for k in range(max(parts, default=0), 0, -1):
             carry = parts.get(k, alg.zero) + carry * lo
@@ -272,7 +246,7 @@ def _spectral_clear(p):
     p, scale = dcx._integral(p, 1)
     for w, hdw, rule in _WP.values():
         twice_square = alg.conv(rule)
-        parts = alg.coefficients(p, at[hdw])
+        parts = {k: c for (k,), c in alg.split(p, [at[hdw]]).items()}
         K = max(parts, default=0) // 2
         scale <<= K
         p = sum((c * 2 ** (K - k // 2) * x(hdw) ** (k % 2)
@@ -292,7 +266,7 @@ def _coeff_split(p, n: int, R, scale: int = 1) -> dict:
     (p_a = -hdwp wp^((a-3)/2) for odd a) times monomials wpu^a wpv^b."""
     out = {(a, b): R.zero for a in field_indices(n) for b in field_indices(n)}
     at = [p.ring.index[s] for s in (_WP["u"][1], _WP["v"][1], wpu, wpv)]
-    for (i, j, a, b), c in _group_terms(p, at, R).items():
+    for (i, j, a, b), c in p.ring.split(p, at, R).items():
         if i > 1 or j > 1:
             raise ExtractionError("unreduced odd-leaf power")
         ia, ib = 2 * a + 3 * i, 2 * b + 3 * j
@@ -575,7 +549,7 @@ def _harvest(target: dict, sector: tuple, p, n: int, R):
     elements of R."""
     su, sv = sector
     at = [p.ring.index[s] for s in (u, v)]
-    for (a, b), c in _group_terms(p, at, R).items():
+    for (a, b), c in p.ring.split(p, at, R).items():
         ia, ib = 2 * a + 3 * su, 2 * b + 3 * sv
         if ia > n or ib > n:
             raise ExtractionError(
@@ -637,11 +611,11 @@ def match_structconsts(a: StructConsts, b: StructConsts) -> list[str]:
 def structconsts_to_document(sc: StructConsts) -> dict:
     k = len(sc.indices)
     zs0 = list(range(_Z_AT, _Z_AT + k))
-    q_at = list(range(_Z_AT, _Z_AT + 2 * k)) + [_T_AT]
+    q_at = [*zs0, *range(_Z_AT + k, _Z_AT + 2 * k), _T_AT]
 
     def p_terms(p):
         terms = []
-        for mono, c in sorted(_group_terms(p, zs0).items()):
+        for mono, c in sorted(p.ring.split(p, zs0).items()):
             pos = [i for i, m in enumerate(mono) for _ in range(m)]
             terms.append({"c": sc.indices[pos[0]], "d": sc.indices[pos[1]],
                           "coeff": sx.render(c)})
@@ -651,11 +625,12 @@ def structconsts_to_document(sc: StructConsts) -> dict:
 
     def q_terms(p):
         terms = []
-        for mono, c in sorted(_group_terms(p, q_at).items()):
+        R = p.ring
+        for mono, c in sorted(R.split(p, q_at).items()):
             if mono not in monomials:
-                R = p.ring
-                monomials[mono] = sx.render(R.monomial(R._pack(
-                    dcx._reorder(mono, q_at, len(R.syms)))))
+                monomials[mono] = sx.render(prod(
+                    R.gen(R.syms[i]) for i, e in zip(q_at, mono)
+                    for _ in range(e)))
             terms.append({"monomial": monomials[mono], "coeff": sx.render(c)})
         return terms
 
@@ -778,8 +753,9 @@ def linear_identifications(sc: StructConsts,
                 lhs = sum((M[i][a] * M[j][b] * old[a, b].get(order, K.zero)
                            for a in range(2) for b in range(2)), K.zero)
                 diff = lhs - det**2 * new.get(order, K.zero)
-                eqs.update(c / c[max(c)] for c in _group_terms(
-                    diff, range(len(ms), len(K.syms))).values())
+                for c in K.split(diff, range(len(ms), len(K.syms))).values():
+                    _, num, den = max(K.g_terms(c))
+                    eqs.add(c / sp.QQ(num, den))
     sols = sp.solve(sorted((e.as_expr() for e in eqs), key=str), ms,
                     dict=True)
     return [s for s in sols if sp.expand(det.as_expr().xreplace(s)) != 0]
@@ -1080,7 +1056,7 @@ def _chart_coefficients(table) -> dict:
     images[alg.index[z1x]] = alg.gen(z1x) + alg.gen(z1) * alg.gen(z2x)
     at = [alg.index[s] for s in (z1, z1x, z2x)]
     dp = dcx.bracket_of_functions(table, z1 / z2, z1 / z2)
-    return {t.orders: {key: c / dp.scale for key, c in _group_terms(
+    return {t.orders: {key: c / dp.scale for key, c in alg.split(
         dcx._compose(t.value, images, alg, {}), at).items()}
         for t in dp.terms}
 
@@ -1094,8 +1070,8 @@ def _quadratic_tensors(rows, m: int):
     order, which fixes the order of `quad`."""
     scales, parts = [], ([], [], [])  # (row, *variables, value) by degree
     for poly, t in rows:
-        terms = [(poly.ring._unpack(monom), complex(v))
-                 for monom, v in sorted(poly.items(), reverse=True)]
+        terms = [(monom, complex(num / den)) for monom, num, den
+                 in sorted(poly.ring.g_terms(poly), reverse=True)]
         if t:
             terms.append((b"", -t))
         if not terms:
@@ -1169,7 +1145,7 @@ def prop1_system(s, include_jacobi: bool = True,
         for tri in dcx.jacobi_triples(("z1", "z2")):
             dp = dcx.jacobi_defect(table, *tri)
             for term in dp.terms:
-                g = _group_terms(term.value, at)
+                g = alg.split(term.value, at)
                 rows.extend((g[key] / dp.scale, 0)
                             for key in sorted(g, reverse=True))
 
@@ -1292,7 +1268,8 @@ def prop1_feasible_selftest(seed: int = 0) -> dict:
         rv[(a, b, c, d)] = r1 if a != b else qv[(a, b, c, d)]
         rv[(b, a, c, d)] = 2 * qv[(a, b, c, d)] - rv[(a, b, c, d)]
 
-    target = {order: {key: complex(p[0]) for key, p in coeffs.items()}
+    target = {order: {key: complex(num / den) for key, p in coeffs.items()
+                      for _, num, den in p.ring.g_terms(p)}
               for order, coeffs in
               _chart_coefficients(_nogo_tables(qv, rv)).items()}
     sys2 = prop1_system(s=2, include_jacobi=False, matching_target=target)

@@ -79,6 +79,14 @@ class TestEllipticCommand:
         assert run_cli(["elliptic", "eval", "--fn", "wp",
                         "--z", "0.3", "--tau", "-1.1i"]) == 2
 
+    def test_nome_rounding_to_one(self, capsys):
+        """|q| rounds to 1 at Im tau = 1e-300: a ConvergenceError, exit 2
+        with one error line, no traceback."""
+        assert run_cli(["elliptic", "eval", "--fn", "wp",
+                        "--tau", "1e-9+1e-300i", "--z", "0.1"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     @pytest.mark.parametrize("fn, z, tau", [
         ("wp", "inf", "1i"), ("zeta", "nan", "1i"), ("sigma", "1+infi", "1i"),
         ("wp", "0.3", "inf+1i"), ("wp", "0.3", "1e308+1i")])

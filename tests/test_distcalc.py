@@ -22,8 +22,9 @@ from loopbrackets import distcalc as dc
 from loopbrackets import models, verify
 from loopbrackets import symexpr as sx
 from loopbrackets.errors import (ClosureError, ExponentOverflowError,
-                                 LoopBracketsError, StructureError,
-                                 UnboundSymbolError, UnknownFieldError)
+                                 ExtractionError, LoopBracketsError,
+                                 StructureError, UnboundSymbolError,
+                                 UnknownFieldError)
 
 x, y, w = sp.symbols("x y w")
 PT = {"x": x, "y": y, "w": w}
@@ -911,6 +912,44 @@ class TestPackedAgainstSympy:
             / F(den ** 2))
         assert alg.support(fa) == {j for j, x in enumerate(R.gens)
                                   if num.degree(x) > 0 or den.degree(x) > 0}
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_split(self, algebras, seed):
+        """split at two jets j1, j2 (j2 perhaps unused) against the reference
+        read off R's monomials: the keys times the groups sum back to p,
+        no group depends on j1 or j2, each degree bound covers its group,
+        and the groups moved into an algebra of the other generators, in
+        their order or reversed, are that algebra's lift of the groups.
+        Without j0, a generator of p, that algebra is refused by name."""
+        alg, _, fields, R, _ = algebras
+        rng = np.random.default_rng(seed)
+        (a, ra), (b, rb) = (self.random_pair(alg, R, fields, rng)
+                            for _ in range(2))
+        jets = [s for i, s in enumerate(alg.syms) if alg.jets[i]]
+        j0, j1, j2 = (jets[int(i)] for i in rng.choice(len(jets), 3, False))
+        p = a * b * (alg.gen(j0) + alg.gen(j1) ** 2) + alg.gen(j1) * 3
+        r = ra * rb * (R(j0) + R(j1) ** 2) + R(j1) * 3
+        at = [alg.index[j1], alg.index[j2]]
+        want: dict = {}
+        for m, c in r.terms():
+            rest = [0 if i in at else e for i, e in enumerate(m)]
+            key = tuple(m[i] for i in at)
+            want[key] = want.get(key, R.zero) + R({tuple(rest): c})
+        got = alg.split(p, at)
+        assert {k: self.to_ref(g, R) for k, g in got.items()} == want
+        assert sum((self.to_ref(g, R) * R(j1) ** k[0] * R(j2) ** k[1]
+                    for k, g in got.items()), R.zero) == r
+        for g in got.values():
+            assert not alg.support(g) & set(at)
+            assert g.deg >= max(map(sum, self.to_ref(g, R).monoms()))
+        kept = [s for i, s in enumerate(alg.gsyms) if i not in at]
+        for order in (kept, kept[::-1]):
+            into = dc._RingAlgebra(order, fields, frozen=True)
+            assert alg.split(p, at, into) == {
+                k: into.conv(g) for k, g in got.items()}
+        into = dc._RingAlgebra([s for s in kept if s != j0], fields, True)
+        with pytest.raises(ExtractionError, match=f"^{j0} survives"):
+            alg.split(p, at, into)
 
     @pytest.mark.parametrize("seed", range(3))
     def test_g_basis_round_trip(self, algebras, seed):

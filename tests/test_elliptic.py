@@ -9,7 +9,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from loopbrackets import elliptic
-from loopbrackets.errors import (CollisionError, DomainError, PoleError)
+from loopbrackets.errors import (CollisionError, ConvergenceError,
+                                 DomainError, PoleError)
 
 from conftest import random_cell_point
 
@@ -72,6 +73,14 @@ class TestInvariants:
         got = elliptic.make_context(tau).tau
         assert (got.real, got.imag) == (tau.real, tau.imag)
         assert math.copysign(1, got.real) == math.copysign(1, tau.real)
+
+    @pytest.mark.parametrize("tau", [1e-17j, 1e-300j, 0.3 + 1e-18j])
+    def test_nome_near_one_refused(self, tau):
+        """At 1e-300j and 0.3+1e-18j |q| = exp(-2 pi Im tau) rounds to 1,
+        where log |q| is 0; at 1e-17j it needs too many terms.  Each is a
+        ConvergenceError."""
+        with pytest.raises(ConvergenceError):
+            elliptic.make_context(tau)
 
     def test_huge_im_tau_accepted(self):
         # 2 pi i tau overflows only in its real part: the nome is 0
@@ -212,6 +221,22 @@ class TestSigmaContinuation:
                                          + 10 ** 15 * ctx.g1)
         with pytest.raises(DomainError, match="double range"):
             elliptic.sigma(ctx, z)
+
+
+class TestPoleGuard:
+    """Every lattice point but 0 is min(1/2, Im tau/2) or more from a
+    reduced argument, so a point 1e-9 from any lattice point reduces to
+    1e-9 from 0, the one point the guard checks."""
+
+    @pytest.mark.parametrize("tau", [TAU, 0.4 + 0.002j])
+    @pytest.mark.parametrize("fn", ["wp", "wp_z", "zeta"])
+    @pytest.mark.parametrize("m, k", [(0, 0), (1, 0), (0, 1), (1, 1),
+                                      (3, -2)])
+    def test_lattice_points(self, tau, fn, m, k):
+        ctx = elliptic.make_context(tau)
+        with pytest.raises(PoleError, match="within 1e-06 of lattice "
+                                            "point 0$"):
+            getattr(elliptic, fn)(ctx, m + k * ctx.tau + 1e-9)
 
 
 class TestDoubleRange:

@@ -27,10 +27,18 @@ out byte for byte the same.
 `nogo_tensors_sha256.json` holds the SHA-256 of the no-go system's
 arrays (c, A and the four coordinate arrays of B) at s = 2.0 and
 s = 0.5+0.3i, written while the system was still read from sympy
-expressions; reading it from ring elements must give the same bits."""
+expressions; reading it from ring elements must give the same bits.
+
+`documents_sha256.json` holds the SHA-256 of the documents that earlier
+changes compared by hand, keyed by their `loopb` arguments: the tables
+for n = 7, 8, two descents and the `verify cp2` and `verify nogo`
+reports, written while `models` still read packed monomials itself."""
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -133,4 +141,30 @@ def test_nogo_tensors(s):
     for a in arrays.values():
         everything.update(np.ascontiguousarray(a).tobytes())
     got["all"] = everything.hexdigest()
+    assert got == want
+
+
+def test_document_digests(tmp_path, capsys):
+    """Each document of `documents_sha256.json`: what its command prints,
+    or the file its `--json` writes.  The no-go report is written by a
+    fresh process, since its self-test minimum may move in the last
+    digits with what ran before it in one process."""
+    want = json.loads((DATA / "documents_sha256.json").read_text())
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = filter(None, [src, os.environ.get("PYTHONPATH")])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    got = {}
+    for args in want:
+        out = tmp_path / "report.json"
+        argv = args.split() + ([str(out)] if args.endswith("--json") else [])
+        if argv[:2] == ["verify", "nogo"]:
+            subprocess.run([sys.executable, "-m", "loopbrackets", *argv],
+                           check=True, capture_output=True, timeout=300,
+                           env=env)
+        else:
+            assert cli.main(argv) == 0
+        printed = capsys.readouterr().out.encode()
+        got[args] = hashlib.sha256(
+            out.read_bytes() if args.endswith("--json") else printed
+        ).hexdigest()
     assert got == want

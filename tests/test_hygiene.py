@@ -1,8 +1,9 @@
 """Source hygiene: no module of the package imports a name at module level
 that it never uses, no private function or method goes unreferenced, no
 public definition is left to the tests alone, no function mutates
-module-level state, and nothing calls sympy's heuristic
-`simplify` or `together`.  No linter is part of the toolchain, so this
+module-level state, nothing calls sympy's heuristic `simplify` or
+`together`, and no module but distcalc names a packing internal of its
+elements.  No linter is part of the toolchain, so this
 parses the modules with `ast` instead."""
 
 import ast
@@ -423,3 +424,52 @@ def test_coefficient_leak_detected():
          "5:.G", "5:g_basis", "5:g_basis", "6:g_basis", "9:sympy.ring",
          "9:sympy.field", "9:sympy.Poly", "10:PolyRing", "10:FracField",
          "10:sympy.polys"])
+
+
+PACKING = ("_unpack", "_pack", "_unit", "_nbytes", "_new", "_strip", "_frac",
+           "_reorder")
+
+
+def packing_leaks(source: str) -> list[str]:
+    """`line:name` for every name, attribute, imported name, definition or
+    string constant (a `getattr` argument) that is one of the packing
+    internals of distcalc (PACKING).  Exponents leave a packed element
+    through `_RingAlgebra.split` and values through `g_terms`, so no
+    other module knows the packed layout."""
+    out = []
+    for n in ast.walk(ast.parse(source)):
+        if isinstance(n, ast.Name):
+            names = [n.id]
+        elif isinstance(n, ast.Attribute):
+            names = [n.attr]
+        elif isinstance(n, (ast.Import, ast.ImportFrom)):
+            names = [x for a in n.names for x in (a.name, a.asname) if x]
+        elif isinstance(n, (ast.FunctionDef, ast.AsyncFunctionDef,
+                            ast.ClassDef)):
+            names = [n.name]
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            names = [n.value]
+        else:
+            continue
+        out += [f"{n.lineno}:{m}" for m in names if m in PACKING]
+    return sorted(out)
+
+
+@pytest.mark.parametrize("module", [m for m in MODULES if m != "distcalc.py"])
+def test_no_packing_leaks(module):
+    with open(os.path.join(PKG, module), encoding="utf-8") as fh:
+        assert packing_leaks(fh.read()) == []
+
+
+def test_packing_leak_detected():
+    source = ("from .distcalc import _pack, _reorder as reorder\n"
+              "def f(p, R):\n"
+              "    e = p.ring._unpack(m)\n"
+              "    return R._new({R._pack(e): 1}, 1), R._unit[0], R._nbytes\n"
+              "def _strip(p):\n"
+              "    return dcx._frac(p, 0), getattr(p.ring, '_unpack'), _new\n"
+              "x = R.unpack, R.new_, _packed, R.pack, '_unit_', R.split\n")
+    assert packing_leaks(source) == sorted(
+        ["1:_pack", "1:_reorder", "3:_unpack", "4:_new", "4:_pack",
+         "4:_unit", "4:_nbytes", "5:_strip", "6:_frac", "6:_unpack",
+         "6:_new"])

@@ -4,6 +4,7 @@ realization, the obstruction certificate, and the three-field warm-up."""
 
 import dataclasses
 import os
+import re
 import subprocess
 import sys
 
@@ -282,14 +283,34 @@ class TestDerivationErrors:
         p, K = self.pole_case(seed)
         alg = p.ring
         dinv = alg.gen(self.DINV)
-        flipped = sum((c * (-dinv) ** k for k, c in alg.coefficients(
-            p, alg.index[self.DINV]).items()), alg.zero)
+        flipped = sum((c * (-dinv) ** k for (k,), c in alg.split(
+            p, [alg.index[self.DINV]]).items()), alg.zero)
         try:
             fired = self.field_value(self.clear(flipped)) != \
                 self.field_value(p)
         except DivisibilityError:
             fired = True
         assert fired == (K >= 1)
+
+    @pytest.mark.parametrize("name, entry, message", [
+        ("P", jet("z0") ** 3, "P[0,2] not homogeneous quadratic"),
+        ("P", sx.T * jet("z0") ** 2, "P[0,2] contains jets or T"),
+        ("Q", jet("z0") ** 2 * jet("z2", 1),
+         "Q[0,2] has a monomial outside the z z' / T z z shape: "
+         "(2, 0, 0, 1, 0)"),
+        ("Q", sx.g1 * sx.T * jet("z2") * jet("z0", 1),
+         "Q[0,2] has a monomial outside the z z' / T z z shape: "
+         "(0, 1, 1, 0, 1)")], ids=["P-degree", "P-T", "Q-jet", "Q-T"])
+    def test_homogeneity_messages(self, name, entry, message):
+        """Each shape the structure constants must have, broken beside a
+        valid term in the entry (0, 2) of an n = 2 table, is refused with
+        its exponents in z0, z2, z0_x, z2_x, T."""
+        R = models._structconsts_algebra(2)
+        valid = {"P": jet("z0") * jet("z2"), "Q": jet("z0") * jet("z2", 1)}
+        entries = {"P": {}, "Q": {}}
+        entries[name][(0, 2)] = R.conv(valid[name] + entry)
+        with pytest.raises(ExtractionError, match=f"^{re.escape(message)}$"):
+            models._check_homogeneity(models.StructConsts(2, **entries))
 
     def test_constructor_takes_ring_elements_only(self):
         R, z0 = sp.ring([jet("z0")], sp.QQ)
@@ -363,7 +384,7 @@ class TestPackedSpectralClear:
     @pytest.mark.parametrize("seed", range(8))
     def test_matches_sympy(self, seed):
         alg, p, K = self.case(seed)
-        assert max(alg.coefficients(p, alg.index[sx.dinv])) == K
+        assert max(alg.split(p, [alg.index[sx.dinv]])) == (K,)
         out, scale = models._spectral_clear(p)
         assert out.deg >= alg._degree(out)
         q = self.g_ring(alg, out, scale)

@@ -234,7 +234,7 @@ def printed_entries(n: int) -> list:
         for table, at in ((sc.P_poly, zs0), (sc.Q_poly, q_at)):
             for p in table.values():
                 out.append(p)
-                out.extend(models._group_terms(p, at).values())
+                out.extend(p.ring.split(p, at).values())
     return out
 
 
