@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,6 +31,9 @@ class EllipticContext:
     g2, g3 are the cubic invariants in wp_z^2 = 4 wp^3 - g2 wp - g3.
     ``eta_tau`` is the zeta quasi-period across the period tau
     (g1*tau - 2*pi*i, validated numerically in the test suite).
+    ``q_table`` holds, for n = 1..series_truncation, the row
+    (q^n, 2 q^n / (1 - q^n)^2, (1 - q^n)^2): the factors of the series
+    kernels that depend on q alone, formed once per context.
     """
 
     tau: complex
@@ -39,6 +42,8 @@ class EllipticContext:
     g2: complex
     g3: complex
     series_truncation: int
+    q_table: tuple[tuple[complex, complex, complex], ...] = field(
+        repr=False, compare=False)
     tolerance: float = 1e-10
 
     @property
@@ -81,25 +86,32 @@ def make_context(tau: complex) -> EllipticContext:
         raise ConvergenceError(
             f"need {n} series terms for tolerance {tolerance} at |q|={absq:.3g}, "
             f"max is {MAX_TRUNCATION}")
-    g1, g2, g3 = _modular_forms(q, n)
+    g1, g2, g3, table = _modular_forms(q, n)
     return EllipticContext(tau=tau, nome_q=q, g1=g1, g2=g2, g3=g3,
-                           series_truncation=n)
+                           series_truncation=n, q_table=table)
 
 
-def _modular_forms(q: complex, n: int) -> tuple[complex, complex, complex]:
+def _modular_forms(q: complex, n: int
+                   ) -> tuple[complex, complex, complex, tuple]:
+    """(g1, g2, g3) from their Eisenstein q-series truncated after q^n,
+    and the context's q_table of n rows, formed in the same pass."""
     pi2 = math.pi ** 2
     s1 = s3 = s5 = 0.0 + 0.0j
     qm = 1.0 + 0.0j
+    table = []
     for m in range(1, n + 1):
         qm *= q
-        w = qm / (1.0 - qm)
+        d = 1.0 - qm
+        w = qm / d
         s1 += m * w
         s3 += m ** 3 * w
         s5 += m ** 5 * w
+        dd = d * d
+        table.append((qm, 2.0 * qm / dd, dd))
     g1 = pi2 / 3.0 - 8.0 * pi2 * s1
     g2 = 4.0 * pi2 ** 2 / 3.0 + 320.0 * pi2 ** 2 * s3
     g3 = 8.0 * pi2 ** 3 / 27.0 - (448.0 / 3.0) * pi2 ** 3 * s5
-    return g1, g2, g3
+    return g1, g2, g3, tuple(table)
 
 
 def reduce_argument(tau: complex, z: complex) -> tuple[complex, int, int]:
@@ -154,45 +166,59 @@ def _in_double_range(series, leading, ctx: EllipticContext, zr: complex,
     raise ConvergenceError(f"q-series overflowed at reduced argument {zr}")
 
 
+# In the sums over q_table the series kernels write (1 - t)^2 as d*d and
+# (1 - t)^3 as d*(d*d), d = 1 - t: the products CPython's complex power
+# by 2 and by 3 forms, bit for bit, wherever they are finite.  There
+# |t| <= |q|^(1/2) < 1, so they are.  The leading term in x keeps the
+# power: for |x| past about 1e102 (cube) or 1e154 (square) it raises
+# OverflowError, and _in_double_range falls back on the parity, where
+# the product would give a finite value that drops that term.
+
 def _wp_series(ctx: EllipticContext, zr: complex) -> complex:
-    q, x = ctx.nome_q, _qz(zr)
+    x = _qz(zr)
     acc = 1.0 / 12.0 + x / (1.0 - x) ** 2
-    qn = 1.0 + 0.0j
-    for _ in range(ctx.series_truncation):
-        qn *= q
+    for qn, c, _ in ctx.q_table:
         a = qn * x
         b = qn / x
-        acc += a / (1.0 - a) ** 2 + b / (1.0 - b) ** 2 - 2.0 * qn / (1.0 - qn) ** 2
+        da = 1.0 - a
+        db = 1.0 - b
+        acc += a / (da * da) + b / (db * db) - c
     return TWO_PI_I ** 2 * acc
+
+
+def _wp_lead(ctx: EllipticContext, zr: complex) -> complex:
+    return TWO_PI_I ** 2 / 12.0
 
 
 def wp(ctx: EllipticContext, z: complex) -> complex:
     """Weierstrass elliptic function for the lattice Z + Z*tau."""
     zr, _, _ = reduce_argument(ctx.tau, z)
     _check_pole(zr)
-    return _in_double_range(_wp_series, lambda ctx, zr: TWO_PI_I ** 2 / 12.0,
-                            ctx, zr, 1)
+    return _in_double_range(_wp_series, _wp_lead, ctx, zr, 1)
 
 
 def _wp_z_series(ctx: EllipticContext, zr: complex) -> complex:
-    q, x = ctx.nome_q, _qz(zr)
-
-    def dterm(t):
-        return t * (1.0 + t) / (1.0 - t) ** 3
-
-    acc = dterm(x)
-    qn = 1.0 + 0.0j
-    for _ in range(ctx.series_truncation):
-        qn *= q
-        acc += dterm(qn * x) - dterm(qn / x)
+    x = _qz(zr)
+    acc = x * (1.0 + x) / (1.0 - x) ** 3
+    for qn, _, _ in ctx.q_table:
+        a = qn * x
+        b = qn / x
+        da = 1.0 - a
+        db = 1.0 - b
+        acc += (a * (1.0 + a) / (da * (da * da))
+                - b * (1.0 + b) / (db * (db * db)))
     return TWO_PI_I ** 3 * acc
+
+
+def _wp_z_lead(ctx: EllipticContext, zr: complex) -> complex:
+    return 0j
 
 
 def wp_z(ctx: EllipticContext, z: complex) -> complex:
     """z-derivative of wp."""
     zr, _, _ = reduce_argument(ctx.tau, z)
     _check_pole(zr)
-    return _in_double_range(_wp_z_series, lambda ctx, zr: 0j, ctx, zr, -1)
+    return _in_double_range(_wp_z_series, _wp_z_lead, ctx, zr, -1)
 
 
 def wp_zz(ctx: EllipticContext, z: complex) -> complex:
@@ -202,17 +228,15 @@ def wp_zz(ctx: EllipticContext, z: complex) -> complex:
 
 
 def _zeta_series(ctx: EllipticContext, zr: complex) -> complex:
-    q, x = ctx.nome_q, _qz(zr)
-
-    def s(t):
-        return 1.0 / (1.0 - t) - 0.5
-
-    acc = s(x)
-    qn = 1.0 + 0.0j
-    for _ in range(ctx.series_truncation):
-        qn *= q
-        acc += s(qn * x) - s(qn / x)
+    x = _qz(zr)
+    acc = 1.0 / (1.0 - x) - 0.5
+    for qn, _, _ in ctx.q_table:
+        acc += (1.0 / (1.0 - qn * x) - 0.5) - (1.0 / (1.0 - qn / x) - 0.5)
     return ctx.g1 * zr - TWO_PI_I * acc
+
+
+def _zeta_lead(ctx: EllipticContext, zr: complex) -> complex:
+    return ctx.g1 * zr - TWO_PI_I * 0.5
 
 
 def zeta(ctx: EllipticContext, z: complex) -> complex:
@@ -221,9 +245,7 @@ def zeta(ctx: EllipticContext, z: complex) -> complex:
     double range."""
     zr, m, k = reduce_argument(ctx.tau, z)
     _check_pole(zr)
-    val = _in_double_range(_zeta_series,
-                           lambda ctx, zr: ctx.g1 * zr - TWO_PI_I * 0.5,
-                           ctx, zr, -1)
+    val = _in_double_range(_zeta_series, _zeta_lead, ctx, zr, -1)
     val = val + m * ctx.g1 + k * ctx.eta_tau
     if not cmath.isfinite(val):
         raise DomainError(f"zeta({z}) leaves the double range")
@@ -248,15 +270,12 @@ def sigma(ctx: EllipticContext, z: complex) -> complex:
             if factor == 0 or not cmath.isfinite(val):
                 raise DomainError(f"sigma({z}) leaves the double range")
             return -val if (m + k + m * k) % 2 else val
-        q = ctx.nome_q
         x = _qz(z)
         half = cmath.exp(1j * math.pi * z)  # x ** (1/2) without branch trouble
         pref = cmath.exp(ctx.g1 * z * z / 2.0) * (half - 1.0 / half) / TWO_PI_I
         prod = 1.0 + 0.0j
-        qn = 1.0 + 0.0j
-        for _ in range(ctx.series_truncation):
-            qn *= q
-            prod *= (1.0 - qn * x) * (1.0 - qn / x) / (1.0 - qn) ** 2
+        for qn, _, e in ctx.q_table:
+            prod *= (1.0 - qn * x) * (1.0 - qn / x) / e
         return pref * prod
     except (ZeroDivisionError, OverflowError, ValueError):
         raise DomainError(f"sigma({z}) leaves the double range") from None

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import functools
 import re
+from operator import itemgetter
 
 import numpy as np
 import sympy as sp
@@ -159,9 +160,10 @@ def _render_poly(terms, names) -> str:
     terms: descending lex order of the exponents with the generators
     sorted by name, each term [-][num*]x**e*.../den."""
     at, names = _name_order(names)
+    get = itemgetter(*at) if len(at) > 1 else tuple
     out = []
-    for m, num, den in sorted(((tuple(m[i] for i in at), num, den)
-                               for m, num, den in terms), reverse=True):
+    for m, num, den in sorted(((get(m), num, den) for m, num, den in terms),
+                              reverse=True):
         factors = [x if e == 1 else f"{x}**{e}"
                    for x, e in zip(names, m) if e]
         if abs(num) != 1 or not factors:
@@ -206,8 +208,8 @@ def _annulus(rng, lo=0.2, hi=2.0):
 
 def spectral_point(rng, tau: complex) -> complex:
     """Random off-lattice point, comfortably inside the fundamental cell."""
-    re = rng.uniform(0.12, 0.42) * rng.choice([-1.0, 1.0])
-    im = rng.uniform(0.08, 0.38) * tau.imag * rng.choice([-1.0, 1.0])
+    re = rng.uniform(0.12, 0.42) * (-1.0, 1.0)[rng.integers(2)]
+    im = rng.uniform(0.08, 0.38) * tau.imag * (-1.0, 1.0)[rng.integers(2)]
     return complex(re, im)
 
 

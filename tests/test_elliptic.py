@@ -38,6 +38,10 @@ class TestInvariants:
         assert abs(ctx.nome_q) < 1.0
         # Legendre-type relation between the two quasi-periods
         assert ctx.eta_tau == ctx.g1 * ctx.tau - elliptic.TWO_PI_I
+        # one q-power row per series term, kept out of repr
+        assert len(ctx.q_table) == ctx.series_truncation
+        assert ctx.q_table[0][0] == ctx.nome_q
+        assert "q_table" not in repr(ctx)
 
     def test_lower_half_plane_rejected(self):
         with pytest.raises(DomainError):

@@ -32,7 +32,14 @@ expressions; reading it from ring elements must give the same bits.
 `documents_sha256.json` holds the SHA-256 of the documents that earlier
 changes compared by hand, keyed by their `loopb` arguments: the tables
 for n = 7, 8, two descents and the `verify cp2` and `verify nogo`
-reports, written while `models` still read packed monomials itself."""
+reports, written while `models` still read packed monomials itself.
+
+`elliptic_values.json` holds `float.hex` of g1, g2, g3 and of wp, wp_z,
+zeta and sigma at fixed (tau, z), written while every series kernel
+still formed its powers of q on each call: box tau, the benchmark
+ladder's tau down to Im tau 0.0014, and tau far up the imaginary axis
+with Im z out to near +-Im tau / 2, where (1 - x)**2 overflows for
+|x| = |exp(2 pi i z)| past 1e154 and the kernels fall back on parity."""
 
 import hashlib
 import json
@@ -44,7 +51,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from loopbrackets import cli, models
+from loopbrackets import cli, elliptic, models
 from loopbrackets import symexpr as sx
 
 DATA = Path(__file__).parent / "data"
@@ -168,3 +175,54 @@ def test_document_digests(tmp_path, capsys):
             out.read_bytes() if args.endswith("--json") else printed
         ).hexdigest()
     assert got == want
+
+
+# tau of the benchmark's elliptic ladder that make_context accepts (Im tau
+# 0.6 down to 0.0014), and three tau of the suites' box.
+_LADDER = (0.6j, 0.21 + 0.5j, -0.37 + 0.3j, 0.5 + 0.2j, -0.13 + 0.12j,
+           0.21 + 0.07j, -0.37 + 0.04j, 0.5 + 0.02j, -0.13 + 0.01j,
+           0.21 + 0.005j, -0.37 + 0.0025j, 0.5 + 0.0018j, -0.13 + 0.0014j)
+_BOX = (0.21 + 1.3j, -0.42 + 0.83j, 0.35 + 1.9j)
+# points a + b*tau of the origin-centred cell
+_CELL = ((0.13, 0.29), (-0.31, -0.44), (0.42, -0.17), (-0.07, 0.47),
+         (0.24, 0.03))
+# Far up the axis, points by real part and Im z: |x| = exp(-2 pi Im z)
+# overflows a double for Im z below -113, its square for Im z below -56.5.
+_HIGH = {1000j: (499.0, -499.0, -480.0, -100.0, -60.0),
+         300j: (149.0, -149.0, -140.0, -100.0, -70.0, -57.0),
+         115j: (57.0, -57.0, -57.4, -56.0, -30.0)}
+_HIGH_RE = (0.0, 0.25, -0.17, 0.5)
+
+
+def _hex(v):
+    return [float.hex(v.real), float.hex(v.imag)]
+
+
+def _elliptic_document():
+    """Every (tau, z) of the fixed grid: the forms and the four functions,
+    each value as float.hex of its parts, or the name of the error it
+    raises."""
+    cases = [(tau, [a + b * tau for a, b in _CELL])
+             for tau in _BOX + _LADDER]
+    cases += [(tau, [complex(re, im) for im in ims for re in _HIGH_RE])
+              for tau, ims in _HIGH.items()]
+    doc = []
+    for tau, zs in cases:
+        ctx = elliptic.make_context(tau)
+        entry = {"tau": _hex(tau), "g1": _hex(ctx.g1), "g2": _hex(ctx.g2),
+                 "g3": _hex(ctx.g3), "points": []}
+        for z in zs:
+            point = {"z": _hex(z)}
+            for name in ("wp", "wp_z", "zeta", "sigma"):
+                try:
+                    point[name] = _hex(getattr(elliptic, name)(ctx, z))
+                except elliptic.DomainError as exc:
+                    point[name] = type(exc).__name__
+            entry["points"].append(point)
+        doc.append(entry)
+    return doc
+
+
+def test_elliptic_values():
+    want = json.loads((DATA / "elliptic_values.json").read_text())
+    assert _elliptic_document() == want

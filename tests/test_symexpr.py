@@ -265,6 +265,16 @@ class TestDirectPrinter:
         assert sx.render(-x - 1) == "-x - 1"
         assert sx.render(-x * y / 3 + sp.QQ(5, 2)) == "-x*y/3 + 5/2"
 
+    def test_one_generator(self):
+        """With one generator the exponents are taken as they are (a
+        single itemgetter would return a bare exponent)."""
+        alg = dc._RingAlgebra(sp.symbols("x,"), (), True,
+                              constants=sp.symbols("x,"))
+        x = alg.gen(alg.syms[0])
+        polys = [alg.zero, alg.one, x, -x, x ** 3 / 4 - 2 * x + sp.QQ(7, 3)]
+        assert misprinted(polys) == []
+        assert sx.render(polys[-1]) == "x**3/4 - 2*x + 7/3"
+
     def test_ring_position_order_is_caught(self, monkeypatch):
         """Negative control: generators taken in ring position instead of
         by name misprint the random polynomials and the n=3 entries."""
@@ -290,6 +300,25 @@ class TestEvaluation:
         r = sx.evaluate(sx.dwpu ** 2 - 4 * sx.wpu ** 3 + sx.g2 * sx.wpu
                         + sx.g3, vals)
         assert abs(r) < 1e-8
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 2019, 12345])
+    def test_spectral_point_stream(self, seed):
+        """spectral_point draws its signs with integers(2): the points,
+        and the generator state after them, are those of the signs drawn
+        with choice([-1.0, 1.0])."""
+        def reference(rng, tau):
+            re = rng.uniform(0.12, 0.42) * rng.choice([-1.0, 1.0])
+            im = rng.uniform(0.08, 0.38) * tau.imag * rng.choice([-1.0, 1.0])
+            return complex(re, im)
+
+        taus = [0.21 + 1.3j, -0.4 + 0.9j, 0.1 + 0.002j]
+        got_rng = np.random.default_rng(seed)
+        ref_rng = np.random.default_rng(seed)
+        got = [sx.spectral_point(got_rng, taus[i % 3]) for i in range(1000)]
+        want = [reference(ref_rng, taus[i % 3]) for i in range(1000)]
+        assert got == want
+        assert {p.real > 0 for p in got} == {True, False}
+        assert got_rng.bit_generator.state == ref_rng.bit_generator.state
 
     def test_seed_determinism(self, ctx):
         a = sx.sample_jets(ctx, ("z1",), seed=7)
