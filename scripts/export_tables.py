@@ -10,7 +10,6 @@ The range must not be empty: --nmin <= --nmax.
 """
 
 import argparse
-import json
 import pathlib
 import sys
 import time
@@ -51,8 +50,7 @@ def main() -> int:
             doc = _timed(seconds, "document",
                          models.structconsts_to_document, sc)
             path = outdir / f"structconsts_n{n}_{tag}.json"
-            atomic_write(str(path),
-                         json.dumps(doc, indent=2, sort_keys=True) + "\n")
+            atomic_write(str(path), verify.json_text(doc))
         status = "exact match" if not mismatches else \
             f"{len(mismatches)} MISMATCHES"
         stages = ", ".join(f"{k} {v:.2f}s" for k, v in seconds.items())

@@ -7,7 +7,6 @@ Exit code 0 when every suite passes, 1 otherwise.
 """
 
 import argparse
-import json
 import pathlib
 import sys
 
@@ -38,22 +37,18 @@ def main() -> int:
     runs += [(f"poisson_n{n}", lambda n=n: verify.run_poisson_suite(
         n=n, seed=args.seed)) for n in range(ns[0], args.nmax + 1)]
 
-    all_pass = True
+    verdicts = {}
     for name, fn in runs:
         rep = fn()
         path = outdir / f"{name}.json"
         atomic_write(str(path), rep.to_json(include_duration=True))
         status = "pass" if rep.passed else "FAIL"
         print(f"{name:14s} {status}  ({rep.duration_seconds:6.1f}s)  -> {path}")
-        all_pass &= rep.passed
+        verdicts[name] = rep.passed
 
-    summary = {"seed": args.seed,
-               "suites": {name: json.loads((outdir / f"{name}.json")
-                                           .read_text())["passed"]
-                          for name, _ in runs}}
     atomic_write(str(outdir / "summary.json"),
-                 json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    return 0 if all_pass else 1
+                 verify.json_text({"seed": args.seed, "suites": verdicts}))
+    return 0 if all(verdicts.values()) else 1
 
 
 if __name__ == "__main__":

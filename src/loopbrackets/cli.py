@@ -10,7 +10,6 @@ variable.  JSON artifacts are written atomically.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 import tempfile
@@ -82,13 +81,18 @@ def _cmd_elliptic(args) -> int:
     return 0
 
 
-def _report_out(rep: verify.SuiteReport, args) -> int:
-    text = rep.to_json()
-    if getattr(args, "json", None):
-        atomic_write(args.json, text)
-        print(f"report written to {args.json}")
+def _artifact_out(doc, path: str | None, what: str):
+    """doc as JSON, atomically to path (saying so as `what`) or to stdout."""
+    text = verify.json_text(doc)
+    if path:
+        atomic_write(path, text)
+        print(f"{what} written to {path}")
     else:
         sys.stdout.write(text)
+
+
+def _report_out(rep: verify.SuiteReport, args) -> int:
+    _artifact_out(rep.to_dict(), args.json, "report")
     print(f"suite={rep.suite} seed={rep.seed} "
           f"pass={rep.passed} ({rep.duration_seconds:.1f}s)",
           file=sys.stderr)
@@ -145,13 +149,7 @@ def _cmd_table(args) -> int:
         sc = models.thm3_extract(args.n)
     else:
         sc = models.appendix_table(args.n)
-    doc = models.structconsts_to_document(sc)
-    payload = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        atomic_write(args.out, payload)
-        print(f"table written to {args.out}")
-    else:
-        sys.stdout.write(payload)
+    _artifact_out(models.structconsts_to_document(sc), args.out, "table")
     return 0
 
 
@@ -171,12 +169,7 @@ def _cmd_descend(args) -> int:
             for (a, b), terms in sorted(red.entries.items())
         ],
     }
-    payload = json.dumps(doc, indent=2, sort_keys=True) + "\n"
-    if args.out:
-        atomic_write(args.out, payload)
-        print(f"descended table written to {args.out}")
-    else:
-        sys.stdout.write(payload)
+    _artifact_out(doc, args.out, "descended table")
     return 0
 
 

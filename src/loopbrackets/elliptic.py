@@ -222,9 +222,8 @@ def wp_z(ctx: EllipticContext, z: complex) -> complex:
 
 
 def wp_zz(ctx: EllipticContext, z: complex) -> complex:
-    """Second z-derivative, through the algebraic rewrite 6 wp^2 - g2/2."""
-    w = wp(ctx, z)
-    return 6.0 * w * w - ctx.g2 / 2.0
+    """Second z-derivative, through the algebraic rewrite wp_zz_rule."""
+    return wp_zz_rule(wp(ctx, z), ctx.g2)
 
 
 def _zeta_series(ctx: EllipticContext, zr: complex) -> complex:
@@ -281,23 +280,43 @@ def sigma(ctx: EllipticContext, z: complex) -> complex:
         raise DomainError(f"sigma({z}) leaves the double range") from None
 
 
+# The rules: plain arithmetic, giving numbers at complex arguments and the
+# exact rules of symexpr at sympy symbols.  An int factor makes the same
+# complex operand a float one does, so every float keeps its bits.
+
+def wp_zz_rule(w, g2):
+    """wp'' = 6 wp^2 - g2/2 from w = wp(z)."""
+    return 6 * w * w - g2 / 2
+
+
+def leaf_derivations(z, w, dz, zt, g1, g2):
+    """2 pi i d/dtau of (w, zt, dz) = (wp, zeta, wp_z) at z."""
+    s = zt - z * g1
+    return (s * dz + 2 * w * w - 2 * g1 * w - g2 / 3,
+            g1 * z * w + g2 * z / 12 - g1 * zt - zt * w - dz / 2,
+            3 * (w - g1) * dz + s * wp_zz_rule(w, g2))
+
+
+def g_derivations(g1, g2, g3):
+    """The closed quasi-modular system: 2 pi i (dg1, dg2, dg3)/dtau."""
+    return (g2 / 12 - g1 * g1, 6 * g3 - 4 * g1 * g2,
+            g2 * g2 / 3 - 6 * g1 * g3)
+
+
 def tau_closed_forms(ctx: EllipticContext, z: complex, w: complex,
                      dz: complex, zt: complex
                      ) -> tuple[complex, complex, complex, complex]:
     """(d wp/d tau, d zeta/d tau, d log sigma/d tau, d^2 log sigma/d tau^2)
     at z, from w = wp(z), dz = wp_z(z) and zt = zeta(z).  The second
-    derivative applies the scaled derivation to the first-derivative
-    closed form."""
+    applies the scaled derivation to the first closed form and reads the
+    scaled derivatives of wp and zeta back from the divided ones."""
     g1, g2 = ctx.g1, ctx.g2
-    wp_t = ((zt - z * g1) * dz + 2.0 * w * w - 2.0 * g1 * w
-            - g2 / 3.0) / TWO_PI_I
-    zeta_t = (g1 * z * w + g2 * z / 12.0 - g1 * zt - zt * w
-              - dz / 2.0) / TWO_PI_I
+    d_wp, d_zeta, _ = leaf_derivations(z, w, dz, zt, g1, g2)
+    wp_t, zeta_t = d_wp / TWO_PI_I, d_zeta / TWO_PI_I
     ls_t = (g1 + g2 * z * z / 24.0 - z * g1 * zt + zt * zt / 2.0
             - w / 2.0) / TWO_PI_I
-    d_g1, d_g2, _ = g_derivations(ctx)
-    zt_th = TWO_PI_I * zeta_t
-    wp_th = TWO_PI_I * wp_t
+    d_g1, d_g2, _ = g_derivations(g1, g2, ctx.g3)
+    zt_th, wp_th = TWO_PI_I * zeta_t, TWO_PI_I * wp_t
     ls_t2 = (d_g1 + d_g2 * z * z / 24.0 - z * d_g1 * zt - z * g1 * zt_th
              + zt * zt_th - wp_th / 2.0) / TWO_PI_I ** 2
     return wp_t, zeta_t, ls_t, ls_t2
@@ -327,22 +346,15 @@ def log_sigma_tau2(ctx: EllipticContext, z: complex) -> complex:
     return _closed_forms_at(ctx, z)[3]
 
 
-def g_derivations(ctx: EllipticContext) -> tuple[complex, complex, complex]:
-    """The closed quasi-modular system: 2 pi i (dg1, dg2, dg3)/dtau."""
-    g1, g2, g3 = ctx.g1, ctx.g2, ctx.g3
-    return (g2 / 12.0 - g1 * g1,
-            6.0 * g3 - 4.0 * g1 * g2,
-            g2 * g2 / 3.0 - 6.0 * g1 * g3)
-
-
 def g_tau_derivatives(ctx: EllipticContext) -> tuple[complex, complex, complex]:
     """(dg1/dtau, dg2/dtau, dg3/dtau)."""
-    return tuple(d / TWO_PI_I for d in g_derivations(ctx))
+    return tuple(d / TWO_PI_I
+                 for d in g_derivations(ctx.g1, ctx.g2, ctx.g3))
 
 
 def g1_second_derivation(ctx: EllipticContext) -> complex:
     """(2 pi i)^2 d^2(g1)/dtau^2: the scaled derivation applied twice."""
-    d_g1, d_g2, _ = g_derivations(ctx)
+    d_g1, d_g2, _ = g_derivations(ctx.g1, ctx.g2, ctx.g3)
     return d_g2 / 12.0 - 2.0 * ctx.g1 * d_g1
 
 

@@ -81,29 +81,26 @@ def jet_info(sym: sp.Symbol, fields=None):
 # ---------------------------------------------------------------------------
 # derivations
 
-# 2*pi*i * d/dtau, equivalently d/d(th), on each tau-dependent leaf.
-_WPU_TAU = (zwu - u * g1) * dwpu + 2 * wpu**2 - 2 * g1 * wpu - g2 / sp.Integer(3)
-_WPV_TAU = (zwv - v * g1) * dwpv + 2 * wpv**2 - 2 * g1 * wpv - g2 / sp.Integer(3)
+# d/d(th) = 2*pi*i d/dtau and d/du, d/dv: elliptic's rules at the leaves at
+# u and at v, and by the quotient rule those of dinv = 1/(wpv - wpu).
+_LEAVES = {"u": (u, wpu, dwpu, zwu), "v": (v, wpv, dwpv, zwv)}
 
-DTAU_RULES: dict[sp.Symbol, sp.Expr] = {
-    g1: g2 / 12 - g1**2,
-    g2: 6 * g3 - 4 * g1 * g2,
-    g3: g2**2 / 3 - 6 * g1 * g3,
-    wpu: _WPU_TAU,
-    wpv: _WPV_TAU,
-    zwu: g1 * u * wpu + g2 * u / 12 - g1 * zwu - zwu * wpu - dwpu / 2,
-    zwv: g1 * v * wpv + g2 * v / 12 - g1 * zwv - zwv * wpv - dwpv / 2,
-    dwpu: 3 * (wpu - g1) * dwpu + (zwu - u * g1) * (6 * wpu**2 - g2 / 2),
-    dwpv: 3 * (wpv - g1) * dwpv + (zwv - v * g1) * (6 * wpv**2 - g2 / 2),
-    dinv: -dinv**2 * (_WPV_TAU - _WPU_TAU),
-}
+
+def _with_dinv(rules: dict) -> dict:
+    rules[dinv] = -dinv**2 * (rules.get(wpv, 0) - rules.get(wpu, 0))
+    return rules
+
+
+DTAU_RULES: dict[sp.Symbol, sp.Expr] = _with_dinv(
+    dict(zip((g1, g2, g3), elliptic.g_derivations(g1, g2, g3)))
+    | {leaf: rule for z, w, dz, zt in _LEAVES.values()
+       for leaf, rule in zip((w, zt, dz), elliptic.leaf_derivations(
+           z, w, dz, zt, g1, g2))})
 
 _DU_RULES = {
-    "u": {wpu: dwpu, dwpu: 6 * wpu**2 - g2 / 2, zwu: -wpu, u: sp.Integer(1),
-          dinv: dinv**2 * dwpu},
-    "v": {wpv: dwpv, dwpv: 6 * wpv**2 - g2 / 2, zwv: -wpv, v: sp.Integer(1),
-          dinv: -dinv**2 * dwpv},
-}
+    var: _with_dinv({w: dz, dz: elliptic.wp_zz_rule(w, g2), zt: -w,
+                     z: sp.Integer(1)})
+    for var, (z, w, dz, zt) in _LEAVES.items()}
 
 
 def _apply_derivation(e: sp.Expr, rules) -> sp.Expr:

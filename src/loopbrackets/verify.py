@@ -96,8 +96,12 @@ class SuiteReport:
         return out
 
     def to_json(self, include_duration: bool = False) -> str:
-        return json.dumps(self.to_dict(include_duration=include_duration),
-                          indent=2, sort_keys=True) + "\n"
+        return json_text(self.to_dict(include_duration=include_duration))
+
+
+def json_text(doc) -> str:
+    """doc as the text of every JSON artifact: indent 2, sorted keys."""
+    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
 
 
 def _residual_check(name: str, residuals, tol: float,

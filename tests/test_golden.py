@@ -39,7 +39,15 @@ zeta and sigma at fixed (tau, z), written while every series kernel
 still formed its powers of q on each call: box tau, the benchmark
 ladder's tau down to Im tau 0.0014, and tau far up the imaginary axis
 with Im z out to near +-Im tau / 2, where (1 - x)**2 overflows for
-|x| = |exp(2 pi i z)| past 1e154 and the kernels fall back on parity."""
+|x| = |exp(2 pi i z)| past 1e154 and the kernels fall back on parity.
+
+`closed_forms.json` holds `float.hex` of the four tau closed forms and
+wp_zz at the cell points of box tau, the ladder and tau = 1000i, and of
+the quasi-modular derivations at each tau, written while the numeric
+layer and the symbolic rules each still wrote the derivative rules out
+for themselves.  It pins the order of the operations: a reassociated
+product moves the last bits (one by 2 or 4 does not: that scaling is
+exact)."""
 
 import hashlib
 import json
@@ -226,3 +234,34 @@ def _elliptic_document():
 def test_elliptic_values():
     want = json.loads((DATA / "elliptic_values.json").read_text())
     assert _elliptic_document() == want
+
+
+def _closed_forms_document():
+    """At each tau of the box, the ladder and 1000i, the quasi-modular
+    derivations and, at each cell point, the four tau closed forms and
+    wp_zz, each value as float.hex of its parts."""
+    doc = []
+    for tau in _BOX + _LADDER + (1000j,):
+        ctx = elliptic.make_context(tau)
+        entry = {"tau": _hex(tau),
+                 "g_derivations": [_hex(d) for d in elliptic.g_derivations(
+                     ctx.g1, ctx.g2, ctx.g3)],
+                 "g_tau_derivatives": [_hex(d) for d in
+                                       elliptic.g_tau_derivatives(ctx)],
+                 "g1_second_derivation": _hex(
+                     elliptic.g1_second_derivation(ctx)),
+                 "points": []}
+        for z in (a + b * tau for a, b in _CELL):
+            forms = elliptic.tau_closed_forms(
+                ctx, z, elliptic.wp(ctx, z), elliptic.wp_z(ctx, z),
+                elliptic.zeta(ctx, z))
+            entry["points"].append({
+                "z": _hex(z), "tau_closed_forms": [_hex(f) for f in forms],
+                "wp_zz": _hex(elliptic.wp_zz(ctx, z))})
+        doc.append(entry)
+    return doc
+
+
+def test_closed_forms():
+    want = json.loads((DATA / "closed_forms.json").read_text())
+    assert _closed_forms_document() == want

@@ -4,6 +4,7 @@ out-of-range argument with a usage error.  The field-count range is
 checked in this process, with the first derivation stubbed out."""
 
 import importlib.util
+import json
 import os
 import re
 import subprocess
@@ -130,3 +131,33 @@ def test_scripts_refuse_what_the_poisson_suite_refuses(n, tmp_path,
         main = _script_main(script, [*argv, "--out", str(tmp_path)],
                             monkeypatch)
         assert _accepts(main) == suite, (script, argv)
+
+
+def test_run_all_suites_summary_holds_each_verdict(tmp_path, monkeypatch):
+    """summary.json gives each suite the `passed` of the report written
+    for it, failing suites too, and the run exits 1.  The suites are
+    stubbed out, two of them failing."""
+    failing = {"oracle", "thm2_n3"}
+
+    def stub(suite):
+        def run(n=None, seed=0):
+            name = suite if n is None else f"{suite}_n{n}"
+            check = verify.CheckRecord(name="stub",
+                                       passed=name not in failing)
+            return verify.SuiteReport(suite=name, seed=seed, params={},
+                                      checks=[check])
+        return run
+
+    for fn, suite in (("identity", "identities"), ("oracle", "oracle"),
+                      ("prop2", "prop2"), ("cp2", "cp2"), ("nogo", "nogo"),
+                      ("thm2", "thm2"), ("poisson", "poisson")):
+        monkeypatch.setattr(verify, f"run_{fn}_suite", stub(suite))
+    main = _script_main("run_all_suites.py",
+                        ["--nmax", "3", "--out", str(tmp_path)], monkeypatch)
+    assert main() == 1
+    summary = json.loads((tmp_path / "summary.json").read_text())
+    reports = {p.stem: json.loads(p.read_text())["passed"]
+               for p in tmp_path.glob("*.json") if p.stem != "summary"}
+    assert summary["suites"] == reports
+    assert {k for k, ok in reports.items() if not ok} == failing
+    assert len(reports) == 9

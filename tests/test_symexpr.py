@@ -113,19 +113,80 @@ class TestTauDerivationNumerically:
         (sx.wpu, lambda c, z: elliptic.wp(c, z)),
         (sx.zwu, lambda c, z: elliptic.zeta(c, z)),
         (sx.dwpu, lambda c, z: elliptic.wp_z(c, z)),
+        (sx.wpv, lambda c, z: elliptic.wp(c, z)),
+        (sx.zwv, lambda c, z: elliptic.zeta(c, z)),
+        (sx.dwpv, lambda c, z: elliptic.wp_z(c, z)),
     ])
     def test_rule(self, ctx, rng, leaf, numeric):
+        # the leaves at u and at v both sit at the one point z
         z = random_cell_point(rng, ctx.tau)
-        vals = {
-            sx.u: z, sx.wpu: elliptic.wp(ctx, z),
-            sx.dwpu: elliptic.wp_z(ctx, z), sx.zwu: elliptic.zeta(ctx, z),
-            sx.g1: ctx.g1, sx.g2: ctx.g2, sx.g3: ctx.g3,
-        }
+        vals = {sx.g1: ctx.g1, sx.g2: ctx.g2, sx.g3: ctx.g3}
+        for var, w, dz, zt in ((sx.u, sx.wpu, sx.dwpu, sx.zwu),
+                               (sx.v, sx.wpv, sx.dwpv, sx.zwv)):
+            vals.update({var: z, w: elliptic.wp(ctx, z),
+                         dz: elliptic.wp_z(ctx, z),
+                         zt: elliptic.zeta(ctx, z)})
         rule = sx.DTAU_RULES[leaf]
         predicted = complex(sp.lambdify(tuple(vals), rule)(*vals.values()))
         fd = self._fd(lambda t: numeric(elliptic.make_context(t), z),
                       ctx.tau) * complex(elliptic.TWO_PI_I)
         assert abs(predicted - fd) < 1e-6 * max(1.0, abs(predicted))
+
+
+def _rules_written_out(twelve=12):
+    """DTAU_RULES and _DU_RULES written out by hand, leaf by leaf, as they
+    were before they came to be built from the rules of elliptic; the 12
+    of the g1 rule is `twelve`, for the negative control."""
+    g1, g2, g3, u, v = sx.g1, sx.g2, sx.g3, sx.u, sx.v
+    wpu, wpv, dwpu, dwpv, zwu, zwv, dinv = (
+        sx.wpu, sx.wpv, sx.dwpu, sx.dwpv, sx.zwu, sx.zwv, sx.dinv)
+    wpu_tau = ((zwu - u * g1) * dwpu + 2 * wpu**2 - 2 * g1 * wpu
+               - g2 / sp.Integer(3))
+    wpv_tau = ((zwv - v * g1) * dwpv + 2 * wpv**2 - 2 * g1 * wpv
+               - g2 / sp.Integer(3))
+    dtau = {
+        g1: g2 / twelve - g1**2,
+        g2: 6 * g3 - 4 * g1 * g2,
+        g3: g2**2 / 3 - 6 * g1 * g3,
+        wpu: wpu_tau,
+        wpv: wpv_tau,
+        zwu: g1 * u * wpu + g2 * u / 12 - g1 * zwu - zwu * wpu - dwpu / 2,
+        zwv: g1 * v * wpv + g2 * v / 12 - g1 * zwv - zwv * wpv - dwpv / 2,
+        dwpu: 3 * (wpu - g1) * dwpu + (zwu - u * g1) * (6 * wpu**2 - g2 / 2),
+        dwpv: 3 * (wpv - g1) * dwpv + (zwv - v * g1) * (6 * wpv**2 - g2 / 2),
+        dinv: -dinv**2 * (wpv_tau - wpu_tau),
+    }
+    du = {
+        "u": {wpu: dwpu, dwpu: 6 * wpu**2 - g2 / 2, zwu: -wpu,
+              u: sp.Integer(1), dinv: dinv**2 * dwpu},
+        "v": {wpv: dwpv, dwpv: 6 * wpv**2 - g2 / 2, zwv: -wpv,
+              v: sp.Integer(1), dinv: -dinv**2 * dwpv},
+    }
+    return dtau, du
+
+
+def _rules_differing(dtau, du):
+    """The keys (var, leaf) whose rule differs from `dtau` ("tau") or
+    from `du` (var "u", "v"), a leaf on one side only included."""
+    tables = [("tau", dtau, sx.DTAU_RULES)]
+    tables += [(var, du[var], sx._DU_RULES[var]) for var in ("u", "v")]
+    return sorted((var, str(s)) for var, want, got in tables
+                  for s in want.keys() | got.keys()
+                  if s not in want or s not in got or want[s] != got[s])
+
+
+class TestRulesFromElliptic:
+    """DTAU_RULES and _DU_RULES are built from the rule functions of
+    elliptic at the leaves at u and at v; they must equal, key by key
+    and with ==, the rules written out by hand."""
+
+    def test_equal_to_written_out(self):
+        assert _rules_differing(*_rules_written_out()) == []
+
+    def test_perturbed_coefficient_caught(self):
+        # negative control: one coefficient off in one rule
+        assert _rules_differing(*_rules_written_out(twelve=13)) == [
+            ("tau", "g1")]
 
 
 class TestSpectralDerivative:
