@@ -34,6 +34,9 @@ class EllipticContext:
     ``q_table`` holds, for n = 1..series_truncation, the row
     (q^n, 2 q^n / (1 - q^n)^2, (1 - q^n)^2): the factors of the series
     kernels that depend on q alone, formed once per context.
+    ``q_parts`` holds the same rows for the array kernels: a read-only
+    float array of shape (3, 2, n), each column of q_table as its real and
+    imaginary parts.
     """
 
     tau: complex
@@ -44,6 +47,7 @@ class EllipticContext:
     series_truncation: int
     q_table: tuple[tuple[complex, complex, complex], ...] = field(
         repr=False, compare=False)
+    q_parts: np.ndarray = field(repr=False, compare=False)
     tolerance: float = 1e-10
 
     @property
@@ -87,8 +91,11 @@ def make_context(tau: complex) -> EllipticContext:
             f"need {n} series terms for tolerance {tolerance} at |q|={absq:.3g}, "
             f"max is {MAX_TRUNCATION}")
     g1, g2, g3, table = _modular_forms(q, n)
+    columns = np.array(table, dtype=complex).T
+    parts = np.stack([columns.real, columns.imag], axis=1)
+    parts.flags.writeable = False
     return EllipticContext(tau=tau, nome_q=q, g1=g1, g2=g2, g3=g3,
-                           series_truncation=n, q_table=table)
+                           series_truncation=n, q_table=table, q_parts=parts)
 
 
 def _modular_forms(q: complex, n: int
@@ -146,13 +153,237 @@ def _qz(z: complex) -> complex:
     return cmath.exp(TWO_PI_I * z)
 
 
-def _in_double_range(series, leading, ctx: EllipticContext, zr: complex,
-                     parity: int) -> complex:
+# The array kernels replay CPython's complex arithmetic on split float64
+# parts, one correctly rounded ufunc per float operation, so that they give
+# the bits of the scalar code.  numpy's own complex128 product and quotient
+# use other formulas; its add and multiply accumulate one element after
+# another with CPython's.
+
+def cmul(a, b):
+    """a * b on split parts a = (re, im), b = (re, im): _Py_c_prod."""
+    return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+
+def cdiv(a, b):
+    """a / b on split parts: _Py_c_quot, Smith's division scaled by the
+    larger part of b (R. L. Smith, Algorithm 116, CACM 5 (1962) 435).
+    Where `a / b` raises ZeroDivisionError the parts are NaN."""
+    by_real = abs(b[0]) >= abs(b[1])
+    big, small = np.where(by_real, b[0], b[1]), np.where(by_real, b[1], b[0])
+    p, q = np.where(by_real, a[0], a[1]), np.where(by_real, a[1], a[0])
+    ratio = small / big
+    denom = big + small * ratio
+    pr = p * ratio
+    return (p + q * ratio) / denom, np.where(by_real, q - pr, pr - q) / denom
+
+
+class _Split:
+    """Complex values as float parts (arrays, or floats), with CPython's
+    complex operators: a real or complex operand is promoted as CPython
+    promotes it, f to (f, 0.0), so `1.0 - a` is (1.0 - a.re, 0.0 - a.im).
+    Where CPython raises, the parts are NaN."""
+
+    __slots__ = ("re", "im")
+
+    def __init__(self, re, im):
+        self.re, self.im = re, im
+
+    @staticmethod
+    def of(values) -> _Split:
+        c = np.asarray(values, dtype=complex)
+        return _Split(c.real, c.imag)
+
+    def values(self) -> list[complex]:
+        out = np.empty(np.shape(self.re), dtype=complex)
+        out.real, out.imag = self.re, self.im
+        return out.tolist()
+
+    def where(self, mask) -> _Split:
+        """These values where mask holds, NaN elsewhere."""
+        return _Split(np.where(mask, self.re, np.nan),
+                      np.where(mask, self.im, np.nan))
+
+    def finite(self):
+        return np.isfinite(self.re) & np.isfinite(self.im)
+
+    def exp(self) -> _Split:
+        """cmath.exp of each value with real part at most 700, where it
+        cannot overflow; NaN for the others."""
+        ok = self.finite() & (self.re <= 700.0)
+        w = self.where(ok).values()
+        return _Split.of([cmath.exp(v) if k else v
+                          for v, k in zip(w, ok.tolist())])
+
+    def __add__(self, b):
+        b = _promote(b)
+        return _Split(self.re + b[0], self.im + b[1])
+
+    __radd__ = __add__  # float addition commutes, bit for bit
+
+    def __sub__(self, b):
+        b = _promote(b)
+        return _Split(self.re - b[0], self.im - b[1])
+
+    def __rsub__(self, a):
+        a = _promote(a)
+        return _Split(a[0] - self.re, a[1] - self.im)
+
+    def __mul__(self, b):
+        return _Split(*cmul((self.re, self.im), _promote(b)))
+
+    __rmul__ = __mul__  # so does cmul
+
+    def __truediv__(self, b):
+        return _Split(*cdiv((self.re, self.im), _promote(b)))
+
+    def __rtruediv__(self, a):
+        return _Split(*cdiv(_promote(a), (self.re, self.im)))
+
+    def __pow__(self, n: int) -> _Split:
+        """An integral power n >= 1 as c_powu forms it, NaN where a part of
+        it is infinite (CPython raises OverflowError there)."""
+        r, p = _Split(1.0, 0.0), self
+        while n:
+            if n & 1:
+                r = r * p
+            n >>= 1
+            if n:
+                p = p * p
+        return r.where(~(np.isinf(r.re) | np.isinf(r.im)))
+
+
+def _promote(b):
+    if isinstance(b, _Split):
+        return b.re, b.im
+    b = complex(b)
+    return b.real, b.imag
+
+
+# Series terms (points x rows) from which one call sums its rows in the
+# numpy kernels instead of the pure-Python loops.  On a 2-vCPU Xeon with
+# numpy 2.4 the kernels win from about 215-300 rows for one point (wp_z
+# first, sigma last) and from 280-320 terms for wp, wp_z and zeta at many
+# points of an 8-row table (sigma_many, with three exponentials a point,
+# from about 700).
+ARRAY_CROSSOVER = 300
+_KERNEL_BLOCK = 1 << 13  # series terms per kernel pass
+
+
+def _row_sums(terms, ctx: EllipticContext, x: _Split, first: _Split,
+              combine=np.add) -> _Split:
+    """At each point x, its first value combined (added, or multiplied)
+    with the series' row terms `terms(qn, c, e, x)` one row after another,
+    as the scalar loop combines them."""
+    rows = ctx.series_truncation
+    points = len(x.re)
+    step = max(1, _KERNEL_BLOCK // rows)
+    out = np.empty(points, dtype=complex)
+    for lo in range(0, points, step):
+        block = slice(lo, lo + step)
+        xb = _Split(x.re[block], x.im[block])
+        acc = np.empty((len(xb.re), rows + 1), dtype=complex)
+        acc.real[:, 0], acc.imag[:, 0] = first.re[block], first.im[block]
+        if len(xb.re) > rows:  # the longer axis innermost: rows x points
+            t = terms(*(_Split(re[:, None], im[:, None])
+                        for re, im in ctx.q_parts), xb)
+            t = _Split(t.re.T, t.im.T)
+        else:
+            t = terms(*(_Split(re, im) for re, im in ctx.q_parts),
+                      _Split(xb.re[:, None], xb.im[:, None]))
+        acc.real[:, 1:], acc.imag[:, 1:] = t.re, t.im
+        out[block] = combine.accumulate(acc, axis=1)[:, -1]
+    return _Split(out.real, out.imag)
+
+
+def _rows(ctx: EllipticContext, loop, terms, x: complex, first: complex,
+          combine=np.add) -> complex:
+    """loop(ctx.q_table, x, first): through the kernel from
+    ARRAY_CROSSOVER rows on, where its value is finite and so the loop's
+    (a division by zero, where the loop raises, leaves NaN)."""
+    if ctx.series_truncation >= ARRAY_CROSSOVER:
+        with np.errstate(all="ignore"):
+            val, = _row_sums(terms, ctx, _Split.of([x]), _Split.of([first]),
+                             combine).values()
+        if cmath.isfinite(val):
+            return val
+    return loop(ctx.q_table, x, first)
+
+
+def _reduce(ctx: EllipticContext, z: _Split):
+    """reduce_argument on split parts: (zr, m, k), with m and k as
+    promoted parts (NaN where z or the reduction is not finite)."""
+    k = np.rint(z.im / ctx.tau.imag) + 0.0  # round() gives +0, not -0.0
+    zr = z - _Split(k, 0.0) * ctx.tau
+    m = np.rint(zr.re) + 0.0
+    ok = np.isfinite(k) & np.isfinite(m) & zr.finite()
+    return (zr - _Split(m, 0.0)).where(ok), _Split(m, 0.0), _Split(k, 0.0)
+
+
+def _many(scalar, prepare, terms, ctx: EllipticContext, zs,
+          combine=np.add) -> list[complex]:
+    """[scalar(ctx, z) for z in zs], bit for bit, raising what that loop
+    raises first.  From ARRAY_CROSSOVER series terms on, prepare(ctx, z)
+    gives, on the split points z, their x, the first values of their row
+    sums and the function that finishes the sums into the values, with x
+    NaN at the points it leaves to scalar; one kernel call sums the rows.
+    A point whose value is not finite goes through scalar, which raises or
+    falls back as it does alone."""
+    zs = list(zs)
+    if len(zs) * ctx.series_truncation < ARRAY_CROSSOVER:
+        return [scalar(ctx, z) for z in zs]
+    try:
+        z = _Split.of([complex(v) for v in zs])
+    except (TypeError, ValueError):
+        return [scalar(ctx, z) for z in zs]
+    with np.errstate(all="ignore"):
+        x, first, finish = prepare(ctx, z)
+        vals = finish(_row_sums(terms, ctx, x, first, combine))
+        ok = vals.finite().tolist()
+    return [v if good else scalar(ctx, z)
+            for v, good, z in zip(vals.values(), ok, zs)]
+
+
+@dataclass(frozen=True)
+class _Series:
+    """A q-series at the reduced argument zr, x = exp(2 pi i zr):
+    tail(ctx, zr, acc) of acc = head(x) plus the row terms, added by
+    `loop` or by the kernel `terms`.  `lead` is its collapsed leading term
+    and `parity` the function's parity (see _in_double_range); `shift`,
+    if any, takes the value at zr to the value at z = zr + m + k tau."""
+
+    head: object
+    loop: object
+    terms: object
+    tail: object
+    lead: object
+    parity: int
+    shift: object = None
+
+    def __call__(self, ctx: EllipticContext, zr: complex) -> complex:
+        x = _qz(zr)
+        return self.tail(ctx, zr, _rows(ctx, self.loop, self.terms, x,
+                                        self.head(x)))
+
+    def prepare(self, ctx: EllipticContext, z: _Split):
+        """For _many: the points off the pole guard (with a margin that
+        leaves the guard's edge to the scalar check) in the series."""
+        zr, m, k = _reduce(ctx, z)
+        zr = zr.where(zr.re * zr.re + zr.im * zr.im > (2 * POLE_GUARD) ** 2)
+        x = (TWO_PI_I * zr).exp()
+
+        def finish(acc: _Split) -> _Split:
+            val = self.tail(ctx, zr, acc)
+            return self.shift(ctx, m, k, val) if self.shift else val
+        return x, self.head(x), finish
+
+
+def _in_double_range(series: _Series, ctx: EllipticContext,
+                     zr: complex) -> complex:
     """series(ctx, zr) where exp(2 pi i zr) and the powers the series takes
     of it stay in the double range.  Past that, for Im zr < 0 the function's
     parity gives the value from -zr; for Im zr > 0 the exponential has
     underflowed, and with it every q-term (|q^n / x| <= |x| in the cell), so
-    the series has collapsed to its leading term leading(ctx, zr)."""
+    the series has collapsed to its leading term series.lead(ctx, zr)."""
     try:
         val = series(ctx, zr)
         if cmath.isfinite(val):
@@ -160,65 +391,93 @@ def _in_double_range(series, leading, ctx: EllipticContext, zr: complex,
     except (ZeroDivisionError, OverflowError):
         pass
     if zr.imag < 0:
-        return parity * _in_double_range(series, leading, ctx, -zr, parity)
+        return series.parity * _in_double_range(series, ctx, -zr)
     if _qz(zr) == 0:
-        return leading(ctx, zr)
+        return series.lead(ctx, zr)
     raise ConvergenceError(f"q-series overflowed at reduced argument {zr}")
 
 
-# In the sums over q_table the series kernels write (1 - t)^2 as d*d and
+# In the loops over q_table the series write (1 - t)^2 as d*d and
 # (1 - t)^3 as d*(d*d), d = 1 - t: the products CPython's complex power
 # by 2 and by 3 forms, bit for bit, wherever they are finite.  There
-# |t| <= |q|^(1/2) < 1, so they are.  The leading term in x keeps the
-# power: for |x| past about 1e102 (cube) or 1e154 (square) it raises
-# OverflowError, and _in_double_range falls back on the parity, where
-# the product would give a finite value that drops that term.
+# |t| <= |q|^(1/2) < 1, so they are.  The head in x keeps the power: for
+# |x| past about 1e102 (cube) or 1e154 (square) it raises OverflowError,
+# and _in_double_range falls back on the parity, where the product would
+# give a finite value that drops that term.  Each kernel's terms are its
+# loop's body, on _Split rows qn, c, e of ctx.q_parts.
 
-def _wp_series(ctx: EllipticContext, zr: complex) -> complex:
-    x = _qz(zr)
-    acc = 1.0 / 12.0 + x / (1.0 - x) ** 2
-    for qn, c, _ in ctx.q_table:
+def _wp_loop(table, x: complex, acc: complex) -> complex:
+    for qn, c, _ in table:
         a = qn * x
         b = qn / x
         da = 1.0 - a
         db = 1.0 - b
         acc += a / (da * da) + b / (db * db) - c
-    return TWO_PI_I ** 2 * acc
+    return acc
 
 
-def _wp_lead(ctx: EllipticContext, zr: complex) -> complex:
-    return TWO_PI_I ** 2 / 12.0
+def _wp_terms(qn, c, e, x):
+    a = qn * x
+    b = qn / x
+    da = 1.0 - a
+    db = 1.0 - b
+    return a / (da * da) + b / (db * db) - c
+
+
+_WP = _Series(head=lambda x: 1.0 / 12.0 + x / (1.0 - x) ** 2,
+              loop=_wp_loop, terms=_wp_terms,
+              tail=lambda ctx, zr, acc: TWO_PI_I ** 2 * acc,
+              lead=lambda ctx, zr: TWO_PI_I ** 2 / 12.0, parity=1)
 
 
 def wp(ctx: EllipticContext, z: complex) -> complex:
     """Weierstrass elliptic function for the lattice Z + Z*tau."""
     zr, _, _ = reduce_argument(ctx.tau, z)
     _check_pole(zr)
-    return _in_double_range(_wp_series, _wp_lead, ctx, zr, 1)
+    return _in_double_range(_WP, ctx, zr)
 
 
-def _wp_z_series(ctx: EllipticContext, zr: complex) -> complex:
-    x = _qz(zr)
-    acc = x * (1.0 + x) / (1.0 - x) ** 3
-    for qn, _, _ in ctx.q_table:
+def wp_many(ctx: EllipticContext, zs) -> list[complex]:
+    """[wp(ctx, z) for z in zs], bit for bit; see _many."""
+    return _many(wp, _WP.prepare, _WP.terms, ctx, zs)
+
+
+def _wp_z_loop(table, x: complex, acc: complex) -> complex:
+    for qn, _, _ in table:
         a = qn * x
         b = qn / x
         da = 1.0 - a
         db = 1.0 - b
         acc += (a * (1.0 + a) / (da * (da * da))
                 - b * (1.0 + b) / (db * (db * db)))
-    return TWO_PI_I ** 3 * acc
+    return acc
 
 
-def _wp_z_lead(ctx: EllipticContext, zr: complex) -> complex:
-    return 0j
+def _wp_z_terms(qn, c, e, x):
+    a = qn * x
+    b = qn / x
+    da = 1.0 - a
+    db = 1.0 - b
+    return (a * (1.0 + a) / (da * (da * da))
+            - b * (1.0 + b) / (db * (db * db)))
+
+
+_WP_Z = _Series(head=lambda x: x * (1.0 + x) / (1.0 - x) ** 3,
+                loop=_wp_z_loop, terms=_wp_z_terms,
+                tail=lambda ctx, zr, acc: TWO_PI_I ** 3 * acc,
+                lead=lambda ctx, zr: 0j, parity=-1)
 
 
 def wp_z(ctx: EllipticContext, z: complex) -> complex:
     """z-derivative of wp."""
     zr, _, _ = reduce_argument(ctx.tau, z)
     _check_pole(zr)
-    return _in_double_range(_wp_z_series, _wp_z_lead, ctx, zr, -1)
+    return _in_double_range(_WP_Z, ctx, zr)
+
+
+def wp_z_many(ctx: EllipticContext, zs) -> list[complex]:
+    """[wp_z(ctx, z) for z in zs], bit for bit; see _many."""
+    return _many(wp_z, _WP_Z.prepare, _WP_Z.terms, ctx, zs)
 
 
 def wp_zz(ctx: EllipticContext, z: complex) -> complex:
@@ -226,16 +485,27 @@ def wp_zz(ctx: EllipticContext, z: complex) -> complex:
     return wp_zz_rule(wp(ctx, z), ctx.g2)
 
 
-def _zeta_series(ctx: EllipticContext, zr: complex) -> complex:
-    x = _qz(zr)
-    acc = 1.0 / (1.0 - x) - 0.5
-    for qn, _, _ in ctx.q_table:
+def _zeta_loop(table, x: complex, acc: complex) -> complex:
+    for qn, _, _ in table:
         acc += (1.0 / (1.0 - qn * x) - 0.5) - (1.0 / (1.0 - qn / x) - 0.5)
-    return ctx.g1 * zr - TWO_PI_I * acc
+    return acc
 
 
-def _zeta_lead(ctx: EllipticContext, zr: complex) -> complex:
-    return ctx.g1 * zr - TWO_PI_I * 0.5
+def _zeta_terms(qn, c, e, x):
+    return (1.0 / (1.0 - qn * x) - 0.5) - (1.0 / (1.0 - qn / x) - 0.5)
+
+
+def _quasi_periods(ctx: EllipticContext, m, k, val):
+    """zeta(z) from val = zeta(zr), z = zr + m + k*tau: val plus the
+    quasi-periods m*g1 + k*eta_tau."""
+    return val + m * ctx.g1 + k * ctx.eta_tau
+
+
+_ZETA = _Series(head=lambda x: 1.0 / (1.0 - x) - 0.5,
+                loop=_zeta_loop, terms=_zeta_terms,
+                tail=lambda ctx, zr, acc: ctx.g1 * zr - TWO_PI_I * acc,
+                lead=lambda ctx, zr: ctx.g1 * zr - TWO_PI_I * 0.5, parity=-1,
+                shift=_quasi_periods)
 
 
 def zeta(ctx: EllipticContext, z: complex) -> complex:
@@ -244,11 +514,32 @@ def zeta(ctx: EllipticContext, z: complex) -> complex:
     double range."""
     zr, m, k = reduce_argument(ctx.tau, z)
     _check_pole(zr)
-    val = _in_double_range(_zeta_series, _zeta_lead, ctx, zr, -1)
-    val = val + m * ctx.g1 + k * ctx.eta_tau
+    val = _quasi_periods(ctx, m, k, _in_double_range(_ZETA, ctx, zr))
     if not cmath.isfinite(val):
         raise DomainError(f"zeta({z}) leaves the double range")
     return val
+
+
+def zeta_many(ctx: EllipticContext, zs) -> list[complex]:
+    """[zeta(ctx, z) for z in zs], bit for bit; see _many."""
+    return _many(zeta, _ZETA.prepare, _ZETA.terms, ctx, zs)
+
+
+def _sigma_loop(table, x: complex, prod: complex) -> complex:
+    for qn, _, e in table:
+        prod *= (1.0 - qn * x) * (1.0 - qn / x) / e
+    return prod
+
+
+def _sigma_terms(qn, c, e, x):
+    return (1.0 - qn * x) * (1.0 - qn / x) / e
+
+
+def _sigma_head(ctx: EllipticContext, z, exp=cmath.exp):
+    """x = exp(2 pi i z) and the prefactor of sigma's product formula."""
+    half = exp(1j * math.pi * z)  # x ** (1/2) without branch trouble
+    pref = exp(ctx.g1 * z * z / 2.0) * (half - 1.0 / half) / TWO_PI_I
+    return exp(TWO_PI_I * z), pref
 
 
 def sigma(ctx: EllipticContext, z: complex) -> complex:
@@ -269,15 +560,26 @@ def sigma(ctx: EllipticContext, z: complex) -> complex:
             if factor == 0 or not cmath.isfinite(val):
                 raise DomainError(f"sigma({z}) leaves the double range")
             return -val if (m + k + m * k) % 2 else val
-        x = _qz(z)
-        half = cmath.exp(1j * math.pi * z)  # x ** (1/2) without branch trouble
-        pref = cmath.exp(ctx.g1 * z * z / 2.0) * (half - 1.0 / half) / TWO_PI_I
-        prod = 1.0 + 0.0j
-        for qn, _, e in ctx.q_table:
-            prod *= (1.0 - qn * x) * (1.0 - qn / x) / e
-        return pref * prod
+        x, pref = _sigma_head(ctx, z)
+        return pref * _rows(ctx, _sigma_loop, _sigma_terms, x, 1.0 + 0.0j,
+                            np.multiply)
     except (ZeroDivisionError, OverflowError, ValueError):
         raise DomainError(f"sigma({z}) leaves the double range") from None
+
+
+def _sigma_prepare(ctx: EllipticContext, z: _Split):
+    """For _many: the points of the origin-centred cell, the product
+    formula's empty product, and its prefactor."""
+    _, m, k = _reduce(ctx, z)
+    x, pref = _sigma_head(ctx, z, _Split.exp)
+    ones = np.ones_like(z.re)
+    return (x.where((m.re == 0) & (k.re == 0)), _Split(ones, 0.0 * ones),
+            lambda prod: pref * prod)
+
+
+def sigma_many(ctx: EllipticContext, zs) -> list[complex]:
+    """[sigma(ctx, z) for z in zs], bit for bit; see _many."""
+    return _many(sigma, _sigma_prepare, _sigma_terms, ctx, zs, np.multiply)
 
 
 # The rules: plain arithmetic, giving numbers at complex arguments and the
@@ -367,14 +669,26 @@ def q_weight(ctx: EllipticContext, u: complex, v: complex,
     both must agree to tolerance wherever defined.
     """
     if method == "zeta":
-        return zeta(ctx, v - u) + zeta(ctx, u) - ctx.g1 * v
+        return q_zeta_form(ctx.g1, v, zeta(ctx, v - u), zeta(ctx, u))
     if method == "rational":
         wu, wv = wp(ctx, u), wp(ctx, v)
-        den = wv - wu
-        if abs(den) < 1e-8 * max(1.0, abs(wu), abs(wv)):
+        if abs(wv - wu) < 1e-8 * max(1.0, abs(wu), abs(wv)):
             raise CollisionError(f"wp collision at u={u}, v={v}")
-        return (wp_z(ctx, u) + wp_z(ctx, v)) / (2.0 * den) + zeta(ctx, v) - ctx.g1 * v
+        return q_rational_form(ctx.g1, v, wu, wv, wp_z(ctx, u), wp_z(ctx, v),
+                               zeta(ctx, v))
     raise DomainError(f"unknown q_weight method {method!r}")
+
+
+def q_zeta_form(g1: complex, v: complex, zeta_vu: complex,
+                zeta_u: complex) -> complex:
+    """q(u, v) from zeta(v - u) and zeta(u)."""
+    return zeta_vu + zeta_u - g1 * v
+
+
+def q_rational_form(g1: complex, v: complex, wu: complex, wv: complex,
+                    dwu: complex, dwv: complex, zeta_v: complex) -> complex:
+    """q(u, v) from wp, wp_z at u and v and zeta(v)."""
+    return (dwu + dwv) / (2.0 * (wv - wu)) + zeta_v - g1 * v
 
 
 @dataclass(frozen=True)

@@ -139,12 +139,20 @@ def _fd(g, h: float) -> complex:
     return (8.0 * (g(1) - g(-1)) - (g(2) - g(-2))) / (12.0 * h)
 
 
+def _split(values: list, n: int) -> list[list]:
+    """values cut into consecutive runs of n."""
+    return [values[i:i + n] for i in range(0, len(values), n)]
+
+
 @_timed
 def run_identity_suite(seed: int = 0, trials: int = 100,
                        tol: float = 1e-9) -> SuiteReport:
-    """Special-function invariants at `trials` random points over >= 3
-    random modular parameters: the cubic, derivative, quasi-periodicity,
-    addition, and modular-derivative identities."""
+    """Special-function invariants over 3 random modular parameters, at
+    trials // 3 + 1 random points each (3 * (trials // 3 + 1) in all: 33
+    for trials = 30): the cubic, derivative, quasi-periodicity, addition,
+    and modular-derivative identities.  The points of a parameter are
+    drawn first, each function is evaluated at all of them in one call
+    per context, and the residuals are formed as the points come."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(seed)
@@ -156,67 +164,90 @@ def run_identity_suite(seed: int = 0, trials: int = 100,
             "quasi_period_1", "quasi_period_tau", "sigma_wp_relation",
             "addition", "q_weight_forms", "g_tau", "wp_tau", "zeta_tau",
             "log_sigma_tau")}
+    offsets = (-2, -1, 1, 2)
     for ctx in ctxs:
-        # the contexts at tau + k*h that every tau-difference reads
-        step = {k: elliptic.make_context(ctx.tau + k * _FD_H)
-                for k in (-2, -1, 1, 2)}
+        zs, b2s, bs = [], [], []
         for _ in range(trials // 3 + 1):
-            z = sx.spectral_point(rng, ctx.tau)
-            w = elliptic.wp(ctx, z)
-            wz = elliptic.wp_z(ctx, z)
-            zt = elliptic.zeta(ctx, z)
-            scale = max(1.0, abs(w) ** 3)
+            zs.append(sx.spectral_point(rng, ctx.tau))
+            b2s.append(0.45 * sx.spectral_point(rng, ctx.tau))
+            bs.append(sx.spectral_point(rng, ctx.tau))
+        n = len(zs)
+        a2s = [0.45 * z for z in zs]
+        # z + k*h for each offset k, offset by offset
+        near = [z + k * _FD_HZ for k in offsets for z in zs]
+        w, wa2, wb2, wb = _split(elliptic.wp_many(ctx, zs + a2s + b2s + bs), n)
+        wz = elliptic.wp_z_many(ctx, zs)
+        zt, *zeta_near, zeta_1, zeta_tau = _split(elliptic.zeta_many(
+            ctx, zs + near + [z + 1 for z in zs]
+            + [z + ctx.tau for z in zs]), n)
+        *sigma_near, s_sum, s_diff, s_a2, s_b2 = _split(elliptic.sigma_many(
+            ctx, near + [a + b for a, b in zip(a2s, b2s)]
+            + [a - b for a, b in zip(a2s, b2s)] + a2s + b2s), n)
+        # the addition theorem where wp(z) and wp(b) are well apart
+        apart = [i for i in range(n)
+                 if abs(w[i] - wb[i]) > 1e-3 * max(1.0, abs(w[i]), abs(wb[i]))]
+        m = len(apart)
+        zeta_zb, zeta_b, zeta_bz = _split(elliptic.zeta_many(
+            ctx, [zs[i] + bs[i] for i in apart] + [bs[i] for i in apart]
+            + [bs[i] - zs[i] for i in apart]), m) if m else ([], [], [])
+        wzb = dict(zip(apart, elliptic.wp_z_many(ctx, [bs[i] for i in apart])))
+        at_zb = dict(zip(apart, zip(zeta_zb, zeta_b, zeta_bz)))
+        # the contexts at tau + k*h that every tau-difference reads
+        step = {k: elliptic.make_context(ctx.tau + k * _FD_H) for k in offsets}
+        stepped = {k: (elliptic.wp_many(step[k], zs),
+                       elliptic.zeta_many(step[k], zs),
+                       elliptic.sigma_many(step[k], zs)) for k in offsets}
+        g_tau = elliptic.g_tau_derivatives(ctx)
+        for i in range(n):
+            scale = max(1.0, abs(w[i]) ** 3)
             res["cubic"].append(
-                abs(wz ** 2 - (4 * w ** 3 - ctx.g2 * w - ctx.g3)) / scale)
+                abs(wz[i] ** 2 - (4 * w[i] ** 3 - ctx.g2 * w[i] - ctx.g3))
+                / scale)
             res["second_derivative"].append(
-                abs(elliptic.wp_zz(ctx, z) - (6 * w ** 2 - ctx.g2 / 2))
-                / max(1.0, abs(w) ** 2))
+                abs(elliptic.wp_zz_rule(w[i], ctx.g2)
+                    - (6 * w[i] ** 2 - ctx.g2 / 2)) / max(1.0, abs(w[i]) ** 2))
+            near_i = dict(zip(offsets, (v[i] for v in zeta_near)))
             # zeta' = -wp via 4th-order finite differences in z
-            fd = _fd(lambda k: elliptic.zeta(ctx, z + k * _FD_HZ), _FD_HZ)
-            res["zeta_derivative"].append(abs(fd + w) / max(1.0, abs(w)))
+            fd = _fd(near_i.get, _FD_HZ)
+            res["zeta_derivative"].append(abs(fd + w[i]) / max(1.0, abs(w[i])))
             # (log sigma)' = zeta
-            fd = _fd(lambda k: np.log(elliptic.sigma(ctx, z + k * _FD_HZ)),
-                     _FD_HZ)
-            res["log_sigma"].append(abs(fd - zt) / max(1.0, abs(zt)))
+            near_i = dict(zip(offsets, (np.log(v[i]) for v in sigma_near)))
+            fd = _fd(near_i.get, _FD_HZ)
+            res["log_sigma"].append(abs(fd - zt[i]) / max(1.0, abs(zt[i])))
             # quasi-periods of zeta: +g1 across 1, +g1*tau - 2 pi i across tau
             res["quasi_period_1"].append(
-                abs(elliptic.zeta(ctx, z + 1) - zt - ctx.g1)
-                / max(1.0, abs(zt)))
+                abs(zeta_1[i] - zt[i] - ctx.g1) / max(1.0, abs(zt[i])))
             res["quasi_period_tau"].append(
-                abs(elliptic.zeta(ctx, z + ctx.tau) - zt
+                abs(zeta_tau[i] - zt[i]
                     - (ctx.g1 * ctx.tau - elliptic.TWO_PI_I))
-                / max(1.0, abs(zt)))
+                / max(1.0, abs(zt[i])))
             # wp(a) - wp(b) = -sigma(a+b) sigma(a-b) / (sigma(a)^2 sigma(b)^2)
-            a2, b2 = 0.45 * z, 0.45 * sx.spectral_point(rng, ctx.tau)
-            lhs = elliptic.wp(ctx, a2) - elliptic.wp(ctx, b2)
-            rhs = -(elliptic.sigma(ctx, a2 + b2) * elliptic.sigma(ctx, a2 - b2)
-                    / (elliptic.sigma(ctx, a2) ** 2
-                       * elliptic.sigma(ctx, b2) ** 2))
+            lhs = wa2[i] - wb2[i]
+            rhs = -(s_sum[i] * s_diff[i] / (s_a2[i] ** 2 * s_b2[i] ** 2))
             res["sigma_wp_relation"].append(abs(lhs - rhs) / max(1.0, abs(lhs)))
             # addition: zeta(a+b) - zeta(a) - zeta(b)
             #           = (wp_z(a) - wp_z(b)) / (2 (wp(a) - wp(b)))
-            b = sx.spectral_point(rng, ctx.tau)
-            wb = elliptic.wp(ctx, b)
-            if abs(w - wb) > 1e-3 * max(1.0, abs(w), abs(wb)):
-                lhs = (elliptic.zeta(ctx, z + b) - zt - elliptic.zeta(ctx, b))
-                rhs = (wz - elliptic.wp_z(ctx, b)) / (2 * (w - wb))
+            if i in at_zb:
+                zab, zb, zba = at_zb[i]
+                lhs = zab - zt[i] - zb
+                rhs = (wz[i] - wzb[i]) / (2 * (w[i] - wb[i]))
                 res["addition"].append(abs(lhs - rhs) / max(1.0, abs(rhs)))
-                qa = elliptic.q_weight(ctx, z, b, method="zeta")
-                qb = elliptic.q_weight(ctx, z, b, method="rational")
+                qa = elliptic.q_zeta_form(ctx.g1, bs[i], zba, zt[i])
+                qb = elliptic.q_rational_form(ctx.g1, bs[i], w[i], wb[i],
+                                              wz[i], wzb[i], zb)
                 res["q_weight_forms"].append(
                     abs(qa - qb) / max(1.0, abs(qa)))
             # modular derivatives against finite differences in tau
-            for g, d in zip(("g1", "g2", "g3"),
-                            elliptic.g_tau_derivatives(ctx)):
+            for g, d in zip(("g1", "g2", "g3"), g_tau):
                 fd = _fd(lambda k: getattr(step[k], g), _FD_H)
                 res["g_tau"].append(abs(fd - d) / max(1.0, abs(d)))
             wp_t, zeta_t, log_sigma_t, _ = elliptic.tau_closed_forms(
-                ctx, z, w, wz, zt)
-            fd = _fd(lambda k: elliptic.wp(step[k], z), _FD_H)
+                ctx, zs[i], w[i], wz[i], zt[i])
+            fd = _fd(lambda k: stepped[k][0][i], _FD_H)
             res["wp_tau"].append(abs(fd - wp_t) / max(1.0, abs(wp_t)))
-            fd = _fd(lambda k: elliptic.zeta(step[k], z), _FD_H)
+            fd = _fd(lambda k: stepped[k][1][i], _FD_H)
             res["zeta_tau"].append(abs(fd - zeta_t) / max(1.0, abs(zeta_t)))
-            fd = _fd(lambda k: np.log(elliptic.sigma(step[k], z)), _FD_H)
+            fd = _fd(lambda k: np.log(stepped[k][2][i]), _FD_H)
             res["log_sigma_tau"].append(
                 abs(fd - log_sigma_t) / max(1.0, abs(log_sigma_t)))
 
@@ -251,10 +282,11 @@ def run_oracle_suite(seed: int = 0, points: int = 20, radius: int = 200,
     # one lattice for the points and the control's shifted point
     *oracle, shifted = elliptic.lattice_oracle(tau, zs + [0.33 + 0.21j],
                                                radius=radius)
-    pairs = list(zip(zs, oracle))
-    rw = [abs(elliptic.wp(ctx, z) - o.wp) for z, o in pairs]
-    rz = [abs(elliptic.zeta(ctx, z) - o.zeta) for z, o in pairs]
-    rs = [abs(elliptic.sigma(ctx, z) - o.sigma) for z, o in pairs]
+    rw = [abs(v - o.wp) for v, o in zip(elliptic.wp_many(ctx, zs), oracle)]
+    rz = [abs(v - o.zeta)
+          for v, o in zip(elliptic.zeta_many(ctx, zs), oracle)]
+    rs = [abs(v - o.sigma)
+          for v, o in zip(elliptic.sigma_many(ctx, zs), oracle)]
     g2o, g3o = elliptic.eisenstein_oracle(tau, radius=200)
     checks = [
         _residual_check("wp_vs_lattice", rw, tol),

@@ -1,7 +1,9 @@
 """Special-function layer: parity, periodicity, differential identities,
 and independence cross-checks against slow lattice-sum oracles."""
 
+import cmath
 import math
+import operator
 import os
 import subprocess
 import sys
@@ -414,6 +416,162 @@ class TestModularDerivatives:
             elliptic.sigma(elliptic.make_context(t), z)), ctx.tau)
         d = elliptic.log_sigma_tau(ctx, z)
         assert abs(d - fd) < 1e-6 * max(1.0, abs(d))
+
+    # box tau and benchmark ladder tau; down the ladder the forms lose
+    # digits (the Eisenstein sums run in double precision), and the gaps
+    # grow to 1.7e-6 at Im tau 0.02 against 1e-2 for a 1% fault
+    _SECOND = pytest.mark.parametrize("tau", [
+        0.21 + 1.3j, -0.42 + 0.83j, 0.6j, -0.13 + 0.12j, 0.5 + 0.02j])
+
+    def _second_derivative_gaps(self, tau):
+        """Relative gaps of d^2(log sigma)/dtau^2 at three cell points and
+        of (2 pi i)^2 d^2(g1)/dtau^2 against fourth-order tau-differences
+        of log_sigma_tau and of dg1/dtau."""
+        ctx = elliptic.make_context(tau)
+        gaps = []
+        for a, b in ((0.13, 0.29), (-0.31, -0.44), (0.42, -0.17)):
+            z = a + b * tau
+            fd = self._fd(lambda t: elliptic.log_sigma_tau(
+                elliptic.make_context(t), z), tau)
+            d = elliptic.log_sigma_tau2(ctx, z)
+            gaps.append(abs(d - fd) / max(1.0, abs(d)))
+        fd = self._fd(lambda t: elliptic.g_tau_derivatives(
+            elliptic.make_context(t))[0], tau) * elliptic.TWO_PI_I ** 2
+        d = elliptic.g1_second_derivation(ctx)
+        return gaps + [abs(d - fd) / max(1.0, abs(d))]
+
+    @_SECOND
+    def test_second_tau_derivatives(self, tau):
+        assert max(self._second_derivative_gaps(tau)) < 1e-5
+
+    @_SECOND
+    @pytest.mark.parametrize("name", ["log_sigma_tau2", "g1_second_derivation"])
+    def test_scaled_second_derivative_fails(self, tau, name, monkeypatch):
+        orig = getattr(elliptic, name)
+        monkeypatch.setattr(elliptic, name, lambda *a: 1.01 * orig(*a))
+        gaps = self._second_derivative_gaps(tau)
+        assert max(gaps[:3] if name == "log_sigma_tau2" else gaps[3:]) > 1e-3
+
+
+def _hexes(v):
+    return float.hex(v.real), float.hex(v.imag)
+
+
+# parts whose bits the replay must keep: signed zeros, equal magnitudes,
+# subnormal, tiny and huge values
+_EDGE_PARTS = (0.0, -0.0, 1.0, -1.0, 0.75, -3.0, 5e-324, -1e-310, 1e-200,
+               1e154, -1e300, 1.7e308)
+
+
+def _operands(rng, count=3000):
+    """Complex operands: the edge parts in every pairing, then random ones
+    with exponents from 1e-300 to 1e300."""
+    edge = [complex(a, b) for a in _EDGE_PARTS for b in _EDGE_PARTS]
+    parts = (rng.standard_normal((count, 2))
+             * 10.0 ** rng.integers(-300, 300, (count, 2)))
+    return edge + [complex(a, b) for a, b in parts]
+
+
+def _parts(values):
+    c = np.array(values, dtype=complex)
+    return c.real, c.imag
+
+
+class TestArrayReplay:
+    """The kernels' arithmetic is CPython's, bit for bit."""
+
+    def test_product_and_quotient(self, rng):
+        a = _operands(rng)
+        b = a[::-1]
+        a, b = a + a[:144], b + [complex(0.0, 0.0), complex(-0.0, 0.0)] * 72
+        with np.errstate(all="ignore"):
+            prod, quot = elliptic.cmul(_parts(a), _parts(b)), elliptic.cdiv(
+                _parts(a), _parts(b))
+        nan = complex("nan+nanj")
+        for i, (x, y) in enumerate(zip(a, b)):
+            try:
+                want = x / y
+            except ZeroDivisionError:
+                want = nan
+            assert _hexes(complex(prod[0][i], prod[1][i])) == _hexes(x * y)
+            assert _hexes(complex(quot[0][i], quot[1][i])) == _hexes(want)
+
+    @pytest.mark.parametrize("op", [
+        lambda a: 1.0 - a, lambda a: 1.0 + a, lambda a: a - 0.5,
+        lambda a: 1.0 / a, lambda a: a / 2.0, lambda a: elliptic.TWO_PI_I * a,
+        lambda a: a ** 2, lambda a: a ** 3])
+    def test_split_operators(self, op, rng):
+        """_Split's operators on complex values give CPython's bits, NaN
+        where CPython raises."""
+        a = _operands(rng)
+        with np.errstate(all="ignore"):
+            got = op(elliptic._Split(*_parts(a))).values()
+        for x, g in zip(a, got):
+            try:
+                want = op(x)
+            except (ZeroDivisionError, OverflowError):
+                want = complex("nan+nanj")
+            assert _hexes(g) == _hexes(want)
+
+    def test_exp(self, rng):
+        a = [v for v in _operands(rng) if abs(v.imag) < 1e15]
+        got = elliptic._Split(*_parts(a)).exp().values()
+        for x, g in zip(a, got):
+            want = cmath.exp(x) if x.real <= 700.0 else complex("nan+nanj")
+            assert _hexes(g) == _hexes(want)
+
+    @pytest.mark.parametrize("shape", [(1, 1417), (3, 9), (401, 9),
+                                       (64, 242)])
+    def test_accumulate_along_rows(self, shape, rng):
+        """add and multiply accumulate along the rows of a 2-D array as a
+        Python loop does, one element after another."""
+        mod = np.exp(0.05 * rng.standard_normal(shape))
+        arg = rng.uniform(-np.pi, np.pi, shape)
+        acc = mod * np.exp(1j * arg)
+        for ufunc, op in ((np.add, operator.add),
+                          (np.multiply, operator.mul)):
+            got = ufunc.accumulate(acc, axis=1)[:, -1].tolist()
+            for row, g in zip(acc.tolist(), got):
+                want = row[0]
+                for t in row[1:]:
+                    want = op(want, t)
+                assert _hexes(g) == _hexes(want)
+
+
+_MANY = pytest.mark.parametrize("name", ["wp", "wp_z", "zeta", "sigma"])
+
+
+class TestArrayEntryPoints:
+    """f_many(ctx, zs) is [f(ctx, z) for z in zs], raising what that loop
+    raises first; the grid of tests/data is compared in test_golden."""
+
+    @_MANY
+    def test_long_batch(self, ctx, rng, name):
+        zs = [random_cell_point(rng, ctx.tau) + rng.integers(-3, 4)
+              + rng.integers(-3, 4) * ctx.tau for _ in range(200)]
+        many = getattr(elliptic, f"{name}_many")(ctx, zs)
+        assert [repr(v) for v in many] == [
+            repr(getattr(elliptic, name)(ctx, z)) for z in zs]
+
+    @pytest.mark.parametrize("name", ["wp", "wp_z", "zeta"])
+    def test_pole_in_batch(self, ctx, rng, name):
+        many = getattr(elliptic, f"{name}_many")
+        zs = [random_cell_point(rng, ctx.tau) for _ in range(40)]
+        with pytest.raises(PoleError):
+            many(ctx, zs + [1.0 + ctx.tau] + zs + [complex("nan")])
+
+    @_MANY
+    def test_non_finite_in_batch(self, ctx, rng, name):
+        many = getattr(elliptic, f"{name}_many")
+        zs = [random_cell_point(rng, ctx.tau) for _ in range(40)]
+        with pytest.raises(DomainError):
+            many(ctx, zs + [complex(0.1, float("inf")), 1.0 + ctx.tau])
+
+    def test_sigma_zero_in_batch(self, ctx, rng):
+        zs = [random_cell_point(rng, ctx.tau) for _ in range(40)]
+        zs += [0.0, 1.0 + ctx.tau]
+        assert [repr(v) for v in elliptic.sigma_many(ctx, zs)] == [
+            repr(elliptic.sigma(ctx, z)) for z in zs]
 
 
 def test_no_sympy():

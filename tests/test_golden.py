@@ -61,6 +61,7 @@ import pytest
 
 from loopbrackets import cli, elliptic, models
 from loopbrackets import symexpr as sx
+from loopbrackets.errors import LoopBracketsError
 
 DATA = Path(__file__).parent / "data"
 
@@ -206,16 +207,20 @@ def _hex(v):
     return [float.hex(v.real), float.hex(v.imag)]
 
 
+def _elliptic_cases():
+    """The fixed grid: (tau, points) pairs."""
+    cases = [(tau, [a + b * tau for a, b in _CELL])
+             for tau in _BOX + _LADDER]
+    return cases + [(tau, [complex(re, im) for im in ims for re in _HIGH_RE])
+                    for tau, ims in _HIGH.items()]
+
+
 def _elliptic_document():
     """Every (tau, z) of the fixed grid: the forms and the four functions,
     each value as float.hex of its parts, or the name of the error it
     raises."""
-    cases = [(tau, [a + b * tau for a, b in _CELL])
-             for tau in _BOX + _LADDER]
-    cases += [(tau, [complex(re, im) for im in ims for re in _HIGH_RE])
-              for tau, ims in _HIGH.items()]
     doc = []
-    for tau, zs in cases:
+    for tau, zs in _elliptic_cases():
         ctx = elliptic.make_context(tau)
         entry = {"tau": _hex(tau), "g1": _hex(ctx.g1), "g2": _hex(ctx.g2),
                  "g3": _hex(ctx.g3), "points": []}
@@ -265,3 +270,53 @@ def _closed_forms_document():
 def test_closed_forms():
     want = json.loads((DATA / "closed_forms.json").read_text())
     assert _closed_forms_document() == want
+
+
+# The series sum their rows in pure-Python loops or, from
+# elliptic.ARRAY_CROSSOVER series terms on, in numpy kernels that replay
+# CPython's complex arithmetic; these force one or the other everywhere.
+_PATHS = pytest.mark.parametrize("crossover", [0, 10 ** 9],
+                                 ids=["kernels", "loops"])
+
+
+@_PATHS
+def test_documents_on_either_path(crossover, monkeypatch):
+    monkeypatch.setattr(elliptic, "ARRAY_CROSSOVER", crossover)
+    assert _elliptic_document() == json.loads(
+        (DATA / "elliptic_values.json").read_text())
+    assert _closed_forms_document() == json.loads(
+        (DATA / "closed_forms.json").read_text())
+
+
+@_PATHS
+def test_identity_report_on_either_path(crossover, monkeypatch, tmp_path):
+    monkeypatch.setattr(elliptic, "ARRAY_CROSSOVER", crossover)
+    out = tmp_path / "report.json"
+    assert cli.main(["verify", "identities", "--trials", "30",
+                     "--json", str(out)]) == 0
+    assert out.read_bytes() == (DATA / "verify_identities.json").read_bytes()
+
+
+def _outcome(fn, *args):
+    """repr of fn(*args), or the name of the package error it raises."""
+    try:
+        return repr(fn(*args))
+    except LoopBracketsError as exc:
+        return type(exc).__name__
+
+
+@pytest.mark.parametrize("name", ["wp", "wp_z", "zeta", "sigma"])
+def test_batches_equal_the_scalar_loop(name, monkeypatch):
+    """At every (tau, z) of the grid, f_many on the kernels gives the
+    pure-Python loop's value or error, point by point and for the whole
+    batch (the loop's first error, where it raises)."""
+    scalar, many = getattr(elliptic, name), getattr(elliptic, f"{name}_many")
+    for tau, zs in _elliptic_cases():
+        ctx = elliptic.make_context(tau)
+        monkeypatch.setattr(elliptic, "ARRAY_CROSSOVER", 10 ** 9)
+        want = [_outcome(scalar, ctx, z) for z in zs]
+        errors = [w for w in want if w.isidentifier()]
+        batch = errors[0] if errors else repr([scalar(ctx, z) for z in zs])
+        monkeypatch.setattr(elliptic, "ARRAY_CROSSOVER", 0)
+        assert [_outcome(lambda z: many(ctx, [z])[0], z) for z in zs] == want
+        assert _outcome(many, ctx, zs) == batch
