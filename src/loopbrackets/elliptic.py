@@ -3,8 +3,9 @@ quasi-modular forms on the lattice Z + Z*tau.
 
 The fast path uses nome-series (expansions in q = e^{2 pi i tau} and
 x = e^{2 pi i z}) after reducing the argument to the fundamental cell.
-`lattice_oracle` provides an independent brute-force truncated lattice
-sum used only for cross-validation.
+`lattice_oracle` provides an independent truncated lattice sum, near
+lattice points term by term and far ones through lattice moments, used
+only for cross-validation.
 """
 
 from __future__ import annotations
@@ -263,9 +264,12 @@ def _promote(b):
 # numpy kernels instead of the pure-Python loops.  On a 2-vCPU Xeon with
 # numpy 2.4 the kernels win from about 215-300 rows for one point (wp_z
 # first, sigma last) and from 280-320 terms for wp, wp_z and zeta at many
-# points of an 8-row table (sigma_many, with three exponentials a point,
-# from about 700).
+# points of an 8-row table.  sigma_many's batch head forms three
+# exponentials and the prefactor a point, and it wins from about 620 terms
+# at 8 rows to about 1000 at 82: it switches at SIGMA_MANY_SCALE times the
+# crossover, 700 terms.
 ARRAY_CROSSOVER = 300
+SIGMA_MANY_SCALE = 7 / 3
 _KERNEL_BLOCK = 1 << 13  # series terms per kernel pass
 
 
@@ -320,16 +324,17 @@ def _reduce(ctx: EllipticContext, z: _Split):
 
 
 def _many(scalar, prepare, terms, ctx: EllipticContext, zs,
-          combine=np.add) -> list[complex]:
+          combine=np.add, scale=1) -> list[complex]:
     """[scalar(ctx, z) for z in zs], bit for bit, raising what that loop
-    raises first.  From ARRAY_CROSSOVER series terms on, prepare(ctx, z)
-    gives, on the split points z, their x, the first values of their row
-    sums and the function that finishes the sums into the values, with x
-    NaN at the points it leaves to scalar; one kernel call sums the rows.
+    raises first.  From scale * ARRAY_CROSSOVER series terms on,
+    prepare(ctx, z) gives, on the split points z, their x, the first values
+    of their row sums and the function that finishes the sums into the
+    values, with x NaN at the points it leaves to scalar; one kernel call
+    sums the rows.
     A point whose value is not finite goes through scalar, which raises or
     falls back as it does alone."""
     zs = list(zs)
-    if len(zs) * ctx.series_truncation < ARRAY_CROSSOVER:
+    if len(zs) * ctx.series_truncation < scale * ARRAY_CROSSOVER:
         return [scalar(ctx, z) for z in zs]
     try:
         z = _Split.of([complex(v) for v in zs])
@@ -579,7 +584,8 @@ def _sigma_prepare(ctx: EllipticContext, z: _Split):
 
 def sigma_many(ctx: EllipticContext, zs) -> list[complex]:
     """[sigma(ctx, z) for z in zs], bit for bit; see _many."""
-    return _many(sigma, _sigma_prepare, _sigma_terms, ctx, zs, np.multiply)
+    return _many(sigma, _sigma_prepare, _sigma_terms, ctx, zs, np.multiply,
+                 SIGMA_MANY_SCALE)
 
 
 # The rules: plain arithmetic, giving numbers at complex arguments and the
@@ -591,12 +597,16 @@ def wp_zz_rule(w, g2):
     return 6 * w * w - g2 / 2
 
 
+def wp_zeta_derivations(z, w, dz, zt, g1, g2):
+    """2 pi i d/dtau of (w, zt) = (wp, zeta) at z, from wp_z = dz."""
+    return ((zt - z * g1) * dz + 2 * w * w - 2 * g1 * w - g2 / 3,
+            g1 * z * w + g2 * z / 12 - g1 * zt - zt * w - dz / 2)
+
+
 def leaf_derivations(z, w, dz, zt, g1, g2):
     """2 pi i d/dtau of (w, zt, dz) = (wp, zeta, wp_z) at z."""
-    s = zt - z * g1
-    return (s * dz + 2 * w * w - 2 * g1 * w - g2 / 3,
-            g1 * z * w + g2 * z / 12 - g1 * zt - zt * w - dz / 2,
-            3 * (w - g1) * dz + s * wp_zz_rule(w, g2))
+    return (*wp_zeta_derivations(z, w, dz, zt, g1, g2),
+            3 * (w - g1) * dz + (zt - z * g1) * wp_zz_rule(w, g2))
 
 
 def g_derivations(g1, g2, g3):
@@ -609,19 +619,17 @@ def tau_closed_forms(ctx: EllipticContext, z: complex, w: complex,
                      dz: complex, zt: complex
                      ) -> tuple[complex, complex, complex, complex]:
     """(d wp/d tau, d zeta/d tau, d log sigma/d tau, d^2 log sigma/d tau^2)
-    at z, from w = wp(z), dz = wp_z(z) and zt = zeta(z).  The second
-    applies the scaled derivation to the first closed form and reads the
-    scaled derivatives of wp and zeta back from the divided ones."""
+    at z, from w = wp(z), dz = wp_z(z) and zt = zeta(z).  The last applies
+    the scaled derivation to the third closed form, with the scaled
+    derivatives of wp and zeta that the first two divide by 2 pi i."""
     g1, g2 = ctx.g1, ctx.g2
-    d_wp, d_zeta, _ = leaf_derivations(z, w, dz, zt, g1, g2)
-    wp_t, zeta_t = d_wp / TWO_PI_I, d_zeta / TWO_PI_I
+    d_wp, d_zeta = wp_zeta_derivations(z, w, dz, zt, g1, g2)
     ls_t = (g1 + g2 * z * z / 24.0 - z * g1 * zt + zt * zt / 2.0
             - w / 2.0) / TWO_PI_I
     d_g1, d_g2, _ = g_derivations(g1, g2, ctx.g3)
-    zt_th, wp_th = TWO_PI_I * zeta_t, TWO_PI_I * wp_t
-    ls_t2 = (d_g1 + d_g2 * z * z / 24.0 - z * d_g1 * zt - z * g1 * zt_th
-             + zt * zt_th - wp_th / 2.0) / TWO_PI_I ** 2
-    return wp_t, zeta_t, ls_t, ls_t2
+    ls_t2 = (d_g1 + d_g2 * z * z / 24.0 - z * d_g1 * zt - z * g1 * d_zeta
+             + zt * d_zeta - d_wp / 2.0) / TWO_PI_I ** 2
+    return d_wp / TWO_PI_I, d_zeta / TWO_PI_I, ls_t, ls_t2
 
 
 def _closed_forms_at(ctx: EllipticContext, z: complex):
@@ -698,83 +706,145 @@ class OracleValues:
     sigma: complex
 
 
-_ORACLE_BLOCK = 1 << 15  # lattice points per block of the oracle sums
+# Terms kept of each far-field series in the oracle sums.  In the far set
+# |z / om| <= 1/2, so at each om the term in (z/om)^(2i) is at most
+# 4^-(i-1) times the first one, times a weight: (2i+1)/3 for wp, 1 for
+# zeta, 2/(i+1) for the log-sum.  The terms dropped after i = FAR_TERMS
+# sum to at most 38 * 4^-40 < 1e-22 of the first term's modulus, far below
+# 2^-53.
+FAR_TERMS = 40
 
 
-def _lattice(tau: complex, radius: int) -> tuple[np.ndarray, np.ndarray]:
-    """The nonzero lattice points a + b*tau, |a|, |b| <= radius, and their
-    reciprocals.  DomainError for Im(tau) <= 0 or radius < 10."""
+def _half_lattice(tau: complex, radius: int) -> tuple[np.ndarray, np.ndarray]:
+    """The lattice points om = a + b*tau with b > 0, or b = 0 and a > 0,
+    |a|, |b| <= radius, and their reciprocals: with their negatives, the
+    nonzero points of the box.  DomainError for Im(tau) <= 0 or
+    radius < 10."""
     tau = complex(tau)
     if not tau.imag > 0:
         raise DomainError(f"modular parameter needs Im(tau) > 0, got {tau}")
     if radius < 10:
         raise DomainError("oracle radius must be >= 10")
-    r = np.arange(-radius, radius + 1)
-    a, b = np.meshgrid(r, r)
-    om = np.delete((a + b * tau).ravel(), r.size ** 2 // 2)  # drop a = b = 0
+    a, b = np.meshgrid(np.arange(-radius, radius + 1), np.arange(1, radius + 1))
+    om = np.concatenate([np.arange(1, radius + 1) + 0j, (a + b * tau).ravel()])
     return om, np.reciprocal(om)
 
 
-def _blocks(*arrays):
-    """The arrays' slices over successive blocks of _ORACLE_BLOCK points."""
-    for lo in range(0, arrays[0].size, _ORACLE_BLOCK):
-        yield tuple(x[lo:lo + _ORACLE_BLOCK] for x in arrays)
+def _moments(inv: np.ndarray, count: int) -> list[complex]:
+    """[sum inv^(2k) for k = 1..count], the lattice moments of the
+    reciprocals inv."""
+    p = inv * inv
+    t = p.copy()
+    out = [complex(np.sum(t))]
+    for _ in range(count - 1):
+        np.multiply(t, p, out=t)
+        out.append(complex(np.sum(t)))
+    return out
+
+
+def _cutoff(z: complex) -> float:
+    """R(z), the least power of two >= max(2, 2|z|): |om| < R is the near
+    set at z, the rest the far set."""
+    m, e = math.frexp(max(1.0, abs(z)))
+    return math.ldexp(1.0, e if m == 0.5 else e + 1)
 
 
 def _oracle_sums(tau: complex, points: list[complex], radius: int):
-    """The truncated lattice sums at each point z, as three arrays over
-    the points: wp, zeta, and the log-sum sum' log(1 - w) + w + w^2/2
-    (w = z/om), whose exponential times z is sigma.
+    """The truncated lattice sums over the nonzero om = a + b*tau,
+    |a|, |b| <= radius, at each point z, as three arrays over the points:
+    wp, zeta, and the log-sum sum' log(1 - w) + w + w^2/2 (w = z/om), whose
+    exponential times z is sigma.
 
-    The logarithm is taken in real arithmetic: arctan2 for the argument,
-    and for the modulus log1p(|w|^2 - 2 Re w) where |w| < 1/2 (no
-    cancellation for small w) and log |1 - w|^2 elsewhere (no cancellation
-    near a lattice point).  Each point's sums depend on that point alone.
-    DomainError for a non-finite point, PoleError for a point within 1e-9
-    of a summed lattice point."""
-    om, inv = _lattice(tau, radius)
+    The box is summed as the pairs +-om over the half-lattice of
+    _half_lattice, split at the cutoff R = _cutoff(z).  The near set
+    |om| < R is summed term by term, with the logarithm taken in real
+    arithmetic: arctan2 for the argument, and for the modulus
+    log1p(|w|^2 - 2 Re w) where |w| < 1/2 (no cancellation for small w) and
+    log |1 - w|^2 elsewhere (no cancellation near a lattice point).  In the
+    far set |w| <= 1/2, and the pair's terms are their Laurent series in
+    v = (z/R)^2 through the scaled moments S_k = sum (R/om)^(2k) over it:
+        wp    sum_{i>=1} 2(2i+1) v^i S_{i+1} / R^2,
+        zeta  -2 (z/R^2) sum_{i>=1} v^i S_{i+1},
+        log   -v sum_{i>=1} v^i S_{i+1} / (i+1),
+    the last one the principal log(1 - w) + log(1 + w) = log(1 - w^2),
+    each cut after FAR_TERMS terms, where at every om the dropped ones sum
+    to less than 1e-22 of the first.  The moments are formed once per
+    distinct R in the call, and every point's sums depend on that point
+    alone.  DomainError for a non-finite point, PoleError for a point
+    within 1e-9 of a summed lattice point."""
+    om, inv = _half_lattice(tau, radius)
+    size = np.abs(om)
+    cuts, sums = {}, []
     for z in points:
         if not cmath.isfinite(z):
             raise DomainError(f"oracle argument {z} is not finite")
-        zr, m, k = reduce_argument(tau, z)
-        if abs(zr) < 1e-9 and max(abs(m), abs(k)) <= radius:
-            raise PoleError(f"oracle argument {z} too close to a lattice point")
-    wp_s = np.array([1.0 / z ** 2 for z in points], dtype=complex)
-    zeta_s = np.array([1.0 / z for z in points], dtype=complex)
-    log_re = np.zeros(len(points))
-    log_im = np.zeros(len(points))
-    for o, r in _blocks(om, inv):
-        r2 = r * r
-        for i, z in enumerate(points):
-            d = np.reciprocal(z - o)
-            wp_s[i] += np.sum(d * d - r2)
-            zeta_s[i] += np.sum(d + r + z * r2)
-            w = z * r
-            wr, wi = w.real, w.imag
-            wr2, wi2 = wr * wr, wi * wi
-            near = wr2 + wi2 < 0.25
-            mod = np.log1p(wr2 + wi2 - 2.0 * wr, where=near,
-                           out=np.empty_like(wr))
-            far = ~near
-            if far.any():
-                mod[far] = np.log((1.0 - wr[far]) ** 2 + wi2[far])
-            log_re[i] += np.sum(0.5 * mod + wr + 0.5 * (wr2 - wi2))
-            log_im[i] += np.sum(np.arctan2(-wi, 1.0 - wr) + wi + wr * wi)
-    return wp_s, zeta_s, log_re + 1j * log_im
+        R = _cutoff(z)
+        if R not in cuts:
+            cuts[R] = _near_and_far(om, inv, size < R, R)
+        sums.append(_point_sums(z, R, *cuts[R]))
+    return np.array(sums, dtype=complex).reshape(-1, 3).T
+
+
+def _near_and_far(om, inv, near, R):
+    """The near set's points +-om and reciprocals, their squares, and the
+    far set's scaled moments S_2..S_{FAR_TERMS+1} (empty for an empty far
+    set)."""
+    o, r = om[near], inv[near]
+    o, r = np.concatenate([o, -o]), np.concatenate([r, -r])
+    far = inv[~near]
+    moments = _moments(R * far, FAR_TERMS + 1)[1:] if far.size else []
+    return o, r, r * r, moments
+
+
+def _point_sums(z, R, o, r, r2, moments):
+    """(wp, zeta, log-sum) at z: the near set's terms, then the far set's
+    series.  PoleError within 1e-9 of 0 or of a point of the near set,
+    which holds every summed point that near to z."""
+    d = z - o
+    if abs(z) < 1e-9 or np.min(np.abs(d)) < 1e-9:
+        raise PoleError(f"oracle argument {z} too close to a lattice point")
+    d = np.reciprocal(d)
+    wp_s = 1.0 / z ** 2 + np.sum(d * d - r2)
+    zeta_s = 1.0 / z + np.sum(d + r + z * r2)
+    w = z * r
+    wr, wi = w.real, w.imag
+    wr2, wi2 = wr * wr, wi * wi
+    small = wr2 + wi2 < 0.25
+    mod = np.log1p(wr2 + wi2 - 2.0 * wr, where=small, out=np.empty_like(wr))
+    large = ~small
+    if large.any():
+        mod[large] = np.log((1.0 - wr[large]) ** 2 + wi2[large])
+    log_s = complex(np.sum(0.5 * mod + wr + 0.5 * (wr2 - wi2)),
+                    np.sum(np.arctan2(-wi, 1.0 - wr) + wi + wr * wi))
+    if moments:
+        u = z / R
+        v = u * u
+        fw = fz = fl = 0j
+        for i in range(len(moments), 0, -1):
+            s = moments[i - 1]
+            fw = (fw + (4 * i + 2) * s) * v
+            fz = (fz + s) * v
+            fl = (fl + s / (i + 1)) * v
+        wp_s += fw / (R * R)
+        zeta_s -= 2.0 * u * fz / R
+        log_s -= fl * v
+    return complex(wp_s), complex(zeta_s), log_s
 
 
 def lattice_oracle(tau: complex, z: complex | list[complex],
                    radius: int = 200) -> OracleValues | list[OracleValues]:
-    """Brute-force truncated lattice sums over |a|,|b| <= radius, at one
-    point z (an OracleValues) or at each point of a sequence z (a list of
-    them, in order).  The lattice is built once per call and each point's
-    sums depend on that point alone, so a batch gives the values of one
-    call per point.
+    """Truncated lattice sums over |a|,|b| <= radius, at one point z (an
+    OracleValues) or at each point of a sequence z (a list of them, in
+    order).  The half-lattice is built once per call, each point's
+    near set is summed term by term and its far set through moments formed
+    once per cutoff (see _oracle_sums), and each point's sums depend on
+    that point alone, so a batch gives the values of one call per point.
 
     Slowly convergent (tail ~ 1/radius^2 after the symmetric-box odd-term
     cancellation); meant only as an independent cross-check of the series
-    path.  DomainError for Im(tau) <= 0, radius < 10 or a non-finite
-    point; PoleError for a point within 1e-9 of a summed lattice point.
+    path, with which it shares no code.  DomainError for Im(tau) <= 0,
+    radius < 10 or a non-finite point; PoleError for a point within 1e-9
+    of a summed lattice point.
     """
     points = [complex(p) for p in np.ravel(z)]
     wp_s, zeta_s, log_s = _oracle_sums(tau, points, radius)
@@ -785,13 +855,9 @@ def lattice_oracle(tau: complex, z: complex | list[complex],
 
 
 def eisenstein_oracle(tau: complex, radius: int = 100) -> tuple[complex, complex]:
-    """(g2, g3) via the direct lattice sums 60 sum' 1/om^4, 140 sum' 1/om^6.
-    DomainError for Im(tau) <= 0 or radius < 10."""
-    _, inv = _lattice(tau, radius)
-    s4 = s6 = 0j
-    for (r,) in _blocks(inv):
-        r2 = r * r
-        r4 = r2 * r2
-        s4 += np.sum(r4)
-        s6 += np.sum(r4 * r2)
-    return complex(60.0 * s4), complex(140.0 * s6)
+    """(g2, g3) via the direct lattice sums 60 sum' 1/om^4, 140 sum' 1/om^6
+    over |a|,|b| <= radius: 120 and 280 times the moments of the
+    half-lattice.  DomainError for Im(tau) <= 0 or radius < 10."""
+    _, inv = _half_lattice(tau, radius)
+    _, m2, m3 = _moments(inv, 3)
+    return 120.0 * m2, 280.0 * m3

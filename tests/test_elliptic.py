@@ -313,11 +313,71 @@ class TestOracles:
             for z, gz, wz in zip(zs, g, w):
                 assert abs(gz - wz) <= 1e-15 * max(1.0, abs(wz)), (name, z)
 
+    def test_sums_at_cutoff_boundaries(self, ctx):
+        """Just inside and just outside |z| = 1 and |z| = 2, where the
+        cutoff steps from 2 to 4 and from 4 to 8, against the truncated
+        sums at 40 digits.  Just inside a step the far series run at
+        |z/om| up to 1/2."""
+        radius = 20
+        zs = [s * np.exp(0.3j) for s in (1 - 2 ** -40, 1 + 2 ** -40,
+                                         2 - 2 ** -39, 2 + 2 ** -39)]
+        assert [elliptic._cutoff(z) for z in zs] == [2, 4, 4, 8]
+        got = elliptic._oracle_sums(ctx.tau, zs, radius)
+        want = _mp_lattice_sums(ctx.tau, zs, radius)
+        for name, g, w in zip(("wp", "zeta", "log-sum"), got, want):
+            for z, gz, wz in zip(zs, g, w):
+                assert abs(gz - wz) <= 1e-15 * max(1.0, abs(wz)), (name, z)
+
     def test_batch_matches_single_points(self, ctx):
         zs = [0.3 + 0.2j, -0.17 + 0.4j, 1.3 + 0.2j + ctx.tau]
         batch = elliptic.lattice_oracle(ctx.tau, zs, radius=40)
         assert batch == [elliptic.lattice_oracle(ctx.tau, z, radius=40)
                          for z in zs]
+
+    def test_batch_across_cutoffs(self, ctx):
+        """A batch whose points have cutoffs 2 to 32, out of order and
+        repeated, gives each point the bits of its own call."""
+        zs = [5 + 3j, 0.3 + 0.2j, 1.5 + 0.3j, -12 + 1j, 0.3 - 0.2j,
+              2.5 - 1j, 1.3 + 0.2j + ctx.tau, 5.2 + 2.9j]
+        assert {elliptic._cutoff(z) for z in zs} == {2, 4, 8, 16, 32}
+        batch = elliptic.lattice_oracle(ctx.tau, zs, radius=40)
+        assert [repr(o) for o in batch] == [
+            repr(elliptic.lattice_oracle(ctx.tau, z, radius=40)) for z in zs]
+
+    def test_eisenstein_against_mpmath(self, ctx):
+        """60 sum' om^-4 and 140 sum' om^-6 over the box at radius 30,
+        against the same sums at 40 digits."""
+        radius = 30
+        got = elliptic.eisenstein_oracle(ctx.tau, radius=radius)
+        with mpmath.workdps(40):
+            t = mpmath.mpc(ctx.tau)
+            s4 = s6 = mpmath.mpc(0)
+            for a in range(-radius, radius + 1):
+                for b in range(-radius, radius + 1):
+                    if (a, b) != (0, 0):
+                        r2 = 1 / (a + b * t) ** 2
+                        s4 += r2 * r2
+                        s6 += r2 * r2 * r2
+            want = complex(60 * s4), complex(140 * s6)
+        for g, w in zip(got, want):
+            assert abs(g - w) <= 1e-15 * abs(w)
+
+    def test_shares_no_code_with_the_series(self, ctx, monkeypatch):
+        """With every part of the series path made to raise, both oracles
+        give the values they give alone."""
+        zs = [0.3 + 0.2j, 1 + 1e-3j, 1.3 + 0.2j + ctx.tau]
+        want = (elliptic.lattice_oracle(ctx.tau, zs, radius=20),
+                elliptic.eisenstein_oracle(ctx.tau, radius=20))
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the oracle called the series path")
+        for name in ("make_context", "_modular_forms", "reduce_argument",
+                     "_check_pole", "_qz", "_row_sums", "_rows", "_many",
+                     "_wp_loop", "_wp_z_loop", "_zeta_loop", "_sigma_loop",
+                     "_in_double_range", "wp", "wp_z", "zeta", "sigma"):
+            monkeypatch.setattr(elliptic, name, refuse)
+        assert (elliptic.lattice_oracle(ctx.tau, zs, radius=20),
+                elliptic.eisenstein_oracle(ctx.tau, radius=20)) == want
 
     @pytest.mark.parametrize("pole", [0, 2, -3 + 5 * TAU, 40 * TAU])
     def test_pole_anywhere_in_batch(self, ctx, pole):
@@ -328,8 +388,20 @@ class TestOracles:
                 elliptic.lattice_oracle(ctx.tau, zs, radius=40)
 
     def test_lattice_point_outside_the_box_is_summable(self, ctx):
+        """Near z = 11 at radius 10 every summed point is nearer than the
+        cutoff 32: the far set is empty, and the near set alone gives the
+        truncated sums at 40 digits.  They are compared at 11 + 0.3i: on
+        the real axis 1 - z/om is a negative real for om = 1..10, where
+        the log-sum's imaginary part is fixed only modulo 2 pi."""
         o = elliptic.lattice_oracle(ctx.tau, 11 + 0.0j, radius=10)
         assert np.isfinite(o.wp) and np.isfinite(o.sigma)
+        z = 11 + 0.3j
+        om, _ = elliptic._half_lattice(ctx.tau, 10)
+        assert np.abs(om).max() < elliptic._cutoff(z) == 32
+        got = elliptic._oracle_sums(ctx.tau, [z], 10)
+        want = _mp_lattice_sums(ctx.tau, [z], 10)
+        for name, g, w in zip(("wp", "zeta", "log-sum"), got, want):
+            assert abs(g[0] - w[0]) <= 1e-15 * max(1.0, abs(w[0])), name
 
     @pytest.mark.parametrize("radius", [9, 0, -5])
     def test_small_radius_rejected(self, ctx, radius):
@@ -561,13 +633,15 @@ class TestArrayEntryPoints:
             many(ctx, zs + [1.0 + ctx.tau] + zs + [complex("nan")])
 
     @_MANY
-    def test_non_finite_in_batch(self, ctx, rng, name):
+    def test_non_finite_in_batch(self, ctx, rng, name, monkeypatch):
+        monkeypatch.setattr(elliptic, "ARRAY_CROSSOVER", 0)  # the kernels
         many = getattr(elliptic, f"{name}_many")
         zs = [random_cell_point(rng, ctx.tau) for _ in range(40)]
         with pytest.raises(DomainError):
             many(ctx, zs + [complex(0.1, float("inf")), 1.0 + ctx.tau])
 
-    def test_sigma_zero_in_batch(self, ctx, rng):
+    def test_sigma_zero_in_batch(self, ctx, rng, monkeypatch):
+        monkeypatch.setattr(elliptic, "ARRAY_CROSSOVER", 0)  # the kernels
         zs = [random_cell_point(rng, ctx.tau) for _ in range(40)]
         zs += [0.0, 1.0 + ctx.tau]
         assert [repr(v) for v in elliptic.sigma_many(ctx, zs)] == [

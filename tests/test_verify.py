@@ -143,6 +143,21 @@ class TestOracleSuite:
         assert len(rep.checks) == 5
         assert len(calls) <= 2
 
+    def test_one_far_moment_pass(self, monkeypatch):
+        """The suite's 24 points and the control share one cutoff, so the
+        lattice oracle forms its far moments once for all 25; the
+        Eisenstein sums make the one other pass over the lattice."""
+        passes = []
+        moments = elliptic._moments
+
+        def counted(inv, count):
+            passes.append(count)
+            return moments(inv, count)
+        monkeypatch.setattr(elliptic, "_moments", counted)
+        rep = verify.run_oracle_suite(seed=0, points=24)
+        assert rep.passed
+        assert passes == [elliptic.FAR_TERMS + 1, 3]
+
 
 class TestPoissonSuite:
     def test_small_n_passes(self):
