@@ -2,13 +2,12 @@
 
 A local bracket is stored as a :class:`BracketTable`: for each ordered
 pair of generators, a list of :class:`DeltaTerm` whose coefficients are
-differential polynomials anchored at the first point x.  The Leibniz
-extension {a(x), E(y)} and the triple brackets of Jacobi are built as
-raw multi-point terms and pushed to the canonical basis
+differential polynomials anchored at the first point x.  Every
+distribution lives in the canonical basis
 
     coeff(x) * delta^(p)(x-y) * delta^(q)(x-w)
 
-by rewrite rules applied to a fixpoint:
+which these rewrite rules reach:
 
   R1  delta^(k)(b-a) = (-1)^k delta^(k)(a-b)
   R2  f(y) delta^(m)(x-y) = sum_j binom(m,j) f^(j)(x) delta^(m-j)(x-y)
@@ -17,12 +16,22 @@ by rewrite rules applied to a fixpoint:
   R3' delta^(m)(x-w) delta^(n)(y-w)
         = (-1)^n sum_j binom(m,j) delta^(n+j)(x-y) delta^(m-j)(x-w)
 
-R3' is R1 on delta^(n)(y-w), then R3 on the chain x-w-y, and canonicalize
-applies it that way; all four are validated against direct pairings with
-polynomial test functions in the test suite.  A bracket of two
-expressions {F(x), G(y)} (bracket_of_functions) makes no raw terms: it
-is the sum over the partials dF/d(f^(k)) of dF(x) d^k/dx^k {f(x), G(y)},
-each Leibniz bracket read from the memo and differentiated by
+R3' is R1 on delta^(n)(y-w), then R3 on the chain x-w-y.  `canonicalize`
+applies them to raw multi-point terms, queued to a fixpoint.  It serves
+the antisymmetry defect and the transpose of an entry, and the tests use
+it as the reference for the closed forms below; they also validate all
+four rules against direct pairings with polynomial test functions.
+
+The Leibniz extension {a(x), E(y)} and the Jacobi defect build no raw
+terms: their inputs have a fixed shape, and the rules are applied to it
+in closed form.  A Leibniz bracket is R2 summed over the partials of E
+(`_leibniz_factor`), whose chains of x-derivatives are memoised per E
+and shared by every row; a Jacobi defect sums its three cyclic terms
+straight into the basis by R3, by R1-R3'-R2 and by R1-R2, as integer
+multiples of Leibniz coefficients and their x-derivatives.  A bracket of
+two expressions {F(x), G(y)} (bracket_of_functions) is the sum over the
+partials dF/d(f^(k)) of dF(x) d^k/dx^k {f(x), G(y)}, each Leibniz
+bracket read from the memo and differentiated by
 d/dx [C(x) delta^(m)(x-y)] = C'(x) delta^(m)(x-y) + C(x) delta^(m+1)(x-y).
 
 Every table owns one coefficient algebra (:class:`_RingAlgebra`), built
@@ -318,7 +327,9 @@ class _RingAlgebra:
     With `frozen` the modular parameter is a constant: g1, g2, g3, the
     other tau-dependent leaves and the modular jets T, T_x, ... all have
     zero x-derivative.  `memo` holds the Leibniz brackets of every table
-    that shares this algebra, keyed on the row they read."""
+    that shares this algebra, keyed on the row they read, and `factors`
+    the partials and x-derivative chains of each bracketed expression,
+    keyed on the expression and the fields (`_leibniz_factors`)."""
 
     def __init__(self, syms, fields, frozen: bool, constants=()):
         self.gsyms = tuple(syms)
@@ -334,6 +345,7 @@ class _RingAlgebra:
         self.index = {s: i for i, s in enumerate(self.syms)}
         self.jets = [k if isinstance(k, tuple) else None for k in kinds]
         self.memo: dict = {}
+        self.factors: dict = {}
         self.dtype = type("PackedPoly", (PackedPoly,),
                           {"__slots__": (), "ring": self})
         self._nbytes = len(self.syms)
@@ -475,13 +487,21 @@ class _RingAlgebra:
             out = self._new({ma + mb: ca * cb for mb, cb in b.items()}, deg)
             return self._frac(out, den) if den else out
         out = self.dtype()
+        self._mul_into(out, a, b)
+        return self._frac(out, den) if den else self._strip(out, deg)
+
+    @staticmethod
+    def _mul_into(out: dict, a, b):
+        """Add the product of the numerators of a and b to out, in place;
+        the caller checks its degree."""
+        if len(a) > len(b):
+            a, b = b, a
         get = out.get
         bi = b.items()
         for ma, ca in a.items():
             for mb, cb in bi:
                 m = ma + mb
                 out[m] = get(m, 0) + ca * cb
-        return self._frac(out, den) if den else self._strip(out, deg)
 
     def _dx_monomial(self, m: int) -> tuple:
         """The terms of the x-derivative of the monomial m, memoised."""
@@ -746,6 +766,18 @@ def _sum(alg, parts):
     return alg._strip(acc, max(c.deg for _, c in parts))
 
 
+def _dot(alg, pairs):
+    """sum of a * b over pairs of elements, accumulated in place for
+    polynomials."""
+    if any(a.den or b.den for a, b in pairs):
+        return sum((a * b for a, b in pairs), alg.zero)
+    deg = _fits(max(a.deg + b.deg for a, b in pairs))
+    acc = alg.dtype()
+    for a, b in pairs:
+        alg._mul_into(acc, a, b)
+    return alg._strip(acc, deg)
+
+
 def _values(p, samples, scale: int = 1):
     """The element p over `scale` at each sample, from its g-basis terms
     (each coefficient rounded once) and the samples' g2, g3; a fraction
@@ -894,13 +926,53 @@ def _partials(alg, E, fields):
     return out
 
 
+def _leibniz_factors(alg, E, fields):
+    """The Leibniz factors of the element E over `fields`, memoised on
+    `alg.factors` keyed on (E, fields): ({f: [(k, chain)]}, {}), a chain
+    [dE, dx dE, ...] for each partial dE = dE/d(f^(k)), extended as far
+    as a bracket needs, and a dict for the G of each (f, m) that
+    `_leibniz_factor` fills."""
+    key = (E, fields)
+    hit = alg.factors.get(key)
+    if hit is None:
+        chains: dict = {}
+        for f, k, dE in _partials(alg, E, fields):
+            chains.setdefault(f, []).append((k, [dE]))
+        hit = alg.factors[key] = (chains, {})
+    return hit
+
+
+def _leibniz_factor(alg, factors, f: str, m: int) -> list:
+    """[(r, G_r)] with E(y) d^k/dy^k delta^(m)(x-y) summed over the
+    partials of E in the jets f^(k) equal to sum_r G_r(x) delta^(r)(x-y)
+    by R2: G_r = sum_k binom(m+k, r) (-1)^k dx^(m+k-r) dE/d(f^(k)).
+    Memoised with the factors; zero G_r left out."""
+    chains, gs = factors
+    out = gs.get((f, m))
+    if out is None:
+        parts: dict[int, list] = {}
+        for k, chain in chains[f]:
+            while len(chain) <= m + k:
+                chain.append(alg.dx(chain[-1]))
+            sign = -1 if k % 2 else 1
+            for r in range(m + k + 1):
+                parts.setdefault(r, []).append(
+                    (sign * comb(m + k, r), chain[m + k - r]))
+        out = gs[(f, m)] = [(r, g) for r in sorted(parts)
+                            if (g := _sum(alg, parts[r]))]
+    return out
+
+
 def leibniz_bracket(table: BracketTable, a: str, E) -> DistPoly:
     """{a(x), E(y)} for a differential expression E in the table fields
     (a sympy Expr or an element of the table's algebra), canonicalized on
-    (x, y) with coefficients at x, at the table's scale.  Memoized in the
-    table's algebra on (a, E, row a): triple-bracket assembly re-derives
-    the same pairs constantly, and a table that differs in other rows
-    shares them."""
+    (x, y) with coefficients at x, at the table's scale: each entry term
+    C delta^(m)(x-y) of {a, f} gives C G_r delta^(r)(x-y) for the G_r of
+    `_leibniz_factor`.  Memoized in the table's algebra on (a, E, row a):
+    triple-bracket assembly re-derives the same pairs constantly, and a
+    table that differs in other rows shares them; the factors of E are
+    memoised apart, so every row and every table on the algebra shares
+    them."""
     if a not in table.fields:
         raise UnknownFieldError(f"unknown generator {a}")
     alg = table.alg
@@ -909,17 +981,16 @@ def leibniz_bracket(table: BracketTable, a: str, E) -> DistPoly:
     hit = alg.memo.get(key)
     if hit is not None:
         return hit
-    raw = []
-    for f, k, dE in _partials(alg, _element(table, E), table.fields):
-        if k % 2:
-            dE = -dE
+    factors = _leibniz_factors(alg, _element(table, E), table.fields)
+    out: dict[int, list] = {}
+    for f in factors[0]:
         for t in table.entry(a, f):
-            # d^k/dy^k delta^(m)(x-y) = (-1)^k delta^(m+k)(x-y)
-            raw.append(_RawTerm((("x", t.value), ("y", dE)),
-                                (("x", "y", t.orders[0] + k),)))
-    out = DistPoly(canonicalize(raw, alg=alg).terms, table.scale)
-    alg.memo[key] = out
-    return out
+            for r, g in _leibniz_factor(alg, factors, f, t.orders[0]):
+                out.setdefault(r, []).append((t.value, g))
+    terms = ((r, _dot(alg, out[r])) for r in sorted(out))
+    dp = alg.memo[key] = DistPoly(
+        tuple(DeltaTerm(c, (r,)) for r, c in terms if c), table.scale)
+    return dp
 
 
 def bracket_of_functions(table: BracketTable, F, G) -> DistPoly:
@@ -958,28 +1029,51 @@ def antisymmetry_defect(table: BracketTable, a: str, b: str) -> DistPoly:
     return DistPoly(canonicalize(raw, alg=table.alg).terms, table.scale)
 
 
-def _cyclic_term(table: BracketTable, outer: str, inner: tuple[str, str],
-                 points: tuple[str, str, str]) -> list[_RawTerm]:
-    """Raw terms of {outer(p0), {inner[0](p1), inner[1](p2)}}."""
-    p0, p1, p2 = points
-    raws = []
-    for t in table.entry(*inner):
-        m = t.orders[0]
-        for s_term in leibniz_bracket(table, outer, t.value).terms:
-            raws.append(_RawTerm(
-                ((p0, s_term.value),),
-                ((p0, p1, s_term.orders[0]), (p1, p2, m))))
-    return raws
-
-
 def jacobi_defect(table: BracketTable, a: str, b: str, c: str) -> DistPoly:
     """Cyclic sum {a(x),{b(y),c(w)}} + {b(y),{c(w),a(x)}} +
-    {c(w),{a(x),b(y)}} in the canonical three-point basis."""
-    raws = []
-    raws += _cyclic_term(table, a, (b, c), ("x", "y", "w"))
-    raws += _cyclic_term(table, b, (c, a), ("y", "w", "x"))
-    raws += _cyclic_term(table, c, (a, b), ("w", "x", "y"))
-    return DistPoly(canonicalize(raws, alg=table.alg).terms, table.scale ** 2)
+    {c(w),{a(x),b(y)}} in the canonical three-point basis.  With
+    {p(.), q(.)} = V delta^(m) and {o(.), V(.)} = S delta^(q) from the
+    table and the Leibniz brackets, each cyclic term is a sum of integer
+    multiples of S and its x-derivatives:
+
+      S(x) delta^(q)(x-y) delta^(m)(y-w)      by R3,
+      S(y) delta^(q)(y-w) delta^(m)(w-x)      by R1, R3' and R2,
+      S(w) delta^(q)(w-x) delta^(m)(x-y)      by R1 and R2,
+
+    so no product of elements is formed; the chains [S, dx S, ...] are
+    shared within the call."""
+    alg = table.alg
+    out: dict[tuple[int, int], list] = {}
+    chains: dict[int, list] = {}
+
+    def terms(outer, p, q):
+        for t in table.entry(p, q):
+            for s in leibniz_bracket(table, outer, t.value).terms:
+                yield t.orders[0], s.orders[0], s.value
+
+    def dx(S, i):
+        chain = chains.setdefault(id(S), [S])
+        while len(chain) <= i:
+            chain.append(alg.dx(chain[-1]))
+        return chain[i]
+
+    for m, q, S in terms(a, b, c):
+        for j in range(q + 1):
+            out.setdefault((q - j, m + j), []).append((comb(q, j), S))
+    for m, q, S in terms(b, c, a):
+        sign = -1 if (m + q) % 2 else 1
+        for j in range(m + 1):
+            for i in range(q + j + 1):
+                out.setdefault((q + j - i, m - j), []).append(
+                    (sign * comb(m, j) * comb(q + j, i), dx(S, i)))
+    for m, q, S in terms(c, a, b):
+        sign = -1 if q % 2 else 1
+        for i in range(q + 1):
+            out.setdefault((m, q - i), []).append((sign * comb(q, i),
+                                                   dx(S, i)))
+    sums = ((key, _sum(alg, out[key])) for key in sorted(out))
+    return DistPoly(tuple(DeltaTerm(v, key) for key, v in sums if v),
+                    table.scale ** 2)
 
 
 def jacobi_triples(fields) -> list[tuple[str, str, str]]:

@@ -341,7 +341,9 @@ def _table_residuals(table: dc.BracketTable, jets_list) -> list[float]:
 
 def _flip_one_entry(table: dc.BracketTable, a: str, b: str) -> dc.BracketTable:
     """The table with entry (a, b) negated; it shares the table's algebra,
-    so Leibniz brackets on the other rows come from the memo."""
+    so Leibniz brackets on the other rows come from the memo, and the
+    partials and x-derivative chains of every expression but the negated
+    values of the entry from the factor memo."""
     entries = dict(table.entries)
     entries[(a, b)] = tuple(dc.DeltaTerm(-t.value, t.orders)
                             for t in entries[(a, b)])

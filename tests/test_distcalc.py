@@ -400,12 +400,55 @@ class TestBracketOfFunctions:
                    for F, G in map(seeded_functions, range(8)))
 
 
+def cyclic_term(table, outer, inner, points, r3p_sign=True):
+    """Raw terms of {outer(p0), {inner[0](p1), inner[1](p2)}}: each term
+    S delta^(q) of the Leibniz bracket {outer, V} of an entry term
+    V delta^(m) of {inner[0], inner[1]} at p0, times delta^(q)(p0-p1)
+    delta^(m)(p1-p2).  Without `r3p_sign` the first delta is written
+    delta^(q)(p1-p0) with no sign: in {b(y), {c(w), a(x)}} that drops the
+    (-1)^q of R3' on delta^(q)(y-w) (a negative control)."""
+    p0, p1, p2 = points
+    first = (p0, p1) if r3p_sign else (p1, p0)
+    raws = []
+    for t in table.entry(*inner):
+        m = t.orders[0]
+        for s_term in dc.leibniz_bracket(table, outer, t.value).terms:
+            raws.append(dc._RawTerm(((p0, s_term.value),),
+                                    ((*first, s_term.orders[0]),
+                                     (p1, p2, m))))
+    return raws
+
+
+def raw_jacobi(table, a, b, c, r3p_sign=True):
+    """Reference jacobi_defect: the raw terms of the three cyclic terms,
+    canonicalized together."""
+    raws = cyclic_term(table, a, (b, c), ("x", "y", "w"))
+    raws += cyclic_term(table, b, (c, a), ("y", "w", "x"), r3p_sign)
+    raws += cyclic_term(table, c, (a, b), ("w", "x", "y"))
+    return dc.DistPoly(dc.canonicalize(raws, alg=table.alg).terms,
+                       table.scale ** 2)
+
+
+def raw_leibniz(table, a, E):
+    """Reference leibniz_bracket: for each partial dE/d(f^(k)) of E and
+    each term C delta^(m) of {a, f}, the raw term
+    C(x) (-1)^k dE(y) delta^(m+k)(x-y), canonicalized together."""
+    raw = []
+    for f, k, dE in dc._partials(table.alg, dc._element(table, E),
+                                 table.fields):
+        for t in table.entry(a, f):
+            raw.append(dc._RawTerm((("x", t.value), ("y", (-1) ** k * dE)),
+                                   (("x", "y", t.orders[0] + k),)))
+    return dc.DistPoly(dc.canonicalize(raw, alg=table.alg).terms,
+                       table.scale)
+
+
 class TestJacobi:
     def test_defect_against_pairing(self, table):
         raws = []
-        raws += dc._cyclic_term(table, "z1", ("z1", "z2"), ("x", "y", "w"))
-        raws += dc._cyclic_term(table, "z1", ("z2", "z1"), ("y", "w", "x"))
-        raws += dc._cyclic_term(table, "z2", ("z1", "z1"), ("w", "x", "y"))
+        raws += cyclic_term(table, "z1", ("z1", "z2"), ("x", "y", "w"))
+        raws += cyclic_term(table, "z1", ("z2", "z1"), ("y", "w", "x"))
+        raws += cyclic_term(table, "z2", ("z1", "z1"), ("w", "x", "y"))
         jd = dc.jacobi_defect(table, "z1", "z1", "z2")
         assert pairing(raws, 3) - pairing(dp_raws(jd, True), 3) == 0
 
@@ -435,6 +478,176 @@ class TestJacobi:
 
     def test_triples_count(self, table):
         assert len(dc.jacobi_triples(table.fields)) == 4
+
+
+def closed_form_cases() -> dict:
+    """The tables whose Leibniz brackets and Jacobi defects the closed
+    forms must reproduce: the extracted tables at n = 2, 3, 4, both n = 4
+    descended charts, the n = 4 flipped-sign control, Proposition 2's
+    table, the no-go table with its 28 symbolic unknowns and the table
+    cp2_check builds."""
+    cases = {f"n{n}": models.thm3_extract(n).to_bracket_table()
+             for n in (2, 3, 4)}
+    za = [f for f in cases["n4"].fields if f != sx.MODULAR_FIELD]
+    for denom in (za[0], za[-1]):
+        cases[f"n4_chart_{denom}"] = models.lemma1_descend(cases["n4"], denom)
+    cases["n4_flipped"] = verify._flip_one_entry(cases["n4"], za[0], za[-1])
+    cases["prop2"] = models.prop2_table()
+    cases["nogo"] = models._nogo_tables(*models._nogo_unknowns())
+    built = []
+    build = dc.build_table
+
+    def recording(*args, **kwargs):
+        built.append(build(*args, **kwargs))
+        return built[-1]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dc, "build_table", recording)
+        models.cp2_check()
+    cases["cp2"], = (t for t in built if t.fields == ("z1", "z2", "z3"))
+    return cases
+
+
+CLOSED_FORM_CASES = ("n2", "n3", "n4", "n4_chart_z0", "n4_chart_z4",
+                     "n4_flipped", "prop2", "nogo", "cp2")
+
+
+def leibniz_cases(table):
+    """(a, E) for every row a and every entry value E: the Leibniz
+    brackets that the table's Jacobi defects read."""
+    values = {t.value for terms in table.entries.values() for t in terms}
+    return [(a, E) for a in table.fields for E in values]
+
+
+class TestClosedForms:
+    """leibniz_bracket and jacobi_defect apply the rewrite rules in closed
+    form; the raw terms canonicalized by `canonicalize` are their
+    reference, and the results are equal as exact elements."""
+
+    @pytest.fixture(scope="class")
+    def cases(self):
+        return closed_form_cases()
+
+    def test_cases(self, cases):
+        assert tuple(cases) == CLOSED_FORM_CASES
+        assert len(cases["nogo"].alg.constants) == 28
+        assert any(not dc.jacobi_defect(cases[name], *tr).is_zero()
+                   for name in ("n4_flipped", "nogo")
+                   for tr in dc.jacobi_triples(cases[name].fields))
+        assert cases["cp2"].order() == 0 and cases["n4"].order() == 1
+
+    @pytest.mark.parametrize("name", CLOSED_FORM_CASES)
+    def test_leibniz_matches_raw_terms(self, cases, name):
+        table = cases[name]
+        for a, E in leibniz_cases(table):
+            assert dc.leibniz_bracket(table, a, E) == \
+                raw_leibniz(table, a, E), (a, E)
+
+    @pytest.mark.parametrize("name", CLOSED_FORM_CASES)
+    def test_jacobi_matches_raw_terms(self, cases, name):
+        table = cases[name]
+        for tr in dc.jacobi_triples(table.fields):
+            assert dc.jacobi_defect(table, *tr) == raw_jacobi(table, *tr), tr
+
+    def test_dropped_r3p_sign_detected(self, cases):
+        """Negative control: the reference without R3''s sign misses
+        jacobi_defect on some case."""
+        assert any(dc.jacobi_defect(table, *tr)
+                   != raw_jacobi(table, *tr, r3p_sign=False)
+                   for table in cases.values()
+                   for tr in dc.jacobi_triples(table.fields))
+
+    def test_unit_binomial_detected(self, cases, monkeypatch):
+        """Negative control: the references with binom(2, 1) set to 1 miss
+        the closed forms, taken first, on some case."""
+        table = cases["n4"]
+        triples = dc.jacobi_triples(table.fields)
+        jacobi = [dc.jacobi_defect(table, *tr) for tr in triples]
+        leibniz = [dc.leibniz_bracket(table, a, E)
+                   for a, E in leibniz_cases(table)]
+        monkeypatch.setattr(dc, "comb", lambda n, k: 1 if (n, k) == (2, 1)
+                            else math.comb(n, k))
+        assert any(jd != raw_jacobi(table, *tr)
+                   for jd, tr in zip(jacobi, triples))
+        assert any(lb != raw_leibniz(table, a, E)
+                   for lb, (a, E) in zip(leibniz, leibniz_cases(table)))
+
+
+class _Forgetful(dict):
+    """A memo that keeps nothing."""
+
+    def __setitem__(self, key, value):
+        pass
+
+
+class TestFactorMemo:
+    """The partials and x-derivative chains of an expression E are
+    memoised on the algebra apart from the Leibniz memo, keyed on
+    (E, fields): every row, and every table on the algebra, shares
+    them."""
+
+    @pytest.fixture
+    def partials(self, monkeypatch):
+        """The expressions whose partials are computed, in call order."""
+        calls = []
+        orig = dc._partials
+
+        def counted(alg, E, fields):
+            calls.append(E)
+            return orig(alg, E, fields)
+        monkeypatch.setattr(dc, "_partials", counted)
+        return calls
+
+    @staticmethod
+    def campaign(table):
+        for tr in dc.jacobi_triples(table.fields):
+            dc.jacobi_defect(table, *tr)
+
+    def test_partials_once_per_expression(self, partials):
+        table = models.thm3_extract(4).to_bracket_table()
+        self.campaign(table)
+        values = {t.value for terms in table.entries.values() for t in terms}
+        assert len(partials) == len(values) and set(partials) == values
+        # the flipped control: only the negated values of the flipped entry
+        za = [f for f in table.fields if f != sx.MODULAR_FIELD]
+        bad = verify._flip_one_entry(table, za[0], za[-1])
+        del partials[:]
+        self.campaign(bad)
+        flipped = [t.value for t in bad.entry(za[0], za[-1])]
+        assert len(partials) == len(flipped) == len(set(partials))
+        assert set(partials) == set(flipped)
+
+    def test_disabled_memo_changes_count(self, partials):
+        table = models.thm3_extract(4).to_bracket_table()
+        self.campaign(table)
+        shared = len(partials)
+        del partials[:]
+        table = models.thm3_extract(4).to_bracket_table()
+        table.alg.factors = _Forgetful()
+        self.campaign(table)
+        assert len(partials) > shared
+
+
+class TestWorkPin:
+    def test_poisson_n4_work_pinned(self, monkeypatch):
+        """After a warm-up call, run_poisson_suite(n=4, seed=3) makes 1,291
+        x-derivatives, 72 canonicalize calls and 99 partials: 2,836, 455
+        and 320 with Leibniz brackets and Jacobi defects canonicalized
+        from raw terms."""
+        verify.run_poisson_suite(n=4, seed=3)
+        counts = dict.fromkeys(("dx", "canonicalize", "_partials"), 0)
+
+        def counted(owner, name):
+            orig = getattr(owner, name)
+
+            def inner(*args, **kwargs):
+                counts[name] += 1
+                return orig(*args, **kwargs)
+            monkeypatch.setattr(owner, name, inner)
+        counted(dc._RingAlgebra, "dx")
+        counted(dc, "canonicalize")
+        counted(dc, "_partials")
+        assert verify.run_poisson_suite(n=4, seed=3).passed
+        assert counts == {"dx": 1291, "canonicalize": 72, "_partials": 99}
 
 
 def freeze(table):
